@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import math
 import os
 import sys
 import time
@@ -26,20 +25,17 @@ from pathlib import Path
 
 import numpy as np
 
-from . import oracles
 from .exponents import (
     Regime,
-    blowup_criterion,
-    certificate_exponent,
     classify,
     exponent_report,
     gep_exponents,
 )
 from .field import BoxGeometry, lq_norm, sample
+from .oracles import LEMMAS
 from .problem import (
     InadmissibleError,
     ProblemSpec,
-    ProfileSpec,
     SpecFieldError,
     scale_profile,
     validate,
@@ -292,158 +288,12 @@ def cmd_sweep(args) -> int:
 # ---------------------------------------------------------------------------
 # verify
 
-def _lemma_young(scale: float):
-    ok, excess = oracles.young_batch(100_000, seed=7, slack=1e-12 * scale)
-    return ok, f"max excess {excess:.3e} over 1e5 draws"
-
-
-def _lemma_contraction(scale: float):
-    details = []
-    ok = True
-    for p, alpha in ((2.0, 1.0), (3.0, 1.5), (1.5, 0.5), (2.0, 0.0)):
-        head, full = oracles.contraction_constant_study(p, alpha, n=100_000, seed=3)
-        stable = full <= head * (1.0 + 0.10 * scale) and math.isfinite(full)
-        ok = ok and stable
-        details.append(f"(p={p},a={alpha}) sup {full:.4f}")
-    return ok, "; ".join(details)
-
-
-def _lemma_mittag_leffler(scale: float):
-    r1 = oracles.mittag_leffler(oracles.MLParams(1.0, 1.0))
-    ref1 = math.e
-    r2 = oracles.mittag_leffler(oracles.MLParams(0.5, 1.0))
-    ref2 = math.e * math.erfc(-1.0)
-    ok = (
-        abs(r1.value - ref1) <= 1e-12 * scale * ref1
-        and abs(r2.value - ref2) <= 1e-12 * scale * ref2
-        and r1.remainder_bound < 1e-10 * scale
-        and r2.remainder_bound < 1e-10 * scale
-    )
-    return ok, (f"E_1(1)={r1.value:.12f} (bound {r1.remainder_bound:.1e}), "
-                f"E_1/2(1)={r2.value:.12f} (bound {r2.remainder_bound:.1e})")
-
-
-def _lemma_gronwall(scale: float):
-    A, M, sigma, t_end = 1.0, 1.0, 0.5, 1.0
-    n = 4000
-    dt = t_end / n
-    t = np.arange(1, n + 1) * dt
-    psi = np.empty(n + 1)
-    psi[0] = A
-    # product integration, exact for piecewise-constant psi on each cell
-    ex = 1.0 - sigma
-    for j in range(1, n + 1):
-        tj = j * dt
-        s_left = np.arange(j) * dt
-        s_right = s_left + dt
-        # clip the last cell: s_right can land one ulp past tj
-        weights = ((tj - s_left) ** ex
-                   - np.maximum(tj - s_right, 0.0) ** ex) / ex
-        psi[j] = A + M * float(weights @ psi[:j])
-    bound = oracles.gronwall_bound(A, M, sigma, t_end)
-    discrete = float(psi[-1])
-    rel = abs(bound - discrete) / bound
-    majorant = discrete <= bound * (1.0 + 1e-6)
-    ok = rel <= 0.02 * scale and majorant
-    return ok, f"bound {bound:.6f} vs discrete {discrete:.6f} (rel {rel:.2e})"
-
-
-def _lemma_exponent_sign(scale: float):
-    from fractions import Fraction
-    import random
-
-    rng = random.Random(11)
-    checked = 0
-    for _ in range(10_000):
-        N = rng.randint(3, 8)
-        p = Fraction(rng.randint(11, 60), 10)
-        q = Fraction(rng.randint(11, 80), 10)
-        alpha = Fraction(rng.randint(0, 30), 10)
-        rho = Fraction(-rng.randint(0, 9), 10)
-        crit = blowup_criterion(N, p, q, alpha, rho)
-        if not crit.admissible:
-            continue
-        theta = certificate_exponent(N, p, q, alpha, rho)
-        if bool(crit) != (theta < 0):
-            return False, (f"mismatch at N={N} p={p} q={q} "
-                           f"alpha={alpha} rho={rho}")
-        checked += 1
-    return checked > 1000, f"{checked} admissible draws agree exactly"
-
-
-def _lemma_cutoff_laplacian(scale: float):
-    c_values = []
-    ok = True
-    details = []
-    for T in (10.0, 100.0, 1000.0):
-        chk = oracles.cutoff_laplacian_check("psi2", theta=4.0, T=T, dim=1)
-        ok = ok and chk.passed
-        c_values.append(chk.c_emp)
-        details.append(f"T={T:g}: order {chk.order:.2f}")
-    spread = (max(c_values) - min(c_values)) / max(c_values)
-    ok = ok and spread <= 0.05 * scale
-    chk1 = oracles.cutoff_laplacian_check("psi1", theta=4.0, T=100.0, dim=1)
-    chk2 = oracles.cutoff_laplacian_check("psi2", theta=4.0, T=100.0, dim=2,
-                                          points=801)
-    ok = ok and chk1.passed and chk2.passed
-    details.append(f"C spread {spread:.2%}; psi1 order {chk1.order:.2f}; "
-                   f"2d order {chk2.order:.2f}")
-    return ok, "; ".join(details)
-
-
-def _lemma_w_condition(scale: float):
-    good = ProfileSpec.gaussian(1.0, 1.0, (0.0,))
-    rep_good = oracles.w_condition_check(good, dim=1)
-    mixed = ProfileSpec.gaussian_sum(
-        [(0.8, 1.0, (0.0,)), (-1.0, 2.0, (0.0,))])
-    rep_mixed = oracles.w_condition_check(mixed, dim=1)
-    # independent quadrature of the worst kernel average found
-    lam, x0 = rep_mixed.argmin
-    yy = np.linspace(-30.0, 30.0, 240_001)
-    wvals = 0.8 * np.exp(-yy**2) - np.exp(-2.0 * yy**2)
-    direct = float(np.trapezoid(
-        np.exp(-((x0[0] - yy) ** 2) / lam) * wvals, yy))
-    ok = (
-        rep_good.holds_kernel_nonneg
-        and rep_good.integral_positive
-        and rep_mixed.integral_positive
-        and not rep_mixed.holds_kernel_nonneg
-        and abs(direct - rep_mixed.min_kernel_average) <= 1e-8 * scale
-    )
-    return ok, (f"good min {rep_good.min_kernel_average:.2e}; mixed min "
-                f"{rep_mixed.min_kernel_average:.6e} vs quadrature {direct:.6e}")
-
-
-def _lemma_certificate_scaling(scale: float):
-    w = ProfileSpec.gaussian(1.0, 1.0, (0.0, 0.0, 0.0))
-    rep = oracles.certificate_scaling_check(
-        3, 1.5, 1.25, 1.0, -0.5, w=w, tol=0.1 * scale)
-    sign_ok = rep.applicable and rep.sign_gap is not None and (
-        (rep.sign_gap > 0) == (rep.theta < 0))
-    ok = rep.passed and sign_ok
-    return ok, (f"slope_I1 {rep.slope_I1:.3f} (bound {rep.slope_bound_I1:.3f}), "
-                f"slope_F {rep.slope_F:.3f} (expected {rep.slope_expected_F:.3f}), "
-                f"gap {rep.sign_gap:.3f} vs -theta {-rep.theta:.3f}")
-
-
-_LEMMAS = {
-    "young": _lemma_young,
-    "contraction": _lemma_contraction,
-    "mittag_leffler": _lemma_mittag_leffler,
-    "gronwall": _lemma_gronwall,
-    "exponent_sign": _lemma_exponent_sign,
-    "cutoff_laplacian": _lemma_cutoff_laplacian,
-    "w_condition": _lemma_w_condition,
-    "certificate_scaling": _lemma_certificate_scaling,
-}
-
-
 def cmd_verify(args) -> int:
-    names = [args.lemma] if args.lemma else list(_LEMMAS)
+    names = [args.lemma] if args.lemma else list(LEMMAS)
     verdicts = {}
     all_ok = True
     for name in names:
-        passed, detail = _LEMMAS[name](args.tolerance_scale)
+        passed, detail = LEMMAS[name](args.tolerance_scale)
         verdicts[name] = {"passed": passed, "detail": detail}
         all_ok = all_ok and passed
         print(f"{'PASS' if passed else 'FAIL'} {name}: {detail}")
@@ -499,7 +349,7 @@ def _build_parser() -> _Parser:
     p_swp.set_defaults(func=cmd_sweep)
 
     p_ver = sub.add_parser("verify", help="run the analytic lemma checks")
-    p_ver.add_argument("--lemma", choices=sorted(_LEMMAS))
+    p_ver.add_argument("--lemma", choices=sorted(LEMMAS))
     p_ver.add_argument("--tolerance-scale", type=float, default=1.0,
                        help="multiply tolerances (test hook; <1 tightens)")
     p_ver.add_argument("--out", help="write JSON verdicts here")

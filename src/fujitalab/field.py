@@ -8,7 +8,6 @@ periodic setup is the trapezoid rule and converges spectrally for smooth data.
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,9 +23,6 @@ __all__ = [
     "lq_norm",
     "nonlocal_factor",
     "nonlinearity",
-    "write_binary",
-    "read_binary",
-    "write_csv",
 ]
 
 MAX_DIM = 3
@@ -34,8 +30,6 @@ DEFAULT_HALF_WIDTH = 16.0
 DEFAULT_POINTS = {1: 256, 2: 256, 3: 64}
 # total-cell cap: dim 3 at M=64 is ~2.6e5 cells, dim 2 at M=4096 is 1.7e7
 CELL_CAP = 2**24
-
-_BINARY_MAGIC = b"GRIDFLD1"
 
 
 class BlowupSignal(ArithmeticError):
@@ -202,39 +196,3 @@ def nonlinearity(f: GridField, p: float, q, alpha: float) -> GridField:
         raise BlowupSignal("nonlinearity overflow")
     return f.with_values(out)
 
-
-def write_binary(f: GridField, path) -> None:
-    """Flat little-endian layout: magic, uint32 dim, uint32 M, float64 L, values."""
-    with open(path, "wb") as fh:
-        fh.write(_BINARY_MAGIC)
-        fh.write(struct.pack("<IId", f.dim, f.points_per_axis, f.half_width))
-        fh.write(np.ascontiguousarray(f.values, dtype="<f8").tobytes())
-
-
-def read_binary(path) -> GridField:
-    with open(path, "rb") as fh:
-        magic = fh.read(len(_BINARY_MAGIC))
-        if magic != _BINARY_MAGIC:
-            raise ValueError("not a grid field file")
-        dim, M, L = struct.unpack("<IId", fh.read(16))
-        data = np.frombuffer(fh.read(), dtype="<f8")
-    if data.size != M**dim:
-        raise ValueError("truncated grid field file")
-    return GridField(int(dim), float(L), data.reshape((M,) * dim).astype(float))
-
-
-def write_csv(f: GridField, path) -> None:
-    """Plain-text export for dim <= 2: one node per row, coordinates then value."""
-    if f.dim > 2:
-        raise ValueError("csv export supports dim <= 2 only")
-    ax = f.axis
-    with open(path, "w") as fh:
-        if f.dim == 1:
-            fh.write("x,value\n")
-            for x, v in zip(ax, f.values):
-                fh.write(f"{float(x)!r},{float(v)!r}\n")
-        else:
-            fh.write("x,y,value\n")
-            for i, x in enumerate(ax):
-                for j, y in enumerate(ax):
-                    fh.write(f"{float(x)!r},{float(y)!r},{float(f.values[i, j])!r}\n")

@@ -5,16 +5,21 @@ sampling for the scalar inequalities, series with explicit remainder control
 for the singular Gronwall bound, finite differences against the closed-form
 radial Laplacian for the cutoff calculus, and log-log slope fits for the
 space-time scaling certificate whose sign separates blow-up from existence.
+``LEMMAS`` bundles them into the named pass/fail checks of ``fujita-lab
+verify``.
 """
 
 from __future__ import annotations
 
 import math
+import random
+from collections.abc import Callable
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
-from .exponents import certificate_exponent, delta
+from .exponents import blowup_criterion, certificate_exponent, delta
 from .problem import ProfileSpec, profile_integral
 
 __all__ = [
@@ -43,6 +48,7 @@ __all__ = [
     "w_condition_check",
     "CertificateReport",
     "certificate_scaling_check",
+    "LEMMAS",
 ]
 
 
@@ -619,3 +625,149 @@ def _space_cutoff_integral(w: ProfileSpec, N: int, T: float, kappa: float, n: in
     for _ in range(N):
         vals = np.trapezoid(vals, dx=h, axis=-1)
     return float(vals)
+
+
+# ---------------------------------------------------------------------------
+# the lemma suite: name -> check(tolerance_scale) -> (passed, detail);
+# a tolerance scale below 1 tightens every bound
+
+def _lemma_young(scale: float):
+    ok, excess = young_batch(100_000, seed=7, slack=1e-12 * scale)
+    return ok, f"max excess {excess:.3e} over 1e5 draws"
+
+
+def _lemma_contraction(scale: float):
+    details = []
+    ok = True
+    for p, alpha in ((2.0, 1.0), (3.0, 1.5), (1.5, 0.5), (2.0, 0.0)):
+        head, full = contraction_constant_study(p, alpha, n=100_000, seed=3)
+        stable = full <= head * (1.0 + 0.10 * scale) and math.isfinite(full)
+        ok = ok and stable
+        details.append(f"(p={p},a={alpha}) sup {full:.4f}")
+    return ok, "; ".join(details)
+
+
+def _lemma_mittag_leffler(scale: float):
+    r1 = mittag_leffler(MLParams(1.0, 1.0))
+    ref1 = math.e
+    r2 = mittag_leffler(MLParams(0.5, 1.0))
+    ref2 = math.e * math.erfc(-1.0)
+    ok = (
+        abs(r1.value - ref1) <= 1e-12 * scale * ref1
+        and abs(r2.value - ref2) <= 1e-12 * scale * ref2
+        and r1.remainder_bound < 1e-10 * scale
+        and r2.remainder_bound < 1e-10 * scale
+    )
+    return ok, (f"E_1(1)={r1.value:.12f} (bound {r1.remainder_bound:.1e}), "
+                f"E_1/2(1)={r2.value:.12f} (bound {r2.remainder_bound:.1e})")
+
+
+def _lemma_gronwall(scale: float):
+    A, M, sigma, t_end = 1.0, 1.0, 0.5, 1.0
+    n = 4000
+    dt = t_end / n
+    psi = np.empty(n + 1)
+    psi[0] = A
+    # product integration, exact for piecewise-constant psi on each cell
+    ex = 1.0 - sigma
+    for j in range(1, n + 1):
+        tj = j * dt
+        s_left = np.arange(j) * dt
+        s_right = s_left + dt
+        # clip the last cell: s_right can land one ulp past tj
+        weights = ((tj - s_left) ** ex
+                   - np.maximum(tj - s_right, 0.0) ** ex) / ex
+        psi[j] = A + M * float(weights @ psi[:j])
+    bound = gronwall_bound(A, M, sigma, t_end)
+    discrete = float(psi[-1])
+    rel = abs(bound - discrete) / bound
+    majorant = discrete <= bound * (1.0 + 1e-6)
+    ok = rel <= 0.02 * scale and majorant
+    return ok, f"bound {bound:.6f} vs discrete {discrete:.6f} (rel {rel:.2e})"
+
+
+def _lemma_exponent_sign(scale: float):
+    rng = random.Random(11)
+    checked = 0
+    for _ in range(10_000):
+        N = rng.randint(3, 8)
+        p = Fraction(rng.randint(11, 60), 10)
+        q = Fraction(rng.randint(11, 80), 10)
+        alpha = Fraction(rng.randint(0, 30), 10)
+        rho = Fraction(-rng.randint(0, 9), 10)
+        crit = blowup_criterion(N, p, q, alpha, rho)
+        if not crit.admissible:
+            continue
+        theta = certificate_exponent(N, p, q, alpha, rho)
+        if bool(crit) != (theta < 0):
+            return False, (f"mismatch at N={N} p={p} q={q} "
+                           f"alpha={alpha} rho={rho}")
+        checked += 1
+    return checked > 1000, f"{checked} admissible draws agree exactly"
+
+
+def _lemma_cutoff_laplacian(scale: float):
+    c_values = []
+    ok = True
+    details = []
+    for T in (10.0, 100.0, 1000.0):
+        chk = cutoff_laplacian_check("psi2", theta=4.0, T=T, dim=1)
+        ok = ok and chk.passed
+        c_values.append(chk.c_emp)
+        details.append(f"T={T:g}: order {chk.order:.2f}")
+    spread = (max(c_values) - min(c_values)) / max(c_values)
+    ok = ok and spread <= 0.05 * scale
+    chk1 = cutoff_laplacian_check("psi1", theta=4.0, T=100.0, dim=1)
+    chk2 = cutoff_laplacian_check("psi2", theta=4.0, T=100.0, dim=2,
+                                          points=801)
+    ok = ok and chk1.passed and chk2.passed
+    details.append(f"C spread {spread:.2%}; psi1 order {chk1.order:.2f}; "
+                   f"2d order {chk2.order:.2f}")
+    return ok, "; ".join(details)
+
+
+def _lemma_w_condition(scale: float):
+    good = ProfileSpec.gaussian(1.0, 1.0, (0.0,))
+    rep_good = w_condition_check(good, dim=1)
+    mixed = ProfileSpec.gaussian_sum(
+        [(0.8, 1.0, (0.0,)), (-1.0, 2.0, (0.0,))])
+    rep_mixed = w_condition_check(mixed, dim=1)
+    # independent quadrature of the worst kernel average found
+    lam, x0 = rep_mixed.argmin
+    yy = np.linspace(-30.0, 30.0, 240_001)
+    wvals = 0.8 * np.exp(-yy**2) - np.exp(-2.0 * yy**2)
+    direct = float(np.trapezoid(
+        np.exp(-((x0[0] - yy) ** 2) / lam) * wvals, yy))
+    ok = (
+        rep_good.holds_kernel_nonneg
+        and rep_good.integral_positive
+        and rep_mixed.integral_positive
+        and not rep_mixed.holds_kernel_nonneg
+        and abs(direct - rep_mixed.min_kernel_average) <= 1e-8 * scale
+    )
+    return ok, (f"good min {rep_good.min_kernel_average:.2e}; mixed min "
+                f"{rep_mixed.min_kernel_average:.6e} vs quadrature {direct:.6e}")
+
+
+def _lemma_certificate_scaling(scale: float):
+    w = ProfileSpec.gaussian(1.0, 1.0, (0.0, 0.0, 0.0))
+    rep = certificate_scaling_check(
+        3, 1.5, 1.25, 1.0, -0.5, w=w, tol=0.1 * scale)
+    sign_ok = rep.applicable and rep.sign_gap is not None and (
+        (rep.sign_gap > 0) == (rep.theta < 0))
+    ok = rep.passed and sign_ok
+    return ok, (f"slope_I1 {rep.slope_I1:.3f} (bound {rep.slope_bound_I1:.3f}), "
+                f"slope_F {rep.slope_F:.3f} (expected {rep.slope_expected_F:.3f}), "
+                f"gap {rep.sign_gap:.3f} vs -theta {-rep.theta:.3f}")
+
+
+LEMMAS: dict[str, Callable[[float], tuple[bool, str]]] = {
+    "young": _lemma_young,
+    "contraction": _lemma_contraction,
+    "mittag_leffler": _lemma_mittag_leffler,
+    "gronwall": _lemma_gronwall,
+    "exponent_sign": _lemma_exponent_sign,
+    "cutoff_laplacian": _lemma_cutoff_laplacian,
+    "w_condition": _lemma_w_condition,
+    "certificate_scaling": _lemma_certificate_scaling,
+}

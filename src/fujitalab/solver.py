@@ -17,9 +17,8 @@ so their agreement under refinement is meaningful evidence of correctness
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 
 import numpy as np
@@ -93,20 +92,14 @@ class SolverConfig:
     def to_json_dict(self) -> dict:
         return {name: getattr(self, name) for name in self.__dataclass_fields__}
 
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "SolverConfig":
-        unknown = set(d) - set(cls.__dataclass_fields__)
-        if unknown:
-            raise ValueError(f"unknown solver config fields: {sorted(unknown)}")
-        return cls(**d)
-
 
 @dataclass
 class TrajectoryRecord:
     """Recorded run: aligned (t, ||u||_q, ||u||_inf, dt) samples plus verdict.
 
     Row zero is the initial state with dt = 0.  blowup_time_estimate is set
-    exactly when the verdict is blowup_detected.
+    exactly when the verdict is blowup_detected.  terminal is the last
+    accepted field; it stays out of the JSON payload.
     """
 
     times: list
@@ -116,6 +109,7 @@ class TrajectoryRecord:
     verdict: Verdict
     blowup_time_estimate: float | None
     metadata: dict = field(default_factory=dict)
+    terminal: GridField | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         n = len(self.times)
@@ -141,30 +135,11 @@ class TrajectoryRecord:
             "metadata": self.metadata,
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2)
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "TrajectoryRecord":
-        return cls(
-            times=list(d["times"]),
-            q_norms=list(d["q_norms"]),
-            sup_norms=list(d["sup_norms"]),
-            dt_history=list(d["dt_history"]),
-            verdict=Verdict(d["verdict"]),
-            blowup_time_estimate=d.get("blowup_time_estimate"),
-            metadata=d.get("metadata", {}),
-        )
-
     def csv_text(self) -> str:
         lines = ["t,q_norm,sup_norm,dt"]
         for row in zip(self.times, self.q_norms, self.sup_norms, self.dt_history):
             lines.append(",".join(repr(v) for v in row))
         return "\n".join(lines) + "\n"
-
-    def to_csv(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write(self.csv_text())
 
 
 def _forcing_weight(t_n: float, dt: float, rho: float) -> tuple[float, float]:
@@ -187,23 +162,20 @@ def _forcing_weight(t_n: float, dt: float, rho: float) -> tuple[float, float]:
 
 
 def forcing_increment(
-    plan: HeatKernelPlan | None, w: GridField, t_n: float, dt: float, rho: float
+    plan: HeatKernelPlan, w: GridField, t_n: float, dt: float, rho: float
 ) -> GridField:
     """One-step forcing integral of tau^rho S(t_n+dt-tau) w over [t_n, t_n+dt].
 
     The singular weight integrates exactly; the semigroup is evaluated once,
     at the tau^rho-weighted mean distance.  That distance is exactly dt/2 for
     rho = 0 and tends to dt/2 once t_n >> dt, and it keeps the first step
-    O(dt^(rho+2)) accurate when the weight piles up at tau = 0.  plan=None
-    freezes the heat flow (identity), a test mode.
+    O(dt^(rho+2)) accurate when the weight piles up at tau = 0.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
     if rho <= -1:
         raise ValueError("rho must be > -1")
     weight, mean_tau = _forcing_weight(t_n, dt, rho)
-    if plan is None or not np.any(w.values):
-        return w.with_values(weight * w.values)
     theta = (t_n + dt) - mean_tau
     return w.with_values(weight * apply(plan, w, theta).values)
 
@@ -213,7 +185,7 @@ def step(
     u_n: GridField,
     t_n: float,
     dt: float,
-    plan: HeatKernelPlan | None,
+    plan: HeatKernelPlan,
     w: GridField | None = None,
     *,
     disable_nonlinearity: bool = False,
@@ -228,17 +200,12 @@ def step(
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
-    out = apply(plan, u_n, dt).values if plan is not None else u_n.values
+    out = apply(plan, u_n, dt).values
     if not disable_nonlinearity:
         load = nonlinearity(u_n, spec.p, spec.q, spec.alpha)
-        incr = u_n.with_values(dt * load.values)
-        if plan is not None:
-            incr = apply(plan, incr, dt / 2.0)
-        out = out + incr.values
+        out = out + apply(plan, u_n.with_values(dt * load.values), dt / 2.0).values
     if w is not None and np.any(w.values):
         out = out + forcing_increment(plan, w, t_n, dt, spec.rho).values
-    if out is u_n.values:
-        out = u_n.values.copy()
     return u_n.with_values(out)  # constructor turns non-finite into BlowupSignal
 
 
@@ -262,7 +229,7 @@ def run_from_fields(
     u0: GridField,
     w: GridField | None,
     config: SolverConfig,
-    plan: HeatKernelPlan | None,
+    plan: HeatKernelPlan,
 ) -> TrajectoryRecord:
     """Core adaptive loop over prepared fields.
 
@@ -272,6 +239,7 @@ def run_from_fields(
     time refined by bisection on the length of the final step.  If a step
     still rejects when dt can no longer be halved, the run ends
     step_underflow: an inconclusive verdict, never a silent blow-up call.
+    The record's terminal is the last accepted field.
     """
     t = 0.0
     u = u0
@@ -282,17 +250,6 @@ def run_from_fields(
     dt_history = [0.0]
     verdict = None
     blowup_estimate = None
-
-    def _attempt(dt_try):
-        try:
-            nxt = step(
-                spec, u, t, dt_try, plan, w,
-                disable_nonlinearity=config.disable_nonlinearity,
-            )
-            return nxt, lq_norm(nxt, math.inf)
-        except BlowupSignal:
-            return None, math.inf
-
     while True:
         remaining = config.t_end - t
         if remaining <= 1e-12 * config.t_end:
@@ -301,7 +258,7 @@ def run_from_fields(
         if len(times) > config.max_steps:
             raise RuntimeError("step budget exhausted before t_end")
         dt_step = min(dt, remaining)
-        u_new, sup_new = _attempt(dt_step)
+        u_new, sup_new = _attempt(spec, u, t, dt_step, plan, w, config)
         sup_old = sup_norms[-1]
         if sup_old > 0:
             growth = (sup_new - sup_old) / sup_old
@@ -326,36 +283,37 @@ def run_from_fields(
         if blowup_estimate is not None:
             verdict = Verdict.BLOWUP_DETECTED
             break
-        if config.adapt and u_new is not None:
+        if config.adapt:
             if growth < GROWTH_DOUBLE:
                 dt = min(dt_step * 2.0, config.dt0)
             else:
                 dt = dt_step
     metadata = _run_metadata(spec, config, u0)
     return TrajectoryRecord(
-        times, q_norms, sup_norms, dt_history, verdict, blowup_estimate, metadata
+        times, q_norms, sup_norms, dt_history, verdict, blowup_estimate, metadata,
+        terminal=u,
     )
+
+
+def _attempt(spec, u, t, dt, plan, w, config):
+    """One step and its sup norm; (None, inf) when the step overflows."""
+    try:
+        nxt = step(spec, u, t, dt, plan, w,
+                   disable_nonlinearity=config.disable_nonlinearity)
+        return nxt, lq_norm(nxt, math.inf)
+    except BlowupSignal:
+        return None, math.inf
 
 
 def _bisect_crossing(spec, u_prev, t_prev, dt_cross, plan, w, config, iters=40):
     """Crossing offset s in (0, dt_cross]: threshold first reached stepping s."""
-
-    def crosses(s: float) -> bool:
-        try:
-            nxt = step(
-                spec, u_prev, t_prev, s, plan, w,
-                disable_nonlinearity=config.disable_nonlinearity,
-            )
-            return lq_norm(nxt, math.inf) >= config.blowup_threshold
-        except BlowupSignal:
-            return True
-
     lo, hi = 0.0, dt_cross
     for _ in range(iters):
         mid = 0.5 * (lo + hi)
         if mid in (lo, hi):  # float interval exhausted
             break
-        if crosses(mid):
+        _, sup_mid = _attempt(spec, u_prev, t_prev, mid, plan, w, config)
+        if sup_mid >= config.blowup_threshold:
             hi = mid
         else:
             lo = mid
@@ -526,16 +484,13 @@ def uniqueness_probe(
     details = {"levels": []}
     for lvl in range(levels + 1):
         M = M0 * 2**lvl
-        cfg = SolverConfig(
+        cfg = replace(
+            config,
             dt0=config.dt0 / 2**lvl,
             t_end=T,
-            blowup_threshold=config.blowup_threshold,
             min_dt=min(config.min_dt, config.dt0 / 2**lvl),
             adapt=False,
             picard_nodes=config.picard_nodes * 2**lvl,
-            picard_max_iters=config.picard_max_iters,
-            picard_tol=config.picard_tol,
-            disable_nonlinearity=config.disable_nonlinearity,
         )
         u0f = sample(u0, spec.dim, L, M)
         wf = sample(w, spec.dim, L, M) if w.terms else None
@@ -543,9 +498,8 @@ def uniqueness_probe(
         traj = run_from_fields(spec, u0f, wf, cfg, plan)
         if traj.verdict != Verdict.COMPLETED:
             raise RuntimeError(f"probe run did not complete: {traj.verdict.value}")
-        stepped = _replay_terminal(spec, u0f, wf, cfg, plan)
         pic = picard_solve(spec, u0f, wf, T, cfg, plan)
-        d = lq_norm(stepped - pic.terminal, spec.q)
+        d = lq_norm(traj.terminal - pic.terminal, spec.q)
         discrepancies.append(d)
         details["levels"].append(
             {"points_per_axis": M, "dt": cfg.dt0, "picard_nodes": cfg.picard_nodes,
@@ -558,16 +512,3 @@ def uniqueness_probe(
     passed = all(r >= min_ratio for r in ratios)
     return UniquenessReport(tuple(discrepancies), ratios, passed, details)
 
-
-def _replay_terminal(spec, u0f, wf, cfg, plan) -> GridField:
-    """Fixed-dt stepping to t_end, returning the terminal field itself."""
-    t = 0.0
-    u = u0f
-    while t < cfg.t_end - 1e-12 * cfg.t_end:
-        dt_step = min(cfg.dt0, cfg.t_end - t)
-        u = step(
-            spec, u, t, dt_step, plan, wf,
-            disable_nonlinearity=cfg.disable_nonlinearity,
-        )
-        t += dt_step
-    return u

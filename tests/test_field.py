@@ -15,10 +15,7 @@ from fujitalab.field import (
     lq_norm,
     nonlinearity,
     nonlocal_factor,
-    read_binary,
     sample,
-    write_binary,
-    write_csv,
 )
 from fujitalab.problem import ProfileSpec, evaluate_profile
 
@@ -115,46 +112,3 @@ def test_field_arithmetic_checks_geometry():
     h = 2.0 * f - f
     assert np.allclose(h.values, f.values)
     assert abs(-1.0 * f).values.min() >= 0
-
-
-def test_binary_round_trip(tmp_path):
-    prof = ProfileSpec.gaussian_sum([(1.0, 1.0, (0.3, 0.1)), (0.2, 4.0, (-2.0, 0.0))])
-    f = sample(prof, 2, 8.0, 32)
-    path = tmp_path / "field.bin"
-    write_binary(f, path)
-    g = read_binary(path)
-    assert g.dim == f.dim and g.half_width == f.half_width
-    assert np.array_equal(g.values, f.values)  # bit-exact
-
-
-def test_binary_rejects_garbage(tmp_path):
-    path = tmp_path / "junk.bin"
-    path.write_bytes(b"NOTAGRID" + b"\x00" * 32)
-    with pytest.raises(ValueError):
-        read_binary(path)
-    f = sample(ProfileSpec.gaussian(1.0, 1.0, (0.0,)), 1, 8.0, 16)
-    write_binary(f, path)
-    data = path.read_bytes()
-    path.write_bytes(data[:-8])  # drop one value
-    with pytest.raises(ValueError):
-        read_binary(path)
-
-
-def test_csv_export(tmp_path):
-    f1 = sample(ProfileSpec.gaussian(1.0, 1.0, (0.0,)), 1, 8.0, 16)
-    p1 = tmp_path / "f1.csv"
-    write_csv(f1, p1)
-    lines = p1.read_text().splitlines()
-    assert lines[0] == "x,value"
-    assert len(lines) == 17
-    x0, v0 = lines[1].split(",")
-    assert float(x0) == -8.0 and float(v0) == f1.values[0]
-
-    f2 = sample(ProfileSpec.gaussian(1.0, 1.0, (0.0, 0.0)), 2, 8.0, 8)
-    p2 = tmp_path / "f2.csv"
-    write_csv(f2, p2)
-    assert p2.read_text().splitlines()[0] == "x,y,value"
-
-    f3 = sample(ProfileSpec.zero(), 3, 8.0, 8)
-    with pytest.raises(ValueError):
-        write_csv(f3, tmp_path / "f3.csv")

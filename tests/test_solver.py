@@ -82,19 +82,20 @@ def test_single_step_linear_matches_apply():
 
 
 def test_forcing_increment_constant_w_exact_weights():
-    # with the heat flow frozen the increment must be w times the exact
-    # integral of tau^rho over the step
+    # the semigroup fixes constants, so the increment must be w times the
+    # exact integral of tau^rho over the step
     w = _const_field(1.0)
+    plan = HeatKernelPlan.for_field(w)
     for rho in (0.0, -0.5, 0.7):
         for t_n, dt in ((0.0, 0.1), (0.35, 0.1), (7.0, 0.01)):
-            inc = forcing_increment(None, w, t_n, dt, rho)
+            inc = forcing_increment(plan, w, t_n, dt, rho)
             t1 = t_n + dt
             exact = (t1 ** (rho + 1) - t_n ** (rho + 1)) / (rho + 1)
             assert inc.values[0] == pytest.approx(exact, rel=1e-12)
     with pytest.raises(ValueError):
-        forcing_increment(None, w, 0.0, -0.1, 0.0)
+        forcing_increment(plan, w, 0.0, -0.1, 0.0)
     with pytest.raises(ValueError):
-        forcing_increment(None, w, 0.0, 0.1, -1.0)
+        forcing_increment(plan, w, 0.0, 0.1, -1.0)
 
 
 def test_forcing_increment_constant_w_through_semigroup():
@@ -130,6 +131,9 @@ def test_run_builds_geometry_and_metadata():
     # dt_history is aligned with times: entry k is the step that reached times[k]
     assert len(rec.dt_history) == len(rec.times)
     assert rec.dt_history[0] == 0.0
+    # the terminal field rides on the record but not in its payload
+    assert rec.terminal is not None
+    assert "terminal" not in rec.to_json_dict()
 
 
 def test_adaptive_steps_shrink_toward_blowup():
@@ -199,3 +203,31 @@ def test_uniqueness_probe_refinement_ratio():
     # discrepancies actually decrease through the levels
     d = [lvl["discrepancy"] for lvl in rep.details["levels"]]
     assert d[0] > d[1] > d[2]
+
+
+def test_fixed_dt_run_returns_the_hand_stepped_terminal():
+    spec = ProblemSpec(1, 2.0, 2.0, 1.0, -0.5,
+                       ProfileSpec.gaussian(0.3, 1.0, (0.0,)), ZERO)
+    u0 = sample(spec.u0, 1, 16.0, 64)
+    w = sample(ProfileSpec.gaussian(0.2, 2.0, (0.0,)), 1, 16.0, 64)
+    plan = HeatKernelPlan.for_field(u0)
+    cfg = SolverConfig(dt0=0.05, t_end=0.5, adapt=False)
+    rec = run_from_fields(spec, u0, w, cfg, plan)
+    assert rec.verdict is Verdict.COMPLETED
+    u, t = u0, 0.0
+    for _ in range(len(rec.times) - 1):
+        dt = min(cfg.dt0, cfg.t_end - t)
+        u = step(spec, u, t, dt, plan, w)
+        t += dt
+    assert np.array_equal(rec.terminal.values, u.values)
+    assert rec.sup_norms[-1] == lq_norm(u, math.inf)
+
+
+def test_uniqueness_probe_keeps_the_step_budget():
+    # 16 fixed steps at the base level cannot fit a budget of 3
+    spec = ProblemSpec(1, 2.0, 2.0, 1.0, 0.0,
+                       ProfileSpec.gaussian(0.05, 1.0, (0.0,)), ZERO)
+    cfg = SolverConfig(dt0=0.1 / 16, t_end=0.1, adapt=False, picard_nodes=16,
+                       max_steps=3)
+    with pytest.raises(RuntimeError, match="step budget exhausted"):
+        uniqueness_probe(spec, T=0.1, config=cfg)
