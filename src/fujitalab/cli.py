@@ -76,6 +76,17 @@ def _load_spec(path: str) -> ProblemSpec:
     return ProblemSpec.from_json_dict(payload)
 
 
+def _run_setup(args, dim: int, **config) -> tuple[SolverConfig, BoxGeometry]:
+    """Solver config and box from the shared options, checked before any run."""
+    try:
+        geometry = BoxGeometry(half_width=args.half_width, points_per_axis=args.points)
+        geometry.resolve(dim)
+        return SolverConfig(dt0=args.dt0, t_end=args.t_end,
+                            blowup_threshold=args.threshold, **config), geometry
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from exc
+
+
 def _write_meta(prefix: Path, extra: dict) -> None:
     meta = {"created_unix": time.time()}
     meta.update(extra)
@@ -118,15 +129,7 @@ def cmd_simulate(args) -> int:
     if not validation.lwp_ok:
         print("note: outside the well-posedness range; integrating anyway",
               file=sys.stderr)
-    config = SolverConfig(
-        dt0=args.dt0,
-        t_end=args.t_end,
-        blowup_threshold=args.threshold,
-        adapt=not args.no_adapt,
-        disable_nonlinearity=args.disable_nonlinearity,
-    )
-    geometry = BoxGeometry(half_width=args.half_width,
-                           points_per_axis=args.points)
+    config, geometry = _run_setup(args, spec.dim, adapt=not args.no_adapt)
     record = run(spec, config, geometry)
     print(f"verdict: {record.verdict.value}")
     print(f"t_final: {record.times[-1]!r}")
@@ -156,8 +159,7 @@ _SWEEP_COLUMNS = (
 
 def _sweep_point(payload) -> tuple:
     """Worker for one grid point; must stay module-level for process pools."""
-    (idx, base_json, assignment, amplitude, epsilon,
-     t_end, dt0, half_width, points, threshold) = payload
+    idx, base_json, assignment, amplitude, epsilon, config, geometry = payload
     doc = dict(base_json)
     doc.update(assignment)
     try:
@@ -175,8 +177,7 @@ def _sweep_point(payload) -> tuple:
         # rescale data and forcing so the norms the small-data theory sees
         # sit at epsilon; the grid plays the role of the function space here
         gep = gep_exponents(spec.dim, spec.p, spec.q, spec.alpha, spec.rho)
-        L, M = BoxGeometry(half_width=half_width,
-                           points_per_axis=points).resolve(spec.dim)
+        L, M = geometry.resolve(spec.dim)
         f = sample(u0, spec.dim, L, M)
         biggest = max(lq_norm(f, gep.p_c), lq_norm(f, gep.ell))
         if biggest > 0:
@@ -184,8 +185,6 @@ def _sweep_point(payload) -> tuple:
             u0 = scale_profile(u0, s)
             w = scale_profile(w, s)
     sim_spec = dataclasses.replace(spec, u0=u0, w=w)
-    config = SolverConfig(dt0=dt0, t_end=t_end, blowup_threshold=threshold)
-    geometry = BoxGeometry(half_width=half_width, points_per_axis=points)
     record = run(sim_spec, config, geometry)
     verdict = record.verdict.value
     if regime is Regime.BLOWUP:
@@ -235,6 +234,9 @@ def cmd_sweep(args) -> int:
         raise _UsageError("need at least one --axis")
     if len(axes) > 2:
         raise _UsageError("at most two --axis arguments")
+    if args.jobs < 1:
+        raise _UsageError("--jobs must be >= 1")
+    config, geometry = _run_setup(args, spec.dim)
     base_json = spec.to_json_dict()
 
     assignments = []
@@ -249,8 +251,7 @@ def cmd_sweep(args) -> int:
                 assignments.append({name0: v0, name1: v1})
 
     payloads = [
-        (idx, base_json, asg, args.amplitude, args.epsilon,
-         args.t_end, args.dt0, args.half_width, args.points, args.threshold)
+        (idx, base_json, asg, args.amplitude, args.epsilon, config, geometry)
         for idx, asg in enumerate(assignments)
     ]
     if args.jobs > 1:
@@ -326,7 +327,6 @@ def _build_parser() -> _Parser:
     p_sim.add_argument("--half-width", type=float, default=16.0)
     p_sim.add_argument("--points", type=int, default=None)
     p_sim.add_argument("--no-adapt", action="store_true")
-    p_sim.add_argument("--disable-nonlinearity", action="store_true")
     p_sim.add_argument("--out-prefix")
     p_sim.set_defaults(func=cmd_simulate)
 

@@ -44,17 +44,23 @@ class BoxGeometry:
     points_per_axis: int | None = None
 
     def resolve(self, dim: int) -> tuple[float, int]:
-        M = self.points_per_axis if self.points_per_axis else DEFAULT_POINTS[dim]
+        """(half_width, points_per_axis) for dim; ValueError if out of range."""
+        M = self.points_per_axis
+        if M is None:
+            M = DEFAULT_POINTS.get(dim)  # an unknown dim fails the check first
+        _check_geometry(dim, M, self.half_width)
         return float(self.half_width), int(M)
 
 
-def _check_geometry(dim: int, M: int) -> None:
+def _check_geometry(dim: int, M: int, half_width: float) -> None:
     if not (1 <= dim <= MAX_DIM):
         raise ValueError(f"dim must be in 1..{MAX_DIM}")
     if M < 2 or (M & (M - 1)) != 0:
         raise ValueError("points per axis must be a power of two >= 2")
     if M**dim > CELL_CAP:
         raise ValueError(f"grid of {M}^{dim} cells exceeds cap {CELL_CAP}")
+    if not (half_width > 0 and math.isfinite(half_width)):
+        raise ValueError("half_width must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -73,9 +79,7 @@ class GridField:
         M = vals.shape[0]
         if any(s != M for s in vals.shape):
             raise ValueError("grid must have the same point count on every axis")
-        _check_geometry(self.dim, M)
-        if not (self.half_width > 0 and math.isfinite(self.half_width)):
-            raise ValueError("half_width must be positive and finite")
+        _check_geometry(self.dim, M, self.half_width)
         if not np.all(np.isfinite(vals)):
             raise BlowupSignal("field contains non-finite values")
 
@@ -143,7 +147,7 @@ def sample(
 ) -> GridField:
     """Evaluate a profile on the grid."""
     M = points_per_axis if points_per_axis else DEFAULT_POINTS[dim]
-    _check_geometry(dim, M)
+    _check_geometry(dim, M, half_width)
     ax = coordinates(half_width, M)
     if prof.kind == "zero" or not prof.terms:
         return GridField(dim, half_width, np.zeros((M,) * dim))

@@ -29,11 +29,9 @@ __all__ = [
     "comparison_lower_bound",
 ]
 
-_CACHE_CAP = 256
-
 
 class HeatKernelPlan:
-    """Precomputed |k|^2 table and a small multiplier cache for one geometry."""
+    """Precomputed |k|^2 table for one geometry; it keeps no per-t state."""
 
     def __init__(self, dim: int, points_per_axis: int, half_width: float):
         self.dim = dim
@@ -49,7 +47,6 @@ class HeatKernelPlan:
             shape[i] = len(a)
             ksq = ksq + (a**2).reshape(shape)
         self.ksq = ksq
-        self._cache: dict[float, np.ndarray] = {}
 
     @classmethod
     def for_field(cls, f: GridField) -> "HeatKernelPlan":
@@ -63,14 +60,8 @@ class HeatKernelPlan:
         )
 
     def multiplier(self, t: float) -> np.ndarray:
-        """exp(-t |k|^2); the k = 0 entry is exactly 1, so the mean is conserved."""
-        m = self._cache.get(t)
-        if m is None:
-            m = np.exp(-t * self.ksq)
-            if len(self._cache) >= _CACHE_CAP:
-                self._cache.pop(next(iter(self._cache)))
-            self._cache[t] = m
-        return m
+        """exp(-t |k|^2), computed per call; k = 0 maps to 1, so means are kept."""
+        return np.exp(-t * self.ksq)
 
 
 def apply(plan: HeatKernelPlan, f: GridField, t: float) -> GridField:

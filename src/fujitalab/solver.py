@@ -25,7 +25,7 @@ import numpy as np
 
 from .field import BlowupSignal, BoxGeometry, GridField, lq_norm, nonlinearity, sample
 from .problem import ProblemSpec, ProfileSpec, profile_min_rate, validate
-from .semigroup import HeatKernelPlan, apply
+from .semigroup import HeatKernelPlan
 
 __all__ = [
     "Verdict",
@@ -35,7 +35,6 @@ __all__ = [
     "UniquenessReport",
     "NonContractionError",
     "IterationLimitError",
-    "forcing_increment",
     "step",
     "run",
     "run_from_fields",
@@ -161,25 +160,6 @@ def _forcing_weight(t_n: float, dt: float, rho: float) -> tuple[float, float]:
     return w, mean
 
 
-def forcing_increment(
-    plan: HeatKernelPlan, w: GridField, t_n: float, dt: float, rho: float
-) -> GridField:
-    """One-step forcing integral of tau^rho S(t_n+dt-tau) w over [t_n, t_n+dt].
-
-    The singular weight integrates exactly; the semigroup is evaluated once,
-    at the tau^rho-weighted mean distance.  That distance is exactly dt/2 for
-    rho = 0 and tends to dt/2 once t_n >> dt, and it keeps the first step
-    O(dt^(rho+2)) accurate when the weight piles up at tau = 0.
-    """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    if rho <= -1:
-        raise ValueError("rho must be > -1")
-    weight, mean_tau = _forcing_weight(t_n, dt, rho)
-    theta = (t_n + dt) - mean_tau
-    return w.with_values(weight * apply(plan, w, theta).values)
-
-
 def step(
     spec: ProblemSpec,
     u_n: GridField,
@@ -192,20 +172,31 @@ def step(
 ) -> GridField:
     """One exponential-Euler step of the integral form.
 
-    u_{n+1} = S(dt) u_n + S(dt/2) (dt * ||u_n||_q^alpha |u_n|^p) + forcing.
-    The heat flow is exact; the nonlinear load is frozen at the left endpoint
-    and propagated from the interval midpoint.  A spatially constant state
-    with alpha = 0 reduces this to the explicit Euler step of u' = |u|^p.
-    Overflow anywhere surfaces as BlowupSignal rather than NaNs.
+    u_{n+1} = S(dt) u_n + S(dt/2) (dt * ||u_n||_q^alpha |u_n|^p) + W S(theta) w,
+    with the three terms summed in Fourier space and brought back by one
+    inverse transform.  The heat flow is exact; the nonlinear load is frozen
+    at the left endpoint and propagated from the interval midpoint.  The
+    forcing weight W is the exact integral of tau^rho over [t_n, t_n+dt], and
+    theta is the distance from t_n+dt to the tau^rho-weighted mean: exactly
+    dt/2 for rho = 0, tending to dt/2 once t_n >> dt, and keeping the first
+    step O(dt^(rho+2)) accurate when the weight piles up at tau = 0.  A
+    spatially constant state with alpha = 0 reduces this to the explicit
+    Euler step of u' = |u|^p.  Overflow anywhere surfaces as BlowupSignal
+    rather than NaNs.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
-    out = apply(plan, u_n, dt).values
+    if not plan.matches(u_n) or (w is not None and not plan.matches(w)):
+        raise ValueError("plan geometry does not match the field")
+    out = np.fft.rfftn(u_n.values) * plan.multiplier(dt)
     if not disable_nonlinearity:
         load = nonlinearity(u_n, spec.p, spec.q, spec.alpha)
-        out = out + apply(plan, u_n.with_values(dt * load.values), dt / 2.0).values
+        out += np.fft.rfftn(dt * load.values) * plan.multiplier(dt / 2.0)
     if w is not None and np.any(w.values):
-        out = out + forcing_increment(plan, w, t_n, dt, spec.rho).values
+        weight, mean_tau = _forcing_weight(t_n, dt, spec.rho)
+        theta = (t_n + dt) - mean_tau
+        out += weight * np.fft.rfftn(w.values) * plan.multiplier(theta)
+    out = np.fft.irfftn(out, s=u_n.values.shape, axes=tuple(range(u_n.dim)))
     return u_n.with_values(out)  # constructor turns non-finite into BlowupSignal
 
 
@@ -378,8 +369,10 @@ def picard_solve(
 
     axes = tuple(range(spec.dim))
     u0_hat = np.fft.rfftn(u0.values)
+    # on the uniform grid the heat kernel between nodes depends on the lag only
+    lag = [plan.multiplier(t) for t in t_grid]
     # linear part (heat flow of the data plus full forcing history) is fixed
-    linear_hat = [u0_hat * plan.multiplier(t) for t in t_grid]
+    linear_hat = [u0_hat * m for m in lag]
     if w is not None and np.any(w.values):
         w_hat = np.fft.rfftn(w.values)
         weights = []
@@ -416,8 +409,7 @@ def picard_solve(
                 acc = linear_hat[j].copy()
                 for i in range(j):
                     acc += (dt / 2.0) * (
-                        plan.multiplier(t_grid[j] - t_grid[i]) * load_hat[i]
-                        + plan.multiplier(t_grid[j] - t_grid[i + 1]) * load_hat[i + 1]
+                        lag[j - i] * load_hat[i] + lag[j - i - 1] * load_hat[i + 1]
                     )
                 new_hats.append(acc)
             new_states = to_fields(new_hats)

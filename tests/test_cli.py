@@ -66,9 +66,20 @@ def test_exit_code_2_on_inadmissible_values(tmp_path, capsys):
     assert main(["simulate", "--spec", inadmissible, "--t-end", "0.1"]) == 2
 
 
-def test_usage_errors_exit_1(capsys):
+def test_usage_errors_exit_1(tmp_path, capsys):
     assert main(["sweep", "--spec", "nowhere.json"]) == 1
     capsys.readouterr()
+    # out-of-range numbers are usage errors raised before any integration
+    sim = ["simulate", "--spec", _write_spec(tmp_path, GOOD_SPEC)]
+    swp = ["sweep", "--spec", _write_spec(tmp_path, SWEEP_SPEC, "sweep.json"),
+           "--axis", "p=1.6:2.6:3"]
+    for argv in (sim + ["--points", "3"], sim + ["--t-end", "0"],
+                 sim + ["--half-width", "-1"], swp + ["--points", "3"],
+                 swp + ["--jobs", "0"]):
+        assert main(argv) == 1, argv
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: "), argv
+        assert "verdict" not in captured.out and "points:" not in captured.out
 
 
 def test_simulate_writes_artifacts(tmp_path, capsys, monkeypatch):
@@ -79,11 +90,11 @@ def test_simulate_writes_artifacts(tmp_path, capsys, monkeypatch):
     out = capsys.readouterr().out
     assert "verdict: completed" in out
     base = tmp_path / "artifacts" / "run1"
-    csv_text = (str(base) + ".csv") and open(str(base) + ".csv").read()
+    csv_text = base.with_suffix(".csv").read_text()
     assert csv_text.splitlines()[0].startswith("t,")
-    traj = json.loads(open(str(base) + ".json").read())
+    traj = json.loads(base.with_suffix(".json").read_text())
     assert traj["verdict"] == "completed"
-    meta = json.loads(open(str(base) + ".meta.json").read())
+    meta = json.loads(base.with_suffix(".meta.json").read_text())
     assert "created_unix" in meta and meta["command"] == "simulate"
     # wall-clock data stays out of the deterministic payloads
     assert "created_unix" not in traj

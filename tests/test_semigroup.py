@@ -7,6 +7,7 @@ identities: semigroup law, mass conservation, positivity, contraction, and the
 a-to-b smoothing bound."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -63,6 +64,21 @@ def test_semigroup_law():
     assert np.max(np.abs(two_step.values - one_step.values)) < 1e-12
     # t = 0 is the identity
     assert np.array_equal(apply(plan, f, 0.0).values, f.values)
+
+
+def test_multipliers_are_not_kept_per_t():
+    # every step has its own forcing distance, so a per-t store would grow
+    # with the run; the plan must hold nothing beyond its |k|^2 table
+    plan = HeatKernelPlan(2, 128, 16.0)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for i in range(300):
+            plan.multiplier(1e-3 * (i + 1))
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert kept < 2 * plan.ksq.nbytes
 
 
 def test_mass_conservation_and_positivity():

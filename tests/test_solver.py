@@ -18,7 +18,6 @@ from fujitalab.solver import (
     NonContractionError,
     SolverConfig,
     Verdict,
-    forcing_increment,
     picard_solve,
     run,
     run_from_fields,
@@ -81,30 +80,66 @@ def test_single_step_linear_matches_apply():
     assert np.allclose(out.values, ref.values, atol=1e-14)
 
 
-def test_forcing_increment_constant_w_exact_weights():
-    # the semigroup fixes constants, so the increment must be w times the
-    # exact integral of tau^rho over the step
+def test_step_forcing_constant_w_exact_weights():
+    # from a zero state the step is the forcing increment alone; the
+    # semigroup fixes constants, so it must be w times the exact integral of
+    # tau^rho over the step
     w = _const_field(1.0)
+    zero = _const_field(0.0)
     plan = HeatKernelPlan.for_field(w)
     for rho in (0.0, -0.5, 0.7):
+        spec = ProblemSpec(1, 2.0, 2.0, 0.0, rho, ZERO, ZERO)
         for t_n, dt in ((0.0, 0.1), (0.35, 0.1), (7.0, 0.01)):
-            inc = forcing_increment(plan, w, t_n, dt, rho)
+            inc = step(spec, zero, t_n, dt, plan, w)
             t1 = t_n + dt
             exact = (t1 ** (rho + 1) - t_n ** (rho + 1)) / (rho + 1)
             assert inc.values[0] == pytest.approx(exact, rel=1e-12)
     with pytest.raises(ValueError):
-        forcing_increment(plan, w, 0.0, -0.1, 0.0)
-    with pytest.raises(ValueError):
-        forcing_increment(plan, w, 0.0, 0.1, -1.0)
+        step(spec, zero, 0.0, -0.1, plan, w)
+    with pytest.raises(ValueError):  # rho <= -1 never reaches the step
+        ProblemSpec(1, 2.0, 2.0, 0.0, -1.0, ZERO, ZERO)
 
 
-def test_forcing_increment_constant_w_through_semigroup():
+def test_step_forcing_constant_w_through_semigroup():
     # the semigroup fixes constants, so the exact weights survive a real plan
     w = _const_field(2.0, M=32)
     plan = HeatKernelPlan.for_field(w)
-    inc = forcing_increment(plan, w, 0.2, 0.05, -0.5)
+    spec = ProblemSpec(1, 2.0, 2.0, 0.0, -0.5, ZERO, ZERO)
+    inc = step(spec, _const_field(0.0, M=32), 0.2, 0.05, plan, w)
     exact = 2.0 * (0.25**0.5 - 0.2**0.5) / 0.5
     assert np.allclose(inc.values, exact, rtol=1e-12)
+
+
+def test_fused_step_equals_three_round_trips():
+    # the one-transform step sums in Fourier space what three separate heat
+    # applications sum in real space
+    rho, t_n, dt = -0.5, 0.3, 0.05
+    spec = ProblemSpec(2, 2.0, 2.0, 1.0, rho, ZERO, ZERO)
+    u = sample(ProfileSpec.gaussian(0.8, 1.0, (0.5, -0.25)), 2, 8.0, 64)
+    w = sample(ProfileSpec.gaussian(0.3, 2.0, (0.0, 0.0)), 2, 8.0, 64)
+    plan = HeatKernelPlan.for_field(u)
+    out = step(spec, u, t_n, dt, plan, w)
+    load = lq_norm(u, 2.0) * np.abs(u.values) ** 2
+    t1 = t_n + dt
+    weight = (t1 ** (rho + 1) - t_n ** (rho + 1)) / (rho + 1)
+    mean_tau = (t1 ** (rho + 2) - t_n ** (rho + 2)) / (rho + 2) / weight
+    ref = (apply(plan, u, dt).values
+           + apply(plan, u.with_values(dt * load), dt / 2.0).values
+           + weight * apply(plan, w, t1 - mean_tau).values)
+    scale = np.max(np.abs(ref))
+    assert np.max(np.abs(out.values - ref)) <= 1e-14 * scale
+
+
+def test_step_rejects_a_plan_of_another_geometry():
+    spec = ProblemSpec(1, 2.0, 2.0, 0.0, 0.0, ZERO, ZERO)
+    u = _const_field(1.0, M=32)
+    with pytest.raises(ValueError, match="geometry"):
+        step(spec, u, 0.0, 0.1, HeatKernelPlan(1, 16, 8.0))
+    with pytest.raises(ValueError, match="geometry"):
+        step(spec, u, 0.0, 0.1, HeatKernelPlan.for_field(u), _const_field(1.0, M=16))
+    other_box = GridField(1, 4.0, np.ones(32))
+    with pytest.raises(ValueError, match="geometry"):
+        step(spec, u, 0.0, 0.1, HeatKernelPlan.for_field(u), other_box)
 
 
 def test_forced_linear_run_matches_closed_form():
