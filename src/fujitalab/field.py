@@ -145,12 +145,11 @@ def sample(
     half_width: float = DEFAULT_HALF_WIDTH,
     points_per_axis: int | None = None,
 ) -> GridField:
-    """Evaluate a profile on the grid."""
-    M = points_per_axis if points_per_axis else DEFAULT_POINTS[dim]
-    _check_geometry(dim, M, half_width)
-    ax = coordinates(half_width, M)
+    """Evaluate a profile on the grid; the box resolves as BoxGeometry's does."""
+    L, M = BoxGeometry(half_width, points_per_axis).resolve(dim)
+    ax = coordinates(L, M)
     if prof.kind == "zero" or not prof.terms:
-        return GridField(dim, half_width, np.zeros((M,) * dim))
+        return GridField(dim, L, np.zeros((M,) * dim))
     # evaluate per term with separated 1-d exponentials: cheaper and exact
     out = np.zeros((M,) * dim)
     for t in prof.terms:
@@ -159,7 +158,7 @@ def sample(
             g = np.exp(-t.rate * (ax - t.center[d]) ** 2)
             term = np.multiply.outer(term, g)
         out += term
-    return GridField(dim, half_width, out)
+    return GridField(dim, L, out)
 
 
 def lq_norm(f: GridField, q) -> float:

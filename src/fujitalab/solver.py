@@ -8,7 +8,9 @@ independent routes to the same solution are kept deliberately separate:
 * ``run`` -- explicit exponential-Euler stepping with adaptive step control
   and blow-up detection against a sup-norm threshold;
 * ``picard_solve`` -- fixed-point iteration of the integral form on a fixed
-  inner time grid.
+  uniform inner time grid, with a trapezoid history integral that is marched
+  node to node by the one heat multiplier S(dt) (the semigroup property
+  makes the march the same quadrature as the full sum).
 
 They share the semigroup and the nonlinearity but not the time discretization,
 so their agreement under refinement is meaningful evidence of correctness
@@ -78,14 +80,15 @@ class SolverConfig:
     picard_max_iters: int = 80
     picard_tol: float = 1e-10
     max_steps: int = 500_000
-    disable_nonlinearity: bool = False  # test hook: pure heat + forcing
 
     def __post_init__(self):
         if not (self.dt0 > 0 and self.t_end > 0):
             raise ValueError("dt0 and t_end must be positive")
         if not (0 < self.min_dt <= self.dt0):
             raise ValueError("need 0 < min_dt <= dt0")
-        if self.picard_nodes < 2 or self.picard_tol <= 0:
+        if not (0 < self.blowup_threshold < math.inf):
+            raise ValueError("blowup_threshold must be positive and finite")
+        if self.picard_nodes < 2 or self.picard_max_iters < 1 or self.picard_tol <= 0:
             raise ValueError("bad picard settings")
 
     def to_json_dict(self) -> dict:
@@ -142,7 +145,8 @@ class TrajectoryRecord:
 
 
 def _forcing_weight(t_n: float, dt: float, rho: float) -> tuple[float, float]:
-    """Exact integral of tau^rho over [t_n, t_n+dt] and the weighted mean tau.
+    """Exact integral W of tau^rho over [t_n, t_n+dt], and the heat distance
+    theta from the tau^rho-weighted mean tau to t_n+dt.
 
     The mean always lies inside the interval; for dt << t_n the two power
     differences cancel catastrophically, so the quotient is clamped back into
@@ -153,11 +157,11 @@ def _forcing_weight(t_n: float, dt: float, rho: float) -> tuple[float, float]:
     m1 = (t1 ** (rho + 2) - t_n ** (rho + 2)) / (rho + 2)
     if w <= 0.0 or not math.isfinite(w):
         # dt below the floating resolution of t_n: degenerate cell
-        return max(w, 0.0), t_n + 0.5 * dt
+        return max(w, 0.0), 0.5 * dt
     mean = m1 / w
     if not (t_n <= mean <= t1):
         mean = min(max(mean, t_n), t1)
-    return w, mean
+    return w, t1 - mean
 
 
 def step(
@@ -167,8 +171,6 @@ def step(
     dt: float,
     plan: HeatKernelPlan,
     w: GridField | None = None,
-    *,
-    disable_nonlinearity: bool = False,
 ) -> GridField:
     """One exponential-Euler step of the integral form.
 
@@ -189,12 +191,10 @@ def step(
     if not plan.matches(u_n) or (w is not None and not plan.matches(w)):
         raise ValueError("plan geometry does not match the field")
     out = np.fft.rfftn(u_n.values) * plan.multiplier(dt)
-    if not disable_nonlinearity:
-        load = nonlinearity(u_n, spec.p, spec.q, spec.alpha)
-        out += np.fft.rfftn(dt * load.values) * plan.multiplier(dt / 2.0)
+    load = nonlinearity(u_n, spec.p, spec.q, spec.alpha)
+    out += np.fft.rfftn(dt * load.values) * plan.multiplier(dt / 2.0)
     if w is not None and np.any(w.values):
-        weight, mean_tau = _forcing_weight(t_n, dt, spec.rho)
-        theta = (t_n + dt) - mean_tau
+        weight, theta = _forcing_weight(t_n, dt, spec.rho)
         out += weight * np.fft.rfftn(w.values) * plan.multiplier(theta)
     out = np.fft.irfftn(out, s=u_n.values.shape, axes=tuple(range(u_n.dim)))
     return u_n.with_values(out)  # constructor turns non-finite into BlowupSignal
@@ -249,7 +249,7 @@ def run_from_fields(
         if len(times) > config.max_steps:
             raise RuntimeError("step budget exhausted before t_end")
         dt_step = min(dt, remaining)
-        u_new, sup_new = _attempt(spec, u, t, dt_step, plan, w, config)
+        u_new, sup_new = _attempt(spec, u, t, dt_step, plan, w)
         sup_old = sup_norms[-1]
         if sup_old > 0:
             growth = (sup_new - sup_old) / sup_old
@@ -286,11 +286,10 @@ def run_from_fields(
     )
 
 
-def _attempt(spec, u, t, dt, plan, w, config):
+def _attempt(spec, u, t, dt, plan, w):
     """One step and its sup norm; (None, inf) when the step overflows."""
     try:
-        nxt = step(spec, u, t, dt, plan, w,
-                   disable_nonlinearity=config.disable_nonlinearity)
+        nxt = step(spec, u, t, dt, plan, w)
         return nxt, lq_norm(nxt, math.inf)
     except BlowupSignal:
         return None, math.inf
@@ -303,7 +302,7 @@ def _bisect_crossing(spec, u_prev, t_prev, dt_cross, plan, w, config, iters=40):
         mid = 0.5 * (lo + hi)
         if mid in (lo, hi):  # float interval exhausted
             break
-        _, sup_mid = _attempt(spec, u_prev, t_prev, mid, plan, w, config)
+        _, sup_mid = _attempt(spec, u_prev, t_prev, mid, plan, w)
         if sup_mid >= config.blowup_threshold:
             hi = mid
         else:
@@ -349,10 +348,18 @@ def picard_solve(
     tau^rho weights.  This quadrature deliberately differs from the marching
     scheme in `step` (left load, midpoint heat shift), so the two routes are
     independent discretizations of the same integral equation and their gap
-    measures discretization error, not roundoff.  Stops when sweeps differ by
-    less than picard_tol in sup-over-grid q-norm.  The contraction estimate
-    is the first successive-difference quotient, the cleanest observable
-    surrogate of the fixed-point map's Lipschitz factor.
+    measures discretization error, not roundoff.
+
+    On the uniform grid S(s + dt) = S(dt) S(s) turns both history sums into
+    recursions in the one multiplier S(dt): L_{j+1} = S(dt) L_j +
+    W_j S(theta_j) w for data and forcing, and H_{j+1} = S(dt) (H_j +
+    dt/2 N_j) + dt/2 N_{j+1} for the loads of each sweep.  Unrolled they are
+    the same sums, at O(n) spectral operations per sweep.
+
+    Stops when sweeps differ by less than picard_tol in sup-over-grid q-norm.
+    The contraction estimate is the first successive-difference quotient,
+    the cleanest observable surrogate of the fixed-point map's Lipschitz
+    factor.
     """
     config = config or SolverConfig()
     if T <= 0:
@@ -364,61 +371,44 @@ def picard_solve(
         plan = HeatKernelPlan.for_field(u0)
     n = config.picard_nodes
     dt = T / n
-    t_grid = [j * dt for j in range(n + 1)]
     shape = u0.values.shape
-
     axes = tuple(range(spec.dim))
-    u0_hat = np.fft.rfftn(u0.values)
-    # on the uniform grid the heat kernel between nodes depends on the lag only
-    lag = [plan.multiplier(t) for t in t_grid]
+    decay = plan.multiplier(dt)
+
+    def to_field(h):
+        return u0.with_values(np.fft.irfftn(h, s=shape, axes=axes))
+
+    def half_load(u):
+        return (dt / 2.0) * np.fft.rfftn(nonlinearity(u, spec.p, spec.q, spec.alpha).values)
+
     # linear part (heat flow of the data plus full forcing history) is fixed
-    linear_hat = [u0_hat * m for m in lag]
-    if w is not None and np.any(w.values):
-        w_hat = np.fft.rfftn(w.values)
-        weights = []
-        means = []
-        for i in range(n):
-            wt, mean_tau = _forcing_weight(t_grid[i], dt, spec.rho)
-            weights.append(wt)
-            means.append(mean_tau)
-        for j in range(1, n + 1):
-            acc = np.zeros_like(w_hat)
-            for i in range(j):
-                acc += weights[i] * plan.multiplier(t_grid[j] - means[i]) * w_hat
-            linear_hat[j] = linear_hat[j] + acc
+    linear_hat = [np.fft.rfftn(u0.values)]
+    forced = w is not None and np.any(w.values)
+    w_hat = np.fft.rfftn(w.values) if forced else None
+    for j in range(n):
+        nxt = decay * linear_hat[j]
+        if forced:
+            weight, theta = _forcing_weight(j * dt, dt, spec.rho)
+            nxt += weight * plan.multiplier(theta) * w_hat
+        linear_hat.append(nxt)
 
-    def to_fields(hats):
-        return [
-            u0.with_values(np.fft.irfftn(h, s=shape, axes=axes)) for h in hats
-        ]
-
-    states = to_fields(linear_hat)
-    states[0] = u0
+    states = [u0] + [to_field(h) for h in linear_hat[1:]]
+    load0 = half_load(u0)
     diffs = []
     grow_streak = 0
-    for it in range(1, config.picard_max_iters + 1):
-        if config.disable_nonlinearity:
-            new_states = states
-        else:
-            load_hat = [
-                np.fft.rfftn(nonlinearity(s, spec.p, spec.q, spec.alpha).values)
-                for s in states
-            ]
-            new_hats = []
-            for j in range(n + 1):
-                acc = linear_hat[j].copy()
-                for i in range(j):
-                    acc += (dt / 2.0) * (
-                        lag[j - i] * load_hat[i] + lag[j - i - 1] * load_hat[i + 1]
-                    )
-                new_hats.append(acc)
-            new_states = to_fields(new_hats)
-            new_states[0] = u0
-        d = max(
-            lq_norm(a - b, spec.q) for a, b in zip(new_states, states)
-        )
+    for _ in range(config.picard_max_iters):
+        history = np.zeros_like(load0)
+        left = load0
+        d = 0.0
+        for j in range(1, n + 1):
+            # each old node is read once, before the sweep overwrites it
+            old = states[j]
+            right = half_load(old)
+            history = decay * (history + left) + right
+            left = right
+            states[j] = to_field(linear_hat[j] + history)
+            d = max(d, lq_norm(states[j] - old, spec.q))
         diffs.append(d)
-        states = new_states
         if d < config.picard_tol:
             break
         if len(diffs) >= 2 and diffs[-1] >= diffs[-2]:

@@ -74,7 +74,8 @@ def test_usage_errors_exit_1(tmp_path, capsys):
     swp = ["sweep", "--spec", _write_spec(tmp_path, SWEEP_SPEC, "sweep.json"),
            "--axis", "p=1.6:2.6:3"]
     for argv in (sim + ["--points", "3"], sim + ["--t-end", "0"],
-                 sim + ["--half-width", "-1"], swp + ["--points", "3"],
+                 sim + ["--half-width", "-1"], sim + ["--threshold", "0"],
+                 sim + ["--threshold", "nan"], swp + ["--points", "3"],
                  swp + ["--jobs", "0"]):
         assert main(argv) == 1, argv
         captured = capsys.readouterr()

@@ -101,6 +101,10 @@ def test_geometry_validation():
         sample(ProfileSpec.zero(), 4, 8.0, 8)  # dim cap
     with pytest.raises(ValueError):
         sample(ProfileSpec.zero(), 3, 8.0, 512)  # cell cap
+    with pytest.raises(ValueError):
+        sample(ProfileSpec.zero(), 2, 8.0, 0)  # no silent fallback to the default
+    with pytest.raises(ValueError):
+        sample(ProfileSpec.zero(), 4, 8.0)  # unknown dim, default points
     assert BoxGeometry(12.0, None).resolve(3) == (12.0, 64)
 
 

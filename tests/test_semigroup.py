@@ -155,15 +155,16 @@ def test_kernel_weight_constant_profile_vs_grid():
     assert kernel_weight_constant(ProfileSpec.zero(), 2) == 0.0
 
 
-def _linear_run(u0_prof, dim, t_end, M=128):
+def _linear_run(u0_prof, dim, t_end, M=128):  # callers take the zero_load fixture
     from fujitalab.problem import ProblemSpec
 
     spec = ProblemSpec(dim, 2.0, 2.0, 0.0, 0.0, u0_prof, ProfileSpec.zero())
     u0 = sample(u0_prof, dim, 16.0, M)
-    cfg = SolverConfig(dt0=0.05, t_end=t_end, disable_nonlinearity=True)
+    cfg = SolverConfig(dt0=0.05, t_end=t_end)
     return u0, run_from_fields(spec, u0, None, cfg, HeatKernelPlan.for_field(u0))
 
 
+@pytest.mark.usefixtures("zero_load")
 def test_lower_bound_on_linear_heat_flow():
     prof = ProfileSpec.gaussian(0.5, 1.0, (0.0,))
     u0, traj = _linear_run(prof, 1, 6.0)
@@ -176,6 +177,7 @@ def test_lower_bound_on_linear_heat_flow():
     assert rep2.passed and len(rep2.rows) == len(rep.rows)
 
 
+@pytest.mark.usefixtures("zero_load")
 def test_lower_bound_skip_paths():
     prof = ProfileSpec.gaussian(0.5, 1.0, (0.0,))
     u0, traj = _linear_run(prof, 1, 0.5)  # never reaches t = 1

@@ -54,28 +54,28 @@ def test_ode_p3_blowup_time():
     assert rec.blowup_time_estimate == pytest.approx(0.5, abs=0.03)
 
 
+@pytest.mark.usefixtures("zero_load")
 def test_linear_flow_is_exact_per_step():
     spec = ProblemSpec(1, 2.0, 2.0, 0.0, 0.0, ZERO, ZERO)
     u0 = sample(ProfileSpec.gaussian(0.5, 1.0, (0.0,)), 1, 16.0, 128)
     plan = HeatKernelPlan.for_field(u0)
-    cfg = SolverConfig(dt0=0.25, t_end=3.0, disable_nonlinearity=True)
+    cfg = SolverConfig(dt0=0.25, t_end=3.0)
     rec = run_from_fields(spec, u0, None, cfg, plan)
     assert rec.verdict is Verdict.COMPLETED
     # the recorded q-norm at the end equals the directly propagated one
     direct = apply(plan, u0, 3.0)
     assert rec.q_norms[-1] == pytest.approx(lq_norm(direct, 2.0), rel=1e-12)
     # and a coarser dt gives the same answer: the linear part is exact
-    rec2 = run_from_fields(
-        spec, u0, None, SolverConfig(dt0=1.0, t_end=3.0, disable_nonlinearity=True), plan
-    )
+    rec2 = run_from_fields(spec, u0, None, SolverConfig(dt0=1.0, t_end=3.0), plan)
     assert rec2.q_norms[-1] == pytest.approx(rec.q_norms[-1], rel=1e-12)
 
 
+@pytest.mark.usefixtures("zero_load")
 def test_single_step_linear_matches_apply():
     spec = ProblemSpec(1, 2.0, 2.0, 0.0, 0.0, ZERO, ZERO)
     u0 = sample(ProfileSpec.gaussian(0.5, 1.0, (0.0,)), 1, 16.0, 128)
     plan = HeatKernelPlan.for_field(u0)
-    out = step(spec, u0, 0.0, 0.125, plan, None, disable_nonlinearity=True)
+    out = step(spec, u0, 0.0, 0.125, plan, None)
     ref = apply(plan, u0, 0.125)
     assert np.allclose(out.values, ref.values, atol=1e-14)
 
@@ -142,12 +142,13 @@ def test_step_rejects_a_plan_of_another_geometry():
         step(spec, u, 0.0, 0.1, HeatKernelPlan.for_field(u), other_box)
 
 
+@pytest.mark.usefixtures("zero_load")
 def test_forced_linear_run_matches_closed_form():
     # pure heat + constant-in-space forcing, rho = 0: u(t) = u0 + t * w0
     spec = ProblemSpec(1, 2.0, 2.0, 0.0, 0.0, ZERO, ZERO)
     u0 = _const_field(0.3, M=32)
     w = _const_field(0.1, M=32)
-    cfg = SolverConfig(dt0=0.05, t_end=2.0, disable_nonlinearity=True)
+    cfg = SolverConfig(dt0=0.05, t_end=2.0)
     rec = run_from_fields(spec, u0, w, cfg, HeatKernelPlan.for_field(u0))
     assert rec.sup_norms[-1] == pytest.approx(0.3 + 2.0 * 0.1, rel=1e-12)
 
@@ -182,13 +183,13 @@ def test_adaptive_steps_shrink_toward_blowup():
     assert rec.sup_norms[-1] >= 1e8
 
 
+@pytest.mark.usefixtures("zero_load")
 def test_picard_linear_agrees_with_stepper():
     spec = ProblemSpec(1, 2.0, 2.0, 0.0, 0.0, ZERO, ZERO)
     u0 = sample(ProfileSpec.gaussian(0.5, 1.0, (0.0,)), 1, 16.0, 128)
     w = sample(ProfileSpec.gaussian(0.3, 2.0, (0.0,)), 1, 16.0, 128)
     plan = HeatKernelPlan.for_field(u0)
-    cfg = SolverConfig(dt0=0.0125, t_end=0.1, picard_nodes=8,
-                       disable_nonlinearity=True)
+    cfg = SolverConfig(dt0=0.0125, t_end=0.1, picard_nodes=8)
     pic = picard_solve(spec, u0, w, 0.1, cfg, plan)
     rec = run_from_fields(spec, u0, w, cfg, plan)
     # both routes are exact on the linear problem: agreement to roundoff
@@ -217,6 +218,75 @@ def test_picard_rejects_large_data():
     u0 = sample(spec.u0, 1, 16.0, 64)
     with pytest.raises((NonContractionError, IterationLimitError)):
         picard_solve(spec, u0, None, 1.0, SolverConfig(picard_nodes=16))
+
+
+def _direct_picard(spec, u0, w, T, n, sweeps, plan):
+    """1-D Picard with the history integrals summed over every earlier subinterval."""
+    dt = T / n
+    t = [j * dt for j in range(n + 1)]
+    M, rho = u0.points_per_axis, spec.rho
+    u0_hat, w_hat = np.fft.rfft(u0.values), np.fft.rfft(w.values)
+    linear = []
+    for j in range(n + 1):
+        acc = u0_hat * plan.multiplier(t[j])
+        for i in range(j):
+            t0, t1 = t[i], t[i + 1]
+            weight = (t1 ** (rho + 1) - t0 ** (rho + 1)) / (rho + 1)
+            mean = (t1 ** (rho + 2) - t0 ** (rho + 2)) / (rho + 2) / weight
+            acc = acc + weight * plan.multiplier(t[j] - mean) * w_hat
+        linear.append(acc)
+    states = [u0.values] + [np.fft.irfft(h, M) for h in linear[1:]]
+    for _ in range(sweeps):
+        loads = [np.fft.rfft(lq_norm(u0.with_values(v), spec.q) ** spec.alpha
+                              * np.abs(v) ** spec.p) for v in states]
+        new = [u0.values]
+        for j in range(1, n + 1):
+            acc = linear[j].copy()
+            for i in range(j):
+                acc += (dt / 2.0) * (plan.multiplier((j - i) * dt) * loads[i]
+                                     + plan.multiplier((j - i - 1) * dt) * loads[i + 1])
+            new.append(np.fft.irfft(acc, M))
+        states = new
+    return states[-1]
+
+
+def test_marched_picard_equals_the_direct_sums():
+    spec = ProblemSpec(1, 2.0, 2.0, 1.0, -0.5,
+                       ProfileSpec.gaussian(0.3, 1.0, (0.5,)), ZERO)
+    u0 = sample(spec.u0, 1, 8.0, 64)
+    w = sample(ProfileSpec.gaussian(0.2, 2.0, (-0.5,)), 1, 8.0, 64)
+    plan = HeatKernelPlan.for_field(u0)
+    pic = picard_solve(spec, u0, w, 0.2, SolverConfig(picard_nodes=16), plan)
+    assert pic.iterations > 3  # the load history matters
+    ref = _direct_picard(spec, u0, w, 0.2, 16, pic.iterations, plan)
+    assert np.max(np.abs(pic.terminal.values - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def test_forced_picard_makes_at_most_one_multiplier_per_node(monkeypatch):
+    calls = []
+    multiplier = HeatKernelPlan.multiplier
+
+    def counted(plan, t):
+        calls.append(t)
+        return multiplier(plan, t)
+
+    monkeypatch.setattr(HeatKernelPlan, "multiplier", counted)
+    spec = ProblemSpec(1, 2.0, 2.0, 1.0, -0.5,
+                       ProfileSpec.gaussian(0.05, 1.0, (0.0,)), ZERO)
+    u0 = sample(spec.u0, 1, 16.0, 64)
+    w = sample(ProfileSpec.gaussian(0.2, 2.0, (0.0,)), 1, 16.0, 64)
+    n = 16
+    pic = picard_solve(spec, u0, w, 0.1, SolverConfig(picard_nodes=n))
+    assert pic.iterations > 1
+    assert 0 < len(calls) <= n + 1
+
+
+def test_solver_config_rejects_out_of_range_settings():
+    for bad in ({"blowup_threshold": 0.0}, {"blowup_threshold": -1.0},
+                {"blowup_threshold": math.nan}, {"blowup_threshold": math.inf},
+                {"picard_max_iters": 0}, {"picard_nodes": 1}, {"picard_tol": 0.0}):
+        with pytest.raises(ValueError):
+            SolverConfig(**bad)
 
 
 def test_picard_requires_lwp_hypotheses():
