@@ -98,11 +98,6 @@ def _write_meta(prefix: Path, extra: dict) -> None:
 
 def cmd_exponents(args) -> int:
     spec = _load_spec(args.spec)
-    validation = validate(spec)
-    if not validation.base_ok:
-        for name in validation.failed():
-            print(f"inadmissible: {name}", file=sys.stderr)
-        return 2
     rep = exponent_report(spec)
     if args.format == "json":
         text = json.dumps(rep.to_json_dict(), indent=2)
@@ -121,12 +116,7 @@ def cmd_exponents(args) -> int:
 
 def cmd_simulate(args) -> int:
     spec = _load_spec(args.spec)
-    validation = validate(spec)
-    if not validation.base_ok:
-        for name in validation.failed():
-            print(f"inadmissible: {name}", file=sys.stderr)
-        return 2
-    if not validation.lwp_ok:
+    if not validate(spec).lwp_ok:
         print("note: outside the well-posedness range; integrating anyway",
               file=sys.stderr)
     config, geometry = _run_setup(args, spec.dim, adapt=not args.no_adapt)
@@ -226,9 +216,6 @@ def _parse_axis(text: str):
 
 def cmd_sweep(args) -> int:
     spec = _load_spec(args.spec)
-    if not validate(spec).base_ok:
-        print("inadmissible baseline spec", file=sys.stderr)
-        return 2
     axes = [_parse_axis(a) for a in args.axis]
     if not axes:
         raise _UsageError("need at least one --axis")

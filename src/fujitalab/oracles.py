@@ -20,7 +20,12 @@ from fractions import Fraction
 import numpy as np
 
 from .exponents import blowup_criterion, certificate_exponent, delta
-from .problem import ProfileSpec, profile_integral
+from .problem import (
+    ProfileSpec,
+    evaluate_profile,
+    gaussian_weighted_integral,
+    profile_integral,
+)
 
 __all__ = [
     "YoungRow",
@@ -34,13 +39,9 @@ __all__ = [
     "SeriesDivergenceError",
     "mittag_leffler",
     "gronwall_bound",
-    "smoothstep",
-    "smoothstep_d1",
-    "smoothstep_d2",
+    "smoothstep_jet",
     "CUTOFF_KINDS",
-    "cutoff_value",
-    "cutoff_d1",
-    "cutoff_d2",
+    "cutoff_jet",
     "radial_power_laplacian",
     "CutoffCheck",
     "cutoff_laplacian_check",
@@ -62,6 +63,11 @@ class YoungRow:
     passed: bool
 
 
+def _young_rhs(a, b, p, q, eps):
+    """eps*a^p + (p*eps)^(-q/p) * b^q / q, on floats or arrays."""
+    return eps * a**p + (p * eps) ** (-q / p) * b**q / q
+
+
 def young_check(a: float, b: float, p: float, q: float, eps: float) -> YoungRow:
     """ab <= eps*a^p + (p*eps)^(-q/p) * b^q / q for conjugate p, q.
 
@@ -72,7 +78,7 @@ def young_check(a: float, b: float, p: float, q: float, eps: float) -> YoungRow:
     if p <= 1 or abs(1.0 / p + 1.0 / q - 1.0) > 1e-12:
         raise ValueError("p, q must be conjugate exponents with p > 1")
     lhs = a * b
-    rhs = eps * a**p + (p * eps) ** (-q / p) * b**q / q
+    rhs = _young_rhs(a, b, p, q, eps)
     return YoungRow(lhs, rhs, lhs <= rhs + 1e-12)
 
 
@@ -84,9 +90,7 @@ def young_batch(n: int = 100_000, seed: int = 0, slack: float = 1e-12):
     p = rng.uniform(1.05, 8.0, n)
     q = p / (p - 1.0)
     eps = 10.0 ** rng.uniform(-3, 3, n)
-    lhs = a * b
-    rhs = eps * a**p + (p * eps) ** (-q / p) * b**q / q
-    excess = lhs - rhs
+    excess = a * b - _young_rhs(a, b, p, q, eps)
     return bool(np.all(excess <= slack)), float(np.max(excess))
 
 
@@ -98,6 +102,17 @@ class ContractionRow:
     lhs: float
     rhs: float
     ratio: float
+
+
+def _contraction_sides(a, b, xnorm, ynorm, diffnorm, p, alpha):
+    """|a^p x^alpha - b^p y^alpha| and its splitting bound, on floats or arrays."""
+    lhs = abs(a**p * xnorm**alpha - b**p * ynorm**alpha)
+    scalar_part = ynorm**alpha * abs(a - b) * (a ** (p - 1) + b ** (p - 1))
+    if alpha >= 1:
+        norm_part = a**p * diffnorm * (xnorm ** (alpha - 1) + ynorm ** (alpha - 1))
+    else:
+        norm_part = a**p * diffnorm**alpha
+    return lhs, scalar_part + norm_part
 
 
 def contraction_bound_check(
@@ -119,13 +134,7 @@ def contraction_bound_check(
         raise ValueError("need p >= 1, alpha >= 0")
     if abs(xnorm - ynorm) > diffnorm + 1e-12 * (1.0 + xnorm + ynorm):
         raise ValueError("inconsistent norms: |xnorm - ynorm| exceeds diffnorm")
-    lhs = abs(a**p * xnorm**alpha - b**p * ynorm**alpha)
-    scalar_part = ynorm**alpha * abs(a - b) * (a ** (p - 1) + b ** (p - 1))
-    if alpha >= 1:
-        norm_part = a**p * diffnorm * (xnorm ** (alpha - 1) + ynorm ** (alpha - 1))
-    else:
-        norm_part = a**p * diffnorm**alpha
-    rhs = scalar_part + norm_part
+    lhs, rhs = _contraction_sides(a, b, xnorm, ynorm, diffnorm, p, alpha)
     ratio = 0.0 if lhs == 0 else (math.inf if rhs == 0 else lhs / rhs)
     return ContractionRow(lhs, rhs, ratio)
 
@@ -144,15 +153,8 @@ def contraction_constant_study(
     b = rng.uniform(0.0, 2.0, n)
     x = rng.uniform(0.0, 2.0, n)
     y = rng.uniform(0.0, 2.0, n)
-    diff = np.abs(x - y)
     with np.errstate(divide="ignore", invalid="ignore"):
-        lhs = np.abs(a**p * x**alpha - b**p * y**alpha)
-        scalar_part = y**alpha * np.abs(a - b) * (a ** (p - 1) + b ** (p - 1))
-        if alpha >= 1:
-            norm_part = a**p * diff * (x ** (alpha - 1) + y ** (alpha - 1))
-        else:
-            norm_part = a**p * diff**alpha
-        rhs = scalar_part + norm_part
+        lhs, rhs = _contraction_sides(a, b, x, y, np.abs(x - y), p, alpha)
         ratio = np.where(lhs == 0, 0.0, lhs / np.where(rhs == 0, np.nan, rhs))
     ratio = np.nan_to_num(ratio, nan=0.0)
     head = float(np.max(ratio[: max(1, n // 10)]))
@@ -241,112 +243,76 @@ def gronwall_bound(A: float, M: float, sigma: float, t: float) -> float:
 CUTOFF_KINDS = ("psi1", "psi2")
 
 
-def _bump(s):
-    """exp(-1/s) continued by 0 for s <= 0."""
-    s = np.asarray(s, dtype=float)
-    out = np.zeros_like(s)
-    pos = s > 0
-    out[pos] = np.exp(-1.0 / s[pos])
-    return out
+def smoothstep_jet(u):
+    """C-infinity step S with S' and S'': S = 0 for u <= 0, 1 for u >= 1.
 
-
-def smoothstep(u):
-    """C-infinity step: 0 for u <= 0, 1 for u >= 1, B(u)/(B(u)+B(1-u)) between."""
+    Between, S = B(u)/(B(u)+C(u)) with B(u) = exp(-1/u), C(u) = B(1-u);
+    each exponential is taken once per call.
+    """
     u = np.asarray(u, dtype=float)
-    out = np.where(u >= 1.0, 1.0, 0.0)
+    s = np.where(u >= 1.0, 1.0, 0.0)
+    s1 = np.zeros_like(u)
+    s2 = np.zeros_like(u)
     mid = (u > 0.0) & (u < 1.0)
     um = u[mid]
-    bu = np.exp(-1.0 / um)
-    bc = np.exp(-1.0 / (1.0 - um))
-    out[mid] = bu / (bu + bc)
-    return out
-
-
-def _step_parts(um):
-    """B, C and their first two derivatives on the open interval (0, 1)."""
     bu = np.exp(-1.0 / um)
     bc = np.exp(-1.0 / (1.0 - um))
     bu1 = bu / um**2
     bc1 = -bc / (1.0 - um) ** 2
     bu2 = bu * (1.0 - 2.0 * um) / um**4
     bc2 = bc * (2.0 * um - 1.0) / (1.0 - um) ** 4
-    return bu, bc, bu1, bc1, bu2, bc2
-
-
-def smoothstep_d1(u):
-    u = np.asarray(u, dtype=float)
-    out = np.zeros_like(u)
-    mid = (u > 0.0) & (u < 1.0)
-    bu, bc, bu1, bc1, _, _ = _step_parts(u[mid])
     d = bu + bc
-    out[mid] = (bu1 * bc - bu * bc1) / d**2
-    return out
-
-
-def smoothstep_d2(u):
-    u = np.asarray(u, dtype=float)
-    out = np.zeros_like(u)
-    mid = (u > 0.0) & (u < 1.0)
-    bu, bc, bu1, bc1, bu2, bc2 = _step_parts(u[mid])
-    d = bu + bc
-    d1 = bu1 + bc1
     num = bu1 * bc - bu * bc1
-    out[mid] = (bu2 * bc - bu * bc2) / d**2 - 2.0 * num * d1 / d**3
-    return out
+    s[mid] = bu / d
+    s1[mid] = num / d**2
+    s2[mid] = (bu2 * bc - bu * bc2) / d**2 - 2.0 * num * (bu1 + bc1) / d**3
+    return s, s1, s2
 
 
-def cutoff_value(kind: str, s):
-    """psi1: plateau [1/2, 3/4] inside support [1/4, 4/5]; psi2: 1 on [0,1], 0 past 2."""
+def cutoff_jet(kind: str, s):
+    """(g, g', g'') of a cutoff.
+
+    psi1: plateau [1/2, 3/4] inside support [1/4, 4/5], the product of a
+    rising and a falling smoothstep; psi2: 1 on [0, 1], 0 past 2.
+    """
     s = np.asarray(s, dtype=float)
     if kind == "psi1":
-        return smoothstep(4.0 * s - 1.0) * smoothstep(16.0 - 20.0 * s)
-    if kind == "psi2":
-        return smoothstep(2.0 - s)
-    raise ValueError(f"unknown cutoff kind {kind!r}")
-
-
-def cutoff_d1(kind: str, s):
-    s = np.asarray(s, dtype=float)
-    if kind == "psi1":
-        a, b = 4.0 * s - 1.0, 16.0 - 20.0 * s
-        return 4.0 * smoothstep_d1(a) * smoothstep(b) - 20.0 * smoothstep(a) * smoothstep_d1(b)
-    if kind == "psi2":
-        return -smoothstep_d1(2.0 - s)
-    raise ValueError(f"unknown cutoff kind {kind!r}")
-
-
-def cutoff_d2(kind: str, s):
-    s = np.asarray(s, dtype=float)
-    if kind == "psi1":
-        a, b = 4.0 * s - 1.0, 16.0 - 20.0 * s
+        a, a1, a2 = smoothstep_jet(4.0 * s - 1.0)
+        b, b1, b2 = smoothstep_jet(16.0 - 20.0 * s)
         return (
-            16.0 * smoothstep_d2(a) * smoothstep(b)
-            - 160.0 * smoothstep_d1(a) * smoothstep_d1(b)
-            + 400.0 * smoothstep(a) * smoothstep_d2(b)
+            a * b,
+            4.0 * a1 * b - 20.0 * a * b1,
+            16.0 * a2 * b - 160.0 * a1 * b1 + 400.0 * a * b2,
         )
     if kind == "psi2":
-        return smoothstep_d2(2.0 - s)
+        g, g1, g2 = smoothstep_jet(2.0 - s)
+        return g, -g1, g2
     raise ValueError(f"unknown cutoff kind {kind!r}")
 
 
-def radial_power_laplacian(kind: str, theta: float, T: float, dim: int, y):
+def _laplacian_bracket(jet, theta: float, dim: int, y):
+    """The bracket of ``radial_power_laplacian``, from a cutoff jet at y."""
+    g, g1, g2 = jet
+    return (
+        2.0 * theta * dim * g1 * g
+        + 4.0 * theta * y * g2 * g
+        + 4.0 * theta * (theta - 1.0) * y * g1**2
+    )
+
+
+def radial_power_laplacian(jet, theta: float, T: float, dim: int, y):
     """Closed-form Laplacian of g(|x|^2/T)^theta at y = |x|^2/T.
 
     Delta = (2 theta dim g' g + 4 theta y g'' g + 4 theta (theta-1) y g'^2)
-            * g^(theta-2) / T.
+            * g^(theta-2) / T,
+    with (g, g', g'') = ``jet``, the cutoff's jet at y.
     Needs theta > 2 so the edge factor g^(theta-2) vanishes where g does.
     """
     if theta <= 2:
         raise ValueError("the power Laplacian form needs theta > 2")
     y = np.asarray(y, dtype=float)
-    g = cutoff_value(kind, y)
-    g1 = cutoff_d1(kind, y)
-    g2 = cutoff_d2(kind, y)
-    bracket = (
-        2.0 * theta * dim * g1 * g
-        + 4.0 * theta * y * g2 * g
-        + 4.0 * theta * (theta - 1.0) * y * g1**2
-    )
+    g = jet[0]
+    bracket = _laplacian_bracket(jet, theta, dim, y)
     power = np.zeros_like(g)
     pos = g > 0
     power[pos] = g[pos] ** (theta - 2.0)
@@ -385,30 +351,30 @@ def cutoff_laplacian_check(
     half = math.sqrt(y_max * T) * 1.05
 
     def fd_error_and_ratio(n):
+        x = np.linspace(-half, half, n)
+        h = x[1] - x[0]
         if dim == 1:
-            x = np.linspace(-half, half, n)
-            h = x[1] - x[0]
             y = x**2 / T
-            G = cutoff_value(kind, y) ** theta
+            jet = cutoff_jet(kind, y)
+            G = jet[0] ** theta
             lap_fd = (G[2:] - 2.0 * G[1:-1] + G[:-2]) / h**2
-            y_in = y[1:-1]
-            g_in = cutoff_value(kind, y_in)
+            inner = np.s_[1:-1]
         elif dim == 2:
-            x = np.linspace(-half, half, n)
-            h = x[1] - x[0]
             xx, yy = np.meshgrid(x, x, indexing="ij")
             y = (xx**2 + yy**2) / T
-            G = cutoff_value(kind, y) ** theta
+            jet = cutoff_jet(kind, y)
+            G = jet[0] ** theta
             lap_fd = (
                 G[2:, 1:-1] + G[:-2, 1:-1] + G[1:-1, 2:] + G[1:-1, :-2]
                 - 4.0 * G[1:-1, 1:-1]
             ) / h**2
-            y_in = y[1:-1, 1:-1]
-            g_in = cutoff_value(kind, y_in)
+            inner = np.s_[1:-1, 1:-1]
         else:
             raise ValueError("finite-difference check supports dim 1 or 2")
-        lap_exact = radial_power_laplacian(kind, theta, T, dim, y_in)
+        jet_in = tuple(part[inner] for part in jet)
+        lap_exact = radial_power_laplacian(jet_in, theta, T, dim, y[inner])
         err = float(np.max(np.abs(lap_fd - lap_exact)))
+        g_in = jet_in[0]
         clean = g_in >= 1e-3
         c_emp = float(np.max(T * np.abs(lap_fd[clean]) / g_in[clean] ** (theta - 2.0)))
         return err, c_emp
@@ -463,17 +429,7 @@ def w_condition_check(
     best = math.inf
     best_at = (math.nan, None)
     for lam in lambdas:
-        rate = 1.0 / lam
-        # vectorized closed form over all centers at once
-        total = np.zeros(centers.shape[0])
-        for t in w.terms:
-            s = rate + t.rate
-            d2 = np.sum((centers - np.asarray(t.center)) ** 2, axis=1)
-            total += (
-                t.coefficient
-                * (math.pi / s) ** (dim / 2.0)
-                * np.exp(-(rate * t.rate / s) * d2)
-            )
+        total = gaussian_weighted_integral(w, dim, 1.0 / lam, centers)
         i = int(np.argmin(total))
         if total[i] < best:
             best = float(total[i])
@@ -543,20 +499,13 @@ def certificate_scaling_check(
     t_weight_exp = N * d / (2.0 * (p - 1.0))
 
     tau = np.linspace(0.0, 1.0, time_points)
-    psi1_pow = cutoff_value("psi1", tau) ** pw
+    psi1_pow = cutoff_jet("psi1", tau)[0] ** pw
 
     # radial reduction of the space factor; the cutoff powers cancel exactly:
     # |bracket * g^(kappa-2)|^(p/(p-1)) * g^(-kappa/(p-1)) == |bracket|^(p/(p-1))
     # because (kappa-2)*p/(p-1) == kappa/(p-1) for kappa = 2p/(p-1).
     y = np.linspace(0.0, 2.0, radial_points)
-    g = cutoff_value("psi2", y)
-    g1 = cutoff_d1("psi2", y)
-    g2 = cutoff_d2("psi2", y)
-    bracket = (
-        2.0 * kappa * N * g1 * g
-        + 4.0 * kappa * y * g2 * g
-        + 4.0 * kappa * (kappa - 1.0) * y * g1**2
-    )
+    bracket = _laplacian_bracket(cutoff_jet("psi2", y), kappa, N, y)
     omega = 2.0 * math.pi ** (N / 2.0) / math.gamma(N / 2.0)
     with np.errstate(divide="ignore"):
         radial_integrand = np.abs(bracket) ** pw * np.where(y > 0, y, np.nan) ** (
@@ -618,9 +567,7 @@ def _space_cutoff_integral(w: ProfileSpec, N: int, T: float, kappa: float, n: in
     ax = np.linspace(-reach, reach, n)
     pts = np.stack(np.meshgrid(*([ax] * N), indexing="ij"), axis=-1)
     r2 = np.sum(pts**2, axis=-1)
-    from .problem import evaluate_profile
-
-    vals = cutoff_value("psi2", r2 / T) ** kappa * evaluate_profile(w, pts)
+    vals = cutoff_jet("psi2", r2 / T)[0] ** kappa * evaluate_profile(w, pts)
     h = ax[1] - ax[0]
     for _ in range(N):
         vals = np.trapezoid(vals, dx=h, axis=-1)

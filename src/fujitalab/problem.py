@@ -185,20 +185,23 @@ def gaussian_weighted_integral(
 
     Gaussian-times-Gaussian integrates to
     (pi/(rate+r))^(dim/2) * exp(-(rate*r/(rate+r)) * |center - c|^2) per term.
+    ``center`` may also be an array of centres with the space dimension on
+    the last axis; the result is then an array shaped like ``center``
+    without that axis, and a float for one centre.
     """
     if rate <= 0:
         raise ValueError("weight rate must be positive")
     if center is None:
         center = (0.0,) * dim
     center = np.asarray(center, dtype=float)
-    total = 0.0
+    total = np.zeros(center.shape[:-1])
     for t in prof.terms:
         s = rate + t.rate
-        d2 = float(np.sum((center - np.asarray(t.center)) ** 2))
-        total += t.coefficient * (math.pi / s) ** (dim / 2) * math.exp(
+        d2 = np.sum((center - np.asarray(t.center)) ** 2, axis=-1)
+        total += t.coefficient * (math.pi / s) ** (dim / 2) * np.exp(
             -(rate * t.rate / s) * d2
         )
-    return total
+    return total if center.ndim > 1 else float(total)
 
 
 def profile_min_rate(prof: ProfileSpec) -> float:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .field import GridField, lq_norm
-from .problem import ProfileSpec, gaussian_weighted_integral
+from .problem import ProfileSpec, evaluate_profile, gaussian_weighted_integral
 
 __all__ = [
     "HeatKernelPlan",
@@ -221,8 +221,6 @@ def comparison_lower_bound(
             dim = len(u0.terms[0].center)
         probe = np.linspace(-24.0, 24.0, 769)
         pts = np.stack(np.meshgrid(*([probe] * dim), indexing="ij"), axis=-1)
-        from .problem import evaluate_profile
-
         if float(np.min(evaluate_profile(u0, pts))) < -1e-12:
             return LowerBoundReport((), True, skipped="data is not nonnegative")
     else:

@@ -64,6 +64,7 @@ def test_exit_code_2_on_inadmissible_values(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "inadmissible" in err
     assert main(["simulate", "--spec", inadmissible, "--t-end", "0.1"]) == 2
+    assert main(["sweep", "--spec", inadmissible, "--axis", "p=1.6:2.6:3"]) == 2
 
 
 def test_usage_errors_exit_1(tmp_path, capsys):

@@ -112,7 +112,5 @@ def test_field_arithmetic_checks_geometry():
     f = sample(ProfileSpec.gaussian(1.0, 1.0, (0.0,)), 1, 8.0, 16)
     g = sample(ProfileSpec.gaussian(1.0, 1.0, (0.0,)), 1, 8.0, 32)
     with pytest.raises(ValueError):
-        f + g
-    h = 2.0 * f - f
-    assert np.allclose(h.values, f.values)
-    assert abs(-1.0 * f).values.min() >= 0
+        f - g
+    assert np.all((f - f).values == 0.0)

@@ -15,16 +15,12 @@ from fujitalab.oracles import (
     certificate_scaling_check,
     contraction_bound_check,
     contraction_constant_study,
-    cutoff_d1,
-    cutoff_d2,
+    cutoff_jet,
     cutoff_laplacian_check,
-    cutoff_value,
     gronwall_bound,
     mittag_leffler,
     radial_power_laplacian,
-    smoothstep,
-    smoothstep_d1,
-    smoothstep_d2,
+    smoothstep_jet,
     w_condition_check,
     young_batch,
     young_check,
@@ -98,13 +94,17 @@ def test_ml_half_order_erfc_identity():
 
 
 def test_ml_remainder_bound_is_honest():
-    res = mittag_leffler(MLParams(order=0.7, argument=2.0, max_terms=100000))
-    # recompute with a generous term budget; the tail the bound claims to
-    # cover must dominate the difference
-    res_long = mittag_leffler(MLParams(order=0.7, argument=2.0, max_terms=100000))
-    assert abs(res.value - res_long.value) <= res.remainder_bound + 1e-15
-    assert res.remainder_bound < 1e-10 * res.value
-    assert res.terms_used > 3
+    # the series tail past the terms summed, taken directly over the next
+    # 400 terms, must sit below the certified remainder bound
+    for nu, z in ((0.7, 2.0), (0.5, 1.0), (0.9, 10.0)):
+        res = mittag_leffler(MLParams(order=nu, argument=z))
+        tail = math.fsum(
+            math.exp(n * math.log(z) - math.lgamma(n * nu + 1.0))
+            for n in range(res.terms_used, res.terms_used + 400)
+        )
+        assert 0 < tail <= res.remainder_bound, (nu, z)
+        assert res.remainder_bound < 1e-10 * res.value
+        assert res.terms_used > 3
 
 
 def test_ml_domain_errors():
@@ -152,64 +152,75 @@ def test_gronwall_majorizes_product_integration():
 
 # ----------------------------------------------------------------- cutoffs
 
+def _smoothstep(u):
+    return smoothstep_jet(u)[0]
+
+
+def _cutoff(kind, s):
+    return cutoff_jet(kind, s)[0]
+
+
 def test_smoothstep_values():
-    assert smoothstep(-1.0) == 0.0
-    assert smoothstep(0.0) == 0.0
-    assert smoothstep(1.0) == 1.0
-    assert smoothstep(2.0) == 1.0
-    assert smoothstep(0.5) == pytest.approx(0.5)
+    assert _smoothstep(-1.0) == 0.0
+    assert _smoothstep(0.0) == 0.0
+    assert _smoothstep(1.0) == 1.0
+    assert _smoothstep(2.0) == 1.0
+    assert _smoothstep(0.5) == pytest.approx(0.5)
     # strictly increasing away from the tails (the tails are flat to double
     # precision well before 0 and 1)
     xs = np.linspace(0.1, 0.9, 81)
-    vals = np.array([smoothstep(x) for x in xs])
+    vals = np.array([_smoothstep(x) for x in xs])
     assert np.all(np.diff(vals) > 0)
 
 
 def test_smoothstep_derivatives_match_fd():
     h = 1e-5
     for x in (0.15, 0.4, 0.5, 0.62, 0.9):
-        fd1 = (smoothstep(x + h) - smoothstep(x - h)) / (2 * h)
-        fd2 = (smoothstep(x + h) - 2 * smoothstep(x) + smoothstep(x - h)) / h**2
-        assert smoothstep_d1(x) == pytest.approx(fd1, rel=1e-7, abs=1e-9)
-        assert smoothstep_d2(x) == pytest.approx(fd2, rel=1e-4, abs=1e-5)
-    assert smoothstep_d1(-0.5) == 0.0 and smoothstep_d1(1.5) == 0.0
+        fd1 = (_smoothstep(x + h) - _smoothstep(x - h)) / (2 * h)
+        fd2 = (_smoothstep(x + h) - 2 * _smoothstep(x) + _smoothstep(x - h)) / h**2
+        _, d1, d2 = smoothstep_jet(x)
+        assert d1 == pytest.approx(fd1, rel=1e-7, abs=1e-9)
+        assert d2 == pytest.approx(fd2, rel=1e-4, abs=1e-5)
+    assert smoothstep_jet(-0.5)[1] == 0.0 and smoothstep_jet(1.5)[1] == 0.0
 
 
 def test_cutoff_shapes():
     assert CUTOFF_KINDS == ("psi1", "psi2")
     # psi1: plateau on [1/2, 3/4], support inside [1/4, 4/5]
     for s in (0.5, 0.6, 0.75):
-        assert cutoff_value("psi1", s) == 1.0
+        assert _cutoff("psi1", s) == 1.0
     for s in (0.0, 0.25, 0.8, 1.0):
-        assert cutoff_value("psi1", s) == 0.0
-    assert 0.0 < cutoff_value("psi1", 0.4) < 1.0
+        assert _cutoff("psi1", s) == 0.0
+    assert 0.0 < _cutoff("psi1", 0.4) < 1.0
     # psi2: 1 up to s=1, 0 from s=2
     for s in (0.0, 0.5, 1.0):
-        assert cutoff_value("psi2", s) == 1.0
+        assert _cutoff("psi2", s) == 1.0
     for s in (2.0, 3.0):
-        assert cutoff_value("psi2", s) == 0.0
-    assert 0.0 < cutoff_value("psi2", 1.5) < 1.0
+        assert _cutoff("psi2", s) == 0.0
+    assert 0.0 < _cutoff("psi2", 1.5) < 1.0
     with pytest.raises(ValueError):
-        cutoff_value("psi3", 0.5)
+        cutoff_jet("psi3", 0.5)
 
 
 def test_cutoff_derivatives_match_fd():
     h = 1e-5
     for kind, pts in (("psi1", (0.3, 0.45, 0.77, 0.79)), ("psi2", (1.2, 1.5, 1.9))):
         for s in pts:
-            fd1 = (cutoff_value(kind, s + h) - cutoff_value(kind, s - h)) / (2 * h)
+            fd1 = (_cutoff(kind, s + h) - _cutoff(kind, s - h)) / (2 * h)
             fd2 = (
-                cutoff_value(kind, s + h)
-                - 2 * cutoff_value(kind, s)
-                + cutoff_value(kind, s - h)
+                _cutoff(kind, s + h)
+                - 2 * _cutoff(kind, s)
+                + _cutoff(kind, s - h)
             ) / h**2
-            assert cutoff_d1(kind, s) == pytest.approx(fd1, rel=1e-6, abs=1e-8)
-            assert cutoff_d2(kind, s) == pytest.approx(fd2, rel=1e-3, abs=1e-4)
+            _, d1, d2 = cutoff_jet(kind, s)
+            assert d1 == pytest.approx(fd1, rel=1e-6, abs=1e-8)
+            assert d2 == pytest.approx(fd2, rel=1e-3, abs=1e-4)
 
 
 def test_radial_power_laplacian_requires_theta():
+    y = np.linspace(0.0, 2.0, 5)
     with pytest.raises(ValueError):
-        radial_power_laplacian("psi2", 2.0, 1.0, 100.0, 1)
+        radial_power_laplacian(cutoff_jet("psi2", y), 2.0, 100.0, 1, y)
 
 
 def test_cutoff_laplacian_fd_agreement():
@@ -222,6 +233,23 @@ def test_cutoff_laplacian_fd_agreement():
     assert chk1.passed and chk1.order >= 1.6
     chk2 = cutoff_laplacian_check("psi2", theta=4.0, T=100.0, dim=2, points=401)
     assert chk2.passed and chk2.order >= 1.6
+
+
+def test_cutoff_laplacian_check_takes_one_jet_per_grid(monkeypatch):
+    # each grid evaluates its cutoff once: two exponentials per smoothstep,
+    # one smoothstep for psi2 and two for psi1, on a coarse and a fine grid
+    calls = []
+    real_exp = np.exp
+
+    def counting_exp(*args, **kwargs):
+        calls.append(1)
+        return real_exp(*args, **kwargs)
+
+    monkeypatch.setattr(np, "exp", counting_exp)
+    for kind, budget in (("psi2", 4), ("psi1", 8)):
+        calls.clear()
+        cutoff_laplacian_check(kind, theta=4.0, T=100.0, dim=1, points=201)
+        assert len(calls) <= budget, kind
 
 
 def test_cutoff_constant_is_t_stable():

@@ -88,6 +88,18 @@ def test_gaussian_weighted_integral_matches_quadrature():
         gaussian_weighted_integral(prof, 1, 0.0)
 
 
+def test_gaussian_weighted_integral_over_centres_equals_scalar_calls():
+    prof = ProfileSpec.gaussian_sum([(0.5, 1.0, (1.0, -2.0)), (-0.3, 3.0, (0.0, 0.5))])
+    ax = np.linspace(-4.0, 4.0, 9)
+    centres = np.stack(np.meshgrid(ax, ax, indexing="ij"), axis=-1)
+    batch = gaussian_weighted_integral(prof, 2, 0.7, centres)
+    assert batch.shape == (9, 9)
+    single = gaussian_weighted_integral(prof, 2, 0.7, centres[3, 5])
+    assert isinstance(single, float)
+    for idx in np.ndindex(9, 9):
+        assert batch[idx] == gaussian_weighted_integral(prof, 2, 0.7, centres[idx])
+
+
 def test_scale_and_min_rate():
     prof = ProfileSpec.gaussian_sum([(1.0, 3.0, (0.0,)), (2.0, 0.5, (1.0,))])
     assert profile_min_rate(prof) == 0.5
