@@ -46,6 +46,10 @@ __all__ = [
 
 GROWTH_HALVE = 0.20   # reject and halve above 20% sup-norm growth per step
 GROWTH_DOUBLE = 0.01  # double (capped at dt0) below 1% growth
+# Absolute growth floor, as a fraction of the forcing one full first step adds:
+# growth is measured against sup_old + atol, so a run from rest is not
+# halved down to min_dt by its first steps.
+GROWTH_FLOOR = 0.1
 
 
 class NonContractionError(RuntimeError):
@@ -66,8 +70,10 @@ class Verdict(str, Enum):
 class SolverConfig:
     """Stepping controls.
 
-    dt0 is both the initial and the ceiling step (doubling never exceeds it);
-    halving stops at min_dt, below which a still-rejecting run ends as
+    dt0 is both the initial and the ceiling step (doubling never exceeds it).
+    Halving stops at min_dt: a step rejected for growth that can no longer be
+    halved is accepted (and counted), while a step that overflows is never
+    accepted, so a run whose step still overflows at min_dt ends as
     step_underflow.
     """
 
@@ -100,8 +106,9 @@ class TrajectoryRecord:
     """Recorded run: aligned (t, ||u||_q, ||u||_inf, dt) samples plus verdict.
 
     Row zero is the initial state with dt = 0.  blowup_time_estimate is set
-    exactly when the verdict is blowup_detected.  terminal is the last
-    accepted field; it stays out of the JSON payload.
+    exactly when the verdict is blowup_detected: it is the time of the last
+    row, the end of the step that crossed the threshold.  terminal is the
+    last accepted field; it stays out of the JSON payload.
     """
 
     times: list
@@ -226,21 +233,36 @@ def run_from_fields(
 
     Step control: reject and halve when the sup norm grows more than 20% in
     one step (or the step overflows); double, capped at dt0, when growth is
-    under 1%.  Crossing the blow-up threshold ends the run, with the crossing
-    time refined by bisection on the length of the final step.  If a step
-    still rejects when dt can no longer be halved, the run ends
-    step_underflow: an inconclusive verdict, never a silent blow-up call.
-    The record's terminal is the last accepted field.
+    under 1%.  Growth is (sup_new - sup_old) / (sup_old + atol), the
+    atol/rtol error test: atol is GROWTH_FLOOR times the forcing one full
+    first step adds, ||w||_inf dt0^(rho+1)/(rho+1), and zero without
+    forcing, so a run from rest starts at steps set by the forcing.
+
+    The step floor: a step rejected for growth when dt/2 would fall below
+    min_dt is accepted anyway, and metadata["min_dt_accepts"] counts these.
+    Near blow-up of u' = u^p the 20% cap asks for steps below the resolution
+    of t before the threshold is reached, so the floor is what lets the run
+    cross it.  A step that overflows is never accepted: when it still
+    overflows at min_dt the run ends step_underflow, an inconclusive verdict.
+
+    Crossing the blow-up threshold ends the run, and the end of the crossing
+    step is the blow-up time estimate.  With adapt=True the growth cap has
+    shrunk that step near blow-up; with adapt=False the estimate is good to
+    one step of dt0.  The record's terminal is the last accepted field.
     """
     t = 0.0
     u = u0
     dt = min(config.dt0, config.t_end)
+    atol = 0.0
+    if w is not None:
+        first_weight, _ = _forcing_weight(0.0, config.dt0, spec.rho)
+        atol = GROWTH_FLOOR * lq_norm(w, math.inf) * first_weight
+    min_dt_accepts = 0
     times = [0.0]
     q_norms = [lq_norm(u, spec.q)]
     sup_norms = [lq_norm(u, math.inf)]
     dt_history = [0.0]
     verdict = None
-    blowup_estimate = None
     while True:
         remaining = config.t_end - t
         if remaining <= 1e-12 * config.t_end:
@@ -251,8 +273,8 @@ def run_from_fields(
         dt_step = min(dt, remaining)
         u_new, sup_new = _attempt(spec, u, t, dt_step, plan, w)
         sup_old = sup_norms[-1]
-        if sup_old > 0:
-            growth = (sup_new - sup_old) / sup_old
+        if sup_old + atol > 0:
+            growth = (sup_new - sup_old) / (sup_old + atol)
         else:
             growth = math.inf if sup_new > 0 else 0.0
         rejecting = u_new is None or (config.adapt and growth > GROWTH_HALVE)
@@ -262,16 +284,15 @@ def run_from_fields(
         if u_new is None:
             verdict = Verdict.STEP_UNDERFLOW
             break
-        # accept the step
-        if sup_new >= config.blowup_threshold:
-            blowup_estimate = t + _bisect_crossing(spec, u, t, dt_step, plan, w, config)
+        if rejecting:
+            min_dt_accepts += 1
         t += dt_step
         u = u_new
         times.append(t)
         q_norms.append(lq_norm(u, spec.q))
         sup_norms.append(sup_new)
         dt_history.append(dt_step)
-        if blowup_estimate is not None:
+        if sup_new >= config.blowup_threshold:
             verdict = Verdict.BLOWUP_DETECTED
             break
         if config.adapt:
@@ -280,6 +301,8 @@ def run_from_fields(
             else:
                 dt = dt_step
     metadata = _run_metadata(spec, config, u0)
+    metadata["min_dt_accepts"] = min_dt_accepts
+    blowup_estimate = t if verdict is Verdict.BLOWUP_DETECTED else None
     return TrajectoryRecord(
         times, q_norms, sup_norms, dt_history, verdict, blowup_estimate, metadata,
         terminal=u,
@@ -293,21 +316,6 @@ def _attempt(spec, u, t, dt, plan, w):
         return nxt, lq_norm(nxt, math.inf)
     except BlowupSignal:
         return None, math.inf
-
-
-def _bisect_crossing(spec, u_prev, t_prev, dt_cross, plan, w, config, iters=40):
-    """Crossing offset s in (0, dt_cross]: threshold first reached stepping s."""
-    lo, hi = 0.0, dt_cross
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        if mid in (lo, hi):  # float interval exhausted
-            break
-        _, sup_mid = _attempt(spec, u_prev, t_prev, mid, plan, w)
-        if sup_mid >= config.blowup_threshold:
-            hi = mid
-        else:
-            lo = mid
-    return hi
 
 
 def _run_metadata(spec, config, u0) -> dict:

@@ -52,6 +52,21 @@ def test_ode_p3_blowup_time():
     rec = run_from_fields(spec, u0, None, cfg, HeatKernelPlan.for_field(u0))
     assert rec.verdict is Verdict.BLOWUP_DETECTED
     assert rec.blowup_time_estimate == pytest.approx(0.5, abs=0.03)
+    # the 20% cap asks for steps below min_dt before u reaches 1e8; the step
+    # floor accepts those steps and counts them
+    assert rec.metadata["min_dt_accepts"] > 0
+
+
+def test_overflow_at_min_dt_ends_as_step_underflow():
+    # 1e150^3 overflows at every dt, so no step is ever accepted
+    spec = ProblemSpec(1, 3.0, 2.0, 0.0, 0.0, ZERO, ZERO)
+    cfg = SolverConfig(blowup_threshold=1e300, min_dt=1e-6)
+    u0 = _const_field(1e150)
+    rec = run_from_fields(spec, u0, None, cfg, HeatKernelPlan.for_field(u0))
+    assert rec.verdict is Verdict.STEP_UNDERFLOW
+    assert rec.blowup_time_estimate is None
+    assert rec.times == [0.0]
+    assert rec.metadata["min_dt_accepts"] == 0
 
 
 @pytest.mark.usefixtures("zero_load")
@@ -181,6 +196,31 @@ def test_adaptive_steps_shrink_toward_blowup():
     assert rec.dt_history[-1] < 0.01 / 64  # refined hard near the singularity
     # sup norms reached the threshold
     assert rec.sup_norms[-1] >= 1e8
+
+
+def _forced_from_rest(p, dt0, t_end):
+    """Criterion 8's forced problem from u0 = 0, on a 16^3 grid."""
+    w = ProfileSpec.gaussian(0.5, 1.0, (0.0,) * 3)
+    spec = ProblemSpec(3, p, 2.0, 0.0, 0.0, ZERO, w)
+    return run(spec, SolverConfig(dt0=dt0, t_end=t_end), BoxGeometry(16.0, 16))
+
+
+def test_forced_run_from_rest_starts_at_forcing_sized_steps():
+    # growth out of u = 0 is measured against the forcing of one full step,
+    # not against a zero sup norm, so the first steps stay far above min_dt
+    rec = _forced_from_rest(4.0, 0.25, 1.0)
+    assert rec.verdict is Verdict.COMPLETED
+    assert min(rec.dt_history[1:]) >= 1e-6
+    assert rec.metadata["min_dt_accepts"] == 0
+
+
+def test_forced_blowup_time_refines_at_first_order():
+    # T* of the exponential-Euler stepper is first order in dt0: successive
+    # differences shrink by about 2 per halving
+    t_star = [_forced_from_rest(2.0, dt0, 120.0).blowup_time_estimate
+              for dt0 in (0.25, 0.125, 0.0625)]
+    ratio = (t_star[0] - t_star[1]) / (t_star[1] - t_star[2])
+    assert ratio >= 1.8
 
 
 @pytest.mark.usefixtures("zero_load")
