@@ -88,6 +88,11 @@ class GridField:
         return self.values.shape[0]
 
     @property
+    def grid(self) -> tuple:
+        """(dim, points_per_axis, half_width): two fields on one grid compare equal."""
+        return (self.dim, self.points_per_axis, self.half_width)
+
+    @property
     def spacing(self) -> float:
         return 2.0 * self.half_width / self.points_per_axis
 
@@ -102,24 +107,11 @@ class GridField:
     def with_values(self, values: np.ndarray) -> "GridField":
         return GridField(self.dim, self.half_width, values)
 
-    def same_geometry(self, other: "GridField") -> bool:
-        return (
-            self.dim == other.dim
-            and self.half_width == other.half_width
-            and self.points_per_axis == other.points_per_axis
-        )
-
-    def __sub__(self, other):
-        """Difference as a validated field; a field operand must share the geometry."""
-        return self.with_values(self.values - _vals(self, other))
-
-
-def _vals(f: GridField, other):
-    if isinstance(other, GridField):
-        if not f.same_geometry(other):
+    def __sub__(self, other: "GridField") -> "GridField":
+        """Difference as a validated field; the operand must lie on the same grid."""
+        if other.grid != self.grid:
             raise ValueError("geometry mismatch")
-        return other.values
-    return other
+        return self.with_values(self.values - other.values)
 
 
 def coordinates(half_width: float, M: int) -> np.ndarray:

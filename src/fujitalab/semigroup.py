@@ -1,6 +1,8 @@
 """Heat semigroup on the periodic box, plus a free-space oracle.
 
 The workhorse is spectral: multiply the FFT of the field by exp(-t|k|^2).
+``HeatKernelPlan`` owns the half-spectrum layout and the grid check, so
+``apply``, ``step`` and ``picard_solve`` all transform through it.
 ``apply_direct`` instead convolves with the free-space Gaussian kernel as a
 dense quadrature sum (factored axis by axis, which is the same sum reordered);
 the two agree for well-resolved data away from the box boundary and the tests
@@ -31,12 +33,14 @@ __all__ = [
 
 
 class HeatKernelPlan:
-    """Precomputed |k|^2 table for one geometry; it keeps no per-t state."""
+    """|k|^2 table for one grid; the plan owns its half-spectrum layout.
+
+    ``spectrum`` (with the check that a field lies on the grid) and ``field``
+    are the one forward and one inverse transform; no per-t state is kept.
+    """
 
     def __init__(self, dim: int, points_per_axis: int, half_width: float):
-        self.dim = dim
-        self.points_per_axis = points_per_axis
-        self.half_width = half_width
+        self.grid = (dim, points_per_axis, half_width)
         h = 2.0 * half_width / points_per_axis
         k_full = 2.0 * math.pi * np.fft.fftfreq(points_per_axis, d=h)
         k_half = 2.0 * math.pi * np.fft.rfftfreq(points_per_axis, d=h)
@@ -50,18 +54,22 @@ class HeatKernelPlan:
 
     @classmethod
     def for_field(cls, f: GridField) -> "HeatKernelPlan":
-        return cls(f.dim, f.points_per_axis, f.half_width)
-
-    def matches(self, f: GridField) -> bool:
-        return (
-            f.dim == self.dim
-            and f.points_per_axis == self.points_per_axis
-            and f.half_width == self.half_width
-        )
+        return cls(*f.grid)
 
     def multiplier(self, t: float) -> np.ndarray:
         """exp(-t |k|^2), computed per call; k = 0 maps to 1, so means are kept."""
         return np.exp(-t * self.ksq)
+
+    def spectrum(self, f: GridField) -> np.ndarray:
+        """Half spectrum of f; ValueError when f lies on another grid."""
+        if f.grid != self.grid:
+            raise ValueError("plan geometry does not match the field")
+        return np.fft.rfftn(f.values)
+
+    def field(self, h: np.ndarray) -> GridField:
+        """Field on the plan's grid with half spectrum h; non-finite is BlowupSignal."""
+        dim, M, half_width = self.grid
+        return GridField(dim, half_width, np.fft.irfftn(h, s=(M,) * dim, axes=range(dim)))
 
 
 def apply(plan: HeatKernelPlan, f: GridField, t: float) -> GridField:
@@ -70,12 +78,7 @@ def apply(plan: HeatKernelPlan, f: GridField, t: float) -> GridField:
         raise ValueError("t must be >= 0")
     if t == 0:
         return f
-    if not plan.matches(f):
-        raise ValueError("plan geometry does not match the field")
-    fhat = np.fft.rfftn(f.values)
-    axes = tuple(range(f.dim))
-    out = np.fft.irfftn(fhat * plan.multiplier(t), s=f.values.shape, axes=axes)
-    return f.with_values(out)
+    return plan.field(plan.spectrum(f) * plan.multiplier(t))
 
 
 def apply_direct(f: GridField, t: float) -> GridField:

@@ -26,7 +26,7 @@ from enum import Enum
 import numpy as np
 
 from .field import BlowupSignal, BoxGeometry, GridField, lq_norm, nonlinearity, sample
-from .problem import ProblemSpec, ProfileSpec, profile_min_rate, validate
+from .problem import ProblemSpec, profile_min_rate, validate
 from .semigroup import HeatKernelPlan
 
 __all__ = [
@@ -50,6 +50,9 @@ GROWTH_DOUBLE = 0.01  # double (capped at dt0) below 1% growth
 # growth is measured against sup_old + atol, so a run from rest is not
 # halved down to min_dt by its first steps.
 GROWTH_FLOOR = 0.1
+# uniqueness_probe passes when the discrepancy falls at least this much per
+# (dt, h) halving; first order would give 2.
+MIN_PROBE_RATIO = 1.8
 
 
 class NonContractionError(RuntimeError):
@@ -190,21 +193,19 @@ def step(
     dt/2 for rho = 0, tending to dt/2 once t_n >> dt, and keeping the first
     step O(dt^(rho+2)) accurate when the weight piles up at tau = 0.  A
     spatially constant state with alpha = 0 reduces this to the explicit
-    Euler step of u' = |u|^p.  Overflow anywhere surfaces as BlowupSignal
-    rather than NaNs.
+    Euler step of u' = |u|^p.  w=None means no forcing.  Overflow anywhere
+    surfaces as BlowupSignal rather than NaNs; a field on another grid than
+    the plan's raises ValueError.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
-    if not plan.matches(u_n) or (w is not None and not plan.matches(w)):
-        raise ValueError("plan geometry does not match the field")
-    out = np.fft.rfftn(u_n.values) * plan.multiplier(dt)
+    out = plan.spectrum(u_n) * plan.multiplier(dt)
     load = nonlinearity(u_n, spec.p, spec.q, spec.alpha)
-    out += np.fft.rfftn(dt * load.values) * plan.multiplier(dt / 2.0)
-    if w is not None and np.any(w.values):
+    out += dt * plan.spectrum(load) * plan.multiplier(dt / 2.0)
+    if w is not None:
         weight, theta = _forcing_weight(t_n, dt, spec.rho)
-        out += weight * np.fft.rfftn(w.values) * plan.multiplier(theta)
-    out = np.fft.irfftn(out, s=u_n.values.shape, axes=tuple(range(u_n.dim)))
-    return u_n.with_values(out)  # constructor turns non-finite into BlowupSignal
+        out += weight * plan.spectrum(w) * plan.multiplier(theta)
+    return plan.field(out)
 
 
 def run(
@@ -367,7 +368,8 @@ def picard_solve(
     Stops when sweeps differ by less than picard_tol in sup-over-grid q-norm.
     The contraction estimate is the first successive-difference quotient,
     the cleanest observable surrogate of the fixed-point map's Lipschitz
-    factor.
+    factor.  w=None means no forcing; a plan for another grid than u0's
+    (or w's) raises ValueError.
     """
     config = config or SolverConfig()
     if T <= 0:
@@ -379,28 +381,22 @@ def picard_solve(
         plan = HeatKernelPlan.for_field(u0)
     n = config.picard_nodes
     dt = T / n
-    shape = u0.values.shape
-    axes = tuple(range(spec.dim))
     decay = plan.multiplier(dt)
 
-    def to_field(h):
-        return u0.with_values(np.fft.irfftn(h, s=shape, axes=axes))
-
     def half_load(u):
-        return (dt / 2.0) * np.fft.rfftn(nonlinearity(u, spec.p, spec.q, spec.alpha).values)
+        return (dt / 2.0) * plan.spectrum(nonlinearity(u, spec.p, spec.q, spec.alpha))
 
     # linear part (heat flow of the data plus full forcing history) is fixed
-    linear_hat = [np.fft.rfftn(u0.values)]
-    forced = w is not None and np.any(w.values)
-    w_hat = np.fft.rfftn(w.values) if forced else None
+    linear_hat = [plan.spectrum(u0)]
+    w_hat = plan.spectrum(w) if w is not None else None
     for j in range(n):
         nxt = decay * linear_hat[j]
-        if forced:
+        if w is not None:
             weight, theta = _forcing_weight(j * dt, dt, spec.rho)
             nxt += weight * plan.multiplier(theta) * w_hat
         linear_hat.append(nxt)
 
-    states = [u0] + [to_field(h) for h in linear_hat[1:]]
+    states = [u0] + [plan.field(h) for h in linear_hat[1:]]
     load0 = half_load(u0)
     diffs = []
     grow_streak = 0
@@ -414,7 +410,7 @@ def picard_solve(
             right = half_load(old)
             history = decay * (history + left) + right
             left = right
-            states[j] = to_field(linear_hat[j] + history)
+            states[j] = plan.field(linear_hat[j] + history)
             d = max(d, lq_norm(states[j] - old, spec.q))
         diffs.append(d)
         if d < config.picard_tol:
@@ -445,28 +441,23 @@ class UniquenessReport:
 
 def uniqueness_probe(
     spec: ProblemSpec,
-    u0: ProfileSpec | None = None,
-    w: ProfileSpec | None = None,
     T: float = 0.1,
     geometry: BoxGeometry | None = None,
     config: SolverConfig | None = None,
     levels: int = 2,
-    min_ratio: float = 1.8,
 ) -> UniquenessReport:
     """Stepper-vs-Picard discrepancy under simultaneous (dt, h) refinement.
 
     Runs both routes to time T at the base resolution and at ``levels``
     successive refinements (dt and the inner grid spacing halved, points per
     axis doubled), and reports the q-norm discrepancies of the terminal
-    states plus their per-level decrease ratios.  Profiles default to the
-    ones carried by the problem record; they are arguments because each level
-    resamples them.
+    states plus their per-level decrease ratios; it passes when every ratio
+    is at least MIN_PROBE_RATIO.  Each level samples the problem record's
+    own profiles on its grid.
     """
     rep = validate(spec)
     if not rep.uniq_ok:
         raise ValueError(f"uniqueness hypotheses fail: {rep.failed()}")
-    u0 = u0 if u0 is not None else spec.u0
-    w = w if w is not None else spec.w
     geometry = geometry or BoxGeometry(points_per_axis=64)
     config = config or SolverConfig(dt0=T / 16, t_end=T, adapt=False, picard_nodes=16)
     L, M0 = geometry.resolve(spec.dim)
@@ -482,8 +473,8 @@ def uniqueness_probe(
             adapt=False,
             picard_nodes=config.picard_nodes * 2**lvl,
         )
-        u0f = sample(u0, spec.dim, L, M)
-        wf = sample(w, spec.dim, L, M) if w.terms else None
+        u0f = sample(spec.u0, spec.dim, L, M)
+        wf = sample(spec.w, spec.dim, L, M) if spec.w.terms else None
         plan = HeatKernelPlan(spec.dim, M, L)
         traj = run_from_fields(spec, u0f, wf, cfg, plan)
         if traj.verdict != Verdict.COMPLETED:
@@ -499,6 +490,6 @@ def uniqueness_probe(
         discrepancies[i] / discrepancies[i + 1] if discrepancies[i + 1] > 0 else math.inf
         for i in range(len(discrepancies) - 1)
     )
-    passed = all(r >= min_ratio for r in ratios)
+    passed = all(r >= MIN_PROBE_RATIO for r in ratios)
     return UniquenessReport(tuple(discrepancies), ratios, passed, details)
 

@@ -155,6 +155,25 @@ def test_step_rejects_a_plan_of_another_geometry():
     other_box = GridField(1, 4.0, np.ones(32))
     with pytest.raises(ValueError, match="geometry"):
         step(spec, u, 0.0, 0.1, HeatKernelPlan.for_field(u), other_box)
+    # same point count, another box: only the half-width tells them apart
+    with pytest.raises(ValueError, match="geometry"):
+        step(spec, u, 0.0, 0.1, HeatKernelPlan(1, 32, 4.0))
+    with pytest.raises(ValueError, match="geometry"):
+        apply(HeatKernelPlan(1, 16, 8.0), u, 0.1)
+    f = sample(ProfileSpec.gaussian(1.0, 0.5, (0.3,)), 1, 8.0, 32)
+    plan = HeatKernelPlan.for_field(f)
+    back = plan.field(plan.spectrum(f))
+    assert back.grid == f.grid
+    assert np.max(np.abs(back.values - f.values)) <= 1e-15 * np.max(np.abs(f.values))
+
+
+def test_picard_rejects_a_plan_of_another_geometry():
+    spec = ProblemSpec(1, 2.0, 2.0, 1.0, 0.0, ProfileSpec.gaussian(0.05, 1.0, (0.0,)), ZERO)
+    u0 = sample(spec.u0, 1, 16.0, 64)
+    cfg = SolverConfig(picard_nodes=16)
+    for plan in (HeatKernelPlan(1, 64, 4.0), HeatKernelPlan(1, 32, 16.0)):
+        with pytest.raises(ValueError, match="geometry"):
+            picard_solve(spec, u0, None, 0.1, cfg, plan)
 
 
 @pytest.mark.usefixtures("zero_load")
