@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 import time
@@ -223,6 +224,10 @@ def cmd_sweep(args) -> int:
         raise _UsageError("at most two --axis arguments")
     if args.jobs < 1:
         raise _UsageError("--jobs must be >= 1")
+    if not math.isfinite(args.amplitude):
+        raise _UsageError("--amplitude must be finite")
+    if not 0 < args.epsilon < math.inf:
+        raise _UsageError("--epsilon must be positive and finite")
     config, geometry = _run_setup(args, spec.dim)
     base_json = spec.to_json_dict()
 

@@ -34,7 +34,6 @@ __all__ = [
     "ContractionRow",
     "contraction_bound_check",
     "contraction_constant_study",
-    "MLParams",
     "MLResult",
     "SeriesDivergenceError",
     "mittag_leffler",
@@ -52,6 +51,19 @@ __all__ = [
     "LEMMAS",
 ]
 
+# Fixed resolutions and tolerances of the checks below.
+YOUNG_DRAWS = 100_000             # random (a, b, p, eps) draws per Young sweep
+ML_MAX_TERMS = 100_000            # Mittag-Leffler series terms before giving up
+CUTOFF_THETA = 4.0                # power of the cutoff in g(|x|^2/T)^theta
+CUTOFF_MIN_ORDER = 1.6            # finite-difference order the cutoff check demands
+KERNEL_WIDTHS = np.logspace(-3, 6, 40)  # Gaussian kernel widths lambda scanned
+CENTER_EXTENT = 12.0              # kernel centers cover [-12, 12]^dim
+CENTER_POINTS = 25                # centers per axis for off-center profiles
+KERNEL_AVERAGE_TOL = 1e-10        # slack for "kernel average >= 0"
+CERT_T_LIST = (1e2, 1e3, 1e4)     # scales T of the certificate's slope fits
+CERT_TIME_POINTS = 4097           # Simpson nodes of the time cutoff
+CERT_RADIAL_POINTS = 4097         # Simpson nodes of the radial space factor
+CERT_SPACE_POINTS = 65            # trapezoid nodes per axis of the w integral
 
 # ---------------------------------------------------------------------------
 # scalar product inequality
@@ -82,14 +94,14 @@ def young_check(a: float, b: float, p: float, q: float, eps: float) -> YoungRow:
     return YoungRow(lhs, rhs, lhs <= rhs + 1e-12)
 
 
-def young_batch(n: int = 100_000, seed: int = 0, slack: float = 1e-12):
-    """Vectorized sweep over random (a, b, p, eps); returns (all_ok, max_excess)."""
+def young_batch(seed: int = 0, slack: float = 1e-12):
+    """Vectorized sweep over YOUNG_DRAWS random (a, b, p, eps); (all_ok, max_excess)."""
     rng = np.random.default_rng(seed)
-    a = rng.uniform(0.0, 10.0, n)
-    b = rng.uniform(0.0, 10.0, n)
-    p = rng.uniform(1.05, 8.0, n)
+    a = rng.uniform(0.0, 10.0, YOUNG_DRAWS)
+    b = rng.uniform(0.0, 10.0, YOUNG_DRAWS)
+    p = rng.uniform(1.05, 8.0, YOUNG_DRAWS)
     q = p / (p - 1.0)
-    eps = 10.0 ** rng.uniform(-3, 3, n)
+    eps = 10.0 ** rng.uniform(-3, 3, YOUNG_DRAWS)
     excess = a * b - _young_rhs(a, b, p, q, eps)
     return bool(np.all(excess <= slack)), float(np.max(excess))
 
@@ -170,19 +182,6 @@ class SeriesDivergenceError(ArithmeticError):
 
 
 @dataclass(frozen=True)
-class MLParams:
-    order: float        # in (0, 1]; order 1 is the plain exponential
-    argument: float     # z >= 0
-    max_terms: int = 100_000
-
-    def __post_init__(self):
-        if not (0 < self.order <= 1):
-            raise ValueError("order must be in (0, 1]")
-        if self.argument < 0 or not math.isfinite(self.argument):
-            raise ValueError("argument must be finite and >= 0")
-
-
-@dataclass(frozen=True)
 class MLResult:
     value: float
     remainder_bound: float
@@ -192,25 +191,29 @@ class MLResult:
         return self.value
 
 
-def mittag_leffler(params: MLParams) -> MLResult:
-    """E_order(z) = sum z^n / Gamma(n*order + 1) with a certified tail bound.
+def mittag_leffler(order: float, z: float) -> MLResult:
+    """E_order(z) = sum z^n / Gamma(n*order + 1), order in (0, 1], finite z >= 0,
+    with a certified tail bound.
 
     Terms are formed in log space, so the gamma never overflows on its own.
     Summation stops once the term ratio has dropped below 1/2 and the next
     term is below 1e-16 of the partial sum; the geometric tail then bounds
-    the remainder by twice the next term.
+    the remainder by twice the next term, within ML_MAX_TERMS terms.
     """
-    nu, z = params.order, params.argument
+    if not (0 < order <= 1):
+        raise ValueError("order must be in (0, 1]")
+    if z < 0 or not math.isfinite(z):
+        raise ValueError("argument must be finite and >= 0")
     if z == 0.0:
         return MLResult(1.0, 0.0, 1)
     log_z = math.log(z)
     total = 0.0
     term = 1.0
-    for n in range(params.max_terms):
+    for n in range(ML_MAX_TERMS):
         total += term
         if not math.isfinite(total):
             raise SeriesDivergenceError("partial sums overflow double range")
-        log_next = (n + 1) * log_z - math.lgamma((n + 1) * nu + 1.0)
+        log_next = (n + 1) * log_z - math.lgamma((n + 1) * order + 1.0)
         next_term = math.exp(log_next) if log_next < 709.0 else math.inf
         ratio = next_term / term if term > 0 else math.inf
         if ratio < 0.5 and next_term <= 1e-16 * total:
@@ -218,7 +221,7 @@ def mittag_leffler(params: MLParams) -> MLResult:
         term = next_term
         if not math.isfinite(term):
             raise SeriesDivergenceError("series terms overflow double range")
-    raise SeriesDivergenceError(f"no convergence within {params.max_terms} terms")
+    raise SeriesDivergenceError(f"no convergence within {ML_MAX_TERMS} terms")
 
 
 def gronwall_bound(A: float, M: float, sigma: float, t: float) -> float:
@@ -234,7 +237,7 @@ def gronwall_bound(A: float, M: float, sigma: float, t: float) -> float:
     if A == 0.0 or t == 0.0:
         return float(A)
     z = M * math.gamma(1.0 - sigma) * t ** (1.0 - sigma)
-    return A * mittag_leffler(MLParams(1.0 - sigma, z)).value
+    return A * mittag_leffler(1.0 - sigma, z).value
 
 
 # ---------------------------------------------------------------------------
@@ -330,23 +333,23 @@ class CutoffCheck:
 
 def cutoff_laplacian_check(
     kind: str = "psi2",
-    theta: float = 4.0,
     T: float = 100.0,
     dim: int = 1,
     points: int = 2001,
-    min_order: float = 1.6,
 ) -> CutoffCheck:
     """Finite differences against the closed-form radial Laplacian.
 
-    The composite G(x) = g(|x|^2/T)^theta is differenced centrally on a grid
-    covering the support; halving h must shrink the sup mismatch at second
-    order.  The empirical constant c_emp = sup T |Delta G| / g^(theta-2) is
-    taken from the differenced Laplacian over the region g >= 1e-3, where the
-    quotient is numerically clean; by design it depends on the cutoff alone,
-    not on T, which the verification suite exercises across decades of T.
+    The composite G(x) = g(|x|^2/T)^theta, theta = CUTOFF_THETA, is
+    differenced centrally on a grid covering the support; halving h must
+    shrink the sup mismatch at order CUTOFF_MIN_ORDER or better.  The
+    empirical constant c_emp = sup T |Delta G| / g^(theta-2) is taken from
+    the differenced Laplacian over the region g >= 1e-3, where the quotient
+    is numerically clean; by design it depends on the cutoff alone, not on
+    T, which the verification suite exercises across decades of T.
     """
     if kind not in CUTOFF_KINDS:
         raise ValueError(f"unknown cutoff kind {kind!r}")
+    theta = CUTOFF_THETA
     y_max = 0.8 if kind == "psi1" else 2.0
     half = math.sqrt(y_max * T) * 1.05
 
@@ -382,7 +385,7 @@ def cutoff_laplacian_check(
     e_coarse, _ = fd_error_and_ratio(points)
     e_fine, c_emp = fd_error_and_ratio(2 * points - 1)
     order = math.log2(e_coarse / e_fine) if e_fine > 0 else math.inf
-    return CutoffCheck(e_coarse, e_fine, order, c_emp, order >= min_order)
+    return CutoffCheck(e_coarse, e_fine, order, c_emp, order >= CUTOFF_MIN_ORDER)
 
 
 # ---------------------------------------------------------------------------
@@ -397,38 +400,30 @@ class WConditionReport:
     integral_positive: bool
 
 
-def w_condition_check(
-    w: ProfileSpec,
-    dim: int,
-    lambdas=None,
-    x_extent: float = 12.0,
-    x_points: int = 25,
-    tol: float = 1e-10,
-) -> WConditionReport:
+def w_condition_check(w: ProfileSpec, dim: int) -> WConditionReport:
     """Grid certificate for the two forcing conditions.
 
     Scans the closed-form Gaussian-kernel averages
-    integral exp(-|x-y|^2/lambda) w(y) dy over widths lambda (log-spaced
-    1e-3..1e6 by default) and centers x in a box, reporting the minimum; the
-    first condition asks it to be nonnegative for every width and center.
+    integral exp(-|x-y|^2/lambda) w(y) dy over the widths KERNEL_WIDTHS
+    (log-spaced 1e-3..1e6) and centers x in the box [-CENTER_EXTENT,
+    CENTER_EXTENT]^dim, reporting the minimum; the first condition asks it
+    to be nonnegative (to KERNEL_AVERAGE_TOL) for every width and center.
     The second is plain positivity of the total integral.  Radial profiles
     collapse the center scan to a ray.
     """
-    if lambdas is None:
-        lambdas = np.logspace(-3, 6, 40)
     radial = all(all(c == 0 for c in t.center) for t in w.terms)
     if radial:
-        rr = np.linspace(0.0, x_extent, 201)
+        rr = np.linspace(0.0, CENTER_EXTENT, 201)
         centers = np.zeros((rr.size, dim))
         centers[:, 0] = rr
     else:
-        ax = np.linspace(-x_extent, x_extent, x_points)
+        ax = np.linspace(-CENTER_EXTENT, CENTER_EXTENT, CENTER_POINTS)
         centers = np.stack(
             np.meshgrid(*([ax] * dim), indexing="ij"), axis=-1
         ).reshape(-1, dim)
     best = math.inf
     best_at = (math.nan, None)
-    for lam in lambdas:
+    for lam in KERNEL_WIDTHS:
         total = gaussian_weighted_integral(w, dim, 1.0 / lam, centers)
         i = int(np.argmin(total))
         if total[i] < best:
@@ -438,7 +433,7 @@ def w_condition_check(
     return WConditionReport(
         min_kernel_average=best,
         argmin=best_at,
-        holds_kernel_nonneg=best >= -tol,
+        holds_kernel_nonneg=best >= -KERNEL_AVERAGE_TOL,
         integral=integral,
         integral_positive=integral > 0,
     )
@@ -477,13 +472,10 @@ def certificate_scaling_check(
     alpha: float,
     rho: float,
     w: ProfileSpec | None = None,
-    T_list=(1e2, 1e3, 1e4),
-    time_points: int = 4097,
-    radial_points: int = 4097,
-    space_points: int = 65,
     tol: float = 0.1,
 ) -> CertificateReport:
-    """Log-log slopes of the rescaled test-function functionals.
+    """Log-log slopes of the rescaled test-function functionals at the
+    scales T in CERT_T_LIST.
 
     I1(T) couples the time weight t^(N*delta/(2(p-1))) under the time cutoff
     with the space integral of |Delta psi2^kappa|^(p/(p-1)) * psi2^(-kappa/(p-1)),
@@ -498,13 +490,13 @@ def certificate_scaling_check(
     pw = p / (p - 1.0)
     t_weight_exp = N * d / (2.0 * (p - 1.0))
 
-    tau = np.linspace(0.0, 1.0, time_points)
+    tau = np.linspace(0.0, 1.0, CERT_TIME_POINTS)
     psi1_pow = cutoff_jet("psi1", tau)[0] ** pw
 
     # radial reduction of the space factor; the cutoff powers cancel exactly:
     # |bracket * g^(kappa-2)|^(p/(p-1)) * g^(-kappa/(p-1)) == |bracket|^(p/(p-1))
     # because (kappa-2)*p/(p-1) == kappa/(p-1) for kappa = 2p/(p-1).
-    y = np.linspace(0.0, 2.0, radial_points)
+    y = np.linspace(0.0, 2.0, CERT_RADIAL_POINTS)
     bracket = _laplacian_bracket(cutoff_jet("psi2", y), kappa, N, y)
     omega = 2.0 * math.pi ** (N / 2.0) / math.gamma(N / 2.0)
     with np.errstate(divide="ignore"):
@@ -516,7 +508,7 @@ def certificate_scaling_check(
 
     I1_vals = []
     F_vals = []
-    for T in T_list:
+    for T in CERT_T_LIST:
         upper = (T - 1.0) / T
         mask = tau <= upper
         time_I1 = T * _simpson(
@@ -530,11 +522,11 @@ def certificate_scaling_check(
                 np.where(mask, (1.0 + T * tau) ** rho * psi1_pow, 0.0),
                 tau[1] - tau[0],
             )
-            F_vals.append(time_F * _space_cutoff_integral(w, N, T, kappa, space_points))
+            F_vals.append(time_F * _space_cutoff_integral(w, N, T, kappa))
         else:
             F_vals.append(0.0)
 
-    lnT = np.log(np.asarray(T_list))
+    lnT = np.log(np.asarray(CERT_T_LIST))
     slope_I1 = float(np.polyfit(lnT, np.log(I1_vals), 1)[0])
     slope_bound = 1.0 + N / 2.0 - pw + t_weight_exp
     applicable = all(v > 0 for v in F_vals)
@@ -545,7 +537,7 @@ def certificate_scaling_check(
         not applicable or slope_F >= (rho + 1.0) - tol
     )
     return CertificateReport(
-        T_list=tuple(T_list),
+        T_list=CERT_T_LIST,
         I1_values=tuple(I1_vals),
         F_values=tuple(F_vals),
         slope_I1=slope_I1,
@@ -559,12 +551,12 @@ def certificate_scaling_check(
     )
 
 
-def _space_cutoff_integral(w: ProfileSpec, N: int, T: float, kappa: float, n: int) -> float:
+def _space_cutoff_integral(w: ProfileSpec, N: int, T: float, kappa: float) -> float:
     """Tensor-trapezoid integral of psi2(|x|^2/T)^kappa * w over w's support."""
     reach = max(
         (abs(c) for t in w.terms for c in t.center), default=0.0
     ) + 10.0 / math.sqrt(min(t.rate for t in w.terms))
-    ax = np.linspace(-reach, reach, n)
+    ax = np.linspace(-reach, reach, CERT_SPACE_POINTS)
     pts = np.stack(np.meshgrid(*([ax] * N), indexing="ij"), axis=-1)
     r2 = np.sum(pts**2, axis=-1)
     vals = cutoff_jet("psi2", r2 / T)[0] ** kappa * evaluate_profile(w, pts)
@@ -579,7 +571,7 @@ def _space_cutoff_integral(w: ProfileSpec, N: int, T: float, kappa: float, n: in
 # a tolerance scale below 1 tightens every bound
 
 def _lemma_young(scale: float):
-    ok, excess = young_batch(100_000, seed=7, slack=1e-12 * scale)
+    ok, excess = young_batch(seed=7, slack=1e-12 * scale)
     return ok, f"max excess {excess:.3e} over 1e5 draws"
 
 
@@ -595,9 +587,9 @@ def _lemma_contraction(scale: float):
 
 
 def _lemma_mittag_leffler(scale: float):
-    r1 = mittag_leffler(MLParams(1.0, 1.0))
+    r1 = mittag_leffler(1.0, 1.0)
     ref1 = math.e
-    r2 = mittag_leffler(MLParams(0.5, 1.0))
+    r2 = mittag_leffler(0.5, 1.0)
     ref2 = math.e * math.erfc(-1.0)
     ok = (
         abs(r1.value - ref1) <= 1e-12 * scale * ref1
@@ -658,15 +650,14 @@ def _lemma_cutoff_laplacian(scale: float):
     ok = True
     details = []
     for T in (10.0, 100.0, 1000.0):
-        chk = cutoff_laplacian_check("psi2", theta=4.0, T=T, dim=1)
+        chk = cutoff_laplacian_check("psi2", T=T, dim=1)
         ok = ok and chk.passed
         c_values.append(chk.c_emp)
         details.append(f"T={T:g}: order {chk.order:.2f}")
     spread = (max(c_values) - min(c_values)) / max(c_values)
     ok = ok and spread <= 0.05 * scale
-    chk1 = cutoff_laplacian_check("psi1", theta=4.0, T=100.0, dim=1)
-    chk2 = cutoff_laplacian_check("psi2", theta=4.0, T=100.0, dim=2,
-                                          points=801)
+    chk1 = cutoff_laplacian_check("psi1", T=100.0, dim=1)
+    chk2 = cutoff_laplacian_check("psi2", T=100.0, dim=2, points=801)
     ok = ok and chk1.passed and chk2.passed
     details.append(f"C spread {spread:.2%}; psi1 order {chk1.order:.2f}; "
                    f"2d order {chk2.order:.2f}")

@@ -31,6 +31,8 @@ __all__ = [
     "comparison_lower_bound",
 ]
 
+SMOOTHING_TOL = 1e-9  # slack on the smoothing ratio in smoothing_check
+
 
 class HeatKernelPlan:
     """|k|^2 table for one grid; the plan owns its half-spectrum layout.
@@ -73,10 +75,10 @@ class HeatKernelPlan:
 
 
 def apply(plan: HeatKernelPlan, f: GridField, t: float) -> GridField:
-    """Spectral heat step: exact identity at t = 0, error for t < 0."""
+    """Spectral heat step: exact identity at t = 0, error for t < 0 or another grid."""
     if t < 0:
         raise ValueError("t must be >= 0")
-    if t == 0:
+    if t == 0 and f.grid == plan.grid:
         return f
     return plan.field(plan.spectrum(f) * plan.multiplier(t))
 
@@ -122,10 +124,9 @@ class SmoothingRow:
     passed: bool
 
 
-def smoothing_check(
-    f: GridField, a, b, t_list, tol: float = 1e-9
-) -> list[SmoothingRow]:
-    """Check ||S(t) f||_b <= t^(-(dim/2)(1/a - 1/b)) ||f||_a for each t.
+def smoothing_check(f: GridField, a, b, t_list) -> list[SmoothingRow]:
+    """Check ||S(t) f||_b <= t^(-(dim/2)(1/a - 1/b)) ||f||_a for each t,
+    to a relative slack of SMOOTHING_TOL.
 
     Requires 1 <= a <= b (inf allowed).  The constant-one bound is the
     free-space one; on the box it holds comfortably for t small against the
@@ -144,7 +145,7 @@ def smoothing_check(
         lhs = lq_norm(apply(plan, f, t), b)
         rhs = t ** (-(f.dim / 2.0) * (inv_a - inv_b)) * norm_a
         ratio = lhs / rhs if rhs > 0 else math.inf
-        rows.append(SmoothingRow(t, lhs, rhs, ratio, ratio <= 1.0 + tol))
+        rows.append(SmoothingRow(t, lhs, rhs, ratio, ratio <= 1.0 + SMOOTHING_TOL))
     return rows
 
 

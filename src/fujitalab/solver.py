@@ -53,6 +53,10 @@ GROWTH_FLOOR = 0.1
 # uniqueness_probe passes when the discrepancy falls at least this much per
 # (dt, h) halving; first order would give 2.
 MIN_PROBE_RATIO = 1.8
+# picard_solve stops once two sweeps differ by less than PICARD_TOL in the
+# sup-over-grid q-norm, and gives up after PICARD_MAX_SWEEPS sweeps.
+PICARD_MAX_SWEEPS = 80
+PICARD_TOL = 1e-10
 
 
 class NonContractionError(RuntimeError):
@@ -86,19 +90,17 @@ class SolverConfig:
     min_dt: float = 1e-12
     adapt: bool = True
     picard_nodes: int = 32
-    picard_max_iters: int = 80
-    picard_tol: float = 1e-10
     max_steps: int = 500_000
 
     def __post_init__(self):
-        if not (self.dt0 > 0 and self.t_end > 0):
-            raise ValueError("dt0 and t_end must be positive")
+        if not (0 < self.dt0 < math.inf and 0 < self.t_end < math.inf):
+            raise ValueError("dt0 and t_end must be positive and finite")
         if not (0 < self.min_dt <= self.dt0):
             raise ValueError("need 0 < min_dt <= dt0")
         if not (0 < self.blowup_threshold < math.inf):
             raise ValueError("blowup_threshold must be positive and finite")
-        if self.picard_nodes < 2 or self.picard_max_iters < 1 or self.picard_tol <= 0:
-            raise ValueError("bad picard settings")
+        if self.picard_nodes < 2:
+            raise ValueError("picard_nodes must be >= 2")
 
     def to_json_dict(self) -> dict:
         return {name: getattr(self, name) for name in self.__dataclass_fields__}
@@ -365,7 +367,7 @@ def picard_solve(
     dt/2 N_j) + dt/2 N_{j+1} for the loads of each sweep.  Unrolled they are
     the same sums, at O(n) spectral operations per sweep.
 
-    Stops when sweeps differ by less than picard_tol in sup-over-grid q-norm.
+    Stops when sweeps differ by less than PICARD_TOL in sup-over-grid q-norm.
     The contraction estimate is the first successive-difference quotient,
     the cleanest observable surrogate of the fixed-point map's Lipschitz
     factor.  w=None means no forcing; a plan for another grid than u0's
@@ -400,7 +402,7 @@ def picard_solve(
     load0 = half_load(u0)
     diffs = []
     grow_streak = 0
-    for _ in range(config.picard_max_iters):
+    for _ in range(PICARD_MAX_SWEEPS):
         history = np.zeros_like(load0)
         left = load0
         d = 0.0
@@ -413,7 +415,7 @@ def picard_solve(
             states[j] = plan.field(linear_hat[j] + history)
             d = max(d, lq_norm(states[j] - old, spec.q))
         diffs.append(d)
-        if d < config.picard_tol:
+        if d < PICARD_TOL:
             break
         if len(diffs) >= 2 and diffs[-1] >= diffs[-2]:
             grow_streak += 1
@@ -425,7 +427,7 @@ def picard_solve(
             grow_streak = 0
     else:
         raise IterationLimitError(
-            f"no convergence in {config.picard_max_iters} sweeps (last diff {diffs[-1]:.3e})"
+            f"no convergence in {PICARD_MAX_SWEEPS} sweeps (last diff {diffs[-1]:.3e})"
         )
     contraction = diffs[1] / diffs[0] if len(diffs) >= 2 and diffs[0] > 0 else 0.0
     return PicardResult(states[-1], len(diffs), contraction, tuple(diffs))
@@ -453,8 +455,10 @@ def uniqueness_probe(
     axis doubled), and reports the q-norm discrepancies of the terminal
     states plus their per-level decrease ratios; it passes when every ratio
     is at least MIN_PROBE_RATIO.  Each level samples the problem record's
-    own profiles on its grid.
+    own profiles on its grid; levels < 1 raises ValueError.
     """
+    if levels < 1:
+        raise ValueError("levels must be >= 1")
     rep = validate(spec)
     if not rep.uniq_ok:
         raise ValueError(f"uniqueness hypotheses fail: {rep.failed()}")

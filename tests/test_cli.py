@@ -76,8 +76,12 @@ def test_usage_errors_exit_1(tmp_path, capsys):
            "--axis", "p=1.6:2.6:3"]
     for argv in (sim + ["--points", "3"], sim + ["--t-end", "0"],
                  sim + ["--half-width", "-1"], sim + ["--threshold", "0"],
-                 sim + ["--threshold", "nan"], swp + ["--points", "3"],
-                 swp + ["--jobs", "0"]):
+                 sim + ["--threshold", "nan"], sim + ["--dt0", "inf"],
+                 sim + ["--t-end", "inf"], swp + ["--points", "3"],
+                 swp + ["--jobs", "0"], swp + ["--amplitude", "nan"],
+                 swp + ["--amplitude", "inf"], swp + ["--epsilon", "nan"],
+                 swp + ["--epsilon", "inf"], swp + ["--epsilon", "0"],
+                 swp + ["--epsilon", "-0.01"]):
         assert main(argv) == 1, argv
         captured = capsys.readouterr()
         assert captured.err.startswith("error: "), argv

@@ -10,7 +10,6 @@ import pytest
 
 from fujitalab.oracles import (
     CUTOFF_KINDS,
-    MLParams,
     SeriesDivergenceError,
     certificate_scaling_check,
     contraction_bound_check,
@@ -46,7 +45,7 @@ def test_young_pointwise():
 
 
 def test_young_batch():
-    ok, max_excess = young_batch(n=100000, seed=0)
+    ok, max_excess = young_batch(seed=0)
     assert ok
     assert max_excess <= 1e-12
 
@@ -76,7 +75,7 @@ def test_contraction_constant_saturates_early():
 
 def test_ml_order_one_is_exp():
     for x in (0.0, 0.3, 1.0, 5.0, 20.0):
-        res = mittag_leffler(MLParams(order=1.0, argument=x))
+        res = mittag_leffler(1.0, x)
         assert res.value == pytest.approx(math.exp(x), rel=1e-12)
         assert float(res) == res.value
 
@@ -86,10 +85,10 @@ def test_ml_half_order_erfc_identity():
     from scipy.special import erfc
 
     for z in (0.5, 1.0, 2.0):
-        res = mittag_leffler(MLParams(order=0.5, argument=z))
+        res = mittag_leffler(0.5, z)
         ref = math.exp(z * z) * erfc(-z)
         assert res.value == pytest.approx(ref, rel=1e-8)
-    one = mittag_leffler(MLParams(order=0.5, argument=1.0))
+    one = mittag_leffler(0.5, 1.0)
     assert one.value == pytest.approx(5.00898008076228, rel=1e-8)
 
 
@@ -97,7 +96,7 @@ def test_ml_remainder_bound_is_honest():
     # the series tail past the terms summed, taken directly over the next
     # 400 terms, must sit below the certified remainder bound
     for nu, z in ((0.7, 2.0), (0.5, 1.0), (0.9, 10.0)):
-        res = mittag_leffler(MLParams(order=nu, argument=z))
+        res = mittag_leffler(nu, z)
         tail = math.fsum(
             math.exp(n * math.log(z) - math.lgamma(n * nu + 1.0))
             for n in range(res.terms_used, res.terms_used + 400)
@@ -109,13 +108,13 @@ def test_ml_remainder_bound_is_honest():
 
 def test_ml_domain_errors():
     with pytest.raises(ValueError):
-        mittag_leffler(MLParams(order=0.0, argument=1.0))
+        mittag_leffler(0.0, 1.0)
     with pytest.raises(ValueError):
-        mittag_leffler(MLParams(order=1.5, argument=1.0))
+        mittag_leffler(1.5, 1.0)
     with pytest.raises(ValueError):
-        mittag_leffler(MLParams(order=0.5, argument=-1.0))
+        mittag_leffler(0.5, -1.0)
     with pytest.raises(SeriesDivergenceError):
-        mittag_leffler(MLParams(order=0.5, argument=40.0))
+        mittag_leffler(0.5, 40.0)
 
 
 def test_gronwall_bound_shape():
@@ -225,13 +224,13 @@ def test_radial_power_laplacian_requires_theta():
 
 def test_cutoff_laplacian_fd_agreement():
     # analytic Laplacian of g^theta vs central differences, Richardson order ~2
-    chk = cutoff_laplacian_check("psi2", theta=4.0, T=100.0, dim=1, points=801)
+    chk = cutoff_laplacian_check("psi2", T=100.0, dim=1, points=801)
     assert chk.passed and chk.order >= 1.6
     assert chk.error_fine < chk.error_coarse
     assert chk.c_emp > 0
-    chk1 = cutoff_laplacian_check("psi1", theta=4.0, T=100.0, dim=1, points=801)
+    chk1 = cutoff_laplacian_check("psi1", T=100.0, dim=1, points=801)
     assert chk1.passed and chk1.order >= 1.6
-    chk2 = cutoff_laplacian_check("psi2", theta=4.0, T=100.0, dim=2, points=401)
+    chk2 = cutoff_laplacian_check("psi2", T=100.0, dim=2, points=401)
     assert chk2.passed and chk2.order >= 1.6
 
 
@@ -248,13 +247,13 @@ def test_cutoff_laplacian_check_takes_one_jet_per_grid(monkeypatch):
     monkeypatch.setattr(np, "exp", counting_exp)
     for kind, budget in (("psi2", 4), ("psi1", 8)):
         calls.clear()
-        cutoff_laplacian_check(kind, theta=4.0, T=100.0, dim=1, points=201)
+        cutoff_laplacian_check(kind, T=100.0, dim=1, points=201)
         assert len(calls) <= budget, kind
 
 
 def test_cutoff_constant_is_t_stable():
     cs = [
-        cutoff_laplacian_check("psi2", theta=4.0, T=T, dim=1, points=801).c_emp
+        cutoff_laplacian_check("psi2", T=T, dim=1, points=801).c_emp
         for T in (10.0, 100.0, 1000.0)
     ]
     spread = (max(cs) - min(cs)) / max(cs)

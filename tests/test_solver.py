@@ -14,6 +14,7 @@ from fujitalab.field import BoxGeometry, GridField, lq_norm, sample
 from fujitalab.problem import ProblemSpec, ProfileSpec
 from fujitalab.semigroup import HeatKernelPlan, apply
 from fujitalab.solver import (
+    PICARD_MAX_SWEEPS,
     IterationLimitError,
     NonContractionError,
     SolverConfig,
@@ -158,8 +159,9 @@ def test_step_rejects_a_plan_of_another_geometry():
     # same point count, another box: only the half-width tells them apart
     with pytest.raises(ValueError, match="geometry"):
         step(spec, u, 0.0, 0.1, HeatKernelPlan(1, 32, 4.0))
-    with pytest.raises(ValueError, match="geometry"):
-        apply(HeatKernelPlan(1, 16, 8.0), u, 0.1)
+    for t in (0.1, 0.0):
+        with pytest.raises(ValueError, match="geometry"):
+            apply(HeatKernelPlan(1, 16, 8.0), u, t)
     f = sample(ProfileSpec.gaussian(1.0, 0.5, (0.3,)), 1, 8.0, 32)
     plan = HeatKernelPlan.for_field(f)
     back = plan.field(plan.spectrum(f))
@@ -256,7 +258,7 @@ def test_picard_linear_agrees_with_stepper():
     assert lq_norm(pic.terminal, math.inf) == pytest.approx(
         stepper_final_sup, rel=1e-12
     )
-    assert pic.iterations < cfg.picard_max_iters
+    assert pic.iterations < PICARD_MAX_SWEEPS
 
 
 def test_picard_contracts_on_small_data():
@@ -343,7 +345,7 @@ def test_forced_picard_makes_at_most_one_multiplier_per_node(monkeypatch):
 def test_solver_config_rejects_out_of_range_settings():
     for bad in ({"blowup_threshold": 0.0}, {"blowup_threshold": -1.0},
                 {"blowup_threshold": math.nan}, {"blowup_threshold": math.inf},
-                {"picard_max_iters": 0}, {"picard_nodes": 1}, {"picard_tol": 0.0}):
+                {"picard_nodes": 1}, {"dt0": math.inf}, {"t_end": math.inf}):
         with pytest.raises(ValueError):
             SolverConfig(**bad)
 
@@ -367,6 +369,10 @@ def test_uniqueness_probe_refinement_ratio():
     # discrepancies actually decrease through the levels
     d = [lvl["discrepancy"] for lvl in rep.details["levels"]]
     assert d[0] > d[1] > d[2]
+    # no refinement level, no ratio to judge: refused before any run
+    for levels in (0, -1):
+        with pytest.raises(ValueError, match="levels"):
+            uniqueness_probe(spec, T=0.1, levels=levels)
 
 
 def test_fixed_dt_run_returns_the_hand_stepped_terminal():
