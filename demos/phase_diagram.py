@@ -23,8 +23,7 @@ W = fl.ProfileSpec.gaussian(1.0, 1.0, (0.0, 0.0, 0.0))
 P_GRID = (1.5, 1.75, 2.0, 2.5, 3.0, 4.0)
 RHO_GRID = (-0.75, -0.5, -0.25, 0.0)
 
-LETTER = {"blowup": "B", "global_small_data": "G", "gap": "?",
-          "inadmissible": "x"}
+LETTER = {"blowup": "B", "global_small_data": "G", "gap": "?"}
 
 
 def prediction_map():

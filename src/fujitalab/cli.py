@@ -32,7 +32,7 @@ from .exponents import (
     exponent_report,
     gep_exponents,
 )
-from .field import BoxGeometry, lq_norm, sample
+from .field import DEFAULT_HALF_WIDTH, BoxGeometry, lq_norm, sample
 from .oracles import LEMMAS
 from .problem import (
     InadmissibleError,
@@ -86,6 +86,16 @@ def _run_setup(args, dim: int, **config) -> tuple[SolverConfig, BoxGeometry]:
                             blowup_threshold=args.threshold, **config), geometry
     except ValueError as exc:
         raise _UsageError(str(exc)) from exc
+
+
+def _add_run_options(parser) -> None:
+    """The run options simulate and sweep share, defaulting as the library does."""
+    defaults = SolverConfig()
+    parser.add_argument("--t-end", type=float, default=defaults.t_end)
+    parser.add_argument("--dt0", type=float, default=defaults.dt0)
+    parser.add_argument("--threshold", type=float, default=defaults.blowup_threshold)
+    parser.add_argument("--half-width", type=float, default=DEFAULT_HALF_WIDTH)
+    parser.add_argument("--points", type=int, default=None)
 
 
 def _write_meta(prefix: Path, extra: dict) -> None:
@@ -313,11 +323,7 @@ def _build_parser() -> _Parser:
 
     p_sim = sub.add_parser("simulate", help="integrate one problem")
     p_sim.add_argument("--spec", required=True)
-    p_sim.add_argument("--t-end", type=float, default=10.0)
-    p_sim.add_argument("--dt0", type=float, default=1e-2)
-    p_sim.add_argument("--threshold", type=float, default=1e8)
-    p_sim.add_argument("--half-width", type=float, default=16.0)
-    p_sim.add_argument("--points", type=int, default=None)
+    _add_run_options(p_sim)
     p_sim.add_argument("--no-adapt", action="store_true")
     p_sim.add_argument("--out-prefix")
     p_sim.set_defaults(func=cmd_simulate)
@@ -331,11 +337,7 @@ def _build_parser() -> _Parser:
                        help="scale factor applied to the initial profile")
     p_swp.add_argument("--epsilon", type=float, default=1e-2,
                        help="target norm for small-data rescaling")
-    p_swp.add_argument("--t-end", type=float, default=10.0)
-    p_swp.add_argument("--dt0", type=float, default=1e-2)
-    p_swp.add_argument("--threshold", type=float, default=1e8)
-    p_swp.add_argument("--half-width", type=float, default=16.0)
-    p_swp.add_argument("--points", type=int, default=None)
+    _add_run_options(p_swp)
     p_swp.add_argument("--jobs", type=int, default=1)
     p_swp.add_argument("--out-prefix")
     p_swp.set_defaults(func=cmd_sweep)

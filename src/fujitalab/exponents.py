@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .problem import ProblemSpec, profile_integral, validate
+from .problem import ProblemSpec, profile_integral
 
 __all__ = [
     "Regime",
@@ -51,7 +51,6 @@ class Regime(str, Enum):
     BLOWUP = "blowup"
     GLOBAL_SMALL_DATA = "global_small_data"
     GAP = "gap"
-    INADMISSIBLE = "inadmissible"
 
 
 def delta(alpha, q):
@@ -269,12 +268,10 @@ def classify(spec: ProblemSpec) -> Regime:
                          strictly positive total integral;
     global_small_data -- every small-data global-existence hypothesis holds
                          (exponent pack admissible and a nonempty r-window);
-    gap               -- admissible parameters matching neither set;
-    inadmissible      -- base parameter violations.
+    gap               -- admissible parameters matching neither set.
+
+    ProblemSpec refuses base parameter violations, so every record classifies.
     """
-    rep = validate(spec)
-    if not rep.base_ok:
-        return Regime.INADMISSIBLE
     bc = blowup_criterion(spec.dim, spec.p, spec.q, spec.alpha, spec.rho)
     w_mass = profile_integral(spec.w, spec.dim)
     if bc.admissible and bc.holds and w_mass > 0:
@@ -366,10 +363,6 @@ def exponent_report(spec: ProblemSpec) -> ExponentReport:
     N, p, q, a, rho = spec.dim, spec.p, spec.q, spec.alpha, spec.rho
     vals = {k: None for k in _REPORT_KEYS}
     vals.update(dim=N, p=p, q=q, alpha=a, rho=rho)
-    rep = validate(spec)
-    if not rep.base_ok:
-        vals["regime"] = Regime.INADMISSIBLE
-        return ExponentReport(vals)
     vals["delta"] = delta(a, q)
     vals["sigma"] = sigma(N, p, q)
     vals["p_sigma"] = p * vals["sigma"]

@@ -345,10 +345,15 @@ def cutoff_laplacian_check(
     empirical constant c_emp = sup T |Delta G| / g^(theta-2) is taken from
     the differenced Laplacian over the region g >= 1e-3, where the quotient
     is numerically clean; by design it depends on the cutoff alone, not on
-    T, which the verification suite exercises across decades of T.
+    T, which the verification suite exercises across decades of T.  T must
+    be positive and finite and points at least 3, else ValueError.
     """
     if kind not in CUTOFF_KINDS:
         raise ValueError(f"unknown cutoff kind {kind!r}")
+    if not 0 < T < math.inf:
+        raise ValueError(f"T must be positive and finite, got {T}")
+    if points < 3:
+        raise ValueError(f"points must be >= 3, got {points}")
     theta = CUTOFF_THETA
     y_max = 0.8 if kind == "psi1" else 2.0
     half = math.sqrt(y_max * T) * 1.05
@@ -484,7 +489,10 @@ def certificate_scaling_check(
     same time cutoff with the w integral under the space cutoff; its slope
     must reach rho + 1 (-tol).  The difference of the two slopes estimates
     -theta, the certificate exponent, and its sign is the decisive part.
+    p <= 1 raises ValueError.
     """
+    if not p > 1:
+        raise ValueError(f"p must be > 1, got {p}")
     d = delta(alpha, q)
     kappa = 2.0 * p / (p - 1.0)
     pw = p / (p - 1.0)

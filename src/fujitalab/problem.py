@@ -187,10 +187,14 @@ def gaussian_weighted_integral(
     (pi/(rate+r))^(dim/2) * exp(-(rate*r/(rate+r)) * |center - c|^2) per term.
     ``center`` may also be an array of centres with the space dimension on
     the last axis; the result is then an array shaped like ``center``
-    without that axis, and a float for one centre.
+    without that axis, and a float for one centre.  A term whose centre does
+    not have ``dim`` coordinates raises ValueError.
     """
     if rate <= 0:
         raise ValueError("weight rate must be positive")
+    for t in prof.terms:
+        if len(t.center) != dim:
+            raise ValueError(f"profile center has dim {len(t.center)}, expected {dim}")
     if center is None:
         center = (0.0,) * dim
     center = np.asarray(center, dtype=float)

@@ -157,10 +157,7 @@ def kernel_weight_constant(u0, dim: int | None = None) -> float:
     exp(-|x|^2/t) for t >= 1 under nonnegative data.
     """
     if isinstance(u0, ProfileSpec):
-        if dim is None:
-            if not u0.terms:
-                raise ValueError("dim is required for the zero profile")
-            dim = len(u0.terms[0].center)
+        dim = _profile_dim(u0, dim)
         integral = gaussian_weighted_integral(u0, dim, rate=0.5)
     elif isinstance(u0, GridField):
         dim = u0.dim
@@ -174,6 +171,15 @@ def kernel_weight_constant(u0, dim: int | None = None) -> float:
     else:
         raise TypeError("u0 must be a ProfileSpec or GridField")
     return (4.0 * math.pi) ** (-dim / 2.0) * integral
+
+
+def _profile_dim(u0: ProfileSpec, dim: int | None) -> int:
+    """dim, or the dimension of the profile's first centre when dim is None."""
+    if dim is not None:
+        return dim
+    if not u0.terms:
+        raise ValueError("dim is required for the zero profile")
+    return len(u0.terms[0].center)
 
 
 @dataclass(frozen=True)
@@ -219,11 +225,10 @@ def comparison_lower_bound(
         if float(np.min(u0.values)) < 0:
             return LowerBoundReport((), True, skipped="data is not nonnegative")
     elif isinstance(u0, ProfileSpec):
-        if dim is None:
-            if not u0.terms:
-                raise ValueError("dim is required for the zero profile")
-            dim = len(u0.terms[0].center)
-        probe = np.linspace(-24.0, 24.0, 769)
+        dim = _profile_dim(u0, dim)
+        # about 769^2 probe points in any dimension: 769 per axis in 1-D and
+        # 2-D, 83 in 3-D, so the grid stays tens of MB
+        probe = np.linspace(-24.0, 24.0, min(769, int(769 ** (2 / dim))))
         pts = np.stack(np.meshgrid(*([probe] * dim), indexing="ij"), axis=-1)
         if float(np.min(evaluate_profile(u0, pts))) < -1e-12:
             return LowerBoundReport((), True, skipped="data is not nonnegative")

@@ -20,7 +20,7 @@ so their agreement under refinement is meaningful evidence of correctness
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -57,6 +57,11 @@ MIN_PROBE_RATIO = 1.8
 # sup-over-grid q-norm, and gives up after PICARD_MAX_SWEEPS sweeps.
 PICARD_MAX_SWEEPS = 80
 PICARD_TOL = 1e-10
+# run_from_fields raises RuntimeError once a run has taken MAX_STEPS steps.
+MAX_STEPS = 500_000
+# uniqueness_probe's base level: T / PROBE_NODES per step and PROBE_NODES
+# Picard nodes, both doubled with the grid at each refinement.
+PROBE_NODES = 16
 
 
 class NonContractionError(RuntimeError):
@@ -89,8 +94,6 @@ class SolverConfig:
     blowup_threshold: float = 1e8
     min_dt: float = 1e-12
     adapt: bool = True
-    picard_nodes: int = 32
-    max_steps: int = 500_000
 
     def __post_init__(self):
         if not (0 < self.dt0 < math.inf and 0 < self.t_end < math.inf):
@@ -99,8 +102,6 @@ class SolverConfig:
             raise ValueError("need 0 < min_dt <= dt0")
         if not (0 < self.blowup_threshold < math.inf):
             raise ValueError("blowup_threshold must be positive and finite")
-        if self.picard_nodes < 2:
-            raise ValueError("picard_nodes must be >= 2")
 
     def to_json_dict(self) -> dict:
         return {name: getattr(self, name) for name in self.__dataclass_fields__}
@@ -216,13 +217,15 @@ def run(
     geometry: BoxGeometry | None = None,
 ) -> TrajectoryRecord:
     """Sample the profiles and integrate to t_end or blow-up."""
-    config = config or SolverConfig()
-    geometry = geometry or BoxGeometry()
-    L, M = geometry.resolve(spec.dim)
+    u0, w, plan = _sampled(spec, *(geometry or BoxGeometry()).resolve(spec.dim))
+    return run_from_fields(spec, u0, w, config or SolverConfig(), plan)
+
+
+def _sampled(spec, L, M):
+    """u0, w (None without forcing) and the heat plan on the (L, M) grid."""
     u0 = sample(spec.u0, spec.dim, L, M)
     w = sample(spec.w, spec.dim, L, M) if spec.w.terms else None
-    plan = HeatKernelPlan(spec.dim, M, L)
-    return run_from_fields(spec, u0, w, config, plan)
+    return u0, w, HeatKernelPlan(spec.dim, M, L)
 
 
 def run_from_fields(
@@ -251,7 +254,8 @@ def run_from_fields(
     Crossing the blow-up threshold ends the run, and the end of the crossing
     step is the blow-up time estimate.  With adapt=True the growth cap has
     shrunk that step near blow-up; with adapt=False the estimate is good to
-    one step of dt0.  The record's terminal is the last accepted field.
+    one step of dt0.  The record's terminal is the last accepted field.  A
+    run still short of t_end after MAX_STEPS steps raises RuntimeError.
     """
     t = 0.0
     u = u0
@@ -271,10 +275,14 @@ def run_from_fields(
         if remaining <= 1e-12 * config.t_end:
             verdict = Verdict.COMPLETED
             break
-        if len(times) > config.max_steps:
+        if len(times) > MAX_STEPS:
             raise RuntimeError("step budget exhausted before t_end")
         dt_step = min(dt, remaining)
-        u_new, sup_new = _attempt(spec, u, t, dt_step, plan, w)
+        try:
+            u_new = step(spec, u, t, dt_step, plan, w)
+            sup_new = lq_norm(u_new, math.inf)
+        except BlowupSignal:
+            u_new, sup_new = None, math.inf
         sup_old = sup_norms[-1]
         if sup_old + atol > 0:
             growth = (sup_new - sup_old) / (sup_old + atol)
@@ -312,15 +320,6 @@ def run_from_fields(
     )
 
 
-def _attempt(spec, u, t, dt, plan, w):
-    """One step and its sup norm; (None, inf) when the step overflows."""
-    try:
-        nxt = step(spec, u, t, dt, plan, w)
-        return nxt, lq_norm(nxt, math.inf)
-    except BlowupSignal:
-        return None, math.inf
-
-
 def _run_metadata(spec, config, u0) -> dict:
     min_rate = min(profile_min_rate(spec.u0), profile_min_rate(spec.w))
     L = u0.half_width
@@ -348,10 +347,10 @@ def picard_solve(
     u0: GridField,
     w: GridField | None,
     T: float,
-    config: SolverConfig | None = None,
+    nodes: int = 32,
     plan: HeatKernelPlan | None = None,
 ) -> PicardResult:
-    """Fixed-point sweep of the integral form on a uniform inner time grid.
+    """Fixed-point sweep of the integral form on ``nodes`` uniform time steps.
 
     Each sweep rebuilds every node value from the previous sweep's loads.
     The nonlinear history integral uses the trapezoid rule with exact heat
@@ -370,19 +369,19 @@ def picard_solve(
     Stops when sweeps differ by less than PICARD_TOL in sup-over-grid q-norm.
     The contraction estimate is the first successive-difference quotient,
     the cleanest observable surrogate of the fixed-point map's Lipschitz
-    factor.  w=None means no forcing; a plan for another grid than u0's
-    (or w's) raises ValueError.
+    factor.  w=None means no forcing; nodes < 2 or a plan for another grid
+    than u0's (or w's) raises ValueError.
     """
-    config = config or SolverConfig()
     if T <= 0:
         raise ValueError("T must be positive")
+    if nodes < 2:
+        raise ValueError("nodes must be >= 2")
     rep = validate(spec)
     if not rep.lwp_ok:
         raise ValueError(f"fixed-point hypotheses fail: {rep.failed()}")
     if plan is None:
         plan = HeatKernelPlan.for_field(u0)
-    n = config.picard_nodes
-    dt = T / n
+    dt = T / nodes
     decay = plan.multiplier(dt)
 
     def half_load(u):
@@ -391,7 +390,7 @@ def picard_solve(
     # linear part (heat flow of the data plus full forcing history) is fixed
     linear_hat = [plan.spectrum(u0)]
     w_hat = plan.spectrum(w) if w is not None else None
-    for j in range(n):
+    for j in range(nodes):
         nxt = decay * linear_hat[j]
         if w is not None:
             weight, theta = _forcing_weight(j * dt, dt, spec.rho)
@@ -406,7 +405,7 @@ def picard_solve(
         history = np.zeros_like(load0)
         left = load0
         d = 0.0
-        for j in range(1, n + 1):
+        for j in range(1, nodes + 1):
             # each old node is read once, before the sweep overwrites it
             old = states[j]
             right = half_load(old)
@@ -445,49 +444,42 @@ def uniqueness_probe(
     spec: ProblemSpec,
     T: float = 0.1,
     geometry: BoxGeometry | None = None,
-    config: SolverConfig | None = None,
     levels: int = 2,
 ) -> UniquenessReport:
     """Stepper-vs-Picard discrepancy under simultaneous (dt, h) refinement.
 
     Runs both routes to time T at the base resolution and at ``levels``
-    successive refinements (dt and the inner grid spacing halved, points per
-    axis doubled), and reports the q-norm discrepancies of the terminal
-    states plus their per-level decrease ratios; it passes when every ratio
-    is at least MIN_PROBE_RATIO.  Each level samples the problem record's
-    own profiles on its grid; levels < 1 raises ValueError.
+    successive refinements, and reports the q-norm discrepancies of the
+    terminal states plus their per-level decrease ratios; it passes when
+    every ratio is at least MIN_PROBE_RATIO.  Level lvl takes fixed steps
+    dt = T / PROBE_NODES / 2**lvl on the same PROBE_NODES * 2**lvl Picard
+    nodes, with the points per axis doubled each level.  Each level samples
+    the problem record's own profiles on its grid; levels < 1 raises
+    ValueError.
     """
     if levels < 1:
         raise ValueError("levels must be >= 1")
     rep = validate(spec)
     if not rep.uniq_ok:
         raise ValueError(f"uniqueness hypotheses fail: {rep.failed()}")
-    geometry = geometry or BoxGeometry(points_per_axis=64)
-    config = config or SolverConfig(dt0=T / 16, t_end=T, adapt=False, picard_nodes=16)
-    L, M0 = geometry.resolve(spec.dim)
+    L, M0 = (geometry or BoxGeometry(points_per_axis=64)).resolve(spec.dim)
     discrepancies = []
     details = {"levels": []}
     for lvl in range(levels + 1):
         M = M0 * 2**lvl
-        cfg = replace(
-            config,
-            dt0=config.dt0 / 2**lvl,
-            t_end=T,
-            min_dt=min(config.min_dt, config.dt0 / 2**lvl),
-            adapt=False,
-            picard_nodes=config.picard_nodes * 2**lvl,
-        )
-        u0f = sample(spec.u0, spec.dim, L, M)
-        wf = sample(spec.w, spec.dim, L, M) if spec.w.terms else None
-        plan = HeatKernelPlan(spec.dim, M, L)
-        traj = run_from_fields(spec, u0f, wf, cfg, plan)
+        nodes = PROBE_NODES * 2**lvl
+        dt = T / nodes
+        config = SolverConfig(dt0=dt, t_end=T, min_dt=min(SolverConfig.min_dt, dt),
+                              adapt=False)
+        u0, w, plan = _sampled(spec, L, M)
+        traj = run_from_fields(spec, u0, w, config, plan)
         if traj.verdict != Verdict.COMPLETED:
             raise RuntimeError(f"probe run did not complete: {traj.verdict.value}")
-        pic = picard_solve(spec, u0f, wf, T, cfg, plan)
+        pic = picard_solve(spec, u0, w, T, nodes, plan)
         d = lq_norm(traj.terminal - pic.terminal, spec.q)
         discrepancies.append(d)
         details["levels"].append(
-            {"points_per_axis": M, "dt": cfg.dt0, "picard_nodes": cfg.picard_nodes,
+            {"points_per_axis": M, "dt": dt, "picard_nodes": nodes,
              "discrepancy": d, "picard_iterations": pic.iterations}
         )
     ratios = tuple(

@@ -9,7 +9,9 @@ import sys
 
 import pytest
 
-from fujitalab.cli import main
+from fujitalab.cli import _build_parser, main
+from fujitalab.field import DEFAULT_HALF_WIDTH
+from fujitalab.solver import SolverConfig
 
 GOOD_SPEC = {
     "dim": 2, "p": 3.0, "q": 3.0, "alpha": 0.0, "rho": -0.5,
@@ -188,3 +190,13 @@ def test_sweep_determinism_across_jobs(tmp_path):
         assert proc.returncode == 0, proc.stderr
         outputs[jobs] = (tmp_path / f"sweep_j{jobs}.csv").read_bytes()
     assert outputs["1"] == outputs["2"]
+
+
+def test_run_options_default_to_the_library():
+    parser = _build_parser()
+    defaults = SolverConfig()
+    for command in ("simulate", "sweep"):
+        args = parser.parse_args([command, "--spec", "problem.json"])
+        assert (args.dt0, args.t_end, args.threshold) == (
+            defaults.dt0, defaults.t_end, defaults.blowup_threshold)
+        assert args.half_width == DEFAULT_HALF_WIDTH

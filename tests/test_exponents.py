@@ -6,7 +6,6 @@ everything rational end to end."""
 import math
 import random
 from fractions import Fraction as Fr
-from types import SimpleNamespace
 
 import pytest
 
@@ -203,9 +202,6 @@ def test_classify_regimes():
     assert classify(_spec(3, 1.5, 2.0, 0.0, -0.5)) is Regime.GAP
     assert classify(_spec(2, 3.0, 3.0, 0.0, -0.5)) is Regime.GLOBAL_SMALL_DATA
     assert classify(_spec(3, 3.5, 2.0, 0.0, -0.25, w_coeff=1.0)) is Regime.GAP
-    fake = SimpleNamespace(dim=0, p=2.0, q=2.0, alpha=0.0, rho=0.0,
-                           u0=ProfileSpec.zero(), w=ProfileSpec.zero())
-    assert classify(fake) is Regime.INADMISSIBLE
 
 
 def test_exponent_report_table_and_json():

@@ -251,6 +251,17 @@ def test_cutoff_laplacian_check_takes_one_jet_per_grid(monkeypatch):
         assert len(calls) <= budget, kind
 
 
+def test_oracles_refuse_inputs_outside_their_domain():
+    for T in (-1.0, 0.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="T must be positive and finite"):
+            cutoff_laplacian_check("psi2", T=T)
+    with pytest.raises(ValueError, match="points must be >= 3"):
+        cutoff_laplacian_check("psi2", points=2)
+    for p in (1.0, 0.5):
+        with pytest.raises(ValueError, match="p must be > 1"):
+            certificate_scaling_check(3, p, 1.25, 1.0, -0.5)
+
+
 def test_cutoff_constant_is_t_stable():
     cs = [
         cutoff_laplacian_check("psi2", T=T, dim=1, points=801).c_emp

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from fujitalab.oracles import w_condition_check
 from fujitalab.problem import (
     GaussianTerm,
     InadmissibleError,
@@ -23,6 +24,7 @@ from fujitalab.problem import (
     scale_profile,
     validate,
 )
+from fujitalab.semigroup import kernel_weight_constant
 
 
 def test_profile_kinds():
@@ -176,6 +178,16 @@ def test_inadmissible_values_raise_inadmissible_error():
 def test_center_dimension_must_match():
     with pytest.raises(ValueError):
         ProblemSpec(2, 2.0, 2.0, 0.0, 0.0, ProfileSpec.gaussian(1.0, 1.0, (0.0,)))
+
+
+def test_profile_of_another_dimension_is_refused():
+    # a 2-D Gaussian asked for its 1-D certificate, a 1-D one for a 3-D constant
+    with pytest.raises(ValueError, match="dim"):
+        w_condition_check(ProfileSpec.gaussian(1.0, 1.0, (0.0, 0.0)), 1)
+    with pytest.raises(ValueError, match="dim"):
+        kernel_weight_constant(ProfileSpec.gaussian(1.0, 1.0, (0.0,)), dim=3)
+    with pytest.raises(ValueError, match="dim"):
+        gaussian_weighted_integral(ProfileSpec.gaussian(1.0, 1.0, (0.0,)), 2, 1.0)
 
 
 def test_parameter_bands():

@@ -8,6 +8,7 @@ a-to-b smoothing bound."""
 
 import math
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -153,6 +154,19 @@ def test_kernel_weight_constant_profile_vs_grid():
     with pytest.raises(ValueError):
         kernel_weight_constant(ProfileSpec.zero())
     assert kernel_weight_constant(ProfileSpec.zero(), 2) == 0.0
+
+
+def test_lower_bound_nonnegativity_probe_is_bounded_in_3d():
+    prof = ProfileSpec.gaussian(0.5, 1.0, (0.0, 0.0, 0.0))
+    traj = SimpleNamespace(times=[0.0, 1.0], q_norms=[1.0, 1.0])
+    tracemalloc.start()
+    try:
+        rep = comparison_lower_bound(prof, traj, 2.0, dim=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.skipped is None and len(rep.rows) == 1
+    assert peak < 100e6
 
 
 def _linear_run(u0_prof, dim, t_end, M=128):  # callers take the zero_load fixture

@@ -10,6 +10,7 @@ import math
 import numpy as np
 import pytest
 
+from fujitalab import solver
 from fujitalab.field import BoxGeometry, GridField, lq_norm, sample
 from fujitalab.problem import ProblemSpec, ProfileSpec
 from fujitalab.semigroup import HeatKernelPlan, apply
@@ -172,10 +173,9 @@ def test_step_rejects_a_plan_of_another_geometry():
 def test_picard_rejects_a_plan_of_another_geometry():
     spec = ProblemSpec(1, 2.0, 2.0, 1.0, 0.0, ProfileSpec.gaussian(0.05, 1.0, (0.0,)), ZERO)
     u0 = sample(spec.u0, 1, 16.0, 64)
-    cfg = SolverConfig(picard_nodes=16)
     for plan in (HeatKernelPlan(1, 64, 4.0), HeatKernelPlan(1, 32, 16.0)):
         with pytest.raises(ValueError, match="geometry"):
-            picard_solve(spec, u0, None, 0.1, cfg, plan)
+            picard_solve(spec, u0, None, 0.1, nodes=16, plan=plan)
 
 
 @pytest.mark.usefixtures("zero_load")
@@ -250,8 +250,8 @@ def test_picard_linear_agrees_with_stepper():
     u0 = sample(ProfileSpec.gaussian(0.5, 1.0, (0.0,)), 1, 16.0, 128)
     w = sample(ProfileSpec.gaussian(0.3, 2.0, (0.0,)), 1, 16.0, 128)
     plan = HeatKernelPlan.for_field(u0)
-    cfg = SolverConfig(dt0=0.0125, t_end=0.1, picard_nodes=8)
-    pic = picard_solve(spec, u0, w, 0.1, cfg, plan)
+    cfg = SolverConfig(dt0=0.0125, t_end=0.1)
+    pic = picard_solve(spec, u0, w, 0.1, nodes=8, plan=plan)
     rec = run_from_fields(spec, u0, w, cfg, plan)
     # both routes are exact on the linear problem: agreement to roundoff
     stepper_final_sup = rec.sup_norms[-1]
@@ -265,7 +265,7 @@ def test_picard_contracts_on_small_data():
     spec = ProblemSpec(1, 2.0, 2.0, 1.0, 0.0,
                        ProfileSpec.gaussian(0.05, 1.0, (0.0,)), ZERO)
     u0 = sample(spec.u0, 1, 16.0, 64)
-    pic = picard_solve(spec, u0, None, 0.1, SolverConfig(picard_nodes=16))
+    pic = picard_solve(spec, u0, None, 0.1, nodes=16)
     assert pic.contraction_estimate < 0.5
     assert pic.differences[-1] < 1e-10
     # successive differences decay monotonically once contraction kicks in
@@ -278,7 +278,7 @@ def test_picard_rejects_large_data():
                        ProfileSpec.gaussian(50.0, 1.0, (0.0,)), ZERO)
     u0 = sample(spec.u0, 1, 16.0, 64)
     with pytest.raises((NonContractionError, IterationLimitError)):
-        picard_solve(spec, u0, None, 1.0, SolverConfig(picard_nodes=16))
+        picard_solve(spec, u0, None, 1.0, nodes=16)
 
 
 def _direct_picard(spec, u0, w, T, n, sweeps, plan):
@@ -317,7 +317,7 @@ def test_marched_picard_equals_the_direct_sums():
     u0 = sample(spec.u0, 1, 8.0, 64)
     w = sample(ProfileSpec.gaussian(0.2, 2.0, (-0.5,)), 1, 8.0, 64)
     plan = HeatKernelPlan.for_field(u0)
-    pic = picard_solve(spec, u0, w, 0.2, SolverConfig(picard_nodes=16), plan)
+    pic = picard_solve(spec, u0, w, 0.2, nodes=16, plan=plan)
     assert pic.iterations > 3  # the load history matters
     ref = _direct_picard(spec, u0, w, 0.2, 16, pic.iterations, plan)
     assert np.max(np.abs(pic.terminal.values - ref)) <= 1e-13 * np.max(np.abs(ref))
@@ -337,7 +337,7 @@ def test_forced_picard_makes_at_most_one_multiplier_per_node(monkeypatch):
     u0 = sample(spec.u0, 1, 16.0, 64)
     w = sample(ProfileSpec.gaussian(0.2, 2.0, (0.0,)), 1, 16.0, 64)
     n = 16
-    pic = picard_solve(spec, u0, w, 0.1, SolverConfig(picard_nodes=n))
+    pic = picard_solve(spec, u0, w, 0.1, nodes=n)
     assert pic.iterations > 1
     assert 0 < len(calls) <= n + 1
 
@@ -345,9 +345,17 @@ def test_forced_picard_makes_at_most_one_multiplier_per_node(monkeypatch):
 def test_solver_config_rejects_out_of_range_settings():
     for bad in ({"blowup_threshold": 0.0}, {"blowup_threshold": -1.0},
                 {"blowup_threshold": math.nan}, {"blowup_threshold": math.inf},
-                {"picard_nodes": 1}, {"dt0": math.inf}, {"t_end": math.inf}):
+                {"dt0": math.inf}, {"t_end": math.inf}):
         with pytest.raises(ValueError):
             SolverConfig(**bad)
+
+
+def test_picard_needs_two_nodes():
+    spec = ProblemSpec(1, 2.0, 2.0, 1.0, 0.0,
+                       ProfileSpec.gaussian(0.05, 1.0, (0.0,)), ZERO)
+    u0 = sample(spec.u0, 1, 16.0, 64)
+    with pytest.raises(ValueError, match="nodes"):
+        picard_solve(spec, u0, None, 0.1, nodes=1)
 
 
 def test_picard_requires_lwp_hypotheses():
@@ -393,11 +401,12 @@ def test_fixed_dt_run_returns_the_hand_stepped_terminal():
     assert rec.sup_norms[-1] == lq_norm(u, math.inf)
 
 
-def test_uniqueness_probe_keeps_the_step_budget():
-    # 16 fixed steps at the base level cannot fit a budget of 3
+def test_run_stops_at_the_step_budget(monkeypatch):
+    # 16 fixed steps cannot fit a budget of 3
+    monkeypatch.setattr(solver, "MAX_STEPS", 3)
     spec = ProblemSpec(1, 2.0, 2.0, 1.0, 0.0,
                        ProfileSpec.gaussian(0.05, 1.0, (0.0,)), ZERO)
-    cfg = SolverConfig(dt0=0.1 / 16, t_end=0.1, adapt=False, picard_nodes=16,
-                       max_steps=3)
+    u0 = sample(spec.u0, 1, 16.0, 64)
+    cfg = SolverConfig(dt0=0.1 / 16, t_end=0.1, adapt=False)
     with pytest.raises(RuntimeError, match="step budget exhausted"):
-        uniqueness_probe(spec, T=0.1, config=cfg)
+        run_from_fields(spec, u0, None, cfg, HeatKernelPlan.for_field(u0))
