@@ -28,7 +28,7 @@ def run_one(p, t_end):
     spec = fl.ProblemSpec(3, p, 2.0, 0.0, 0.0, ZERO, W)
     rec = fl.run(spec, fl.SolverConfig(dt0=0.25, t_end=t_end), GEOMETRY)
     print(f"p = {p}:  verdict {rec.verdict.value}  "
-          f"({len(rec.times)} accepted steps)")
+          f"({len(rec.times) - 1} accepted steps)")
     for t, s in history(rec):
         print(f"    t = {t:8.2f}   sup = {s:.6e}")
     if rec.verdict is fl.Verdict.BLOWUP_DETECTED:

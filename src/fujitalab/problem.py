@@ -172,10 +172,20 @@ def evaluate_profile(prof: ProfileSpec, x) -> np.ndarray:
 
 
 def profile_integral(prof: ProfileSpec, dim: int) -> float:
-    """Closed-form integral over all of space: sum of c * (pi/rate)^(dim/2)."""
+    """Closed-form integral over all of space: sum of c * (pi/rate)^(dim/2).
+
+    A term whose centre does not have ``dim`` coordinates raises ValueError.
+    """
     if dim < 1:
         raise ValueError("dim must be >= 1")
+    _check_centers(prof, dim)
     return sum(t.coefficient * (math.pi / t.rate) ** (dim / 2) for t in prof.terms)
+
+
+def _check_centers(prof: ProfileSpec, dim: int) -> None:
+    for t in prof.terms:
+        if len(t.center) != dim:
+            raise ValueError(f"profile center has dim {len(t.center)}, expected {dim}")
 
 
 def gaussian_weighted_integral(
@@ -192,9 +202,7 @@ def gaussian_weighted_integral(
     """
     if rate <= 0:
         raise ValueError("weight rate must be positive")
-    for t in prof.terms:
-        if len(t.center) != dim:
-            raise ValueError(f"profile center has dim {len(t.center)}, expected {dim}")
+    _check_centers(prof, dim)
     if center is None:
         center = (0.0,) * dim
     center = np.asarray(center, dtype=float)

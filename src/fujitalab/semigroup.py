@@ -2,7 +2,10 @@
 
 The workhorse is spectral: multiply the FFT of the field by exp(-t|k|^2).
 ``HeatKernelPlan`` owns the half-spectrum layout and the grid check, so
-``apply``, ``step`` and ``picard_solve`` all transform through it.
+``apply``, ``step``, ``run_from_fields`` and ``picard_solve`` all transform
+through it.  The plan keeps no per-t state: the stepping loop carries the
+spectra of its state and forcing across steps and holds the multipliers of
+its current step size itself.
 ``apply_direct`` instead convolves with the free-space Gaussian kernel as a
 dense quadrature sum (factored axis by axis, which is the same sum reordered);
 the two agree for well-resolved data away from the box boundary and the tests

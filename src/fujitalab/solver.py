@@ -198,17 +198,33 @@ def step(
     spatially constant state with alpha = 0 reduces this to the explicit
     Euler step of u' = |u|^p.  w=None means no forcing.  Overflow anywhere
     surfaces as BlowupSignal rather than NaNs; a field on another grid than
-    the plan's raises ValueError.
+    the plan's raises ValueError.  run_from_fields makes the same sum from
+    the spectra it carries instead of transforming u_n and w every step.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
-    out = plan.spectrum(u_n) * plan.multiplier(dt)
-    load = nonlinearity(u_n, spec.p, spec.q, spec.alpha)
-    out += dt * plan.spectrum(load) * plan.multiplier(dt / 2.0)
-    if w is not None:
+    heat = (plan.multiplier(dt), plan.multiplier(dt / 2.0))
+    w_hat = plan.spectrum(w) if w is not None else None
+    u_hat, load_hat = plan.spectrum(u_n), _load_spectrum(spec, plan, u_n)
+    return plan.field(_step_spectrum(spec, plan, t_n, dt, heat, u_hat, load_hat, w_hat))
+
+
+def _load_spectrum(spec, plan, u):
+    """Half spectrum of the nonlinear load ||u||_q^alpha |u|^p."""
+    return plan.spectrum(nonlinearity(u, spec.p, spec.q, spec.alpha))
+
+
+def _step_spectrum(spec, plan, t_n, dt, heat, u_hat, load_hat, w_hat):
+    """u_hat m(dt) + dt load_hat m(dt/2) + W w_hat m(theta), the summed
+    spectrum of ``step``; heat = (m(dt), m(dt/2)), w_hat=None means no forcing."""
+    m_dt, m_half = heat
+    out = u_hat * m_dt
+    out += dt * load_hat * m_half
+    if w_hat is not None:
         weight, theta = _forcing_weight(t_n, dt, spec.rho)
-        out += weight * plan.spectrum(w) * plan.multiplier(theta)
-    return plan.field(out)
+        m_theta = m_half if theta == dt / 2.0 else plan.multiplier(theta)
+        out += weight * w_hat * m_theta
+    return out
 
 
 def run(
@@ -250,6 +266,13 @@ def run_from_fields(
     of t before the threshold is reached, so the floor is what lets the run
     cross it.  A step that overflows is never accepted: when it still
     overflows at min_dt the run ends step_underflow, an inconclusive verdict.
+    metadata["rejections"] counts refused attempts by cause, "growth" and
+    "overflow" (the refused attempt at min_dt included).
+
+    The loop carries spectra: an accepted step's summed spectrum is the next
+    state's, w and each state's load are transformed once, so an accepted
+    step makes one forward and one inverse transform and a rejected retry
+    one inverse.  m(dt) and m(dt/2) are held for the current dt only.
 
     Crossing the blow-up threshold ends the run, and the end of the crossing
     step is the blow-up time estimate.  With adapt=True the growth cap has
@@ -259,12 +282,16 @@ def run_from_fields(
     """
     t = 0.0
     u = u0
+    u_hat, load_hat = plan.spectrum(u0), None  # a load is kept through retries
+    w_hat = plan.spectrum(w) if w is not None else None
+    heat_dt = None
     dt = min(config.dt0, config.t_end)
     atol = 0.0
     if w is not None:
         first_weight, _ = _forcing_weight(0.0, config.dt0, spec.rho)
         atol = GROWTH_FLOOR * lq_norm(w, math.inf) * first_weight
     min_dt_accepts = 0
+    rejections = {"growth": 0, "overflow": 0}
     times = [0.0]
     q_norms = [lq_norm(u, spec.q)]
     sup_norms = [lq_norm(u, math.inf)]
@@ -278,8 +305,14 @@ def run_from_fields(
         if len(times) > MAX_STEPS:
             raise RuntimeError("step budget exhausted before t_end")
         dt_step = min(dt, remaining)
+        if dt_step != heat_dt:  # m(dt) and m(dt/2), held for one step size
+            heat_dt = dt_step
+            heat = (plan.multiplier(dt_step), plan.multiplier(dt_step / 2.0))
         try:
-            u_new = step(spec, u, t, dt_step, plan, w)
+            if load_hat is None:
+                load_hat = _load_spectrum(spec, plan, u)
+            out = _step_spectrum(spec, plan, t, dt_step, heat, u_hat, load_hat, w_hat)
+            u_new = plan.field(out)
             sup_new = lq_norm(u_new, math.inf)
         except BlowupSignal:
             u_new, sup_new = None, math.inf
@@ -289,7 +322,10 @@ def run_from_fields(
         else:
             growth = math.inf if sup_new > 0 else 0.0
         rejecting = u_new is None or (config.adapt and growth > GROWTH_HALVE)
-        if rejecting and dt_step / 2.0 >= config.min_dt:
+        halving = rejecting and dt_step / 2.0 >= config.min_dt
+        if halving or u_new is None:
+            rejections["overflow" if u_new is None else "growth"] += 1
+        if halving:
             dt = dt_step / 2.0
             continue
         if u_new is None:
@@ -298,7 +334,7 @@ def run_from_fields(
         if rejecting:
             min_dt_accepts += 1
         t += dt_step
-        u = u_new
+        u, u_hat, load_hat = u_new, out, None
         times.append(t)
         q_norms.append(lq_norm(u, spec.q))
         sup_norms.append(sup_new)
@@ -313,6 +349,7 @@ def run_from_fields(
                 dt = dt_step
     metadata = _run_metadata(spec, config, u0)
     metadata["min_dt_accepts"] = min_dt_accepts
+    metadata["rejections"] = rejections
     blowup_estimate = t if verdict is Verdict.BLOWUP_DETECTED else None
     return TrajectoryRecord(
         times, q_norms, sup_norms, dt_history, verdict, blowup_estimate, metadata,
@@ -385,7 +422,7 @@ def picard_solve(
     decay = plan.multiplier(dt)
 
     def half_load(u):
-        return (dt / 2.0) * plan.spectrum(nonlinearity(u, spec.p, spec.q, spec.alpha))
+        return (dt / 2.0) * _load_spectrum(spec, plan, u)
 
     # linear part (heat flow of the data plus full forcing history) is fixed
     linear_hat = [plan.spectrum(u0)]

@@ -69,8 +69,9 @@ def test_profile_integral_matches_quadrature():
     num, err = quad(lambda x: evaluate_profile(prof, x), -np.inf, np.inf)
     assert abs(exact - num) <= 1e-9 + 10 * err
     # dim 2 via separability: each isotropic term integrates per axis
-    exact2 = profile_integral(prof, 2)
-    by_hand = sum(t.coefficient * (math.pi / t.rate) for t in prof.terms)
+    prof2 = ProfileSpec.gaussian_sum([(0.8, 1.0, (0.0, 0.0)), (-1.0, 2.0, (0.3, 0.0))])
+    exact2 = profile_integral(prof2, 2)
+    by_hand = sum(t.coefficient * (math.pi / t.rate) for t in prof2.terms)
     assert exact2 == pytest.approx(by_hand, rel=1e-15)
     with pytest.raises(ValueError):
         profile_integral(prof, 0)
@@ -188,6 +189,9 @@ def test_profile_of_another_dimension_is_refused():
         kernel_weight_constant(ProfileSpec.gaussian(1.0, 1.0, (0.0,)), dim=3)
     with pytest.raises(ValueError, match="dim"):
         gaussian_weighted_integral(ProfileSpec.gaussian(1.0, 1.0, (0.0,)), 2, 1.0)
+    # pi for this 2-D Gaussian, not the 1-D sqrt(pi)
+    with pytest.raises(ValueError, match="dim"):
+        profile_integral(ProfileSpec.gaussian(1.0, 1.0, (0.0, 0.0)), 1)
 
 
 def test_parameter_bands():

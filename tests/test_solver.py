@@ -69,6 +69,8 @@ def test_overflow_at_min_dt_ends_as_step_underflow():
     assert rec.blowup_time_estimate is None
     assert rec.times == [0.0]
     assert rec.metadata["min_dt_accepts"] == 0
+    # halvings from 1e-2 down to min_dt, then the refused attempt at min_dt
+    assert rec.metadata["rejections"] == {"growth": 0, "overflow": 14}
 
 
 @pytest.mark.usefixtures("zero_load")
@@ -397,8 +399,65 @@ def test_fixed_dt_run_returns_the_hand_stepped_terminal():
         dt = min(cfg.dt0, cfg.t_end - t)
         u = step(spec, u, t, dt, plan, w)
         t += dt
-    assert np.array_equal(rec.terminal.values, u.values)
-    assert rec.sup_norms[-1] == lq_norm(u, math.inf)
+    # the run carries the spectrum of its state, which differs from
+    # rfftn(u) by roundoff (4e-16 of the sup norm here)
+    sup = lq_norm(u, math.inf)
+    assert np.max(np.abs(rec.terminal.values - u.values)) <= 1e-14 * sup
+    assert rec.sup_norms[-1] == pytest.approx(sup, rel=1e-14, abs=0.0)
+
+
+def _counted(monkeypatch, plan):
+    """Count forward and inverse transforms and multipliers made on plan."""
+    counts = {"spectrum": 0, "field": 0, "multiplier": 0}
+
+    def counting(name):
+        method = getattr(plan, name)
+
+        def wrapped(*args):
+            counts[name] += 1
+            return method(*args)
+
+        return wrapped
+
+    for name in counts:
+        monkeypatch.setattr(plan, name, counting(name))
+    return counts
+
+
+def test_run_makes_one_forward_and_one_inverse_transform_per_step(monkeypatch):
+    spec = ProblemSpec(2, 2.0, 2.0, 1.0, -0.5,
+                       ProfileSpec.gaussian(0.3, 1.0, (0.0, 0.0)), ZERO)
+    u0 = sample(spec.u0, 2, 8.0, 16)
+    w = sample(ProfileSpec.gaussian(0.2, 2.0, (0.0, 0.0)), 2, 8.0, 16)
+    plan = HeatKernelPlan.for_field(u0)
+    counts = _counted(monkeypatch, plan)
+    rec = run_from_fields(spec, u0, w, SolverConfig(dt0=0.125, t_end=1.0, adapt=False),
+                          plan)
+    accepted = len(rec.times) - 1
+    assert rec.verdict is Verdict.COMPLETED and accepted == 8
+    assert rec.metadata["rejections"] == {"growth": 0, "overflow": 0}
+    # u0 and w once, then one load per state that steps on
+    assert counts["spectrum"] == accepted + 2
+    assert counts["field"] == accepted
+    # m(dt) and m(dt/2) once for the one step size, then m(theta) per step
+    assert counts["multiplier"] <= accepted + 2
+
+
+def test_rejected_steps_reuse_the_spectra_of_the_state(monkeypatch):
+    # u' = u^3 halves its step many times before reaching the threshold
+    spec = ProblemSpec(1, 3.0, 2.0, 0.0, 0.0, ZERO, ZERO)
+    cfg = SolverConfig(dt0=1e-3, t_end=2.0, blowup_threshold=1e8)
+    u0 = _const_field(1.0)
+    plan = HeatKernelPlan.for_field(u0)
+    counts = _counted(monkeypatch, plan)
+    rec = run_from_fields(spec, u0, None, cfg, plan)
+    accepted = len(rec.times) - 1
+    rejections = rec.metadata["rejections"]
+    assert rec.verdict is Verdict.BLOWUP_DETECTED
+    assert rejections["growth"] > 0
+    # every attempt makes one inverse; only accepted states make forward ones
+    assert counts["field"] == accepted + rejections["growth"] + rejections["overflow"]
+    assert counts["spectrum"] == accepted + 1
 
 
 def test_run_stops_at_the_step_budget(monkeypatch):
