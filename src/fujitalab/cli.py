@@ -188,10 +188,14 @@ def _sweep_point(payload) -> tuple:
     sim_spec = dataclasses.replace(spec, u0=u0, w=w)
     record = run(sim_spec, config, geometry)
     verdict = record.verdict.value
+    # The theorem bounds no T*, so a predicted blow-up still running at t_end
+    # is inconclusive, as is a run that ended step_underflow; only a blow-up
+    # of small data contradicts the prediction.
     if regime is Regime.BLOWUP:
-        agreement = "match" if verdict == "blowup_detected" else "mismatch"
+        agreement = "match" if verdict == "blowup_detected" else "inconclusive"
     elif regime is Regime.GLOBAL_SMALL_DATA:
-        agreement = "match" if verdict == "completed" else "mismatch"
+        agreement = {"completed": "match", "blowup_detected": "mismatch"}.get(
+            verdict, "inconclusive")
     else:
         agreement = "not_applicable"
     row = {
@@ -273,7 +277,7 @@ def cmd_sweep(args) -> int:
     for row in rows:
         counts[row["agreement"]] = counts.get(row["agreement"], 0) + 1
     print(f"points: {len(rows)}")
-    for key in ("match", "mismatch", "not_applicable"):
+    for key in ("match", "mismatch", "inconclusive", "not_applicable"):
         if key in counts:
             print(f"{key}: {counts[key]}")
 

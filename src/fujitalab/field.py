@@ -143,17 +143,29 @@ def sample(
 
 
 def lq_norm(f: GridField, q) -> float:
-    """L^q norm by cell sum; q = inf gives the sup norm."""
+    """L^q norm by cell sum; q = inf gives the sup norm.
+
+    The sup norm is max(max v, -min v) and q = 2 is the dot product of the
+    values with themselves: each takes no temporary array.
+    """
+    v = f.values
     if q == math.inf or q == "inf":
-        return float(np.max(np.abs(f.values)))
+        return float(max(v.max(), -v.min()))
     q = float(q)
     if q < 1:
         raise ValueError("q must be >= 1 or inf")
-    with np.errstate(over="raise"):
-        try:
-            total = float(np.sum(np.abs(f.values) ** q))
-        except FloatingPointError as exc:
-            raise BlowupSignal("norm overflow") from exc
+    if q == 2.0:
+        flat = v.reshape(-1)
+        with np.errstate(over="ignore"):
+            total = float(np.dot(flat, flat))
+        if not math.isfinite(total):
+            raise BlowupSignal("norm overflow")
+    else:
+        with np.errstate(over="raise"):
+            try:
+                total = float(np.sum(np.abs(v) ** q))
+            except FloatingPointError as exc:
+                raise BlowupSignal("norm overflow") from exc
     return (total * f.cell_volume) ** (1.0 / q)
 
 
@@ -171,10 +183,32 @@ def nonlocal_factor(f: GridField, q, alpha: float) -> float:
     return float(out)
 
 
-def nonlinearity(f: GridField, p: float, q, alpha: float) -> GridField:
-    """Pointwise load ||f||_q^alpha * |f|^p; overflow surfaces as BlowupSignal."""
+def nonlinearity(f: GridField, p: float, q, alpha: float,
+                 out: np.ndarray | None = None) -> GridField:
+    """Pointwise load ||f||_q^alpha * |f|^p; overflow surfaces as BlowupSignal.
+
+    The load is computed in place in ``out`` (None allocates, as in numpy;
+    out must not be f's own values) and the returned field is backed by it.
+    An integral p is raised by square-and-multiply, which for p = 2 is the
+    one product |f| |f|; any other p goes through pow.
+    """
     factor = nonlocal_factor(f, q, alpha)
+    v = np.abs(f.values, out=out)
     with np.errstate(over="ignore", invalid="ignore"):
-        out = factor * np.abs(f.values) ** p
-    return f.with_values(out)  # constructor turns non-finite into BlowupSignal
+        if float(p).is_integer() and p >= 1:
+            # |f|^n by the bits of n after the leading one; multiplying by
+            # the signed f instead of |f| rounds the same, and a final abs
+            # clears the sign an odd n leaves
+            n = int(p)
+            for bit in bin(n)[3:]:
+                v *= v
+                if bit == "1":
+                    v *= f.values
+            if n % 2 and n > 1:
+                np.abs(v, out=v)
+        else:
+            np.power(v, p, out=v)
+        if factor != 1.0:
+            v *= factor
+    return f.with_values(v)  # constructor turns non-finite into BlowupSignal
 

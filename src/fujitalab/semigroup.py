@@ -3,9 +3,11 @@
 The workhorse is spectral: multiply the FFT of the field by exp(-t|k|^2).
 ``HeatKernelPlan`` owns the half-spectrum layout and the grid check, so
 ``apply``, ``step``, ``run_from_fields`` and ``picard_solve`` all transform
-through it.  The plan keeps no per-t state: the stepping loop carries the
-spectra of its state and forcing across steps and holds the multipliers of
-its current step size itself.
+through it.  The plan keeps no per-t state and no buffers: ``spectrum``,
+``field`` and ``multiplier`` write into an ``out`` array when given one, so
+the stepping loop and the Picard sweep work in buffers that each run
+allocates once, and hold the multipliers of their current step size
+themselves.
 ``apply_direct`` instead convolves with the free-space Gaussian kernel as a
 dense quadrature sum (factored axis by axis, which is the same sum reordered);
 the two agree for well-resolved data away from the box boundary and the tests
@@ -42,6 +44,8 @@ class HeatKernelPlan:
 
     ``spectrum`` (with the check that a field lies on the grid) and ``field``
     are the one forward and one inverse transform; no per-t state is kept.
+    Each method writes into ``out`` when given one; None allocates, as in
+    numpy.
     """
 
     def __init__(self, dim: int, points_per_axis: int, half_width: float):
@@ -61,20 +65,23 @@ class HeatKernelPlan:
     def for_field(cls, f: GridField) -> "HeatKernelPlan":
         return cls(*f.grid)
 
-    def multiplier(self, t: float) -> np.ndarray:
+    def multiplier(self, t: float, out: np.ndarray | None = None) -> np.ndarray:
         """exp(-t |k|^2), computed per call; k = 0 maps to 1, so means are kept."""
-        return np.exp(-t * self.ksq)
+        out = np.multiply(self.ksq, -t, out=out)
+        return np.exp(out, out=out)
 
-    def spectrum(self, f: GridField) -> np.ndarray:
+    def spectrum(self, f: GridField, out: np.ndarray | None = None) -> np.ndarray:
         """Half spectrum of f; ValueError when f lies on another grid."""
         if f.grid != self.grid:
             raise ValueError("plan geometry does not match the field")
-        return np.fft.rfftn(f.values)
+        return np.fft.rfftn(f.values, out=out)
 
-    def field(self, h: np.ndarray) -> GridField:
-        """Field on the plan's grid with half spectrum h; non-finite is BlowupSignal."""
+    def field(self, h: np.ndarray, out: np.ndarray | None = None) -> GridField:
+        """Field on the plan's grid with half spectrum h, backed by out when
+        given; h is left intact and non-finite values are BlowupSignal."""
         dim, M, half_width = self.grid
-        return GridField(dim, half_width, np.fft.irfftn(h, s=(M,) * dim, axes=range(dim)))
+        values = np.fft.irfftn(h, s=(M,) * dim, axes=range(dim), out=out)
+        return GridField(dim, half_width, values)
 
 
 def apply(plan: HeatKernelPlan, f: GridField, t: float) -> GridField:

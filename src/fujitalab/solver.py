@@ -203,27 +203,61 @@ def step(
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
-    heat = (plan.multiplier(dt), plan.multiplier(dt / 2.0))
+    heat = _StepHeat(plan)
+    heat.hold(dt)
     w_hat = plan.spectrum(w) if w is not None else None
     u_hat, load_hat = plan.spectrum(u_n), _load_spectrum(spec, plan, u_n)
-    return plan.field(_step_spectrum(spec, plan, t_n, dt, heat, u_hat, load_hat, w_hat))
+    return plan.field(_step_spectrum(spec, heat, t_n, u_hat, load_hat, w_hat))
 
 
-def _load_spectrum(spec, plan, u):
-    """Half spectrum of the nonlinear load ||u||_q^alpha |u|^p."""
-    return plan.spectrum(nonlinearity(u, spec.p, spec.q, spec.alpha))
+class _StepHeat:
+    """The heat multipliers of one step size, held in place.
+
+    ``hold(dt)`` fills m(dt), m(dt/2) and dt m(dt/2) when dt changes; the
+    scalar dt is folded into the real multiplier before any complex product.
+    ``forcing`` writes W m(theta) into one scratch buffer.
+    """
+
+    def __init__(self, plan: HeatKernelPlan):
+        self.plan = plan
+        self.dt = None
+        shape = plan.ksq.shape
+        self.m_dt, self.m_half, self.dt_m_half, self.m_theta = (
+            np.empty(shape) for _ in range(4)
+        )
+
+    def hold(self, dt: float) -> None:
+        if dt != self.dt:
+            self.dt = dt
+            self.plan.multiplier(dt, out=self.m_dt)
+            self.plan.multiplier(dt / 2.0, out=self.m_half)
+            np.multiply(self.m_half, dt, out=self.dt_m_half)
+
+    def forcing(self, weight: float, theta: float) -> np.ndarray:
+        """W m(theta), reusing m(dt/2) when theta is exactly dt/2."""
+        if theta == self.dt / 2.0:
+            return np.multiply(self.m_half, weight, out=self.m_theta)
+        self.plan.multiplier(theta, out=self.m_theta)
+        self.m_theta *= weight
+        return self.m_theta
 
 
-def _step_spectrum(spec, plan, t_n, dt, heat, u_hat, load_hat, w_hat):
-    """u_hat m(dt) + dt load_hat m(dt/2) + W w_hat m(theta), the summed
-    spectrum of ``step``; heat = (m(dt), m(dt/2)), w_hat=None means no forcing."""
-    m_dt, m_half = heat
-    out = u_hat * m_dt
-    out += dt * load_hat * m_half
+def _load_spectrum(spec, plan, u, out=None, work=None):
+    """Half spectrum of the nonlinear load ||u||_q^alpha |u|^p, into out;
+    the load field is made in work.  None allocates, as in numpy."""
+    return plan.spectrum(nonlinearity(u, spec.p, spec.q, spec.alpha, out=work), out=out)
+
+
+def _step_spectrum(spec, heat, t_n, u_hat, load_hat, w_hat, out=None, work=None):
+    """u_hat m(dt) + load_hat dt m(dt/2) + w_hat W m(theta) for the step size
+    heat holds: the summed spectrum of ``step``, made in out with each
+    product in work (None allocates, as in numpy).  w_hat=None means no
+    forcing."""
+    out = np.multiply(u_hat, heat.m_dt, out=out)
+    out += np.multiply(load_hat, heat.dt_m_half, out=work)
     if w_hat is not None:
-        weight, theta = _forcing_weight(t_n, dt, spec.rho)
-        m_theta = m_half if theta == dt / 2.0 else plan.multiplier(theta)
-        out += weight * w_hat * m_theta
+        weight, theta = _forcing_weight(t_n, heat.dt, spec.rho)
+        out += np.multiply(w_hat, heat.forcing(weight, theta), out=work)
     return out
 
 
@@ -272,7 +306,12 @@ def run_from_fields(
     The loop carries spectra: an accepted step's summed spectrum is the next
     state's, w and each state's load are transformed once, so an accepted
     step makes one forward and one inverse transform and a rejected retry
-    one inverse.  m(dt) and m(dt/2) are held for the current dt only.
+    one inverse.  m(dt) and dt m(dt/2) are held for the current dt only.
+    The loop works in buffers the run allocates once: a ping-pong pair for
+    the state's spectrum and the summed one, one load spectrum, one product
+    scratch, one real load field, and one spare field that the attempt is
+    transformed into and that trades places with the accepted state.  It
+    never writes into u0 or w.
 
     Crossing the blow-up threshold ends the run, and the end of the crossing
     step is the blow-up time estimate.  With adapt=True the growth cap has
@@ -283,8 +322,10 @@ def run_from_fields(
     t = 0.0
     u = u0
     u_hat, load_hat = plan.spectrum(u0), None  # a load is kept through retries
+    out, load_buf, work = (np.empty_like(u_hat) for _ in range(3))
+    load_field, spare = np.empty(u0.values.shape), np.empty(u0.values.shape)
     w_hat = plan.spectrum(w) if w is not None else None
-    heat_dt = None
+    heat = _StepHeat(plan)
     dt = min(config.dt0, config.t_end)
     atol = 0.0
     if w is not None:
@@ -305,14 +346,12 @@ def run_from_fields(
         if len(times) > MAX_STEPS:
             raise RuntimeError("step budget exhausted before t_end")
         dt_step = min(dt, remaining)
-        if dt_step != heat_dt:  # m(dt) and m(dt/2), held for one step size
-            heat_dt = dt_step
-            heat = (plan.multiplier(dt_step), plan.multiplier(dt_step / 2.0))
+        heat.hold(dt_step)
         try:
             if load_hat is None:
-                load_hat = _load_spectrum(spec, plan, u)
-            out = _step_spectrum(spec, plan, t, dt_step, heat, u_hat, load_hat, w_hat)
-            u_new = plan.field(out)
+                load_hat = _load_spectrum(spec, plan, u, out=load_buf, work=load_field)
+            _step_spectrum(spec, heat, t, u_hat, load_hat, w_hat, out=out, work=work)
+            u_new = plan.field(out, out=spare)
             sup_new = lq_norm(u_new, math.inf)
         except BlowupSignal:
             u_new, sup_new = None, math.inf
@@ -334,7 +373,9 @@ def run_from_fields(
         if rejecting:
             min_dt_accepts += 1
         t += dt_step
-        u, u_hat, load_hat = u_new, out, None
+        # the old state's buffers are free now, except u0, which is the caller's
+        spare = u.values if u is not u0 else np.empty_like(spare)
+        u, u_hat, out, load_hat = u_new, out, u_hat, None
         times.append(t)
         q_norms.append(lq_norm(u, spec.q))
         sup_norms.append(sup_new)
@@ -401,7 +442,12 @@ def picard_solve(
     recursions in the one multiplier S(dt): L_{j+1} = S(dt) L_j +
     W_j S(theta_j) w for data and forcing, and H_{j+1} = S(dt) (H_j +
     dt/2 N_j) + dt/2 N_{j+1} for the loads of each sweep.  Unrolled they are
-    the same sums, at O(n) spectral operations per sweep.
+    the same sums, at O(n) spectral operations per sweep.  Besides the fixed
+    linear part, a sweep works in buffers the solve allocates once: one
+    history H, updated in place, one load spectrum, one sum scratch, one real
+    load field, and one spare node field that each new node value is
+    transformed into; the replaced node's buffer takes the sweep difference
+    and becomes the next spare.  u0 is never written.
 
     Stops when sweeps differ by less than PICARD_TOL in sup-over-grid q-norm.
     The contraction estimate is the first successive-difference quotient,
@@ -420,9 +466,12 @@ def picard_solve(
         plan = HeatKernelPlan.for_field(u0)
     dt = T / nodes
     decay = plan.multiplier(dt)
+    load_field = np.empty(u0.values.shape)
 
-    def half_load(u):
-        return (dt / 2.0) * _load_spectrum(spec, plan, u)
+    def half_load(u, out=None):
+        out = _load_spectrum(spec, plan, u, out=out, work=load_field)
+        out *= dt / 2.0
+        return out
 
     # linear part (heat flow of the data plus full forcing history) is fixed
     linear_hat = [plan.spectrum(u0)]
@@ -436,20 +485,26 @@ def picard_solve(
 
     states = [u0] + [plan.field(h) for h in linear_hat[1:]]
     load0 = half_load(u0)
+    load, history, work = (np.empty_like(load0) for _ in range(3))
+    spare = np.empty_like(load_field)
     diffs = []
     grow_streak = 0
     for _ in range(PICARD_MAX_SWEEPS):
-        history = np.zeros_like(load0)
+        history[...] = 0.0
         left = load0
         d = 0.0
         for j in range(1, nodes + 1):
             # each old node is read once, before the sweep overwrites it
             old = states[j]
-            right = half_load(old)
-            history = decay * (history + left) + right
-            left = right
-            states[j] = plan.field(linear_hat[j] + history)
-            d = max(d, lq_norm(states[j] - old, spec.q))
+            history += left
+            history *= decay
+            left = half_load(old, out=load)  # the right end, and the next left
+            history += left
+            new = plan.field(np.add(linear_hat[j], history, out=work), out=spare)
+            # old's buffer takes the difference, then becomes the next spare
+            diff = np.subtract(new.values, old.values, out=old.values)
+            d = max(d, lq_norm(old.with_values(diff), spec.q))
+            states[j], spare = new, old.values
         diffs.append(d)
         if d < PICARD_TOL:
             break

@@ -20,7 +20,7 @@ def _package_on_subprocess_path():
 def zero_load(monkeypatch):
     """Pure heat flow plus forcing: the solver's nonlinear load is zero."""
 
-    def zero(f, p, q, alpha):
+    def zero(f, p, q, alpha, out=None):
         return f.with_values(np.zeros_like(f.values))
 
     monkeypatch.setattr("fujitalab.solver.nonlinearity", zero)

@@ -11,7 +11,7 @@ import pytest
 
 from fujitalab.cli import _build_parser, main
 from fujitalab.field import DEFAULT_HALF_WIDTH
-from fujitalab.solver import SolverConfig
+from fujitalab.solver import SolverConfig, TrajectoryRecord, Verdict
 
 GOOD_SPEC = {
     "dim": 2, "p": 3.0, "q": 3.0, "alpha": 0.0, "rho": -0.5,
@@ -117,6 +117,47 @@ def test_sweep_stdout_and_counts(tmp_path, capsys):
     lines = [ln for ln in out.splitlines() if ln.count(",") >= 10]
     assert lines[0].startswith("index,p,q,alpha,rho,")
     assert len(lines) == 4  # header + 3 rows
+
+
+def _sweep_rows(out):
+    return [ln.split(",") for ln in out.splitlines() if ln[:1].isdigit()]
+
+
+def test_sweep_calls_an_unfinished_predicted_blowup_inconclusive(tmp_path, capsys):
+    # the theorem rules out a global solution but bounds no T*: a predicted
+    # blow-up still running at t_end neither matches nor contradicts it
+    spec = _write_spec(tmp_path, {
+        "dim": 3, "p": 2.0, "q": 2.0, "alpha": 0.0, "rho": -0.5,
+        "u0": {"kind": "gaussian_sum", "terms": [[0.5, 1.0, [0.0, 0.0, 0.0]]]},
+        "w": {"kind": "gaussian_sum", "terms": [[0.3, 2.0, [0.0, 0.0, 0.0]]]},
+    })
+    assert main(["sweep", "--spec", spec, "--axis", "p=1.2:1.6:3",
+                 "--t-end", "1", "--points", "16"]) == 0
+    out = capsys.readouterr().out
+    assert "inconclusive: 3" in out and "mismatch" not in out
+    assert [r[5:8] for r in _sweep_rows(out)] == [["blowup", "completed", "inconclusive"]] * 3
+
+
+def test_sweep_keeps_mismatch_for_a_small_data_blowup(tmp_path, capsys, monkeypatch):
+    verdicts = iter([Verdict.BLOWUP_DETECTED, Verdict.STEP_UNDERFLOW, Verdict.COMPLETED])
+
+    def scripted_run(spec, config, geometry):
+        verdict = next(verdicts)
+        t_star = 1.0 if verdict is Verdict.BLOWUP_DETECTED else None
+        return TrajectoryRecord([0.0, 1.0], [1.0, 1.0], [1.0, 1.0], [0.0, 1.0],
+                                verdict, t_star)
+
+    monkeypatch.setattr("fujitalab.cli.run", scripted_run)
+    spec = _write_spec(tmp_path, GOOD_SPEC)
+    assert main(["sweep", "--spec", spec, "--axis", "p=3.0:3.2:3",
+                 "--points", "16"]) == 0
+    out = capsys.readouterr().out
+    assert [r[5:8] for r in _sweep_rows(out)] == [
+        ["global_small_data", "blowup_detected", "mismatch"],
+        ["global_small_data", "step_underflow", "inconclusive"],
+        ["global_small_data", "completed", "match"],
+    ]
+    assert "match: 1\nmismatch: 1\ninconclusive: 1\n" in out
 
 
 def test_sweep_two_axes_and_inadmissible_rows(tmp_path, capsys):

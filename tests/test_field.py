@@ -54,6 +54,9 @@ def test_lq_norm_gaussian_closed_form():
             exact = 0.7 * (math.pi / q) ** (dim / (2 * q))
             assert lq_norm(f, q) == pytest.approx(exact, rel=1e-12)
         assert lq_norm(f, math.inf) == pytest.approx(0.7, rel=1e-12)
+        # the q = 2 dot product sums in another order than the plain sum
+        plain = math.sqrt(np.sum(np.abs(f.values) ** 2.0) * f.cell_volume)
+        assert lq_norm(f, 2.0) == pytest.approx(plain, rel=1e-14)
 
 
 def test_lq_norm_rejects_small_q():
@@ -72,10 +75,20 @@ def test_nonlocal_factor_conventions():
 def test_nonlinearity_is_nonnegative_power():
     prof = ProfileSpec.gaussian_sum([(1.0, 1.0, (0.0,)), (-2.0, 1.0, (3.0,))])
     f = sample(prof, 1, 16.0, 128)
-    load = nonlinearity(f, 3.0, 2.0, 1.0)
-    expected = lq_norm(f, 2.0) * np.abs(f.values) ** 3.0
-    assert np.allclose(load.values, expected, rtol=1e-13)
-    assert load.values.min() >= 0.0  # |u|^p, not sign-carrying
+    before = f.values.copy()
+    for p in (1.0, 2.0, 2.5, 3.0, 4.0):
+        # integral p is raised by repeated multiplication, the rest by pow
+        load = nonlinearity(f, p, 2.0, 1.0)
+        expected = lq_norm(f, 2.0) * np.abs(f.values) ** p
+        np.testing.assert_allclose(load.values, expected, rtol=1e-13, atol=0.0)
+        assert load.values.min() >= 0.0  # |u|^p, not sign-carrying
+        buf = np.full_like(f.values, np.nan)
+        into = nonlinearity(f, p, 2.0, 1.0, out=buf)
+        assert into.values is buf
+        assert np.array_equal(into.values, load.values)
+    assert np.array_equal(f.values, before)
+    # p = 2 is the one product |f| |f|, bit for bit what ** 2.0 gives
+    assert np.array_equal(nonlinearity(f, 2.0, 2.0, 0.0).values, np.abs(f.values) ** 2.0)
 
 
 def test_overflow_surfaces_as_blowup_signal():
@@ -85,9 +98,17 @@ def test_overflow_surfaces_as_blowup_signal():
     with pytest.raises(BlowupSignal):
         nonlocal_factor(f, 1.0, 2.0)
     with pytest.raises(BlowupSignal):
+        lq_norm(f, 3.0)
+    with pytest.raises(BlowupSignal):
         nonlinearity(f, 2.0, 2.0, 0.0)
     with pytest.raises(BlowupSignal):
+        nonlinearity(f, 2.0, 2.0, 0.0, out=np.empty(16))
+    with pytest.raises(BlowupSignal):
         GridField(1, 8.0, np.array([0.0, math.inf] + [0.0] * 14))
+    # a finite field spanning +-1e308 is no overflow, and its sup norm is
+    # exact when the largest magnitude is negative
+    wide = GridField(1, 8.0, np.array([1e308, -1.5e308] + [0.0] * 14))
+    assert lq_norm(wide, math.inf) == 1.5e308
 
 
 def test_geometry_validation():

@@ -406,6 +406,49 @@ def test_fixed_dt_run_returns_the_hand_stepped_terminal():
     assert rec.sup_norms[-1] == pytest.approx(sup, rel=1e-14, abs=0.0)
 
 
+def test_runs_never_write_into_the_callers_fields():
+    spec = ProblemSpec(1, 2.0, 2.0, 1.0, -0.5,
+                       ProfileSpec.gaussian(0.3, 1.0, (0.0,)), ZERO)
+    u0 = sample(spec.u0, 1, 16.0, 64)
+    w = sample(ProfileSpec.gaussian(0.2, 2.0, (0.0,)), 1, 16.0, 64)
+    u0_before, w_before = u0.values.copy(), w.values.copy()
+    plan = HeatKernelPlan.for_field(u0)
+    cfg = SolverConfig(dt0=0.05, t_end=0.5)
+    first = run_from_fields(spec, u0, w, cfg, plan)
+    assert np.array_equal(u0.values, u0_before) and np.array_equal(w.values, w_before)
+    kept = first.terminal.values.copy()
+    second = run_from_fields(spec, u0, w, cfg, plan)
+    assert np.array_equal(first.terminal.values, kept)
+    assert not np.shares_memory(first.terminal.values, second.terminal.values)
+
+    pic = picard_solve(spec, u0, w, 0.1, nodes=8, plan=plan)
+    assert np.array_equal(u0.values, u0_before) and np.array_equal(w.values, w_before)
+    kept = pic.terminal.values.copy()
+    picard_solve(spec, u0, w, 0.1, nodes=8, plan=plan)
+    assert np.array_equal(pic.terminal.values, kept)
+
+
+def test_rejected_attempts_leave_the_state_and_terminal_alone():
+    # u' = u^3 from dt0 = 0.25 rejects attempts all the way to the threshold;
+    # each retry must start from the accepted state, so replaying the
+    # accepted step sizes with `step` gives the run's terminal
+    spec = ProblemSpec(1, 3.0, 2.0, 0.0, 0.0, ZERO, ZERO)
+    u0 = _const_field(1.0)
+    plan = HeatKernelPlan.for_field(u0)
+    rec = run_from_fields(spec, u0, None,
+                          SolverConfig(dt0=0.25, t_end=2.0, blowup_threshold=10.0), plan)
+    assert rec.verdict is Verdict.BLOWUP_DETECTED
+    assert rec.metadata["rejections"]["growth"] > 3
+    assert np.all(u0.values == 1.0)
+    assert lq_norm(rec.terminal, math.inf) == rec.sup_norms[-1]
+    u, t = u0, 0.0
+    for dt in rec.dt_history[1:]:
+        u = step(spec, u, t, dt, plan)
+        t += dt
+    sup = lq_norm(u, math.inf)
+    assert np.max(np.abs(rec.terminal.values - u.values)) <= 1e-13 * sup
+
+
 def _counted(monkeypatch, plan):
     """Count forward and inverse transforms and multipliers made on plan."""
     counts = {"spectrum": 0, "field": 0, "multiplier": 0}
@@ -413,9 +456,9 @@ def _counted(monkeypatch, plan):
     def counting(name):
         method = getattr(plan, name)
 
-        def wrapped(*args):
+        def wrapped(*args, **kw):
             counts[name] += 1
-            return method(*args)
+            return method(*args, **kw)
 
         return wrapped
 
