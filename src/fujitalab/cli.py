@@ -21,6 +21,7 @@ import math
 import os
 import sys
 import time
+import traceback
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
@@ -159,7 +160,12 @@ _SWEEP_COLUMNS = (
 
 
 def _sweep_point(payload) -> tuple:
-    """Worker for one grid point; must stay module-level for process pools."""
+    """Worker for one grid point; must stay module-level for process pools.
+
+    A point whose integration raises becomes an ``error:<ExceptionClass>``
+    row with empty result columns, and the traceback goes to stderr, so
+    the other points of the sweep still run.
+    """
     idx, base_json, assignment, amplitude, epsilon, config, geometry = payload
     doc = dict(base_json)
     doc.update(assignment)
@@ -172,6 +178,44 @@ def _sweep_point(payload) -> tuple:
                    blowup_time="")
         return idx, row
     regime = classify(spec)
+    row = {
+        "index": idx,
+        "p": float(spec.p), "q": float(spec.q),
+        "alpha": float(spec.alpha), "rho": float(spec.rho),
+        "predicted": regime.value,
+    }
+    try:
+        record = _simulate_point(spec, regime, amplitude, epsilon, config, geometry)
+    except Exception as exc:
+        print(f"sweep point {idx} failed:", file=sys.stderr)
+        traceback.print_exc(file=sys.stderr)
+        row.update(verdict=f"error:{type(exc).__name__}", agreement="inconclusive",
+                   t_final="", sup_final="", blowup_time="")
+        return idx, row
+    verdict = record.verdict.value
+    # The theorem bounds no T*, so a predicted blow-up still running at t_end
+    # is inconclusive, as is a run that ended step_underflow; only a blow-up
+    # of small data contradicts the prediction.
+    if regime is Regime.BLOWUP:
+        agreement = "match" if verdict == "blowup_detected" else "inconclusive"
+    elif regime is Regime.GLOBAL_SMALL_DATA:
+        agreement = {"completed": "match", "blowup_detected": "mismatch"}.get(
+            verdict, "inconclusive")
+    else:
+        agreement = "not_applicable"
+    row.update(
+        verdict=verdict,
+        agreement=agreement,
+        t_final=repr(record.times[-1]),
+        sup_final=repr(record.sup_norms[-1]),
+        blowup_time="" if record.blowup_time_estimate is None
+        else repr(record.blowup_time_estimate),
+    )
+    return idx, row
+
+
+def _simulate_point(spec, regime, amplitude, epsilon, config, geometry):
+    """The sweep's run of one admissible point, small data rescaled to epsilon."""
     u0 = scale_profile(spec.u0, amplitude)
     w = spec.w
     if regime is Regime.GLOBAL_SMALL_DATA:
@@ -185,32 +229,7 @@ def _sweep_point(payload) -> tuple:
             s = epsilon / biggest
             u0 = scale_profile(u0, s)
             w = scale_profile(w, s)
-    sim_spec = dataclasses.replace(spec, u0=u0, w=w)
-    record = run(sim_spec, config, geometry)
-    verdict = record.verdict.value
-    # The theorem bounds no T*, so a predicted blow-up still running at t_end
-    # is inconclusive, as is a run that ended step_underflow; only a blow-up
-    # of small data contradicts the prediction.
-    if regime is Regime.BLOWUP:
-        agreement = "match" if verdict == "blowup_detected" else "inconclusive"
-    elif regime is Regime.GLOBAL_SMALL_DATA:
-        agreement = {"completed": "match", "blowup_detected": "mismatch"}.get(
-            verdict, "inconclusive")
-    else:
-        agreement = "not_applicable"
-    row = {
-        "index": idx,
-        "p": float(spec.p), "q": float(spec.q),
-        "alpha": float(spec.alpha), "rho": float(spec.rho),
-        "predicted": regime.value,
-        "verdict": verdict,
-        "agreement": agreement,
-        "t_final": repr(record.times[-1]),
-        "sup_final": repr(record.sup_norms[-1]),
-        "blowup_time": "" if record.blowup_time_estimate is None
-        else repr(record.blowup_time_estimate),
-    }
-    return idx, row
+    return run(dataclasses.replace(spec, u0=u0, w=w), config, geometry)
 
 
 def _parse_axis(text: str):
@@ -276,8 +295,11 @@ def cmd_sweep(args) -> int:
     counts = {}
     for row in rows:
         counts[row["agreement"]] = counts.get(row["agreement"], 0) + 1
+    errors = sum(row["verdict"].startswith("error:") for row in rows)
+    if errors:
+        counts["error"] = errors
     print(f"points: {len(rows)}")
-    for key in ("match", "mismatch", "inconclusive", "not_applicable"):
+    for key in ("match", "mismatch", "inconclusive", "not_applicable", "error"):
         if key in counts:
             print(f"{key}: {counts[key]}")
 
@@ -300,8 +322,10 @@ def cmd_verify(args) -> int:
     verdicts = {}
     all_ok = True
     for name in names:
+        start = time.perf_counter()
         passed, detail = LEMMAS[name](args.tolerance_scale)
-        verdicts[name] = {"passed": passed, "detail": detail}
+        verdicts[name] = {"passed": passed, "detail": detail,
+                          "seconds": time.perf_counter() - start}
         all_ok = all_ok and passed
         print(f"{'PASS' if passed else 'FAIL'} {name}: {detail}")
     if args.out:

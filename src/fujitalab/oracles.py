@@ -64,6 +64,7 @@ CERT_T_LIST = (1e2, 1e3, 1e4)     # scales T of the certificate's slope fits
 CERT_TIME_POINTS = 4097           # Simpson nodes of the time cutoff
 CERT_RADIAL_POINTS = 4097         # Simpson nodes of the radial space factor
 CERT_SPACE_POINTS = 65            # trapezoid nodes per axis of the w integral
+BLOCK_BYTES = 512 * 1024          # bytes per float row block of the 2-D cutoff check
 
 # ---------------------------------------------------------------------------
 # scalar product inequality
@@ -345,8 +346,10 @@ def cutoff_laplacian_check(
     empirical constant c_emp = sup T |Delta G| / g^(theta-2) is taken from
     the differenced Laplacian over the region g >= 1e-3, where the quotient
     is numerically clean; by design it depends on the cutoff alone, not on
-    T, which the verification suite exercises across decades of T.  T must
-    be positive and finite and points at least 3, else ValueError.
+    T, which the verification suite exercises across decades of T.  The
+    2-D grid is taken in row blocks of about BLOCK_BYTES per array, so its
+    memory does not grow with points**2.  T must be positive and finite,
+    points at least 3 and dim 1 or 2, else ValueError.
     """
     if kind not in CUTOFF_KINDS:
         raise ValueError(f"unknown cutoff kind {kind!r}")
@@ -354,38 +357,49 @@ def cutoff_laplacian_check(
         raise ValueError(f"T must be positive and finite, got {T}")
     if points < 3:
         raise ValueError(f"points must be >= 3, got {points}")
+    if dim not in (1, 2):
+        raise ValueError("finite-difference check supports dim 1 or 2")
     theta = CUTOFF_THETA
     y_max = 0.8 if kind == "psi1" else 2.0
     half = math.sqrt(y_max * T) * 1.05
 
-    def fd_error_and_ratio(n):
+    def fd_blocks(n):
+        """(lap_fd, jet, y, inner) per block; lap_fd sits on jet[inner]."""
         x = np.linspace(-half, half, n)
         h = x[1] - x[0]
         if dim == 1:
             y = x**2 / T
             jet = cutoff_jet(kind, y)
             G = jet[0] ** theta
-            lap_fd = (G[2:] - 2.0 * G[1:-1] + G[:-2]) / h**2
-            inner = np.s_[1:-1]
-        elif dim == 2:
-            xx, yy = np.meshgrid(x, x, indexing="ij")
-            y = (xx**2 + yy**2) / T
+            yield (G[2:] - 2.0 * G[1:-1] + G[:-2]) / h**2, jet, y, np.s_[1:-1]
+            return
+        # dim 2: inner rows [i0, i1) plus one halo row on each side, about
+        # BLOCK_BYTES per block array, so no temporary spans the whole grid
+        x2 = x**2
+        rows = max(1, BLOCK_BYTES // (8 * n))
+        for i0 in range(1, n - 1, rows):
+            i1 = min(i0 + rows, n - 1)
+            y = (x2[i0 - 1:i1 + 1, None] + x2[None, :]) / T
             jet = cutoff_jet(kind, y)
             G = jet[0] ** theta
             lap_fd = (
                 G[2:, 1:-1] + G[:-2, 1:-1] + G[1:-1, 2:] + G[1:-1, :-2]
                 - 4.0 * G[1:-1, 1:-1]
             ) / h**2
-            inner = np.s_[1:-1, 1:-1]
-        else:
-            raise ValueError("finite-difference check supports dim 1 or 2")
-        jet_in = tuple(part[inner] for part in jet)
-        lap_exact = radial_power_laplacian(jet_in, theta, T, dim, y[inner])
-        err = float(np.max(np.abs(lap_fd - lap_exact)))
-        g_in = jet_in[0]
-        clean = g_in >= 1e-3
-        c_emp = float(np.max(T * np.abs(lap_fd[clean]) / g_in[clean] ** (theta - 2.0)))
-        return err, c_emp
+            yield lap_fd, jet, y, np.s_[1:-1, 1:-1]
+
+    def fd_error_and_ratio(n):
+        errs, ratios = [], []
+        for lap_fd, jet, y, inner in fd_blocks(n):
+            jet_in = tuple(part[inner] for part in jet)
+            lap_exact = radial_power_laplacian(jet_in, theta, T, dim, y[inner])
+            errs.append(np.max(np.abs(lap_fd - lap_exact)))
+            g_in = jet_in[0]
+            clean = g_in >= 1e-3
+            if clean.any():
+                quotient = T * np.abs(lap_fd[clean]) / g_in[clean] ** (theta - 2.0)
+                ratios.append(np.max(quotient))
+        return float(np.max(errs)), float(np.max(ratios))
 
     e_coarse, _ = fd_error_and_ratio(points)
     e_fine, c_emp = fd_error_and_ratio(2 * points - 1)
@@ -514,6 +528,8 @@ def certificate_scaling_check(
     radial_integrand[0] = 0.0  # bracket vanishes with y faster than any power
     radial_base = _simpson(np.nan_to_num(radial_integrand), y[1] - y[0])
 
+    forced = w is not None and bool(w.terms)
+    space_grid = _space_grid(w, N) if forced else None
     I1_vals = []
     F_vals = []
     for T in CERT_T_LIST:
@@ -525,12 +541,12 @@ def certificate_scaling_check(
         )
         space_I1 = (omega / 2.0) * T ** (N / 2.0) * T ** (-pw) * radial_base
         I1_vals.append(time_I1 * space_I1)
-        if w is not None and w.terms:
+        if forced:
             time_F = T * _simpson(
                 np.where(mask, (1.0 + T * tau) ** rho * psi1_pow, 0.0),
                 tau[1] - tau[0],
             )
-            F_vals.append(time_F * _space_cutoff_integral(w, N, T, kappa))
+            F_vals.append(time_F * _space_cutoff_integral(*space_grid, T, kappa))
         else:
             F_vals.append(0.0)
 
@@ -559,17 +575,20 @@ def certificate_scaling_check(
     )
 
 
-def _space_cutoff_integral(w: ProfileSpec, N: int, T: float, kappa: float) -> float:
-    """Tensor-trapezoid integral of psi2(|x|^2/T)^kappa * w over w's support."""
+def _space_grid(w: ProfileSpec, N: int):
+    """(|x|^2, w(x), spacing) on the tensor trapezoid grid over w's support."""
     reach = max(
         (abs(c) for t in w.terms for c in t.center), default=0.0
     ) + 10.0 / math.sqrt(min(t.rate for t in w.terms))
     ax = np.linspace(-reach, reach, CERT_SPACE_POINTS)
     pts = np.stack(np.meshgrid(*([ax] * N), indexing="ij"), axis=-1)
-    r2 = np.sum(pts**2, axis=-1)
-    vals = cutoff_jet("psi2", r2 / T)[0] ** kappa * evaluate_profile(w, pts)
-    h = ax[1] - ax[0]
-    for _ in range(N):
+    return np.sum(pts**2, axis=-1), evaluate_profile(w, pts), ax[1] - ax[0]
+
+
+def _space_cutoff_integral(r2, w_vals, h: float, T: float, kappa: float) -> float:
+    """Tensor-trapezoid integral of psi2(|x|^2/T)^kappa * w on ``_space_grid``."""
+    vals = cutoff_jet("psi2", r2 / T)[0] ** kappa * w_vals
+    for _ in range(r2.ndim):
         vals = np.trapezoid(vals, dx=h, axis=-1)
     return float(vals)
 
@@ -617,13 +636,13 @@ def _lemma_gronwall(scale: float):
     psi[0] = A
     # product integration, exact for piecewise-constant psi on each cell
     ex = 1.0 - sigma
+    s_left = np.arange(n) * dt
+    s_right = s_left + dt
     for j in range(1, n + 1):
         tj = j * dt
-        s_left = np.arange(j) * dt
-        s_right = s_left + dt
         # clip the last cell: s_right can land one ulp past tj
-        weights = ((tj - s_left) ** ex
-                   - np.maximum(tj - s_right, 0.0) ** ex) / ex
+        weights = ((tj - s_left[:j]) ** ex
+                   - np.maximum(tj - s_right[:j], 0.0) ** ex) / ex
         psi[j] = A + M * float(weights @ psi[:j])
     bound = gronwall_bound(A, M, sigma, t_end)
     discrete = float(psi[-1])

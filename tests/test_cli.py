@@ -160,6 +160,33 @@ def test_sweep_keeps_mismatch_for_a_small_data_blowup(tmp_path, capsys, monkeypa
     assert "match: 1\nmismatch: 1\ninconclusive: 1\n" in out
 
 
+def test_sweep_turns_a_failing_point_into_an_error_row(tmp_path, capsys, monkeypatch):
+    verdicts = iter([Verdict.COMPLETED, None, Verdict.COMPLETED])
+
+    def scripted_run(spec, config, geometry):
+        verdict = next(verdicts)
+        if verdict is None:
+            raise RuntimeError("step budget exhausted")
+        return TrajectoryRecord([0.0, 1.0], [1.0, 1.0], [1.0, 1.0], [0.0, 1.0],
+                                verdict, None)
+
+    monkeypatch.setattr("fujitalab.cli.run", scripted_run)
+    spec = _write_spec(tmp_path, GOOD_SPEC)
+    assert main(["sweep", "--spec", spec, "--axis", "p=3.0:3.2:3",
+                 "--points", "16", "--jobs", "1"]) == 0
+    captured = capsys.readouterr()
+    rows = _sweep_rows(captured.out)
+    assert [r[5:8] for r in rows] == [
+        ["global_small_data", "completed", "match"],
+        ["global_small_data", "error:RuntimeError", "inconclusive"],
+        ["global_small_data", "completed", "match"],
+    ]
+    assert rows[1][8:] == ["", "", ""]
+    assert rows[0][8:] == ["1.0", "1.0", ""]
+    assert "match: 2\ninconclusive: 1\nerror: 1\n" in captured.out
+    assert "sweep point 1 failed" in captured.err and "step budget exhausted" in captured.err
+
+
 def test_sweep_two_axes_and_inadmissible_rows(tmp_path, capsys):
     spec = _write_spec(tmp_path, SWEEP_SPEC)
     assert main(["sweep", "--spec", spec,
@@ -186,6 +213,17 @@ def test_verify_single_lemma(capsys):
     assert main(["verify", "--lemma", "young"]) == 0
     out = capsys.readouterr().out
     assert out.startswith("PASS young:")
+
+
+def test_verify_out_times_each_lemma_and_leaves_stdout_alone(capsys, tmp_path):
+    args = ["verify", "--lemma", "mittag_leffler"]
+    assert main(args) == 0
+    plain = capsys.readouterr().out
+    out_file = tmp_path / "verdicts.json"
+    assert main(args + ["--out", str(out_file)]) == 0
+    assert capsys.readouterr().out == plain
+    entry = json.loads(out_file.read_text())["lemmas"]["mittag_leffler"]
+    assert entry["passed"] is True and entry["seconds"] >= 0.0
 
 
 def test_verify_fault_injection(capsys, tmp_path):

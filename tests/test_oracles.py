@@ -4,12 +4,18 @@ Gronwall majorant, smooth cutoffs with analytic derivatives, the forcing
 kernel-positivity certificate, and the scaling certificate."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from fujitalab import oracles
 from fujitalab.oracles import (
+    BLOCK_BYTES,
     CUTOFF_KINDS,
+    CUTOFF_MIN_ORDER,
+    CUTOFF_THETA,
+    CutoffCheck,
     SeriesDivergenceError,
     certificate_scaling_check,
     contraction_bound_check,
@@ -251,12 +257,72 @@ def test_cutoff_laplacian_check_takes_one_jet_per_grid(monkeypatch):
         assert len(calls) <= budget, kind
 
 
+def _full_grid_cutoff_check(kind, T, points):
+    """The 2-D cutoff check with every temporary on the whole grid at once."""
+    theta = CUTOFF_THETA
+    half = math.sqrt((0.8 if kind == "psi1" else 2.0) * T) * 1.05
+
+    def fd_error_and_ratio(n):
+        x = np.linspace(-half, half, n)
+        h = x[1] - x[0]
+        xx, yy = np.meshgrid(x, x, indexing="ij")
+        y = (xx**2 + yy**2) / T
+        jet = cutoff_jet(kind, y)
+        G = jet[0] ** theta
+        lap_fd = (
+            G[2:, 1:-1] + G[:-2, 1:-1] + G[1:-1, 2:] + G[1:-1, :-2]
+            - 4.0 * G[1:-1, 1:-1]
+        ) / h**2
+        inner = np.s_[1:-1, 1:-1]
+        jet_in = tuple(part[inner] for part in jet)
+        lap_exact = radial_power_laplacian(jet_in, theta, T, 2, y[inner])
+        err = float(np.max(np.abs(lap_fd - lap_exact)))
+        g_in = jet_in[0]
+        clean = g_in >= 1e-3
+        c_emp = float(np.max(T * np.abs(lap_fd[clean]) / g_in[clean] ** (theta - 2.0)))
+        return err, c_emp
+
+    e_coarse, _ = fd_error_and_ratio(points)
+    e_fine, c_emp = fd_error_and_ratio(2 * points - 1)
+    order = math.log2(e_coarse / e_fine) if e_fine > 0 else math.inf
+    return CutoffCheck(e_coarse, e_fine, order, c_emp, order >= CUTOFF_MIN_ORDER)
+
+
+def test_row_blocked_2d_check_equals_the_full_grid():
+    # same arithmetic per grid point, folded block by block into the maxima
+    rows = BLOCK_BYTES // (8 * (2 * 401 - 1))
+    assert (2 * 401 - 3) % rows != 0  # the fine grid ends on a partial block
+    for kind, T, points in (("psi2", 100.0, 401), ("psi1", 100.0, 401), ("psi2", 30.0, 151)):
+        assert cutoff_laplacian_check(kind, T=T, dim=2, points=points) == \
+            _full_grid_cutoff_check(kind, T, points), (kind, points)
+
+
+def test_row_blocks_leave_no_remainder_unchecked(monkeypatch):
+    # one row per block is the smallest budget: still every inner row once
+    monkeypatch.setattr(oracles, "BLOCK_BYTES", 8)
+    assert cutoff_laplacian_check("psi1", T=20.0, dim=2, points=37) == \
+        _full_grid_cutoff_check("psi1", 20.0, 37)
+
+
+def test_2d_cutoff_check_memory_is_bounded_by_the_block():
+    tracemalloc.start()
+    try:
+        chk = cutoff_laplacian_check("psi2", T=100.0, dim=2, points=801)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert chk.passed
+    assert peak < 32e6
+
+
 def test_oracles_refuse_inputs_outside_their_domain():
     for T in (-1.0, 0.0, math.inf, math.nan):
         with pytest.raises(ValueError, match="T must be positive and finite"):
             cutoff_laplacian_check("psi2", T=T)
     with pytest.raises(ValueError, match="points must be >= 3"):
         cutoff_laplacian_check("psi2", points=2)
+    with pytest.raises(ValueError, match="dim 1 or 2"):
+        cutoff_laplacian_check("psi2", dim=3)
     for p in (1.0, 0.5):
         with pytest.raises(ValueError, match="p must be > 1"):
             certificate_scaling_check(3, p, 1.25, 1.0, -0.5)
