@@ -139,6 +139,8 @@ def cmd_simulate(args) -> int:
     print(f"sup_norm_final: {record.sup_norms[-1]!r}")
     if record.blowup_time_estimate is not None:
         print(f"blowup_time_estimate: {record.blowup_time_estimate!r}")
+    for key in ("rejections", "counts"):
+        print(f"{key}: " + " ".join(f"{k}={v}" for k, v in record.metadata[key].items()))
     if args.out_prefix:
         prefix = _resolve_out(args.out_prefix)
         Path(str(prefix) + ".csv").write_text(record.csv_text())
@@ -194,8 +196,9 @@ def _sweep_point(payload) -> tuple:
         return idx, row
     verdict = record.verdict.value
     # The theorem bounds no T*, so a predicted blow-up still running at t_end
-    # is inconclusive, as is a run that ended step_underflow; only a blow-up
-    # of small data contradicts the prediction.
+    # is inconclusive, as is a run that ended step_underflow or
+    # budget_exhausted; only a blow-up of small data contradicts the
+    # prediction.
     if regime is Regime.BLOWUP:
         agreement = "match" if verdict == "blowup_detected" else "inconclusive"
     elif regime is Regime.GLOBAL_SMALL_DATA:

@@ -146,7 +146,8 @@ def lq_norm(f: GridField, q) -> float:
     """L^q norm by cell sum; q = inf gives the sup norm.
 
     The sup norm is max(max v, -min v) and q = 2 is the dot product of the
-    values with themselves: each takes no temporary array.
+    values with themselves: each takes no temporary array.  Any other q
+    raises |v| to the q-th power in place, one temporary.
     """
     v = f.values
     if q == math.inf or q == "inf":
@@ -163,7 +164,8 @@ def lq_norm(f: GridField, q) -> float:
     else:
         with np.errstate(over="raise"):
             try:
-                total = float(np.sum(np.abs(v) ** q))
+                a = np.abs(v)
+                total = float(np.sum(np.power(a, q, out=a)))
             except FloatingPointError as exc:
                 raise BlowupSignal("norm overflow") from exc
     return (total * f.cell_volume) ** (1.0 / q)

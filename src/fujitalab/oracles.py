@@ -349,7 +349,8 @@ def cutoff_laplacian_check(
     T, which the verification suite exercises across decades of T.  The
     2-D grid is taken in row blocks of about BLOCK_BYTES per array, so its
     memory does not grow with points**2.  T must be positive and finite,
-    points at least 3 and dim 1 or 2, else ValueError.
+    points at least 3 and dim 1 or 2, else ValueError, as is a grid with no
+    inner point where g >= 1e-3.
     """
     if kind not in CUTOFF_KINDS:
         raise ValueError(f"unknown cutoff kind {kind!r}")
@@ -399,6 +400,11 @@ def cutoff_laplacian_check(
             if clean.any():
                 quotient = T * np.abs(lap_fd[clean]) / g_in[clean] ** (theta - 2.0)
                 ratios.append(np.max(quotient))
+        if not ratios:
+            raise ValueError(
+                f"no inner grid point has g >= 1e-3 for kind={kind!r}, T={T}, "
+                f"points={points}"
+            )
         return float(np.max(errs)), float(np.max(ratios))
 
     e_coarse, _ = fd_error_and_ratio(points)

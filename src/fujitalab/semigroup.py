@@ -7,7 +7,8 @@ through it.  The plan keeps no per-t state and no buffers: ``spectrum``,
 ``field`` and ``multiplier`` write into an ``out`` array when given one, so
 the stepping loop and the Picard sweep work in buffers that each run
 allocates once, and hold the multipliers of their current step size
-themselves.
+themselves.  ``field`` makes irfftn's inverse axis by axis in a caller's
+complex ``work`` array, where irfftn maps a fresh temporary per leading axis.
 ``apply_direct`` instead convolves with the free-space Gaussian kernel as a
 dense quadrature sum (factored axis by axis, which is the same sum reordered);
 the two agree for well-resolved data away from the box boundary and the tests
@@ -44,8 +45,8 @@ class HeatKernelPlan:
 
     ``spectrum`` (with the check that a field lies on the grid) and ``field``
     are the one forward and one inverse transform; no per-t state is kept.
-    Each method writes into ``out`` when given one; None allocates, as in
-    numpy.
+    Each method writes into ``out`` when given one (``field`` also into its
+    complex scratch ``work``); None allocates, as in numpy.
     """
 
     def __init__(self, dim: int, points_per_axis: int, half_width: float):
@@ -76,11 +77,22 @@ class HeatKernelPlan:
             raise ValueError("plan geometry does not match the field")
         return np.fft.rfftn(f.values, out=out)
 
-    def field(self, h: np.ndarray, out: np.ndarray | None = None) -> GridField:
+    def field(self, h: np.ndarray, out: np.ndarray | None = None,
+              work: np.ndarray | None = None) -> GridField:
         """Field on the plan's grid with half spectrum h, backed by out when
-        given; h is left intact and non-finite values are BlowupSignal."""
+        given; h is left intact and non-finite values are BlowupSignal.
+
+        The inverse is irfftn's, axis by axis: a complex ifft over each
+        leading axis, the first from h into work and the rest in place
+        there, then the real irfft of the last axis into out.  Same
+        operations in the same order, so the values equal irfftn's bit for
+        bit, but with work given no temporary is made.  work has h's shape;
+        None allocates one, as in numpy.
+        """
         dim, M, half_width = self.grid
-        values = np.fft.irfftn(h, s=(M,) * dim, axes=range(dim), out=out)
+        for axis in range(dim - 1):
+            h = work = np.fft.ifft(h, axis=axis, out=work)
+        values = np.fft.irfft(h, n=M, axis=-1, out=out)
         return GridField(dim, half_width, values)
 
 

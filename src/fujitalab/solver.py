@@ -57,7 +57,8 @@ MIN_PROBE_RATIO = 1.8
 # sup-over-grid q-norm, and gives up after PICARD_MAX_SWEEPS sweeps.
 PICARD_MAX_SWEEPS = 80
 PICARD_TOL = 1e-10
-# run_from_fields raises RuntimeError once a run has taken MAX_STEPS steps.
+# run_from_fields ends a run as budget_exhausted once it has taken MAX_STEPS
+# steps short of t_end.
 MAX_STEPS = 500_000
 # uniqueness_probe's base level: T / PROBE_NODES per step and PROBE_NODES
 # Picard nodes, both doubled with the grid at each refinement.
@@ -76,6 +77,7 @@ class Verdict(str, Enum):
     COMPLETED = "completed"
     BLOWUP_DETECTED = "blowup_detected"
     STEP_UNDERFLOW = "step_underflow"
+    BUDGET_EXHAUSTED = "budget_exhausted"
 
 
 @dataclass(frozen=True)
@@ -215,12 +217,14 @@ class _StepHeat:
 
     ``hold(dt)`` fills m(dt), m(dt/2) and dt m(dt/2) when dt changes; the
     scalar dt is folded into the real multiplier before any complex product.
-    ``forcing`` writes W m(theta) into one scratch buffer.
+    ``forcing`` writes W m(theta) into one scratch buffer.  ``multipliers``
+    counts the exp(-t|k|^2) tables made.
     """
 
     def __init__(self, plan: HeatKernelPlan):
         self.plan = plan
         self.dt = None
+        self.multipliers = 0
         shape = plan.ksq.shape
         self.m_dt, self.m_half, self.dt_m_half, self.m_theta = (
             np.empty(shape) for _ in range(4)
@@ -229,6 +233,7 @@ class _StepHeat:
     def hold(self, dt: float) -> None:
         if dt != self.dt:
             self.dt = dt
+            self.multipliers += 2
             self.plan.multiplier(dt, out=self.m_dt)
             self.plan.multiplier(dt / 2.0, out=self.m_half)
             np.multiply(self.m_half, dt, out=self.dt_m_half)
@@ -237,6 +242,7 @@ class _StepHeat:
         """W m(theta), reusing m(dt/2) when theta is exactly dt/2."""
         if theta == self.dt / 2.0:
             return np.multiply(self.m_half, weight, out=self.m_theta)
+        self.multipliers += 1
         self.plan.multiplier(theta, out=self.m_theta)
         self.m_theta *= weight
         return self.m_theta
@@ -301,23 +307,27 @@ def run_from_fields(
     cross it.  A step that overflows is never accepted: when it still
     overflows at min_dt the run ends step_underflow, an inconclusive verdict.
     metadata["rejections"] counts refused attempts by cause, "growth" and
-    "overflow" (the refused attempt at min_dt included).
+    "overflow" (the refused attempt at min_dt included), and
+    metadata["counts"] the work done: "forward_transforms",
+    "inverse_transforms" and "multipliers" (exp(-t|k|^2) tables made).
 
     The loop carries spectra: an accepted step's summed spectrum is the next
     state's, w and each state's load are transformed once, so an accepted
     step makes one forward and one inverse transform and a rejected retry
     one inverse.  m(dt) and dt m(dt/2) are held for the current dt only.
     The loop works in buffers the run allocates once: a ping-pong pair for
-    the state's spectrum and the summed one, one load spectrum, one product
-    scratch, one real load field, and one spare field that the attempt is
-    transformed into and that trades places with the accepted state.  It
-    never writes into u0 or w.
+    the state's spectrum and the summed one, one load spectrum, one complex
+    scratch that takes each product and then the leading-axis passes of the
+    inverse transform, one real load field, and one spare field that the
+    attempt is transformed into and that trades places with the accepted
+    state.  It never writes into u0 or w.
 
     Crossing the blow-up threshold ends the run, and the end of the crossing
     step is the blow-up time estimate.  With adapt=True the growth cap has
     shrunk that step near blow-up; with adapt=False the estimate is good to
     one step of dt0.  The record's terminal is the last accepted field.  A
-    run still short of t_end after MAX_STEPS steps raises RuntimeError.
+    run still short of t_end after MAX_STEPS steps ends budget_exhausted,
+    an inconclusive verdict.
     """
     t = 0.0
     u = u0
@@ -326,6 +336,8 @@ def run_from_fields(
     load_field, spare = np.empty(u0.values.shape), np.empty(u0.values.shape)
     w_hat = plan.spectrum(w) if w is not None else None
     heat = _StepHeat(plan)
+    forward = 2 if w is not None else 1  # the spectra of u0 and w
+    inverse = 0
     dt = min(config.dt0, config.t_end)
     atol = 0.0
     if w is not None:
@@ -344,14 +356,17 @@ def run_from_fields(
             verdict = Verdict.COMPLETED
             break
         if len(times) > MAX_STEPS:
-            raise RuntimeError("step budget exhausted before t_end")
+            verdict = Verdict.BUDGET_EXHAUSTED
+            break
         dt_step = min(dt, remaining)
         heat.hold(dt_step)
         try:
             if load_hat is None:
                 load_hat = _load_spectrum(spec, plan, u, out=load_buf, work=load_field)
+                forward += 1
             _step_spectrum(spec, heat, t, u_hat, load_hat, w_hat, out=out, work=work)
-            u_new = plan.field(out, out=spare)
+            inverse += 1
+            u_new = plan.field(out, out=spare, work=work)
             sup_new = lq_norm(u_new, math.inf)
         except BlowupSignal:
             u_new, sup_new = None, math.inf
@@ -391,6 +406,8 @@ def run_from_fields(
     metadata = _run_metadata(spec, config, u0)
     metadata["min_dt_accepts"] = min_dt_accepts
     metadata["rejections"] = rejections
+    metadata["counts"] = {"forward_transforms": forward, "inverse_transforms": inverse,
+                          "multipliers": heat.multipliers}
     blowup_estimate = t if verdict is Verdict.BLOWUP_DETECTED else None
     return TrajectoryRecord(
         times, q_norms, sup_norms, dt_history, verdict, blowup_estimate, metadata,

@@ -252,6 +252,11 @@ def test_criterion_08_forced_blowup_pair():
     blow = fl.ProblemSpec(3, 2.0, 2.0, 0.0, 0.0, ZERO, w)
     rec = fl.run(blow, fl.SolverConfig(dt0=0.25, t_end=120.0), geometry)
     assert rec.verdict is fl.Verdict.BLOWUP_DETECTED
+    # the work of this run: w, the state and one load per accepted state
+    # forward, one inverse per attempt (429 accepted + 33 rejected)
+    assert rec.metadata["rejections"] == {"growth": 33, "overflow": 0}
+    assert rec.metadata["counts"] == {"forward_transforms": 431,
+                                      "inverse_transforms": 462, "multipliers": 135}
 
     safe = fl.ProblemSpec(3, 4.0, 2.0, 0.0, 0.0, ZERO, w)
     rec2 = fl.run(safe, fl.SolverConfig(dt0=0.25, t_end=20.0), geometry)
@@ -274,6 +279,9 @@ def test_criterion_09_lower_bound_on_forced_runs():
         rec = fl.run(spec, fl.SolverConfig(dt0=0.02, t_end=10.0),
                      fl.BoxGeometry(16.0, M))
         assert rec.verdict is fl.Verdict.COMPLETED
+        # 500 fixed steps: m(dt) and m(dt/2) once, m(theta) per step
+        assert rec.metadata["counts"] == {"forward_transforms": 502,
+                                          "inverse_transforms": 500, "multipliers": 502}
         tol = 0.02 + rec.metadata["truncation_bound"]
         rep = fl.comparison_lower_bound(u0, rec, 2.0, dim=dim, tol=tol,
                                         forcing_certified=True)

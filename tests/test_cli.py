@@ -98,9 +98,14 @@ def test_simulate_writes_artifacts(tmp_path, capsys, monkeypatch):
     out = capsys.readouterr().out
     assert "verdict: completed" in out
     base = tmp_path / "artifacts" / "run1"
+    traj = json.loads(base.with_suffix(".json").read_text())
+    # the run's kept counters, as the payload records them
+    counts = traj["metadata"]["counts"]
+    assert counts["inverse_transforms"] == len(traj["times"]) - 1
+    assert ("counts: " + " ".join(f"{k}={v}" for k, v in counts.items())) in out
+    assert "rejections: growth=0 overflow=0" in out
     csv_text = base.with_suffix(".csv").read_text()
     assert csv_text.splitlines()[0].startswith("t,")
-    traj = json.loads(base.with_suffix(".json").read_text())
     assert traj["verdict"] == "completed"
     meta = json.loads(base.with_suffix(".meta.json").read_text())
     assert "created_unix" in meta and meta["command"] == "simulate"
@@ -158,6 +163,17 @@ def test_sweep_keeps_mismatch_for_a_small_data_blowup(tmp_path, capsys, monkeypa
         ["global_small_data", "completed", "match"],
     ]
     assert "match: 1\nmismatch: 1\ninconclusive: 1\n" in out
+
+
+def test_sweep_calls_a_run_out_of_step_budget_inconclusive(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr("fujitalab.solver.MAX_STEPS", 3)
+    spec = _write_spec(tmp_path, GOOD_SPEC)
+    assert main(["sweep", "--spec", spec, "--axis", "p=3.0:3.2:2",
+                 "--points", "16", "--jobs", "1"]) == 0
+    out = capsys.readouterr().out
+    assert [r[5:8] for r in _sweep_rows(out)] == [
+        ["global_small_data", "budget_exhausted", "inconclusive"]] * 2
+    assert "inconclusive: 2" in out and "error" not in out
 
 
 def test_sweep_turns_a_failing_point_into_an_error_row(tmp_path, capsys, monkeypatch):

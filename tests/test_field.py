@@ -59,6 +59,17 @@ def test_lq_norm_gaussian_closed_form():
         assert lq_norm(f, 2.0) == pytest.approx(plain, rel=1e-14)
 
 
+def test_lq_norm_general_q_is_the_plain_power_sum():
+    # |v|^q is raised in place in one temporary; same bits as np.abs(v) ** q
+    f = sample(ProfileSpec.gaussian_sum([(1.0, 1.0, (0.0,)), (-2.0, 0.5, (3.0,))]),
+               1, 16.0, 128)
+    before = f.values.copy()
+    for q in (1.0, 1.5, 3.0, 3.5, 7.25):
+        plain = float(np.sum(np.abs(f.values) ** q) * f.cell_volume) ** (1.0 / q)
+        assert lq_norm(f, q) == plain, q
+    assert np.array_equal(f.values, before)
+
+
 def test_lq_norm_rejects_small_q():
     f = sample(ProfileSpec.gaussian(1.0, 1.0, (0.0,)), 1, 8.0, 16)
     with pytest.raises(ValueError):
@@ -99,6 +110,8 @@ def test_overflow_surfaces_as_blowup_signal():
         nonlocal_factor(f, 1.0, 2.0)
     with pytest.raises(BlowupSignal):
         lq_norm(f, 3.0)
+    with pytest.raises(BlowupSignal):
+        lq_norm(f, 1.5)
     with pytest.raises(BlowupSignal):
         nonlinearity(f, 2.0, 2.0, 0.0)
     with pytest.raises(BlowupSignal):

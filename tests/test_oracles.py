@@ -323,6 +323,10 @@ def test_oracles_refuse_inputs_outside_their_domain():
         cutoff_laplacian_check("psi2", points=2)
     with pytest.raises(ValueError, match="dim 1 or 2"):
         cutoff_laplacian_check("psi2", dim=3)
+    # the one inner point of a 3-point grid is x = 0, where psi1 vanishes
+    for dim in (1, 2):
+        with pytest.raises(ValueError, match=r"kind='psi1', T=100.0, points=3"):
+            cutoff_laplacian_check("psi1", T=100.0, dim=dim, points=3)
     for p in (1.0, 0.5):
         with pytest.raises(ValueError, match="p must be > 1"):
             certificate_scaling_check(3, p, 1.25, 1.0, -0.5)

@@ -484,6 +484,10 @@ def test_run_makes_one_forward_and_one_inverse_transform_per_step(monkeypatch):
     assert counts["field"] == accepted
     # m(dt) and m(dt/2) once for the one step size, then m(theta) per step
     assert counts["multiplier"] <= accepted + 2
+    # the run's own counts are the calls made on the plan
+    assert rec.metadata["counts"] == {"forward_transforms": counts["spectrum"],
+                                      "inverse_transforms": counts["field"],
+                                      "multipliers": counts["multiplier"]}
 
 
 def test_rejected_steps_reuse_the_spectra_of_the_state(monkeypatch):
@@ -501,14 +505,30 @@ def test_rejected_steps_reuse_the_spectra_of_the_state(monkeypatch):
     # every attempt makes one inverse; only accepted states make forward ones
     assert counts["field"] == accepted + rejections["growth"] + rejections["overflow"]
     assert counts["spectrum"] == accepted + 1
+    assert rec.metadata["counts"] == {"forward_transforms": counts["spectrum"],
+                                      "inverse_transforms": counts["field"],
+                                      "multipliers": counts["multiplier"]}
 
 
 def test_run_stops_at_the_step_budget(monkeypatch):
-    # 16 fixed steps cannot fit a budget of 3
+    # 16 fixed steps cannot fit a budget of 3: the run ends inconclusive,
+    # its record kept up to the last accepted step
     monkeypatch.setattr(solver, "MAX_STEPS", 3)
     spec = ProblemSpec(1, 2.0, 2.0, 1.0, 0.0,
                        ProfileSpec.gaussian(0.05, 1.0, (0.0,)), ZERO)
     u0 = sample(spec.u0, 1, 16.0, 64)
     cfg = SolverConfig(dt0=0.1 / 16, t_end=0.1, adapt=False)
-    with pytest.raises(RuntimeError, match="step budget exhausted"):
-        run_from_fields(spec, u0, None, cfg, HeatKernelPlan.for_field(u0))
+    rec = run_from_fields(spec, u0, None, cfg, HeatKernelPlan.for_field(u0))
+    assert rec.verdict is Verdict.BUDGET_EXHAUSTED
+    assert rec.verdict.value == "budget_exhausted"
+    assert rec.blowup_time_estimate is None
+    assert len(rec.times) == 4 and rec.times[-1] == pytest.approx(3 * 0.1 / 16)
+    assert rec.terminal is not u0 and lq_norm(rec.terminal, math.inf) == rec.sup_norms[-1]
+
+
+def test_uniqueness_probe_raises_when_its_run_exhausts_the_budget(monkeypatch):
+    monkeypatch.setattr(solver, "MAX_STEPS", 3)
+    spec = ProblemSpec(1, 2.0, 2.0, 1.0, 0.0,
+                       ProfileSpec.gaussian(0.05, 1.0, (0.0,)), ZERO)
+    with pytest.raises(RuntimeError, match="budget_exhausted"):
+        uniqueness_probe(spec, T=0.1, geometry=BoxGeometry(16.0, 32), levels=1)
