@@ -431,10 +431,16 @@ def _run_metadata(spec, config, u0) -> dict:
 
 @dataclass(frozen=True)
 class PicardResult:
+    """Terminal node value, sweeps taken, the first difference quotient,
+    every sweep's difference, and counts of the work done:
+    "forward_transforms", "inverse_transforms" and "multipliers"
+    (exp(-t|k|^2) tables made)."""
+
     terminal: GridField
     iterations: int
     contraction_estimate: float
     differences: tuple
+    counts: dict
 
 
 def picard_solve(
@@ -455,16 +461,21 @@ def picard_solve(
     independent discretizations of the same integral equation and their gap
     measures discretization error, not roundoff.
 
-    On the uniform grid S(s + dt) = S(dt) S(s) turns both history sums into
-    recursions in the one multiplier S(dt): L_{j+1} = S(dt) L_j +
-    W_j S(theta_j) w for data and forcing, and H_{j+1} = S(dt) (H_j +
-    dt/2 N_j) + dt/2 N_{j+1} for the loads of each sweep.  Unrolled they are
-    the same sums, at O(n) spectral operations per sweep.  Besides the fixed
-    linear part, a sweep works in buffers the solve allocates once: one
-    history H, updated in place, one load spectrum, one sum scratch, one real
-    load field, and one spare node field that each new node value is
-    transformed into; the replaced node's buffer takes the sweep difference
-    and becomes the next spare.  u0 is never written.
+    On the uniform grid S(s + dt) = S(dt) S(s) turns the data, forcing and
+    history sums into one recursion in the multiplier S(dt), so a sweep
+    marches one spectral accumulator from G_0 = u0_hat: G_{j+1} =
+    S(dt) (G_j + dt/2 N_j) + dt/2 N_{j+1} + W_j S(theta_j) w_hat, and node
+    j+1 is the field of G_{j+1}; the first node values march it without
+    loads.  Unrolled it is the same sums, at O(n) spectral operations per
+    sweep.  Each node's forcing factor W_j S(theta_j) is made once per solve
+    on the plan's distinct |k|^2 values and expanded with np.take at each
+    node of a sweep.  Besides those tables, the solve works in buffers it
+    allocates once: the accumulator, one load spectrum, one complex scratch
+    for each product and the inverse transform's leading axes, one real
+    scratch for the expanded factor, one real load field, and one spare node
+    field that each new node value is transformed into; the replaced node's
+    buffer takes the sweep difference and becomes the next spare.  u0 is
+    never written.
 
     Stops when sweeps differ by less than PICARD_TOL in sup-over-grid q-norm.
     The contraction estimate is the first successive-difference quotient,
@@ -483,41 +494,61 @@ def picard_solve(
         plan = HeatKernelPlan.for_field(u0)
     dt = T / nodes
     decay = plan.multiplier(dt)
-    load_field = np.empty(u0.values.shape)
+    u0_hat = plan.spectrum(u0)
+    acc, load, work = (np.empty_like(u0_hat) for _ in range(3))
+    load_field, spare = np.empty(u0.values.shape), np.empty(u0.values.shape)
+    counts = {"forward_transforms": 1, "inverse_transforms": 0, "multipliers": 1}
+
+    tables = []  # W_j S(theta_j) on the distinct |k|^2 values, one per node
+    if w is not None:
+        w_hat = plan.spectrum(w)
+        index = plan.distinct_ksq[1]
+        factor = np.empty(decay.shape)
+        for j in range(nodes):
+            weight, theta = _forcing_weight(j * dt, dt, spec.rho)
+            tables.append(plan.multiplier(theta, distinct=True) * weight)
+        counts["forward_transforms"] += 1
+        counts["multipliers"] += nodes
+
+    def forcing(j):
+        """W_j S(theta_j) w_hat, expanded from node j's table, in work."""
+        np.take(tables[j], index, out=factor, mode="clip")
+        return np.multiply(factor, w_hat, out=work)
 
     def half_load(u, out=None):
+        counts["forward_transforms"] += 1
         out = _load_spectrum(spec, plan, u, out=out, work=load_field)
         out *= dt / 2.0
         return out
 
-    # linear part (heat flow of the data plus full forcing history) is fixed
-    linear_hat = [plan.spectrum(u0)]
-    w_hat = plan.spectrum(w) if w is not None else None
-    for j in range(nodes):
-        nxt = decay * linear_hat[j]
-        if w is not None:
-            weight, theta = _forcing_weight(j * dt, dt, spec.rho)
-            nxt += weight * plan.multiplier(theta) * w_hat
-        linear_hat.append(nxt)
+    def node_field(out=None):
+        counts["inverse_transforms"] += 1
+        return plan.field(acc, out=out, work=work)
 
-    states = [u0] + [plan.field(h) for h in linear_hat[1:]]
+    states = [u0]
+    np.copyto(acc, u0_hat)
+    for j in range(nodes):
+        acc *= decay
+        if tables:
+            acc += forcing(j)
+        states.append(node_field())
     load0 = half_load(u0)
-    load, history, work = (np.empty_like(load0) for _ in range(3))
-    spare = np.empty_like(load_field)
     diffs = []
     grow_streak = 0
     for _ in range(PICARD_MAX_SWEEPS):
-        history[...] = 0.0
+        np.copyto(acc, u0_hat)
         left = load0
         d = 0.0
         for j in range(1, nodes + 1):
             # each old node is read once, before the sweep overwrites it
             old = states[j]
-            history += left
-            history *= decay
+            acc += left
+            acc *= decay
             left = half_load(old, out=load)  # the right end, and the next left
-            history += left
-            new = plan.field(np.add(linear_hat[j], history, out=work), out=spare)
+            acc += left
+            if tables:
+                acc += forcing(j - 1)
+            new = node_field(out=spare)
             # old's buffer takes the difference, then becomes the next spare
             diff = np.subtract(new.values, old.values, out=old.values)
             d = max(d, lq_norm(old.with_values(diff), spec.q))
@@ -538,7 +569,7 @@ def picard_solve(
             f"no convergence in {PICARD_MAX_SWEEPS} sweeps (last diff {diffs[-1]:.3e})"
         )
     contraction = diffs[1] / diffs[0] if len(diffs) >= 2 and diffs[0] > 0 else 0.0
-    return PicardResult(states[-1], len(diffs), contraction, tuple(diffs))
+    return PicardResult(states[-1], len(diffs), contraction, tuple(diffs), counts)
 
 
 @dataclass(frozen=True)
@@ -564,7 +595,8 @@ def uniqueness_probe(
     dt = T / PROBE_NODES / 2**lvl on the same PROBE_NODES * 2**lvl Picard
     nodes, with the points per axis doubled each level.  Each level samples
     the problem record's own profiles on its grid; levels < 1 raises
-    ValueError.
+    ValueError.  details["levels"] holds one entry per level, with Picard's
+    sweeps and its work counts (``PicardResult.counts``) as "picard_counts".
     """
     if levels < 1:
         raise ValueError("levels must be >= 1")
@@ -589,7 +621,8 @@ def uniqueness_probe(
         discrepancies.append(d)
         details["levels"].append(
             {"points_per_axis": M, "dt": dt, "picard_nodes": nodes,
-             "discrepancy": d, "picard_iterations": pic.iterations}
+             "discrepancy": d, "picard_iterations": pic.iterations,
+             "picard_counts": pic.counts}
         )
     ratios = tuple(
         discrepancies[i] / discrepancies[i + 1] if discrepancies[i + 1] > 0 else math.inf

@@ -82,6 +82,22 @@ def test_multipliers_are_not_kept_per_t():
     assert kept < 2 * plan.ksq.nbytes
 
 
+def test_distinct_ksq_table_expands_to_the_multiplier_bit_for_bit():
+    # a table on the distinct |k|^2 values, gathered back through each
+    # entry's index, is the half-spectrum multiplier itself
+    for dim, M in ((1, 64), (2, 32), (3, 16)):
+        plan = HeatKernelPlan(dim, M, 8.0)
+        values, index = plan.distinct_ksq
+        assert np.all(np.diff(values) > 0)
+        assert index.shape == plan.ksq.shape
+        assert np.array_equal(values[index], plan.ksq)
+        assert values.size < plan.ksq.size or dim == 1
+        for t in (1e-3, 0.0625, 0.7):
+            table = plan.multiplier(t, distinct=True)
+            assert table.shape == values.shape
+            assert np.array_equal(np.take(table, index), plan.multiplier(t))
+
+
 def test_field_is_irfftn_bit_for_bit():
     # ifft over each leading axis, then irfft of the last: irfftn's own steps
     for dim, M in ((1, 64), (2, 32), (3, 16)):

@@ -6,6 +6,7 @@ reference tests.  A spatially constant state turns the PDE into the scalar
 ODE u' = u^p with known blow-up time, which pins the detector."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -284,11 +285,11 @@ def test_picard_rejects_large_data():
 
 
 def _direct_picard(spec, u0, w, T, n, sweeps, plan):
-    """1-D Picard with the history integrals summed over every earlier subinterval."""
+    """Picard with the history integrals summed over every earlier subinterval."""
     dt = T / n
     t = [j * dt for j in range(n + 1)]
-    M, rho = u0.points_per_axis, spec.rho
-    u0_hat, w_hat = np.fft.rfft(u0.values), np.fft.rfft(w.values)
+    shape, axes, rho = u0.values.shape, range(u0.dim), spec.rho
+    u0_hat, w_hat = np.fft.rfftn(u0.values), np.fft.rfftn(w.values)
     linear = []
     for j in range(n + 1):
         acc = u0_hat * plan.multiplier(t[j])
@@ -298,9 +299,9 @@ def _direct_picard(spec, u0, w, T, n, sweeps, plan):
             mean = (t1 ** (rho + 2) - t0 ** (rho + 2)) / (rho + 2) / weight
             acc = acc + weight * plan.multiplier(t[j] - mean) * w_hat
         linear.append(acc)
-    states = [u0.values] + [np.fft.irfft(h, M) for h in linear[1:]]
+    states = [u0.values] + [np.fft.irfftn(h, shape, axes) for h in linear[1:]]
     for _ in range(sweeps):
-        loads = [np.fft.rfft(lq_norm(u0.with_values(v), spec.q) ** spec.alpha
+        loads = [np.fft.rfftn(lq_norm(u0.with_values(v), spec.q) ** spec.alpha
                               * np.abs(v) ** spec.p) for v in states]
         new = [u0.values]
         for j in range(1, n + 1):
@@ -308,40 +309,85 @@ def _direct_picard(spec, u0, w, T, n, sweeps, plan):
             for i in range(j):
                 acc += (dt / 2.0) * (plan.multiplier((j - i) * dt) * loads[i]
                                      + plan.multiplier((j - i - 1) * dt) * loads[i + 1])
-            new.append(np.fft.irfft(acc, M))
+            new.append(np.fft.irfftn(acc, shape, axes))
         states = new
     return states[-1]
 
 
 def test_marched_picard_equals_the_direct_sums():
-    spec = ProblemSpec(1, 2.0, 2.0, 1.0, -0.5,
-                       ProfileSpec.gaussian(0.3, 1.0, (0.5,)), ZERO)
-    u0 = sample(spec.u0, 1, 8.0, 64)
-    w = sample(ProfileSpec.gaussian(0.2, 2.0, (-0.5,)), 1, 8.0, 64)
-    plan = HeatKernelPlan.for_field(u0)
-    pic = picard_solve(spec, u0, w, 0.2, nodes=16, plan=plan)
-    assert pic.iterations > 3  # the load history matters
-    ref = _direct_picard(spec, u0, w, 0.2, 16, pic.iterations, plan)
-    assert np.max(np.abs(pic.terminal.values - ref)) <= 1e-13 * np.max(np.abs(ref))
+    # 1-D at 64 points and 16 nodes, and 2-D at 32^2 and 8 nodes, where
+    # |k|^2 repeats and the forcing factors are expanded from distinct values
+    for dim, M, n in ((1, 64, 16), (2, 32, 8)):
+        spec = ProblemSpec(dim, 2.0, 2.0, 1.0, -0.5,
+                           ProfileSpec.gaussian(0.3, 1.0, (0.5,) * dim), ZERO)
+        u0 = sample(spec.u0, dim, 8.0, M)
+        w = sample(ProfileSpec.gaussian(0.2, 2.0, (-0.5,) * dim), dim, 8.0, M)
+        plan = HeatKernelPlan.for_field(u0)
+        pic = picard_solve(spec, u0, w, 0.2, nodes=n, plan=plan)
+        assert pic.iterations > 3  # the load history matters
+        ref = _direct_picard(spec, u0, w, 0.2, n, pic.iterations, plan)
+        assert np.max(np.abs(pic.terminal.values - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 def test_forced_picard_makes_at_most_one_multiplier_per_node(monkeypatch):
-    calls = []
-    multiplier = HeatKernelPlan.multiplier
+    # every exp table counts, whichever plan method makes it and on whichever
+    # layout: the plan's only route to exp(-t|k|^2) is numpy's exp
+    spec = ProblemSpec(2, 2.0, 2.0, 1.0, -0.5,
+                       ProfileSpec.gaussian(0.05, 1.0, (0.0, 0.0)), ZERO)
+    u0 = sample(spec.u0, 2, 16.0, 32)
+    w = sample(ProfileSpec.gaussian(0.2, 2.0, (0.0, 0.0)), 2, 16.0, 32)
+    tables = []
+    exp = np.exp
 
-    def counted(plan, t):
-        calls.append(t)
-        return multiplier(plan, t)
+    def counted(x, *args, **kwargs):
+        tables.append(np.shape(x))
+        return exp(x, *args, **kwargs)
 
-    monkeypatch.setattr(HeatKernelPlan, "multiplier", counted)
-    spec = ProblemSpec(1, 2.0, 2.0, 1.0, -0.5,
-                       ProfileSpec.gaussian(0.05, 1.0, (0.0,)), ZERO)
-    u0 = sample(spec.u0, 1, 16.0, 64)
-    w = sample(ProfileSpec.gaussian(0.2, 2.0, (0.0,)), 1, 16.0, 64)
+    monkeypatch.setattr(np, "exp", counted)
     n = 16
     pic = picard_solve(spec, u0, w, 0.1, nodes=n)
+    monkeypatch.undo()
     assert pic.iterations > 1
-    assert 0 < len(calls) <= n + 1
+    assert 0 < len(tables) <= n + 1
+    assert pic.counts["multipliers"] == len(tables)
+
+
+def test_forced_picard_holds_no_linear_spectrum_per_node():
+    # the node fields are the one per-node store: the forcing factors live on
+    # the distinct |k|^2 values and the linear part is marched with the
+    # history (storing n + 1 linear spectra peaked at 74 node fields here)
+    g = ProfileSpec.gaussian(0.05, 1.0, (0.0, 0.0))
+    spec = ProblemSpec(2, 2.0, 2.0, 1.0, -0.5, g, g)
+    u0, w = sample(g, 2, 16.0, 128), sample(g, 2, 16.0, 128)
+    plan = HeatKernelPlan.for_field(u0)
+    n = 32
+    tracemalloc.start()
+    try:
+        pic = picard_solve(spec, u0, w, 0.1, nodes=n, plan=plan)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert pic.iterations > 1
+    assert peak < (n + 20) * u0.values.nbytes
+
+
+def test_probe_levels_count_picard_work():
+    # per level: the spectra of u0 and w and of every load, one inverse per
+    # node per sweep plus the first node values, one table per node plus
+    # S(dt); the 256^2 level's counts are pinned
+    g = ProfileSpec.gaussian(0.05, 1.0, (0.0, 0.0))
+    spec = ProblemSpec(2, 2.0, 2.0, 1.0, -0.5, g, g)
+    rep = uniqueness_probe(spec, T=0.1, geometry=BoxGeometry(16.0, 64), levels=2)
+    assert rep.passed
+    for lvl in rep.details["levels"]:
+        n, sweeps = lvl["picard_nodes"], lvl["picard_iterations"]
+        assert lvl["picard_counts"] == {"forward_transforms": 3 + sweeps * n,
+                                        "inverse_transforms": (1 + sweeps) * n,
+                                        "multipliers": n + 1}
+    last = rep.details["levels"][-1]
+    assert last["points_per_axis"] == 256 and last["picard_iterations"] == 3
+    assert last["picard_counts"] == {"forward_transforms": 195,
+                                     "inverse_transforms": 256, "multipliers": 65}
 
 
 def test_solver_config_rejects_out_of_range_settings():
