@@ -6,148 +6,18 @@ The package splits into parameter handling (`problem`), exact critical
 exponent arithmetic (`exponents`), periodic grid fields (`field`), the heat
 propagator (`semigroup`), mild-solution time stepping and Picard iteration
 (`solver`), analytic lemma verifiers (`oracles`), and a CLI (`cli`).
+Each submodule's ``__all__`` is exactly what the package exports.
 """
 
-from .exponents import (
-    BlowupCriterion,
-    ExponentReport,
-    GepExponents,
-    Regime,
-    RWindow,
-    beta,
-    beta_upper_bound,
-    blowup_criterion,
-    certificate_exponent,
-    classify,
-    delta,
-    exponent_report,
-    fujita_scaling_p,
-    gep_exponents,
-    p_star,
-    r_window,
-    sigma,
-)
-from .field import (
-    BlowupSignal,
-    BoxGeometry,
-    GridField,
-    coordinates,
-    lq_norm,
-    nonlinearity,
-    nonlocal_factor,
-    sample,
-)
-from .oracles import (
-    MLResult,
-    SeriesDivergenceError,
-    certificate_scaling_check,
-    contraction_bound_check,
-    cutoff_laplacian_check,
-    gronwall_bound,
-    mittag_leffler,
-    w_condition_check,
-    young_check,
-)
-from .problem import (
-    GaussianTerm,
-    InadmissibleError,
-    ProblemSpec,
-    ProfileSpec,
-    SpecFieldError,
-    ValidationReport,
-    check_parameters,
-    evaluate_profile,
-    gaussian_weighted_integral,
-    profile_integral,
-    validate,
-)
-from .semigroup import (
-    HeatKernelPlan,
-    apply,
-    apply_direct,
-    comparison_lower_bound,
-    kernel_weight_constant,
-    smoothing_check,
-)
-from .solver import (
-    IterationLimitError,
-    NonContractionError,
-    PicardResult,
-    SolverConfig,
-    TrajectoryRecord,
-    UniquenessReport,
-    Verdict,
-    picard_solve,
-    run,
-    run_from_fields,
-    step,
-    uniqueness_probe,
-)
+from . import exponents, field, oracles, problem, semigroup, solver
+from .exponents import *
+from .field import *
+from .oracles import *
+from .problem import *
+from .semigroup import *
+from .solver import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BlowupCriterion",
-    "BlowupSignal",
-    "BoxGeometry",
-    "ExponentReport",
-    "GaussianTerm",
-    "GepExponents",
-    "GridField",
-    "HeatKernelPlan",
-    "InadmissibleError",
-    "IterationLimitError",
-    "MLResult",
-    "NonContractionError",
-    "PicardResult",
-    "ProblemSpec",
-    "ProfileSpec",
-    "Regime",
-    "RWindow",
-    "SeriesDivergenceError",
-    "SolverConfig",
-    "SpecFieldError",
-    "TrajectoryRecord",
-    "UniquenessReport",
-    "ValidationReport",
-    "Verdict",
-    "apply",
-    "apply_direct",
-    "beta",
-    "beta_upper_bound",
-    "blowup_criterion",
-    "certificate_exponent",
-    "certificate_scaling_check",
-    "check_parameters",
-    "classify",
-    "comparison_lower_bound",
-    "contraction_bound_check",
-    "coordinates",
-    "cutoff_laplacian_check",
-    "delta",
-    "evaluate_profile",
-    "exponent_report",
-    "fujita_scaling_p",
-    "gaussian_weighted_integral",
-    "gep_exponents",
-    "gronwall_bound",
-    "kernel_weight_constant",
-    "lq_norm",
-    "mittag_leffler",
-    "nonlinearity",
-    "nonlocal_factor",
-    "p_star",
-    "picard_solve",
-    "profile_integral",
-    "r_window",
-    "run",
-    "run_from_fields",
-    "sample",
-    "sigma",
-    "smoothing_check",
-    "step",
-    "uniqueness_probe",
-    "validate",
-    "w_condition_check",
-    "young_check",
-]
+__all__ = (exponents.__all__ + field.__all__ + oracles.__all__ + problem.__all__
+           + semigroup.__all__ + solver.__all__)

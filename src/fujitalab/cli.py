@@ -321,6 +321,8 @@ def cmd_sweep(args) -> int:
 # verify
 
 def cmd_verify(args) -> int:
+    if not 0 < args.tolerance_scale < math.inf:
+        raise _UsageError("--tolerance-scale must be positive and finite")
     names = [args.lemma] if args.lemma else list(LEMMAS)
     verdicts = {}
     all_ok = True
@@ -376,7 +378,8 @@ def _build_parser() -> _Parser:
     p_ver = sub.add_parser("verify", help="run the analytic lemma checks")
     p_ver.add_argument("--lemma", choices=sorted(LEMMAS))
     p_ver.add_argument("--tolerance-scale", type=float, default=1.0,
-                       help="multiply tolerances (test hook; <1 tightens)")
+                       help="multiply tolerances (test hook; <1 tightens); "
+                            "exponent_sign is exact and ignores it")
     p_ver.add_argument("--out", help="write JSON verdicts here")
     p_ver.set_defaults(func=cmd_verify)
     return parser

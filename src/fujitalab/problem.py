@@ -25,8 +25,6 @@ __all__ = [
     "evaluate_profile",
     "profile_integral",
     "gaussian_weighted_integral",
-    "profile_min_rate",
-    "scale_profile",
     "check_parameters",
     "validate",
 ]

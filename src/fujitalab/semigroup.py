@@ -34,10 +34,7 @@ __all__ = [
     "HeatKernelPlan",
     "apply",
     "apply_direct",
-    "SmoothingRow",
     "smoothing_check",
-    "LowerBoundRow",
-    "LowerBoundReport",
     "kernel_weight_constant",
     "comparison_lower_bound",
 ]

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -83,11 +84,13 @@ def test_usage_errors_exit_1(tmp_path, capsys):
                  swp + ["--jobs", "0"], swp + ["--amplitude", "nan"],
                  swp + ["--amplitude", "inf"], swp + ["--epsilon", "nan"],
                  swp + ["--epsilon", "inf"], swp + ["--epsilon", "0"],
-                 swp + ["--epsilon", "-0.01"]):
+                 swp + ["--epsilon", "-0.01"],
+                 *(["verify", "--tolerance-scale", s] for s in ("inf", "nan", "0", "-1"))):
         assert main(argv) == 1, argv
         captured = capsys.readouterr()
         assert captured.err.startswith("error: "), argv
         assert "verdict" not in captured.out and "points:" not in captured.out
+        assert "PASS" not in captured.out and "FAIL" not in captured.out
 
 
 def test_simulate_writes_artifacts(tmp_path, capsys, monkeypatch):
@@ -253,6 +256,14 @@ def test_verify_fault_injection(capsys, tmp_path):
     assert out.startswith("FAIL mittag_leffler:")
     payload = json.loads(out_file.read_text())
     assert payload["all_passed"] is False
+
+
+def test_verify_stdout_is_the_golden_text(capsys):
+    # every lemma's detail line, byte for byte: a change that claims "same
+    # numbers" must leave this file alone
+    assert main(["verify"]) == 0
+    golden = Path(__file__).parent / "data" / "verify_stdout.txt"
+    assert capsys.readouterr().out == golden.read_text()
 
 
 def _cli_env(tmp_path):

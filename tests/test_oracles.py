@@ -4,12 +4,15 @@ Gronwall majorant, smooth cutoffs with analytic derivatives, the forcing
 kernel-positivity certificate, and the scaling certificate."""
 
 import math
+import random
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from fujitalab import oracles
+from fujitalab.exponents import blowup_criterion
 from fujitalab.oracles import (
     BLOCK_BYTES,
     CUTOFF_KINDS,
@@ -392,3 +395,40 @@ def test_certificate_without_forcing_is_inapplicable():
     rep = certificate_scaling_check(3, 1.5, 1.25, 1.0, -0.5)
     assert not rep.applicable
     assert rep.passed  # nothing to contradict; the I1 slope is still checked
+
+
+# ------------------------------------------------------------ exponent sign
+
+def _seed11_draws():
+    """The exponent_sign lemma's 10,000 draws, in tenths: (N, p, q, alpha, rho)."""
+    rng = random.Random(11)
+    for _ in range(10_000):
+        N = rng.randint(3, 8)
+        p10, q10, a10 = rng.randint(11, 60), rng.randint(11, 80), rng.randint(0, 30)
+        yield N, p10, q10, a10, -rng.randint(0, 9)
+
+
+def _criterion(N, *tenths):
+    return blowup_criterion(N, *(Fraction(v, 10) for v in tenths))
+
+
+def test_integer_prefilter_is_blowup_admissibility():
+    kept = 0
+    for N, p10, q10, a10, rho10 in _seed11_draws():
+        fast = oracles._delta_subcritical_tenths(N, a10, q10)
+        assert fast == _criterion(N, p10, q10, a10, rho10).admissible
+        kept += fast
+    assert kept == 2269
+
+
+def test_exponent_sign_lemma_count_is_pinned():
+    assert oracles.LEMMAS["exponent_sign"](1.0) == (
+        True, "2269 admissible draws agree exactly")
+
+
+def test_exponent_sign_lemma_fails_a_filter_that_keeps_too_much(monkeypatch):
+    monkeypatch.setattr(oracles, "_delta_subcritical_tenths", lambda *a: True)
+    bad = next(d for d in _seed11_draws() if not _criterion(*d).admissible)
+    N, p, q, alpha, rho = bad[0], *(Fraction(v, 10) for v in bad[1:])
+    assert oracles.LEMMAS["exponent_sign"](1.0) == (
+        False, f"inadmissible draw kept at N={N} p={p} q={q} alpha={alpha} rho={rho}")

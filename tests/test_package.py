@@ -25,3 +25,12 @@ def test_every_exported_name_resolves(name):
 
 def test_package_exports_are_unique():
     assert len(fujitalab.__all__) == len(set(fujitalab.__all__))
+
+
+def test_package_exports_are_the_submodule_lists_concatenated():
+    lists = [m.__all__ for m in (fujitalab.exponents, fujitalab.field, fujitalab.oracles,
+                                 fujitalab.problem, fujitalab.semigroup, fujitalab.solver)]
+    names = [name for exported in lists for name in exported]
+    assert len(names) == len(set(names)), "a name is exported by two submodules"
+    assert fujitalab.__all__ == names
+    assert len(names) == 63
