@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import itertools
 import json
 import math
 import os
@@ -139,6 +140,7 @@ def cmd_simulate(args) -> int:
     print(f"sup_norm_final: {record.sup_norms[-1]!r}")
     if record.blowup_time_estimate is not None:
         print(f"blowup_time_estimate: {record.blowup_time_estimate!r}")
+        print(f"blowup_by: {record.metadata['blowup_by']}")
     for key in ("rejections", "counts"):
         print(f"{key}: " + " ".join(f"{k}={v}" for k, v in record.metadata[key].items()))
     if args.out_prefix:
@@ -196,9 +198,8 @@ def _sweep_point(payload) -> tuple:
         return idx, row
     verdict = record.verdict.value
     # The theorem bounds no T*, so a predicted blow-up still running at t_end
-    # is inconclusive, as is a run that ended step_underflow or
-    # budget_exhausted; only a blow-up of small data contradicts the
-    # prediction.
+    # is inconclusive, as is a run that ended budget_exhausted; only a
+    # blow-up of small data contradicts the prediction.
     if regime is Regime.BLOWUP:
         agreement = "match" if verdict == "blowup_detected" else "inconclusive"
     elif regime is Regime.GLOBAL_SMALL_DATA:
@@ -267,23 +268,17 @@ def cmd_sweep(args) -> int:
     config, geometry = _run_setup(args, spec.dim)
     base_json = spec.to_json_dict()
 
-    assignments = []
-    if len(axes) == 1:
-        name0, vals0 = axes[0]
-        for v in vals0:
-            assignments.append({name0: v})
-    else:
-        (name0, vals0), (name1, vals1) = axes
-        for v0 in vals0:
-            for v1 in vals1:
-                assignments.append({name0: v0, name1: v1})
-
+    names = [name for name, _ in axes]
+    grid = itertools.product(*(values for _, values in axes))
     payloads = [
-        (idx, base_json, asg, args.amplitude, args.epsilon, config, geometry)
-        for idx, asg in enumerate(assignments)
+        (idx, base_json, dict(zip(names, point)), args.amplitude, args.epsilon,
+         config, geometry)
+        for idx, point in enumerate(grid)
     ]
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    # a fork pool starts all max_workers at once, so start no idle ones
+    workers = min(args.jobs, len(payloads))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_sweep_point, payloads))
     else:
         results = [_sweep_point(p) for p in payloads]

@@ -263,9 +263,6 @@ class ProblemSpec:
             "w": self.w.to_json_dict(),
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2)
-
     @classmethod
     def from_json_dict(cls, d: dict) -> "ProblemSpec":
         if not isinstance(d, dict):
@@ -279,10 +276,6 @@ class ProblemSpec:
             raise
         except ValueError as exc:
             raise SpecFieldError("spec", str(exc)) from exc
-
-    @classmethod
-    def from_json(cls, text: str) -> "ProblemSpec":
-        return cls.from_json_dict(json.loads(text))
 
     def spec_hash(self) -> str:
         canon = json.dumps(self.to_json_dict(), sort_keys=True)

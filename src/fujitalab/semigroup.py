@@ -4,11 +4,10 @@ The workhorse is spectral: multiply the FFT of the field by exp(-t|k|^2).
 ``HeatKernelPlan`` owns the half-spectrum layout and the grid check, so
 ``apply``, ``step``, ``run_from_fields`` and ``picard_solve`` all transform
 through it.  The plan keeps no per-t state and no buffers: ``spectrum``,
-``field`` and ``multiplier`` write into an ``out`` array when given one, so
-the stepping loop and the Picard sweep work in buffers that each run
-allocates once, and hold the multipliers of their current step size
-themselves.  ``field`` makes irfftn's inverse axis by axis in a caller's
-complex ``work`` array, where irfftn maps a fresh temporary per leading axis.
+``field`` and ``multiplier`` write into an ``out`` array when given one (the
+solver module lists the buffers its loops keep).  ``field`` makes irfftn's
+inverse axis by axis in a caller's complex ``work`` array, where irfftn maps
+a fresh temporary per leading axis.
 A table that depends on k only through |k|^2 can be kept on the plan's
 sorted distinct |k|^2 values (``distinct_ksq``, built on first use; about a
 fifth of the entries at 256^2, a twentieth at 32^3) and expanded with

@@ -15,6 +15,21 @@ independent routes to the same solution are kept deliberately separate:
 They share the semigroup and the nonlinearity but not the time discretization,
 so their agreement under refinement is meaningful evidence of correctness
 (``uniqueness_probe`` measures exactly that).
+
+Both routes work in buffers that each run or solve allocates once.
+``run_from_fields`` carries spectra, so an accepted step's summed spectrum
+is the next state's.  It keeps a ping-pong pair for the state's spectrum and
+the summed one, one load spectrum, one complex scratch that takes each
+product and then the leading-axis passes of the inverse transform, one real
+load field, and one spare field that the attempt is transformed into and
+that trades places with the accepted state; ``_StepHeat`` holds the
+multipliers of the current step size only.  ``picard_solve`` keeps its n + 1
+node fields, each node's forcing factor on the plan's distinct |k|^2 values,
+the accumulator, one load spectrum, one complex scratch for each product and
+the inverse transform's leading axes, one real scratch for the expanded
+factor, one real load field, and one spare node field that each new node
+value is transformed into; the replaced node's buffer takes the sweep
+difference and becomes the next spare.
 """
 
 from __future__ import annotations
@@ -48,7 +63,7 @@ GROWTH_HALVE = 0.20   # reject and halve above 20% sup-norm growth per step
 GROWTH_DOUBLE = 0.01  # double (capped at dt0) below 1% growth
 # Absolute growth floor, as a fraction of the forcing one full first step adds:
 # growth is measured against sup_old + atol, so a run from rest is not
-# halved down to min_dt by its first steps.
+# halved down to the step floor by its first steps.
 GROWTH_FLOOR = 0.1
 # uniqueness_probe passes when the discrepancy falls at least this much per
 # (dt, h) halving; first order would give 2.
@@ -76,7 +91,6 @@ class IterationLimitError(RuntimeError):
 class Verdict(str, Enum):
     COMPLETED = "completed"
     BLOWUP_DETECTED = "blowup_detected"
-    STEP_UNDERFLOW = "step_underflow"
     BUDGET_EXHAUSTED = "budget_exhausted"
 
 
@@ -85,10 +99,8 @@ class SolverConfig:
     """Stepping controls.
 
     dt0 is both the initial and the ceiling step (doubling never exceeds it).
-    Halving stops at min_dt: a step rejected for growth that can no longer be
-    halved is accepted (and counted), while a step that overflows is never
-    accepted, so a run whose step still overflows at min_dt ends as
-    step_underflow.
+    min_dt is the step floor: a rejected attempt whose half step would fall
+    below it ends the run as blow-up (see ``run_from_fields``).
     """
 
     dt0: float = 1e-2
@@ -113,10 +125,8 @@ class SolverConfig:
 class TrajectoryRecord:
     """Recorded run: aligned (t, ||u||_q, ||u||_inf, dt) samples plus verdict.
 
-    Row zero is the initial state with dt = 0.  blowup_time_estimate is set
-    exactly when the verdict is blowup_detected: it is the time of the last
-    row, the end of the step that crossed the threshold.  terminal is the
-    last accepted field; it stays out of the JSON payload.
+    Row zero is the initial state with dt = 0.  terminal is the last
+    accepted field; it stays out of the JSON payload.
     """
 
     times: list
@@ -124,7 +134,6 @@ class TrajectoryRecord:
     sup_norms: list
     dt_history: list
     verdict: Verdict
-    blowup_time_estimate: float | None
     metadata: dict = field(default_factory=dict)
     terminal: GridField | None = field(default=None, repr=False, compare=False)
 
@@ -134,12 +143,11 @@ class TrajectoryRecord:
             raise ValueError("trajectory columns must have equal length")
         if any(b <= a for a, b in zip(self.times, self.times[1:])):
             raise ValueError("times must be strictly increasing")
-        if (self.verdict == Verdict.BLOWUP_DETECTED) != (
-            self.blowup_time_estimate is not None
-        ):
-            raise ValueError(
-                "blowup_time_estimate must accompany exactly the blow-up verdict"
-            )
+
+    @property
+    def blowup_time_estimate(self) -> float | None:
+        """The time of the last row on a blow-up verdict, else None."""
+        return self.times[-1] if self.verdict == Verdict.BLOWUP_DETECTED else None
 
     def to_json_dict(self) -> dict:
         return {
@@ -298,36 +306,32 @@ def run_from_fields(
     under 1%.  Growth is (sup_new - sup_old) / (sup_old + atol), the
     atol/rtol error test: atol is GROWTH_FLOOR times the forcing one full
     first step adds, ||w||_inf dt0^(rho+1)/(rho+1), and zero without
-    forcing, so a run from rest starts at steps set by the forcing.
+    forcing, so a run from rest starts at steps set by the forcing.  For
+    rho < 0 the forcing rate tau^rho is unbounded at t = 0, and halving
+    shrinks a first step's forcing only like dt^(rho+1); so at t = 0 atol
+    is scaled by (dt/dt0)^rho, the step's mean forcing rate over dt0's, and
+    a start from rest halves about as often as for rho = 0 instead of
+    reaching the step floor.
 
-    The step floor: a step rejected for growth when dt/2 would fall below
-    min_dt is accepted anyway, and metadata["min_dt_accepts"] counts these.
-    Near blow-up of u' = u^p the 20% cap asks for steps below the resolution
-    of t before the threshold is reached, so the floor is what lets the run
-    cross it.  A step that overflows is never accepted: when it still
-    overflows at min_dt the run ends step_underflow, an inconclusive verdict.
+    How a run ends.  A rejected attempt is never accepted, and every accepted
+    step moves t.  The run ends completed at t_end, and budget_exhausted, an
+    inconclusive verdict, when it is still short of t_end after MAX_STEPS
+    steps.  It ends blowup_detected at t, the time of its last row, by one
+    of three rules that metadata["blowup_by"] names (the key is absent on
+    the other verdicts): "threshold" when an accepted step's sup norm
+    reaches blowup_threshold; "step_floor" when a rejected attempt can no
+    longer be halved without falling below min_dt; "time_resolution" when
+    t + dt == t, so time can no longer advance.  The last two follow
+    Nakagawa (1976): the numerical blow-up time is the limit of the step
+    times.  With adapt=True the growth cap shrinks the steps near blow-up;
+    with adapt=False the threshold estimate is good to one step of dt0.
+
     metadata["rejections"] counts refused attempts by cause, "growth" and
-    "overflow" (the refused attempt at min_dt included), and
-    metadata["counts"] the work done: "forward_transforms",
-    "inverse_transforms" and "multipliers" (exp(-t|k|^2) tables made).
-
-    The loop carries spectra: an accepted step's summed spectrum is the next
-    state's, w and each state's load are transformed once, so an accepted
-    step makes one forward and one inverse transform and a rejected retry
-    one inverse.  m(dt) and dt m(dt/2) are held for the current dt only.
-    The loop works in buffers the run allocates once: a ping-pong pair for
-    the state's spectrum and the summed one, one load spectrum, one complex
-    scratch that takes each product and then the leading-axis passes of the
-    inverse transform, one real load field, and one spare field that the
-    attempt is transformed into and that trades places with the accepted
-    state.  It never writes into u0 or w.
-
-    Crossing the blow-up threshold ends the run, and the end of the crossing
-    step is the blow-up time estimate.  With adapt=True the growth cap has
-    shrunk that step near blow-up; with adapt=False the estimate is good to
-    one step of dt0.  The record's terminal is the last accepted field.  A
-    run still short of t_end after MAX_STEPS steps ends budget_exhausted,
-    an inconclusive verdict.
+    "overflow", and metadata["counts"] the work done: "forward_transforms",
+    "inverse_transforms" and "multipliers" (exp(-t|k|^2) tables made).  An
+    accepted step makes one forward and one inverse transform, a rejected
+    retry one inverse.  The record's terminal is the last accepted field,
+    and u0 and w are never written.
     """
     t = 0.0
     u = u0
@@ -343,13 +347,12 @@ def run_from_fields(
     if w is not None:
         first_weight, _ = _forcing_weight(0.0, config.dt0, spec.rho)
         atol = GROWTH_FLOOR * lq_norm(w, math.inf) * first_weight
-    min_dt_accepts = 0
     rejections = {"growth": 0, "overflow": 0}
     times = [0.0]
     q_norms = [lq_norm(u, spec.q)]
     sup_norms = [lq_norm(u, math.inf)]
     dt_history = [0.0]
-    verdict = None
+    blowup_by = None
     while True:
         remaining = config.t_end - t
         if remaining <= 1e-12 * config.t_end:
@@ -359,6 +362,9 @@ def run_from_fields(
             verdict = Verdict.BUDGET_EXHAUSTED
             break
         dt_step = min(dt, remaining)
+        if t + dt_step == t:
+            verdict, blowup_by = Verdict.BLOWUP_DETECTED, "time_resolution"
+            break
         heat.hold(dt_step)
         try:
             if load_hat is None:
@@ -371,22 +377,20 @@ def run_from_fields(
         except BlowupSignal:
             u_new, sup_new = None, math.inf
         sup_old = sup_norms[-1]
-        if sup_old + atol > 0:
-            growth = (sup_new - sup_old) / (sup_old + atol)
+        atol_step = atol
+        if t == 0.0 and spec.rho < 0:  # the forcing rate is unbounded at t = 0
+            atol_step = atol * (dt_step / config.dt0) ** spec.rho
+        if sup_old + atol_step > 0:
+            growth = (sup_new - sup_old) / (sup_old + atol_step)
         else:
             growth = math.inf if sup_new > 0 else 0.0
-        rejecting = u_new is None or (config.adapt and growth > GROWTH_HALVE)
-        halving = rejecting and dt_step / 2.0 >= config.min_dt
-        if halving or u_new is None:
+        if u_new is None or (config.adapt and growth > GROWTH_HALVE):
             rejections["overflow" if u_new is None else "growth"] += 1
-        if halving:
+            if dt_step / 2.0 < config.min_dt:
+                verdict, blowup_by = Verdict.BLOWUP_DETECTED, "step_floor"
+                break
             dt = dt_step / 2.0
             continue
-        if u_new is None:
-            verdict = Verdict.STEP_UNDERFLOW
-            break
-        if rejecting:
-            min_dt_accepts += 1
         t += dt_step
         # the old state's buffers are free now, except u0, which is the caller's
         spare = u.values if u is not u0 else np.empty_like(spare)
@@ -396,7 +400,7 @@ def run_from_fields(
         sup_norms.append(sup_new)
         dt_history.append(dt_step)
         if sup_new >= config.blowup_threshold:
-            verdict = Verdict.BLOWUP_DETECTED
+            verdict, blowup_by = Verdict.BLOWUP_DETECTED, "threshold"
             break
         if config.adapt:
             if growth < GROWTH_DOUBLE:
@@ -404,15 +408,13 @@ def run_from_fields(
             else:
                 dt = dt_step
     metadata = _run_metadata(spec, config, u0)
-    metadata["min_dt_accepts"] = min_dt_accepts
+    if blowup_by is not None:
+        metadata["blowup_by"] = blowup_by
     metadata["rejections"] = rejections
     metadata["counts"] = {"forward_transforms": forward, "inverse_transforms": inverse,
                           "multipliers": heat.multipliers}
-    blowup_estimate = t if verdict is Verdict.BLOWUP_DETECTED else None
-    return TrajectoryRecord(
-        times, q_norms, sup_norms, dt_history, verdict, blowup_estimate, metadata,
-        terminal=u,
-    )
+    return TrajectoryRecord(times, q_norms, sup_norms, dt_history, verdict, metadata,
+                            terminal=u)
 
 
 def _run_metadata(spec, config, u0) -> dict:
@@ -469,13 +471,7 @@ def picard_solve(
     loads.  Unrolled it is the same sums, at O(n) spectral operations per
     sweep.  Each node's forcing factor W_j S(theta_j) is made once per solve
     on the plan's distinct |k|^2 values and expanded with np.take at each
-    node of a sweep.  Besides those tables, the solve works in buffers it
-    allocates once: the accumulator, one load spectrum, one complex scratch
-    for each product and the inverse transform's leading axes, one real
-    scratch for the expanded factor, one real load field, and one spare node
-    field that each new node value is transformed into; the replaced node's
-    buffer takes the sweep difference and becomes the next spare.  u0 is
-    never written.
+    node of a sweep.  u0 and w are never written.
 
     Stops when sweeps differ by less than PICARD_TOL in sup-over-grid q-norm.
     The contraction estimate is the first successive-difference quotient,

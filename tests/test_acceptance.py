@@ -252,6 +252,10 @@ def test_criterion_08_forced_blowup_pair():
     blow = fl.ProblemSpec(3, 2.0, 2.0, 0.0, 0.0, ZERO, w)
     rec = fl.run(blow, fl.SolverConfig(dt0=0.25, t_end=120.0), geometry)
     assert rec.verdict is fl.Verdict.BLOWUP_DETECTED
+    # T* pinned to the bit: a change that claims the same numbers must keep it
+    assert rec.blowup_time_estimate == float.fromhex("0x1.6ec0469900000p+5")
+    assert len(rec.times) - 1 == 429
+    assert rec.metadata["blowup_by"] == "threshold"
     # the work of this run: w, the state and one load per accepted state
     # forward, one inverse per attempt (429 accepted + 33 rejected)
     assert rec.metadata["rejections"] == {"growth": 33, "overflow": 0}

@@ -114,6 +114,13 @@ def test_simulate_writes_artifacts(tmp_path, capsys, monkeypatch):
     assert "created_unix" in meta and meta["command"] == "simulate"
     # wall-clock data stays out of the deterministic payloads
     assert "created_unix" not in traj
+    assert "blowup_by" not in out and "blowup_by" not in traj["metadata"]
+    # a blow-up names the rule that ended it, under its time
+    assert main(["simulate", "--spec", spec, "--t-end", "0.5", "--dt0", "0.05",
+                 "--points", "64", "--threshold", "0.4"]) == 0
+    out = capsys.readouterr().out
+    assert "verdict: blowup_detected\n" in out
+    assert "\nblowup_time_estimate: 0.05\nblowup_by: threshold\n" in out
 
 
 def test_sweep_stdout_and_counts(tmp_path, capsys):
@@ -147,13 +154,11 @@ def test_sweep_calls_an_unfinished_predicted_blowup_inconclusive(tmp_path, capsy
 
 
 def test_sweep_keeps_mismatch_for_a_small_data_blowup(tmp_path, capsys, monkeypatch):
-    verdicts = iter([Verdict.BLOWUP_DETECTED, Verdict.STEP_UNDERFLOW, Verdict.COMPLETED])
+    verdicts = iter([Verdict.BLOWUP_DETECTED, Verdict.BUDGET_EXHAUSTED, Verdict.COMPLETED])
 
     def scripted_run(spec, config, geometry):
-        verdict = next(verdicts)
-        t_star = 1.0 if verdict is Verdict.BLOWUP_DETECTED else None
         return TrajectoryRecord([0.0, 1.0], [1.0, 1.0], [1.0, 1.0], [0.0, 1.0],
-                                verdict, t_star)
+                                next(verdicts))
 
     monkeypatch.setattr("fujitalab.cli.run", scripted_run)
     spec = _write_spec(tmp_path, GOOD_SPEC)
@@ -162,7 +167,7 @@ def test_sweep_keeps_mismatch_for_a_small_data_blowup(tmp_path, capsys, monkeypa
     out = capsys.readouterr().out
     assert [r[5:8] for r in _sweep_rows(out)] == [
         ["global_small_data", "blowup_detected", "mismatch"],
-        ["global_small_data", "step_underflow", "inconclusive"],
+        ["global_small_data", "budget_exhausted", "inconclusive"],
         ["global_small_data", "completed", "match"],
     ]
     assert "match: 1\nmismatch: 1\ninconclusive: 1\n" in out
@@ -187,7 +192,7 @@ def test_sweep_turns_a_failing_point_into_an_error_row(tmp_path, capsys, monkeyp
         if verdict is None:
             raise RuntimeError("step budget exhausted")
         return TrajectoryRecord([0.0, 1.0], [1.0, 1.0], [1.0, 1.0], [0.0, 1.0],
-                                verdict, None)
+                                verdict)
 
     monkeypatch.setattr("fujitalab.cli.run", scripted_run)
     spec = _write_spec(tmp_path, GOOD_SPEC)
@@ -217,6 +222,38 @@ def test_sweep_two_axes_and_inadmissible_rows(tmp_path, capsys):
     # rho = -1.5 rows are inadmissible and must be reported, not crash
     skipped = [r for r in rows if r[6] == "skipped"]
     assert len(skipped) == 2 and all(r[5] == "inadmissible" for r in skipped)
+    # the last axis varies fastest
+    assert [(r[1], r[4]) for r in rows] == [
+        ("1.8", "-1.5"), ("1.8", "0.0"), ("2.2", "-1.5"), ("2.2", "0.0")]
+
+
+def test_sweep_starts_no_more_workers_than_points(tmp_path, capsys, monkeypatch):
+    # a fork pool starts all of its max_workers at once, so a sweep asks for
+    # no more than it has points, and runs a single point in this process
+    started = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr("fujitalab.cli.ProcessPoolExecutor", SerialPool)
+    spec = _write_spec(tmp_path, SWEEP_SPEC)
+    argv = ["sweep", "--spec", spec, "--t-end", "0.1", "--dt0", "0.05",
+            "--points", "16", "--jobs", "8"]
+    assert main(argv + ["--axis", "p=1.8:2.2:3"]) == 0
+    assert main(argv + ["--axis", "p=1.8:1.8:1"]) == 0
+    assert started == [3]
+    out = capsys.readouterr().out
+    assert "points: 3" in out and "points: 1" in out
 
 
 def test_sweep_axis_validation(tmp_path, capsys):

@@ -128,7 +128,7 @@ def _spec_dict(**overrides):
 
 def test_json_round_trip():
     spec = ProblemSpec.from_json_dict(_spec_dict())
-    again = ProblemSpec.from_json(spec.to_json())
+    again = ProblemSpec.from_json_dict(json.loads(json.dumps(spec.to_json_dict())))
     assert again == spec
     assert again.spec_hash() == spec.spec_hash()
 

@@ -43,8 +43,6 @@ def test_ode_blowup_time():
     rec = run_from_fields(spec, u0, None, cfg, HeatKernelPlan.for_field(u0))
     assert rec.verdict is Verdict.BLOWUP_DETECTED
     assert rec.blowup_time_estimate == pytest.approx(1.0, abs=0.05)
-    # extrapolated T* sits at (or within roundoff of) the last reached time
-    assert rec.blowup_time_estimate >= rec.times[-1] - 1e-6
 
 
 def test_ode_p3_blowup_time():
@@ -55,23 +53,40 @@ def test_ode_p3_blowup_time():
     rec = run_from_fields(spec, u0, None, cfg, HeatKernelPlan.for_field(u0))
     assert rec.verdict is Verdict.BLOWUP_DETECTED
     assert rec.blowup_time_estimate == pytest.approx(0.5, abs=0.03)
-    # the 20% cap asks for steps below min_dt before u reaches 1e8; the step
-    # floor accepts those steps and counts them
-    assert rec.metadata["min_dt_accepts"] > 0
+    # the 20% cap asks for steps below min_dt before u reaches 1e8, so the
+    # run ends at the step floor, not by the threshold
+    assert rec.metadata["blowup_by"] == "step_floor"
+    # a step rejected for growth is never accepted, not even at the floor
+    assert rec.metadata["rejections"]["growth"] > 0
+    growth = [(b - a) / a for a, b in zip(rec.sup_norms, rec.sup_norms[1:])]
+    assert max(growth) <= solver.GROWTH_HALVE
 
 
-def test_overflow_at_min_dt_ends_as_step_underflow():
-    # 1e150^3 overflows at every dt, so no step is ever accepted
+def test_overflow_at_min_dt_ends_as_blowup_at_the_step_floor():
+    # 1e150^3 overflows at every dt, so no step is ever accepted: u leaves
+    # every bound at once, and the run ends as blow-up at t = 0
     spec = ProblemSpec(1, 3.0, 2.0, 0.0, 0.0, ZERO, ZERO)
     cfg = SolverConfig(blowup_threshold=1e300, min_dt=1e-6)
     u0 = _const_field(1e150)
     rec = run_from_fields(spec, u0, None, cfg, HeatKernelPlan.for_field(u0))
-    assert rec.verdict is Verdict.STEP_UNDERFLOW
-    assert rec.blowup_time_estimate is None
-    assert rec.times == [0.0]
-    assert rec.metadata["min_dt_accepts"] == 0
+    assert rec.verdict is Verdict.BLOWUP_DETECTED
+    assert rec.metadata["blowup_by"] == "step_floor"
+    assert rec.times == [0.0] and rec.blowup_time_estimate == 0.0
     # halvings from 1e-2 down to min_dt, then the refused attempt at min_dt
     assert rec.metadata["rejections"] == {"growth": 0, "overflow": 14}
+
+
+def test_late_blowup_ends_when_time_stops_advancing():
+    # u' = u^3 from 0.005 blows up at T* = 1/(2 u0^2) = 20,000; near there
+    # the capped steps fall below the resolution of t before the step floor
+    spec = ProblemSpec(1, 3.0, 2.0, 0.0, 0.0, ZERO, ZERO)
+    cfg = SolverConfig(dt0=1.0, t_end=3e4)
+    u0 = _const_field(0.005)
+    rec = run_from_fields(spec, u0, None, cfg, HeatKernelPlan.for_field(u0))
+    assert rec.verdict is Verdict.BLOWUP_DETECTED
+    assert rec.metadata["blowup_by"] == "time_resolution"
+    assert rec.blowup_time_estimate == rec.times[-1]
+    assert rec.blowup_time_estimate == pytest.approx(20_007.0, abs=1.0)
 
 
 @pytest.mark.usefixtures("zero_load")
@@ -222,10 +237,10 @@ def test_adaptive_steps_shrink_toward_blowup():
     assert rec.sup_norms[-1] >= 1e8
 
 
-def _forced_from_rest(p, dt0, t_end):
+def _forced_from_rest(p, dt0, t_end, rho=0.0):
     """Criterion 8's forced problem from u0 = 0, on a 16^3 grid."""
     w = ProfileSpec.gaussian(0.5, 1.0, (0.0,) * 3)
-    spec = ProblemSpec(3, p, 2.0, 0.0, 0.0, ZERO, w)
+    spec = ProblemSpec(3, p, 2.0, 0.0, rho, ZERO, w)
     return run(spec, SolverConfig(dt0=dt0, t_end=t_end), BoxGeometry(16.0, 16))
 
 
@@ -235,7 +250,20 @@ def test_forced_run_from_rest_starts_at_forcing_sized_steps():
     rec = _forced_from_rest(4.0, 0.25, 1.0)
     assert rec.verdict is Verdict.COMPLETED
     assert min(rec.dt_history[1:]) >= 1e-6
-    assert rec.metadata["min_dt_accepts"] == 0
+    assert "blowup_by" not in rec.metadata
+
+
+def test_singular_forcing_from_rest_leaves_t_zero():
+    # with rho = -0.9 a first step's forcing shrinks only like dt^0.1, so
+    # against dt0's atol no step above min_dt passes the cap; at t = 0 atol
+    # follows the step's forcing rate, and the run starts at dt0 / 64 as it
+    # does for rho = 0 instead of ending as blow-up at t = 0
+    rec = _forced_from_rest(2.0, 1e-2, 10.0, rho=-0.9)
+    assert rec.dt_history[1] == 1e-2 / 64
+    # the forcing is large near t = 0: the run still blows up, near the
+    # T* ~ 0.4023 that steps of min_dt through t = 0 gave
+    assert rec.metadata["blowup_by"] == "threshold"
+    assert rec.blowup_time_estimate == pytest.approx(0.4023, abs=1e-3)
 
 
 def test_forced_blowup_time_refines_at_first_order():
@@ -548,9 +576,12 @@ def test_rejected_steps_reuse_the_spectra_of_the_state(monkeypatch):
     rejections = rec.metadata["rejections"]
     assert rec.verdict is Verdict.BLOWUP_DETECTED
     assert rejections["growth"] > 0
-    # every attempt makes one inverse; only accepted states make forward ones
+    # every attempt makes one inverse; only states make forward ones: u0 and
+    # each accepted state, the last included, since the run ends at the step
+    # floor after a rejected attempt from it
+    assert rec.metadata["blowup_by"] == "step_floor"
     assert counts["field"] == accepted + rejections["growth"] + rejections["overflow"]
-    assert counts["spectrum"] == accepted + 1
+    assert counts["spectrum"] == accepted + 2
     assert rec.metadata["counts"] == {"forward_transforms": counts["spectrum"],
                                       "inverse_transforms": counts["field"],
                                       "multipliers": counts["multiplier"]}
