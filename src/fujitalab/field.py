@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .problem import ProfileSpec, evaluate_profile
+from .problem import ProfileSpec, _check_centers, evaluate_profile
 
 __all__ = [
     "BlowupSignal",
@@ -126,8 +126,10 @@ def sample(
     half_width: float = DEFAULT_HALF_WIDTH,
     points_per_axis: int | None = None,
 ) -> GridField:
-    """Evaluate a profile on the grid; the box resolves as BoxGeometry's does."""
+    """Evaluate a profile on the grid; the box resolves as BoxGeometry's does.
+    A term centre of another dimension than dim raises ValueError."""
     L, M = BoxGeometry(half_width, points_per_axis).resolve(dim)
+    _check_centers(prof, dim)
     ax = coordinates(L, M)
     if prof.kind == "zero" or not prof.terms:
         return GridField(dim, L, np.zeros((M,) * dim))

@@ -8,10 +8,6 @@ through it.  The plan keeps no per-t state and no buffers: ``spectrum``,
 solver module lists the buffers its loops keep).  ``field`` makes irfftn's
 inverse axis by axis in a caller's complex ``work`` array, where irfftn maps
 a fresh temporary per leading axis.
-A table that depends on k only through |k|^2 can be kept on the plan's
-sorted distinct |k|^2 values (``distinct_ksq``, built on first use; about a
-fifth of the entries at 256^2, a twentieth at 32^3) and expanded with
-``np.take``; ``picard_solve`` keeps each node's forcing factor that way.
 ``apply_direct`` instead convolves with the free-space Gaussian kernel as a
 dense quadrature sum (factored axis by axis, which is the same sum reordered);
 the two agree for well-resolved data away from the box boundary and the tests
@@ -20,7 +16,6 @@ lean on that as an independent route.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -47,10 +42,7 @@ class HeatKernelPlan:
     ``spectrum`` (with the check that a field lies on the grid) and ``field``
     are the one forward and one inverse transform; no per-t state is kept.
     Each method writes into ``out`` when given one (``field`` also into its
-    complex scratch ``work``); None allocates, as in numpy.  ``distinct_ksq``
-    is the second layout of the same table: its sorted distinct values and
-    each half-spectrum entry's index among them, made by ``np.unique`` when
-    first read, so a plan that never reads it never pays for it.
+    complex scratch ``work``); None allocates, as in numpy.
     """
 
     def __init__(self, dim: int, points_per_axis: int, half_width: float):
@@ -70,23 +62,9 @@ class HeatKernelPlan:
     def for_field(cls, f: GridField) -> "HeatKernelPlan":
         return cls(*f.grid)
 
-    @functools.cached_property
-    def distinct_ksq(self) -> tuple[np.ndarray, np.ndarray]:
-        """(values, index): the sorted distinct |k|^2 values, and for each
-        half-spectrum entry the index of its value, so values[index] is ksq."""
-        values, index = np.unique(self.ksq, return_inverse=True)
-        return values, index.reshape(self.ksq.shape)
-
-    def multiplier(self, t: float, out: np.ndarray | None = None,
-                   distinct: bool = False) -> np.ndarray:
-        """exp(-t |k|^2), computed per call; k = 0 maps to 1, so means are kept.
-
-        With distinct=True the table is over the distinct |k|^2 values of
-        ``distinct_ksq`` instead; np.take(table, index) expands it to the
-        half-spectrum table bit for bit.
-        """
-        ksq = self.distinct_ksq[0] if distinct else self.ksq
-        out = np.multiply(ksq, -t, out=out)
+    def multiplier(self, t: float, out: np.ndarray | None = None) -> np.ndarray:
+        """exp(-t |k|^2), computed per call; k = 0 maps to 1, so means are kept."""
+        out = np.multiply(self.ksq, -t, out=out)
         return np.exp(out, out=out)
 
     def spectrum(self, f: GridField, out: np.ndarray | None = None) -> np.ndarray:
@@ -115,9 +93,10 @@ class HeatKernelPlan:
 
 
 def apply(plan: HeatKernelPlan, f: GridField, t: float) -> GridField:
-    """Spectral heat step: exact identity at t = 0, error for t < 0 or another grid."""
-    if t < 0:
-        raise ValueError("t must be >= 0")
+    """Spectral heat step: exact identity at t = 0; ValueError for t < 0,
+    a non-finite t or another grid."""
+    if not 0 <= t < math.inf:
+        raise ValueError("t must be >= 0 and finite")
     if t == 0 and f.grid == plan.grid:
         return f
     return plan.field(plan.spectrum(f) * plan.multiplier(t))

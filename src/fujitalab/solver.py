@@ -24,12 +24,11 @@ product and then the leading-axis passes of the inverse transform, one real
 load field, and one spare field that the attempt is transformed into and
 that trades places with the accepted state; ``_StepHeat`` holds the
 multipliers of the current step size only.  ``picard_solve`` keeps its n + 1
-node fields, each node's forcing factor on the plan's distinct |k|^2 values,
-the accumulator, one load spectrum, one complex scratch for each product and
-the inverse transform's leading axes, one real scratch for the expanded
-factor, one real load field, and one spare node field that each new node
-value is transformed into; the replaced node's buffer takes the sweep
-difference and becomes the next spare.
+node fields, a ``_StepHeat`` for its one step size, the accumulator, one
+load spectrum, one complex scratch for each product and the inverse
+transform's leading axes, one real load field, and one spare node field that
+each new node value is transformed into; the replaced node's buffer takes
+the sweep difference and becomes the next spare.
 """
 
 from __future__ import annotations
@@ -469,18 +468,18 @@ def picard_solve(
     S(dt) (G_j + dt/2 N_j) + dt/2 N_{j+1} + W_j S(theta_j) w_hat, and node
     j+1 is the field of G_{j+1}; the first node values march it without
     loads.  Unrolled it is the same sums, at O(n) spectral operations per
-    sweep.  Each node's forcing factor W_j S(theta_j) is made once per solve
-    on the plan's distinct |k|^2 values and expanded with np.take at each
-    node of a sweep.  u0 and w are never written.
+    sweep.  S(dt) and each node's forcing factor W_j S(theta_j) come from
+    the stepper's ``_StepHeat``, the factor made afresh whenever the march
+    reaches its node.  u0 and w are never written.
 
     Stops when sweeps differ by less than PICARD_TOL in sup-over-grid q-norm.
     The contraction estimate is the first successive-difference quotient,
     the cleanest observable surrogate of the fixed-point map's Lipschitz
-    factor.  w=None means no forcing; nodes < 2 or a plan for another grid
-    than u0's (or w's) raises ValueError.
+    factor.  w=None means no forcing; T not positive and finite, nodes < 2
+    or a plan for another grid than u0's (or w's) raises ValueError.
     """
-    if T <= 0:
-        raise ValueError("T must be positive")
+    if not 0 < T < math.inf:
+        raise ValueError("T must be positive and finite")
     if nodes < 2:
         raise ValueError("nodes must be >= 2")
     rep = validate(spec)
@@ -489,27 +488,18 @@ def picard_solve(
     if plan is None:
         plan = HeatKernelPlan.for_field(u0)
     dt = T / nodes
-    decay = plan.multiplier(dt)
+    heat = _StepHeat(plan)
+    heat.hold(dt)  # S(dt) is heat.m_dt
     u0_hat = plan.spectrum(u0)
     acc, load, work = (np.empty_like(u0_hat) for _ in range(3))
     load_field, spare = np.empty(u0.values.shape), np.empty(u0.values.shape)
-    counts = {"forward_transforms": 1, "inverse_transforms": 0, "multipliers": 1}
-
-    tables = []  # W_j S(theta_j) on the distinct |k|^2 values, one per node
-    if w is not None:
-        w_hat = plan.spectrum(w)
-        index = plan.distinct_ksq[1]
-        factor = np.empty(decay.shape)
-        for j in range(nodes):
-            weight, theta = _forcing_weight(j * dt, dt, spec.rho)
-            tables.append(plan.multiplier(theta, distinct=True) * weight)
-        counts["forward_transforms"] += 1
-        counts["multipliers"] += nodes
+    w_hat = plan.spectrum(w) if w is not None else None
+    counts = {"forward_transforms": 2 if w is not None else 1, "inverse_transforms": 0}
 
     def forcing(j):
-        """W_j S(theta_j) w_hat, expanded from node j's table, in work."""
-        np.take(tables[j], index, out=factor, mode="clip")
-        return np.multiply(factor, w_hat, out=work)
+        """W_j S(theta_j) w_hat, into work."""
+        return np.multiply(heat.forcing(*_forcing_weight(j * dt, dt, spec.rho)), w_hat,
+                           out=work)
 
     def half_load(u, out=None):
         counts["forward_transforms"] += 1
@@ -524,8 +514,8 @@ def picard_solve(
     states = [u0]
     np.copyto(acc, u0_hat)
     for j in range(nodes):
-        acc *= decay
-        if tables:
+        acc *= heat.m_dt
+        if w_hat is not None:
             acc += forcing(j)
         states.append(node_field())
     load0 = half_load(u0)
@@ -539,10 +529,10 @@ def picard_solve(
             # each old node is read once, before the sweep overwrites it
             old = states[j]
             acc += left
-            acc *= decay
+            acc *= heat.m_dt
             left = half_load(old, out=load)  # the right end, and the next left
             acc += left
-            if tables:
+            if w_hat is not None:
                 acc += forcing(j - 1)
             new = node_field(out=spare)
             # old's buffer takes the difference, then becomes the next spare
@@ -565,6 +555,7 @@ def picard_solve(
             f"no convergence in {PICARD_MAX_SWEEPS} sweeps (last diff {diffs[-1]:.3e})"
         )
     contraction = diffs[1] / diffs[0] if len(diffs) >= 2 and diffs[0] > 0 else 0.0
+    counts["multipliers"] = heat.multipliers
     return PicardResult(states[-1], len(diffs), contraction, tuple(diffs), counts)
 
 
@@ -590,10 +581,13 @@ def uniqueness_probe(
     every ratio is at least MIN_PROBE_RATIO.  Level lvl takes fixed steps
     dt = T / PROBE_NODES / 2**lvl on the same PROBE_NODES * 2**lvl Picard
     nodes, with the points per axis doubled each level.  Each level samples
-    the problem record's own profiles on its grid; levels < 1 raises
-    ValueError.  details["levels"] holds one entry per level, with Picard's
-    sweeps and its work counts (``PicardResult.counts``) as "picard_counts".
+    the problem record's own profiles on its grid; T not positive and
+    finite, or levels < 1, raises ValueError.  details["levels"] holds one
+    entry per level, with Picard's sweeps and its work counts
+    (``PicardResult.counts``) as "picard_counts".
     """
+    if not 0 < T < math.inf:
+        raise ValueError("T must be positive and finite")
     if levels < 1:
         raise ValueError("levels must be >= 1")
     rep = validate(spec)

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from fujitalab.field import sample
 from fujitalab.oracles import w_condition_check
 from fujitalab.problem import (
     GaussianTerm,
@@ -192,6 +193,12 @@ def test_profile_of_another_dimension_is_refused():
     # pi for this 2-D Gaussian, not the 1-D sqrt(pi)
     with pytest.raises(ValueError, match="dim"):
         profile_integral(ProfileSpec.gaussian(1.0, 1.0, (0.0, 0.0)), 1)
+    # sampling a 3-D centre on a 2-D grid would drop its third coordinate,
+    # and a 1-D centre on a 2-D grid would index past it
+    with pytest.raises(ValueError, match="dim"):
+        sample(ProfileSpec.gaussian(1.0, 1.0, (0.0, 0.0, 5.0)), 2, 8.0, 16)
+    with pytest.raises(ValueError, match="dim"):
+        sample(ProfileSpec.gaussian(1.0, 1.0, (0.0,)), 2, 8.0, 16)
 
 
 def test_parameter_bands():

@@ -82,20 +82,13 @@ def test_multipliers_are_not_kept_per_t():
     assert kept < 2 * plan.ksq.nbytes
 
 
-def test_distinct_ksq_table_expands_to_the_multiplier_bit_for_bit():
-    # a table on the distinct |k|^2 values, gathered back through each
-    # entry's index, is the half-spectrum multiplier itself
-    for dim, M in ((1, 64), (2, 32), (3, 16)):
-        plan = HeatKernelPlan(dim, M, 8.0)
-        values, index = plan.distinct_ksq
-        assert np.all(np.diff(values) > 0)
-        assert index.shape == plan.ksq.shape
-        assert np.array_equal(values[index], plan.ksq)
-        assert values.size < plan.ksq.size or dim == 1
-        for t in (1e-3, 0.0625, 0.7):
-            table = plan.multiplier(t, distinct=True)
-            assert table.shape == values.shape
-            assert np.array_equal(np.take(table, index), plan.multiplier(t))
+def test_apply_refuses_negative_and_non_finite_t():
+    # inf would also warn from 0 * inf at k = 0 before the blow-up check
+    f = _band_limited(1, 8.0, 32, seed=0)
+    plan = HeatKernelPlan.for_field(f)
+    for t in (-1e-3, -math.inf, math.inf, math.nan):
+        with pytest.raises(ValueError, match="t must be >= 0 and finite"):
+            apply(plan, f, t)
 
 
 def test_field_is_irfftn_bit_for_bit():

@@ -343,8 +343,8 @@ def _direct_picard(spec, u0, w, T, n, sweeps, plan):
 
 
 def test_marched_picard_equals_the_direct_sums():
-    # 1-D at 64 points and 16 nodes, and 2-D at 32^2 and 8 nodes, where
-    # |k|^2 repeats and the forcing factors are expanded from distinct values
+    # 1-D at 64 points and 16 nodes, and 2-D at 32^2 and 8 nodes, with the
+    # forcing factors made node by node as the march reaches them
     for dim, M, n in ((1, 64, 16), (2, 32, 8)):
         spec = ProblemSpec(dim, 2.0, 2.0, 1.0, -0.5,
                            ProfileSpec.gaussian(0.3, 1.0, (0.5,) * dim), ZERO)
@@ -357,9 +357,10 @@ def test_marched_picard_equals_the_direct_sums():
         assert np.max(np.abs(pic.terminal.values - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
-def test_forced_picard_makes_at_most_one_multiplier_per_node(monkeypatch):
-    # every exp table counts, whichever plan method makes it and on whichever
-    # layout: the plan's only route to exp(-t|k|^2) is numpy's exp
+def test_forced_picard_makes_one_multiplier_per_node_per_march(monkeypatch):
+    # every exp table counts, whichever plan method makes it: the plan's only
+    # route to exp(-t|k|^2) is numpy's exp.  S(dt) and S(dt/2) once, then
+    # each node's forcing factor in the first march and in every sweep
     spec = ProblemSpec(2, 2.0, 2.0, 1.0, -0.5,
                        ProfileSpec.gaussian(0.05, 1.0, (0.0, 0.0)), ZERO)
     u0 = sample(spec.u0, 2, 16.0, 32)
@@ -376,13 +377,12 @@ def test_forced_picard_makes_at_most_one_multiplier_per_node(monkeypatch):
     pic = picard_solve(spec, u0, w, 0.1, nodes=n)
     monkeypatch.undo()
     assert pic.iterations > 1
-    assert 0 < len(tables) <= n + 1
-    assert pic.counts["multipliers"] == len(tables)
+    assert pic.counts["multipliers"] == len(tables) == 2 + n * (1 + pic.iterations)
 
 
 def test_forced_picard_holds_no_linear_spectrum_per_node():
-    # the node fields are the one per-node store: the forcing factors live on
-    # the distinct |k|^2 values and the linear part is marched with the
+    # the node fields are the one per-node store: each forcing factor is made
+    # when the march reaches its node and the linear part is marched with the
     # history (storing n + 1 linear spectra peaked at 74 node fields here)
     g = ProfileSpec.gaussian(0.05, 1.0, (0.0, 0.0))
     spec = ProblemSpec(2, 2.0, 2.0, 1.0, -0.5, g, g)
@@ -401,21 +401,25 @@ def test_forced_picard_holds_no_linear_spectrum_per_node():
 
 def test_probe_levels_count_picard_work():
     # per level: the spectra of u0 and w and of every load, one inverse per
-    # node per sweep plus the first node values, one table per node plus
-    # S(dt); the 256^2 level's counts are pinned
+    # node per sweep plus the first node values, S(dt) and S(dt/2) plus one
+    # table per node per march; the 256^2 level's counts are pinned
     g = ProfileSpec.gaussian(0.05, 1.0, (0.0, 0.0))
     spec = ProblemSpec(2, 2.0, 2.0, 1.0, -0.5, g, g)
     rep = uniqueness_probe(spec, T=0.1, geometry=BoxGeometry(16.0, 64), levels=2)
     assert rep.passed
+    # the discrepancies pinned to the bit: a change that claims the same
+    # numbers must keep them
+    assert rep.discrepancies == tuple(float.fromhex(x) for x in (
+        "0x1.1dfe0b4c10cb1p-21", "0x1.1cce15f263023p-22", "0x1.1c3c264eb9eaep-23"))
     for lvl in rep.details["levels"]:
         n, sweeps = lvl["picard_nodes"], lvl["picard_iterations"]
         assert lvl["picard_counts"] == {"forward_transforms": 3 + sweeps * n,
                                         "inverse_transforms": (1 + sweeps) * n,
-                                        "multipliers": n + 1}
+                                        "multipliers": 2 + n * (1 + sweeps)}
     last = rep.details["levels"][-1]
     assert last["points_per_axis"] == 256 and last["picard_iterations"] == 3
     assert last["picard_counts"] == {"forward_transforms": 195,
-                                     "inverse_transforms": 256, "multipliers": 65}
+                                     "inverse_transforms": 256, "multipliers": 258}
 
 
 def test_solver_config_rejects_out_of_range_settings():
@@ -432,6 +436,10 @@ def test_picard_needs_two_nodes():
     u0 = sample(spec.u0, 1, 16.0, 64)
     with pytest.raises(ValueError, match="nodes"):
         picard_solve(spec, u0, None, 0.1, nodes=1)
+    # nan and inf would march into BlowupSignal, which reads as blow-up
+    for T in (0.0, -0.1, math.nan, math.inf):
+        with pytest.raises(ValueError, match="T must be positive and finite"):
+            picard_solve(spec, u0, None, T)
 
 
 def test_picard_requires_lwp_hypotheses():
@@ -457,6 +465,9 @@ def test_uniqueness_probe_refinement_ratio():
     for levels in (0, -1):
         with pytest.raises(ValueError, match="levels"):
             uniqueness_probe(spec, T=0.1, levels=levels)
+    for T in (0.0, -0.1, math.nan, math.inf):
+        with pytest.raises(ValueError, match="T must be positive and finite"):
+            uniqueness_probe(spec, T=T)
 
 
 def test_fixed_dt_run_returns_the_hand_stepped_terminal():
