@@ -149,13 +149,14 @@ def lq_norm(f: GridField, q) -> float:
 
     The sup norm is max(max v, -min v) and q = 2 is the dot product of the
     values with themselves: each takes no temporary array.  Any other q
-    raises |v| to the q-th power in place, one temporary.
+    raises |v| to the q-th power in place, one temporary.  ValueError for
+    q < 1 or nan.
     """
     v = f.values
     if q == math.inf or q == "inf":
         return float(max(v.max(), -v.min()))
     q = float(q)
-    if q < 1:
+    if not q >= 1:
         raise ValueError("q must be >= 1 or inf")
     if q == 2.0:
         flat = v.reshape(-1)

@@ -261,25 +261,31 @@ def smoothstep_jet(u):
     return s, s1, s2
 
 
+def _cutoff_args(kind: str, s):
+    """The smoothstep arguments of a cutoff at s; each is monotone in s."""
+    if kind == "psi1":
+        return 4.0 * s - 1.0, 16.0 - 20.0 * s
+    if kind == "psi2":
+        return (2.0 - s,)
+    raise ValueError(f"unknown cutoff kind {kind!r}")
+
+
 def cutoff_jet(kind: str, s):
     """(g, g', g'') of a cutoff.
 
     psi1: plateau [1/2, 3/4] inside support [1/4, 4/5], the product of a
     rising and a falling smoothstep; psi2: 1 on [0, 1], 0 past 2.
     """
-    s = np.asarray(s, dtype=float)
-    if kind == "psi1":
-        a, a1, a2 = smoothstep_jet(4.0 * s - 1.0)
-        b, b1, b2 = smoothstep_jet(16.0 - 20.0 * s)
-        return (
-            a * b,
-            4.0 * a1 * b - 20.0 * a * b1,
-            16.0 * a2 * b - 160.0 * a1 * b1 + 400.0 * a * b2,
-        )
+    jets = [smoothstep_jet(u) for u in _cutoff_args(kind, np.asarray(s, dtype=float))]
     if kind == "psi2":
-        g, g1, g2 = smoothstep_jet(2.0 - s)
+        g, g1, g2 = jets[0]
         return g, -g1, g2
-    raise ValueError(f"unknown cutoff kind {kind!r}")
+    (a, a1, a2), (b, b1, b2) = jets
+    return (
+        a * b,
+        4.0 * a1 * b - 20.0 * a * b1,
+        16.0 * a2 * b - 160.0 * a1 * b1 + 400.0 * a * b2,
+    )
 
 
 def _laplacian_bracket(jet, theta: float, dim: int, y):
@@ -336,7 +342,14 @@ def cutoff_laplacian_check(
     is numerically clean; by design it depends on the cutoff alone, not on
     T, which the verification suite exercises across decades of T.  The
     2-D grid is taken in row blocks of about BLOCK_BYTES per array, so its
-    memory does not grow with points**2.  T must be positive and finite,
+    memory does not grow with points**2.  In a block, a column is skipped
+    where every smoothstep argument over its stencil box (the block's rows
+    and halo by the column and its neighbours) lies outside (0, 1): the
+    differenced Laplacian, the closed form and the quotient are exact zeros
+    there.  The bounds are exact, as fl(a + b), fl(y/T) and each argument
+    are monotone.  A skipped point where g = 1 needs no quotient: the grid's
+    edge lies past the support, so its row's last point with g = 1 on the
+    way out is evaluated.  T must be positive and finite,
     points at least 3 and dim 1 or 2, else ValueError, as is a grid with no
     inner point where g >= 1e-3.
     """
@@ -353,7 +366,7 @@ def cutoff_laplacian_check(
     half = math.sqrt(y_max * T) * 1.05
 
     def fd_blocks(n):
-        """(lap_fd, jet, y, inner) per block; lap_fd sits on jet[inner]."""
+        """(lap_fd, jet, y, inner) per evaluated block; lap_fd sits on jet[inner]."""
         x = np.linspace(-half, half, n)
         h = x[1] - x[0]
         if dim == 1:
@@ -365,17 +378,30 @@ def cutoff_laplacian_check(
         # dim 2: inner rows [i0, i1) plus one halo row on each side, about
         # BLOCK_BYTES per block array, so no temporary spans the whole grid
         x2 = x**2
+        stencil = np.stack([x2[:-2], x2[1:-1], x2[2:]])  # inner column j: x2[j-1:j+2]
+        col_lo, col_hi = stencil.min(axis=0), stencil.max(axis=0)
         rows = max(1, BLOCK_BYTES // (8 * n))
         for i0 in range(1, n - 1, rows):
             i1 = min(i0 + rows, n - 1)
-            y = (x2[i0 - 1:i1 + 1, None] + x2[None, :]) / T
-            jet = cutoff_jet(kind, y)
-            G = jet[0] ** theta
-            lap_fd = (
-                G[2:, 1:-1] + G[:-2, 1:-1] + G[1:-1, 2:] + G[1:-1, :-2]
-                - 4.0 * G[1:-1, 1:-1]
-            ) / h**2
-            yield lap_fd, jet, y, np.s_[1:-1, 1:-1]
+            x2_rows = x2[i0 - 1:i1 + 1]
+            # the least and greatest y of an inner column's stencil box bound
+            # each argument over the box
+            flat = True
+            for u, v in zip(_cutoff_args(kind, (x2_rows.min() + col_lo) / T),
+                            _cutoff_args(kind, (x2_rows.max() + col_hi) / T)):
+                flat = flat & ((np.maximum(u, v) <= 0.0) | (np.minimum(u, v) >= 1.0))
+            # runs [k0, k1) of inner columns k + 1 whose box is not flat, each
+            # evaluated with one halo column a side
+            edges = np.flatnonzero(np.diff(np.concatenate(([True], flat, [True]))))
+            for k0, k1 in zip(edges[0::2], edges[1::2]):
+                y = (x2_rows[:, None] + x2[None, k0:k1 + 2]) / T
+                jet = cutoff_jet(kind, y)
+                G = jet[0] ** theta
+                lap_fd = (
+                    G[2:, 1:-1] + G[:-2, 1:-1] + G[1:-1, 2:] + G[1:-1, :-2]
+                    - 4.0 * G[1:-1, 1:-1]
+                ) / h**2
+                yield lap_fd, jet, y, np.s_[1:-1, 1:-1]
 
     def fd_error_and_ratio(n):
         errs, ratios = [], []

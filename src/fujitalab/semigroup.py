@@ -110,10 +110,11 @@ def apply_direct(f: GridField, t: float) -> GridField:
     is evaluated as one dense 1-d kernel matrix per axis: the same operator
     as the spectral route computed by a different algorithm.  Box images are
     summed until the next shell's weight drops below exp(-45), so the two
-    routes differ only by floating-point roundoff.
+    routes differ only by floating-point roundoff.  ValueError for t < 0 or
+    a non-finite t.
     """
-    if t < 0:
-        raise ValueError("t must be >= 0")
+    if not 0 <= t < math.inf:
+        raise ValueError("t must be >= 0 and finite")
     if t == 0:
         return f
     if f.dim == 3 and f.points_per_axis > 32:

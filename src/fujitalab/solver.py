@@ -170,11 +170,14 @@ def _forcing_weight(t_n: float, dt: float, rho: float) -> tuple[float, float]:
     """Exact integral W of tau^rho over [t_n, t_n+dt], and the heat distance
     theta from the tau^rho-weighted mean tau to t_n+dt.
 
-    The mean always lies inside the interval; for dt << t_n the two power
+    For rho = 0 the weight is flat and theta is exactly dt/2.  Otherwise the
+    mean always lies inside the interval; for dt << t_n the two power
     differences cancel catastrophically, so the quotient is clamped back into
     [t_n, t_n+dt] (where it converges to the midpoint anyway).
     """
     t1 = t_n + dt
+    if rho == 0:
+        return t1 - t_n, 0.5 * dt
     w = (t1 ** (rho + 1) - t_n ** (rho + 1)) / (rho + 1)
     m1 = (t1 ** (rho + 2) - t_n ** (rho + 2)) / (rho + 2)
     if w <= 0.0 or not math.isfinite(w):

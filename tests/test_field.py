@@ -72,8 +72,9 @@ def test_lq_norm_general_q_is_the_plain_power_sum():
 
 def test_lq_norm_rejects_small_q():
     f = sample(ProfileSpec.gaussian(1.0, 1.0, (0.0,)), 1, 8.0, 16)
-    with pytest.raises(ValueError):
-        lq_norm(f, 0.5)
+    for q in (0.5, math.nan):
+        with pytest.raises(ValueError, match="q must be >= 1 or inf"):
+            lq_norm(f, q)
 
 
 def test_nonlocal_factor_conventions():

@@ -292,12 +292,34 @@ def _full_grid_cutoff_check(kind, T, points):
 
 
 def test_row_blocked_2d_check_equals_the_full_grid():
-    # same arithmetic per grid point, folded block by block into the maxima
+    # same arithmetic per evaluated grid point, folded block by block into
+    # the maxima; the coarse grids have stencils that jump over a band of
+    # the cutoff and must not be skipped (at 3 and 4 points psi2 jumps from
+    # g = 1 to g = 0 between neighbours)
     rows = BLOCK_BYTES // (8 * (2 * 401 - 1))
     assert (2 * 401 - 3) % rows != 0  # the fine grid ends on a partial block
-    for kind, T, points in (("psi2", 100.0, 401), ("psi1", 100.0, 401), ("psi2", 30.0, 151)):
+    cases = [("psi2", 100.0, 401), ("psi1", 100.0, 401), ("psi2", 30.0, 151),
+             ("psi2", 1e-3, 401), ("psi2", 100.0, 3), ("psi2", 100.0, 4)]
+    cases += [(kind, 100.0, points) for kind in CUTOFF_KINDS for points in (5, 7, 9, 11)]
+    for kind, T, points in cases:
         assert cutoff_laplacian_check(kind, T=T, dim=2, points=points) == \
-            _full_grid_cutoff_check(kind, T, points), (kind, points)
+            _full_grid_cutoff_check(kind, T, points), (kind, T, points)
+
+
+def test_2d_cutoff_check_evaluates_only_stencils_off_the_flat_pieces(monkeypatch):
+    # the verify case: a column of a row block is evaluated only where its
+    # stencil box reaches a non-flat value of psi2 (3,344,098 jet elements
+    # on the whole grid with halo rows)
+    sizes = []
+    jet = oracles.cutoff_jet
+
+    def counted(kind, s):
+        sizes.append(np.size(s))
+        return jet(kind, s)
+
+    monkeypatch.setattr(oracles, "cutoff_jet", counted)
+    cutoff_laplacian_check("psi2", T=100.0, dim=2, points=801)
+    assert sum(sizes) == 1_412_964
 
 
 def test_row_blocks_leave_no_remainder_unchecked(monkeypatch):

@@ -83,12 +83,15 @@ def test_multipliers_are_not_kept_per_t():
 
 
 def test_apply_refuses_negative_and_non_finite_t():
-    # inf would also warn from 0 * inf at k = 0 before the blow-up check
+    # inf would also warn from 0 * inf at k = 0 before the blow-up check;
+    # the dense oracle would fail to count its images for nan and inf
     f = _band_limited(1, 8.0, 32, seed=0)
     plan = HeatKernelPlan.for_field(f)
     for t in (-1e-3, -math.inf, math.inf, math.nan):
         with pytest.raises(ValueError, match="t must be >= 0 and finite"):
             apply(plan, f, t)
+        with pytest.raises(ValueError, match="t must be >= 0 and finite"):
+            apply_direct(f, t)
 
 
 def test_field_is_irfftn_bit_for_bit():

@@ -380,6 +380,18 @@ def test_forced_picard_makes_one_multiplier_per_node_per_march(monkeypatch):
     assert pic.counts["multipliers"] == len(tables) == 2 + n * (1 + pic.iterations)
 
 
+def test_rho_zero_forced_picard_makes_two_multipliers():
+    # a flat forcing weight puts every node's factor at exactly dt/2, so
+    # S(dt) and S(dt/2) are the only exp tables of the solve
+    spec = ProblemSpec(1, 2.0, 2.0, 0.0, 0.0,
+                       ProfileSpec.gaussian(0.5, 1.0, (0.0,)), ZERO)
+    u0 = sample(spec.u0, 1, 16.0, 64)
+    w = sample(ProfileSpec.gaussian(0.2, 2.0, (0.0,)), 1, 16.0, 64)
+    pic = picard_solve(spec, u0, w, 0.2, nodes=16)
+    assert pic.iterations > 1
+    assert pic.counts["multipliers"] == 2
+
+
 def test_forced_picard_holds_no_linear_spectrum_per_node():
     # the node fields are the one per-node store: each forcing factor is made
     # when the march reaches its node and the linear part is marched with the
