@@ -144,18 +144,66 @@ def test_gronwall_majorizes_product_integration():
     # discrete solution of f = A + M int (t-s)^{-sigma} f(s) ds stays below
     # the Mittag-Leffler bound
     A, M, sig, T, n = 1.0, 0.7, 0.4, 2.0, 3000
-    ts = np.linspace(0.0, T, n + 1)
-    dt = T / n
-    f = np.empty(n + 1)
-    f[0] = A
-    for j in range(1, n + 1):
-        s_left = ts[:j]
-        s_right = np.minimum(ts[1:j + 1], ts[j] - 1e-15)
-        seg = ((ts[j] - s_left) ** (1 - sig) - (ts[j] - s_right) ** (1 - sig)) / (1 - sig)
-        f[j] = A + M * float(np.sum(seg * f[:j]))
+    f = oracles._product_integration(A, M, sig, T, n)
     bound = gronwall_bound(A, M, sig, T)
     assert f[-1] <= bound * (1 + 1e-6)
     assert bound <= 3 * f[-1]  # and it is not wildly loose
+
+
+def _per_row_product_integration(A, M, sigma, t, n):
+    """Reference: each node differences t_j - s_i for its own row of weights."""
+    dt = t / n
+    ex = 1.0 - sigma
+    s_left = np.arange(n) * dt
+    s_right = s_left + dt
+    psi = np.empty(n + 1)
+    psi[0] = A
+    for j in range(1, n + 1):
+        tj = j * dt
+        weights = ((tj - s_left[:j]) ** ex
+                   - np.maximum(tj - s_right[:j], 0.0) ** ex) / ex
+        psi[j] = A + M * float(weights @ psi[:j])
+    return psi
+
+
+def _long_double_product_integration(A, M, sigma, t, n):
+    """The lag-weight recursion in np.longdouble throughout."""
+    ld = np.longdouble
+    ex = ld(1) - ld(sigma)
+    weights = np.diff((np.arange(n + 1, dtype=ld) * (ld(t) / n)) ** ex)[::-1] / ex
+    psi = np.empty(n + 1, dtype=ld)
+    psi[0] = A
+    for j in range(1, n + 1):
+        psi[j] = ld(A) + ld(M) * (weights[n - j:] @ psi[:j])
+    return psi
+
+
+def test_lag_weights_equal_the_per_row_weights_when_dt_is_a_power_of_two():
+    # t / 64 is exact, so every t_j - s_i is an exact lag and both forms
+    # make the same weights
+    for t in (1.0, 2.0):
+        for sigma in (0.25, 0.4, 0.5, 0.9):
+            fast = oracles._product_integration(1.0, 0.7, sigma, t, 64)
+            ref = _per_row_product_integration(1.0, 0.7, sigma, t, 64)
+            assert np.array_equal(fast, ref), (t, sigma)
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+                    reason="np.longdouble is no wider than float here")
+def test_product_integration_agrees_with_long_double():
+    # sigma = 0.9 at n = 257 is where per-row weights go wrong: the last
+    # cell's ulp of lag gets weight ulp^0.1 / 0.1, and the value is 81% off
+    for n, sigma in ((257, 0.25), (257, 0.5), (257, 0.9),
+                     (4000, 0.25), (4000, 0.5)):
+        fast = oracles._product_integration(1.0, 0.7, sigma, 1.0, n)
+        ref = _long_double_product_integration(1.0, 0.7, sigma, 1.0, n)
+        rel = np.max(np.abs((fast - ref) / ref))
+        assert rel <= 1e-13, (n, sigma, float(rel))
+
+
+def test_gronwall_lemma_discrete_value_is_pinned():
+    psi = oracles._product_integration(1.0, 1.0, 0.5, 1.0, 4000)
+    assert float(psi[-1]) == float.fromhex("0x1.6eebcb9e9eaf2p+5")  # 45.86513446733251
 
 
 # ----------------------------------------------------------------- cutoffs
@@ -355,6 +403,12 @@ def test_oracles_refuse_inputs_outside_their_domain():
     for p in (1.0, 0.5):
         with pytest.raises(ValueError, match="p must be > 1"):
             certificate_scaling_check(3, p, 1.25, 1.0, -0.5)
+    for bad in (math.inf, math.nan):
+        for args in ((bad, 1.0, 0.5, 1.0), (1.0, bad, 0.5, 1.0), (1.0, 1.0, 0.5, bad)):
+            with pytest.raises(ValueError, match="need A, M, t >= 0 and finite"):
+                gronwall_bound(*args)
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        contraction_constant_study(2.0, 1.0, n=0)
 
 
 def test_cutoff_constant_is_t_stable():
