@@ -133,7 +133,9 @@ def cmd_simulate(args) -> int:
         print("note: outside the well-posedness range; integrating anyway",
               file=sys.stderr)
     config, geometry = _run_setup(args, spec.dim, adapt=not args.no_adapt)
+    start = time.perf_counter()
     record = run(spec, config, geometry)
+    seconds = time.perf_counter() - start
     print(f"verdict: {record.verdict.value}")
     print(f"t_final: {record.times[-1]!r}")
     print(f"q_norm_final: {record.q_norms[-1]!r}")
@@ -148,7 +150,7 @@ def cmd_simulate(args) -> int:
         Path(str(prefix) + ".csv").write_text(record.csv_text())
         Path(str(prefix) + ".json").write_text(
             json.dumps(record.to_json_dict(), indent=2) + "\n")
-        _write_meta(prefix, {"command": "simulate"})
+        _write_meta(prefix, {"command": "simulate", "seconds": seconds})
         print(f"wrote {prefix}.csv {prefix}.json", file=sys.stderr)
     return 0
 
@@ -164,12 +166,14 @@ _SWEEP_COLUMNS = (
 
 
 def _sweep_point(payload) -> tuple:
-    """Worker for one grid point; must stay module-level for process pools.
+    """Worker for one grid point, (index, row, seconds); must stay
+    module-level for process pools.
 
     A point whose integration raises becomes an ``error:<ExceptionClass>``
     row with empty result columns, and the traceback goes to stderr, so
     the other points of the sweep still run.
     """
+    start = time.perf_counter()
     idx, base_json, assignment, amplitude, epsilon, config, geometry = payload
     doc = dict(base_json)
     doc.update(assignment)
@@ -180,7 +184,7 @@ def _sweep_point(payload) -> tuple:
         row.update(index=idx, predicted="inadmissible", verdict="skipped",
                    agreement="not_applicable", t_final="", sup_final="",
                    blowup_time="")
-        return idx, row
+        return idx, row, time.perf_counter() - start
     regime = classify(spec)
     row = {
         "index": idx,
@@ -195,7 +199,7 @@ def _sweep_point(payload) -> tuple:
         traceback.print_exc(file=sys.stderr)
         row.update(verdict=f"error:{type(exc).__name__}", agreement="inconclusive",
                    t_final="", sup_final="", blowup_time="")
-        return idx, row
+        return idx, row, time.perf_counter() - start
     verdict = record.verdict.value
     # The theorem bounds no T*, so a predicted blow-up still running at t_end
     # is inconclusive, as is a run that ended budget_exhausted; only a
@@ -215,7 +219,7 @@ def _sweep_point(payload) -> tuple:
         blowup_time="" if record.blowup_time_estimate is None
         else repr(record.blowup_time_estimate),
     )
-    return idx, row
+    return idx, row, time.perf_counter() - start
 
 
 def _simulate_point(spec, regime, amplitude, epsilon, config, geometry):
@@ -275,6 +279,7 @@ def cmd_sweep(args) -> int:
          config, geometry)
         for idx, point in enumerate(grid)
     ]
+    start = time.perf_counter()
     # a fork pool starts all max_workers at once, so start no idle ones
     workers = min(args.jobs, len(payloads))
     if workers > 1:
@@ -282,8 +287,9 @@ def cmd_sweep(args) -> int:
             results = list(pool.map(_sweep_point, payloads))
     else:
         results = [_sweep_point(p) for p in payloads]
-    results.sort(key=lambda pair: pair[0])
-    rows = [row for _, row in results]
+    seconds = time.perf_counter() - start
+    results.sort(key=lambda result: result[0])
+    rows = [row for _, row, _ in results]
 
     lines = [",".join(_SWEEP_COLUMNS)]
     for row in rows:
@@ -305,7 +311,8 @@ def cmd_sweep(args) -> int:
         prefix = _resolve_out(args.out_prefix)
         Path(str(prefix) + ".csv").write_text(csv_text)
         _write_meta(prefix, {"command": "sweep", "jobs": args.jobs,
-                             "axes": [a for a in args.axis]})
+                             "axes": [a for a in args.axis], "seconds": seconds,
+                             "point_seconds": [s for _, _, s in results]})
         print(f"wrote {prefix}.csv", file=sys.stderr)
     else:
         sys.stdout.write(csv_text)

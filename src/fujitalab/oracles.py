@@ -28,8 +28,6 @@ from .problem import (
 )
 
 __all__ = [
-    "young_check",
-    "contraction_bound_check",
     "MLResult",
     "SeriesDivergenceError",
     "mittag_leffler",
@@ -57,30 +55,9 @@ BLOCK_BYTES = 512 * 1024          # bytes per float row block of the 2-D cutoff 
 # ---------------------------------------------------------------------------
 # scalar product inequality
 
-@dataclass(frozen=True)
-class YoungRow:
-    lhs: float
-    rhs: float
-    passed: bool
-
-
 def _young_rhs(a, b, p, q, eps):
     """eps*a^p + (p*eps)^(-q/p) * b^q / q, on floats or arrays."""
     return eps * a**p + (p * eps) ** (-q / p) * b**q / q
-
-
-def young_check(a: float, b: float, p: float, q: float, eps: float) -> YoungRow:
-    """ab <= eps*a^p + (p*eps)^(-q/p) * b^q / q for conjugate p, q.
-
-    Conjugacy |1/p + 1/q - 1| <= 1e-12 is required, not checked for truth.
-    """
-    if a < 0 or b < 0 or eps <= 0:
-        raise ValueError("need a, b >= 0 and eps > 0")
-    if p <= 1 or abs(1.0 / p + 1.0 / q - 1.0) > 1e-12:
-        raise ValueError("p, q must be conjugate exponents with p > 1")
-    lhs = a * b
-    rhs = _young_rhs(a, b, p, q, eps)
-    return YoungRow(lhs, rhs, lhs <= rhs + 1e-12)
 
 
 def young_batch(seed: int = 0, slack: float = 1e-12):
@@ -98,13 +75,6 @@ def young_batch(seed: int = 0, slack: float = 1e-12):
 # ---------------------------------------------------------------------------
 # product-difference contraction bound
 
-@dataclass(frozen=True)
-class ContractionRow:
-    lhs: float
-    rhs: float
-    ratio: float
-
-
 def _contraction_sides(a, b, xnorm, ynorm, diffnorm, p, alpha):
     """|a^p x^alpha - b^p y^alpha| and its splitting bound, on floats or arrays."""
     lhs = abs(a**p * xnorm**alpha - b**p * ynorm**alpha)
@@ -114,30 +84,6 @@ def _contraction_sides(a, b, xnorm, ynorm, diffnorm, p, alpha):
     else:
         norm_part = a**p * diffnorm**alpha
     return lhs, scalar_part + norm_part
-
-
-def contraction_bound_check(
-    a: float, b: float, xnorm: float, ynorm: float, diffnorm: float,
-    p: float, alpha: float,
-) -> ContractionRow:
-    """Ratio of |a^p x^alpha - b^p y^alpha| to its splitting bound.
-
-    The bound splits the difference through the scalar factor and the norm
-    factor; for alpha >= 1 the norm part is Lipschitz
-    (diffnorm * (x^(alpha-1) + y^(alpha-1))), for alpha < 1 it is the Hoelder
-    piece diffnorm^alpha.  Inputs must be consistent norms:
-    |xnorm - ynorm| <= diffnorm up to roundoff.
-    """
-    vals = (a, b, xnorm, ynorm, diffnorm)
-    if any(v < 0 for v in vals):
-        raise ValueError("norm inputs must be nonnegative")
-    if p < 1 or alpha < 0:
-        raise ValueError("need p >= 1, alpha >= 0")
-    if abs(xnorm - ynorm) > diffnorm + 1e-12 * (1.0 + xnorm + ynorm):
-        raise ValueError("inconsistent norms: |xnorm - ynorm| exceeds diffnorm")
-    lhs, rhs = _contraction_sides(a, b, xnorm, ynorm, diffnorm, p, alpha)
-    ratio = 0.0 if lhs == 0 else (math.inf if rhs == 0 else lhs / rhs)
-    return ContractionRow(lhs, rhs, ratio)
 
 
 def contraction_constant_study(
@@ -319,6 +265,13 @@ def radial_power_laplacian(jet, theta: float, T: float, dim: int, y):
     return bracket * power / T
 
 
+def _odd_grid(half: float, n: int):
+    """(x, h): n points of spacing h = 2*half/(n-1) about 0, exactly odd
+    (x == -x[::-1] bit for bit), which np.linspace(-half, half, n) is not."""
+    h = 2.0 * half / (n - 1)
+    return (np.arange(n) - (n - 1) / 2) * h, h
+
+
 @dataclass(frozen=True)
 class CutoffCheck:
     error_coarse: float
@@ -343,6 +296,8 @@ def cutoff_laplacian_check(
     the differenced Laplacian over the region g >= 1e-3, where the quotient
     is numerically clean; by design it depends on the cutoff alone, not on
     T, which the verification suite exercises across decades of T.  The
+    grid (i - (points-1)/2) * h is exactly odd, so the 2-D check evaluates
+    one quadrant of it, whose maxima are the whole grid's.  The
     2-D grid is taken in row blocks of about BLOCK_BYTES per array, so its
     memory does not grow with points**2.  In a block, a column is skipped
     where every smoothstep argument over its stencil box (the block's rows
@@ -369,8 +324,7 @@ def cutoff_laplacian_check(
 
     def fd_blocks(n):
         """(lap_fd, jet, y, inner) per evaluated block; lap_fd sits on jet[inner]."""
-        x = np.linspace(-half, half, n)
-        h = x[1] - x[0]
+        x, h = _odd_grid(half, n)
         if dim == 1:
             y = x**2 / T
             jet = cutoff_jet(kind, y)
@@ -378,12 +332,17 @@ def cutoff_laplacian_check(
             yield (G[2:] - 2.0 * G[1:-1] + G[:-2]) / h**2, jet, y, np.s_[1:-1]
             return
         # dim 2: inner rows [i0, i1) plus one halo row on each side, about
-        # BLOCK_BYTES per block array, so no temporary spans the whole grid
+        # BLOCK_BYTES per block array, so no temporary spans the whole grid.
+        # Only the quadrant of rows and columns from n//2 on is evaluated:
+        # x2 is exactly even and the stencil sum commutes under the mirrors
+        # and the transpose, so every other point repeats a quadrant value.
         x2 = x**2
-        stencil = np.stack([x2[:-2], x2[1:-1], x2[2:]])  # inner column j: x2[j-1:j+2]
+        m = n // 2
+        x2c = x2[m - 1:]  # columns from m on, with their left halo
+        stencil = np.stack([x2c[:-2], x2c[1:-1], x2c[2:]])  # inner column k+1 of x2c
         col_lo, col_hi = stencil.min(axis=0), stencil.max(axis=0)
         rows = max(1, BLOCK_BYTES // (8 * n))
-        for i0 in range(1, n - 1, rows):
+        for i0 in range(m, n - 1, rows):
             i1 = min(i0 + rows, n - 1)
             x2_rows = x2[i0 - 1:i1 + 1]
             # the least and greatest y of an inner column's stencil box bound
@@ -396,11 +355,11 @@ def cutoff_laplacian_check(
             # evaluated with one halo column a side
             edges = np.flatnonzero(np.diff(np.concatenate(([True], flat, [True]))))
             for k0, k1 in zip(edges[0::2], edges[1::2]):
-                y = (x2_rows[:, None] + x2[None, k0:k1 + 2]) / T
+                y = (x2_rows[:, None] + x2c[None, k0:k1 + 2]) / T
                 jet = cutoff_jet(kind, y)
                 G = jet[0] ** theta
                 lap_fd = (
-                    G[2:, 1:-1] + G[:-2, 1:-1] + G[1:-1, 2:] + G[1:-1, :-2]
+                    (G[2:, 1:-1] + G[:-2, 1:-1]) + (G[1:-1, 2:] + G[1:-1, :-2])
                     - 4.0 * G[1:-1, 1:-1]
                 ) / h**2
                 yield lap_fd, jet, y, np.s_[1:-1, 1:-1]
@@ -608,8 +567,14 @@ def _space_grid(w: ProfileSpec, N: int):
 
 
 def _space_cutoff_integral(r2, w_vals, h: float, T: float, kappa: float) -> float:
-    """Tensor-trapezoid integral of psi2(|x|^2/T)^kappa * w on ``_space_grid``."""
-    vals = cutoff_jet("psi2", r2 / T)[0] ** kappa * w_vals
+    """Tensor-trapezoid integral of psi2(|x|^2/T)^kappa * w on ``_space_grid``.
+
+    psi2's argument is monotone in |x|^2, so where it is >= 1 at the largest
+    |x|^2 the cutoff is exactly 1 on every node and is not evaluated.
+    """
+    vals = w_vals
+    if _cutoff_args("psi2", r2.max() / T)[0] < 1.0:
+        vals = cutoff_jet("psi2", r2 / T)[0] ** kappa * w_vals
     for _ in range(r2.ndim):
         vals = np.trapezoid(vals, dx=h, axis=-1)
     return float(vals)

@@ -112,6 +112,7 @@ def test_simulate_writes_artifacts(tmp_path, capsys, monkeypatch):
     assert traj["verdict"] == "completed"
     meta = json.loads(base.with_suffix(".meta.json").read_text())
     assert "created_unix" in meta and meta["command"] == "simulate"
+    assert 0 < meta["seconds"] < 60
     # wall-clock data stays out of the deterministic payloads
     assert "created_unix" not in traj
     assert "blowup_by" not in out and "blowup_by" not in traj["metadata"]
@@ -332,7 +333,13 @@ def test_sweep_determinism_across_jobs(tmp_path):
         )
         assert proc.returncode == 0, proc.stderr
         outputs[jobs] = (tmp_path / f"sweep_j{jobs}.csv").read_bytes()
+        # each point's seconds, by index, and the whole sweep's go to the meta file
+        meta = json.loads((tmp_path / f"sweep_j{jobs}.meta.json").read_text())
+        assert meta["command"] == "sweep" and meta["jobs"] == int(jobs)
+        assert len(meta["point_seconds"]) == 4
+        assert all(0 < s <= meta["seconds"] for s in meta["point_seconds"])
     assert outputs["1"] == outputs["2"]
+    assert b"seconds" not in outputs["1"]
 
 
 def test_run_options_default_to_the_library():

@@ -21,7 +21,6 @@ from fujitalab.oracles import (
     CutoffCheck,
     SeriesDivergenceError,
     certificate_scaling_check,
-    contraction_bound_check,
     contraction_constant_study,
     cutoff_jet,
     cutoff_laplacian_check,
@@ -31,27 +30,11 @@ from fujitalab.oracles import (
     smoothstep_jet,
     w_condition_check,
     young_batch,
-    young_check,
 )
 from fujitalab.problem import ProfileSpec
 
 
 # ------------------------------------------------------------------ young
-
-def test_young_pointwise():
-    row = young_check(2.0, 3.0, 2.0, 2.0, 0.5)
-    assert row.passed and row.lhs <= row.rhs + 1e-12
-    # equality case: lhs == rhs when b = p*eps*a^(p-1)
-    a, p, eps = 1.7, 2.5, 0.3
-    b = p * eps * a ** (p - 1)
-    q = p / (p - 1)
-    row = young_check(a, b, p, q, eps)
-    assert row.lhs == pytest.approx(row.rhs, rel=1e-12)
-    with pytest.raises(ValueError):
-        young_check(1.0, 1.0, 2.0, 3.0, 0.5)  # not conjugate
-    with pytest.raises(ValueError):
-        young_check(1.0, 1.0, 2.0, 2.0, 0.0)  # eps must be positive
-
 
 def test_young_batch():
     ok, max_excess = young_batch(seed=0)
@@ -60,16 +43,6 @@ def test_young_batch():
 
 
 # ------------------------------------------------------------ contraction
-
-def test_contraction_rows():
-    for p, alpha in ((2.0, 1.0), (3.0, 1.5), (1.5, 0.5), (2.0, 0.0)):
-        row = contraction_bound_check(1.2, 0.9, 1.4, 0.7, 0.7, p, alpha)
-        assert row.lhs <= row.rhs * (1 + 1e-12)
-        assert row.ratio <= 1 + 1e-12
-    # inconsistent norms: |x - y| > diffnorm is impossible for one function pair
-    with pytest.raises(ValueError):
-        contraction_bound_check(1.0, 1.0, 2.0, 0.5, 0.1, 2.0, 1.0)
-
 
 def test_contraction_constant_saturates_early():
     # the splitting bound holds up to a p-dependent constant (about 1.5 for
@@ -314,14 +287,14 @@ def _full_grid_cutoff_check(kind, T, points):
     half = math.sqrt((0.8 if kind == "psi1" else 2.0) * T) * 1.05
 
     def fd_error_and_ratio(n):
-        x = np.linspace(-half, half, n)
-        h = x[1] - x[0]
+        h = 2.0 * half / (n - 1)
+        x = (np.arange(n) - (n - 1) / 2) * h
         xx, yy = np.meshgrid(x, x, indexing="ij")
         y = (xx**2 + yy**2) / T
         jet = cutoff_jet(kind, y)
         G = jet[0] ** theta
         lap_fd = (
-            G[2:, 1:-1] + G[:-2, 1:-1] + G[1:-1, 2:] + G[1:-1, :-2]
+            (G[2:, 1:-1] + G[:-2, 1:-1]) + (G[1:-1, 2:] + G[1:-1, :-2])
             - 4.0 * G[1:-1, 1:-1]
         ) / h**2
         inner = np.s_[1:-1, 1:-1]
@@ -339,25 +312,55 @@ def _full_grid_cutoff_check(kind, T, points):
     return CutoffCheck(e_coarse, e_fine, order, c_emp, order >= CUTOFF_MIN_ORDER)
 
 
+def test_odd_grid_is_exactly_odd():
+    # x -> -x maps the grid onto itself bit for bit, so x**2 is exactly even;
+    # np.linspace is not (588 of its 801 x**2 values miss their mirror)
+    verify_half = math.sqrt(2.0 * 100.0) * 1.05
+    for half in (verify_half, math.sqrt(0.8 * 30.0) * 1.05, 1e150):
+        for n in range(3, 2002):
+            x, h = oracles._odd_grid(half, n)
+            assert np.array_equal(x, -x[::-1]), (half, n)
+            assert h == 2.0 * half / (n - 1)
+    x2 = np.linspace(-verify_half, verify_half, 801) ** 2
+    assert np.count_nonzero(x2 != x2[::-1]) == 588
+
+
 def test_row_blocked_2d_check_equals_the_full_grid():
-    # same arithmetic per evaluated grid point, folded block by block into
-    # the maxima; the coarse grids have stencils that jump over a band of
-    # the cutoff and must not be skipped (at 3 and 4 points psi2 jumps from
-    # g = 1 to g = 0 between neighbours)
+    # the check evaluates rows and columns from n//2 on, block by block,
+    # and folds them into the maxima; the full grid must give the same
+    # numbers bit for bit. The coarse grids have stencils that jump over a
+    # band of the cutoff and must not be skipped (at 3 and 4 points psi2
+    # jumps from g = 1 to g = 0 between neighbours); even n have no middle
+    # row or column
     rows = BLOCK_BYTES // (8 * (2 * 401 - 1))
-    assert (2 * 401 - 3) % rows != 0  # the fine grid ends on a partial block
+    assert (801 - 1 - 801 // 2) % rows != 0  # the fine grid ends on a partial block
     cases = [("psi2", 100.0, 401), ("psi1", 100.0, 401), ("psi2", 30.0, 151),
-             ("psi2", 1e-3, 401), ("psi2", 100.0, 3), ("psi2", 100.0, 4)]
-    cases += [(kind, 100.0, points) for kind in CUTOFF_KINDS for points in (5, 7, 9, 11)]
+             ("psi2", 1e-3, 401), ("psi2", 100.0, 3), ("psi2", 100.0, 4),
+             ("psi2", 100.0, 801), ("psi1", 30.0, 400), ("psi2", 1e-3, 150)]
+    cases += [(kind, T, points) for kind in CUTOFF_KINDS for T in (1e-300, 1e300)
+              for points in (4, 11, 37)]
+    cases += [(kind, 100.0, points) for kind in CUTOFF_KINDS
+              for points in (5, 6, 7, 9, 11, 37, 38)]
+
+    def outcome(check, *args):
+        try:
+            return check(*args)
+        except ValueError:  # no inner point where g >= 1e-3
+            return ValueError
+
+    raised = 0
     for kind, T, points in cases:
-        assert cutoff_laplacian_check(kind, T=T, dim=2, points=points) == \
-            _full_grid_cutoff_check(kind, T, points), (kind, T, points)
+        got = outcome(cutoff_laplacian_check, kind, T, 2, points)
+        assert got == outcome(_full_grid_cutoff_check, kind, T, points), (kind, T, points)
+        raised += got is ValueError
+    assert raised == 2  # psi1 at 4 points: no inner point reaches its support
 
 
 def test_2d_cutoff_check_evaluates_only_stencils_off_the_flat_pieces(monkeypatch):
     # the verify case: a column of a row block is evaluated only where its
-    # stencil box reaches a non-flat value of psi2 (3,344,098 jet elements
-    # on the whole grid with halo rows)
+    # stencil box reaches a non-flat value of psi2, in the quadrant of rows
+    # and columns from n//2 on (1,412,964 jet elements on the whole grid,
+    # 3,344,098 with no flat column skipped)
     sizes = []
     jet = oracles.cutoff_jet
 
@@ -367,7 +370,7 @@ def test_2d_cutoff_check_evaluates_only_stencils_off_the_flat_pieces(monkeypatch
 
     monkeypatch.setattr(oracles, "cutoff_jet", counted)
     cutoff_laplacian_check("psi2", T=100.0, dim=2, points=801)
-    assert sum(sizes) == 1_412_964
+    assert sum(sizes) == 354_152
 
 
 def test_row_blocks_leave_no_remainder_unchecked(monkeypatch):
@@ -465,6 +468,48 @@ def test_certificate_scaling_positive_theta():
     rep = certificate_scaling_check(3, 3.0, 1.25, 1.0, -0.5, w=_W3)
     assert rep.theta > 0
     assert rep.sign_gap <= 0
+
+
+def _space_integral_with_cutoff(r2, w_vals, h, T, kappa):
+    """``_space_cutoff_integral`` evaluating the cutoff at every T."""
+    vals = cutoff_jet("psi2", r2 / T)[0] ** kappa * w_vals
+    for _ in range(r2.ndim):
+        vals = np.trapezoid(vals, dx=h, axis=-1)
+    return float(vals)
+
+
+def test_space_integral_skips_the_cutoff_only_where_it_is_one():
+    # a flat w on a 2-D grid reaching |x|^2 = 200, so every node where psi2 < 1
+    # moves the integral; the largest |x|^2 / T runs across 1
+    x = np.linspace(-10.0, 10.0, 65)
+    r2 = x[:, None] ** 2 + x[None, :] ** 2
+    flat = np.ones_like(r2)
+    for top in (3.0, 2.0, 1.5, 1.25, 1.0 + 2**-52, 1.0, 0.5):
+        T = 200.0 / top
+        assert r2.max() / T == top
+        assert oracles._space_cutoff_integral(r2, flat, x[1] - x[0], T, 6.0) == \
+            _space_integral_with_cutoff(r2, flat, x[1] - x[0], T, 6.0), top
+
+
+def test_certificate_space_integral_skips_the_cutoff_where_it_is_one(monkeypatch):
+    # the verify case: w's grid reaches |x|^2 = 300, so psi2(|x|^2/T) is 1 on
+    # every node at T = 1e3 and 1e4 and the cutoff is evaluated at T = 1e2 only
+    args = (3, 1.5, 1.25, 1.0, -0.5)
+    with monkeypatch.context() as m:
+        m.setattr(oracles, "_space_cutoff_integral", _space_integral_with_cutoff)
+        reference = certificate_scaling_check(*args, w=_W3)
+    space_args = []
+    jet = oracles.cutoff_jet
+
+    def counted(kind, s):
+        if np.ndim(s) == 3:
+            space_args.append(float(np.max(s)))
+        return jet(kind, s)
+
+    monkeypatch.setattr(oracles, "cutoff_jet", counted)
+    rep = certificate_scaling_check(*args, w=_W3)
+    assert space_args == [300.0 / 1e2]
+    assert rep == reference  # F_values, I1_values and the slopes, bit for bit
 
 
 def test_certificate_without_forcing_is_inapplicable():
