@@ -153,7 +153,7 @@ def lq_norm(f: GridField, q) -> float:
     q < 1 or nan.
     """
     v = f.values
-    if q == math.inf or q == "inf":
+    if q == math.inf:
         return float(max(v.max(), -v.min()))
     q = float(q)
     if not q >= 1:

@@ -3,15 +3,17 @@
 The workhorse is spectral: multiply the FFT of the field by exp(-t|k|^2).
 ``HeatKernelPlan`` owns the half-spectrum layout and the grid check, so
 ``apply``, ``step``, ``run_from_fields`` and ``picard_solve`` all transform
-through it.  The plan keeps no per-t state and no buffers: ``spectrum``,
-``field`` and ``multiplier`` write into an ``out`` array when given one (the
-solver module lists the buffers its loops keep).  ``field`` makes irfftn's
-inverse axis by axis in a caller's complex ``work`` array, where irfftn maps
-a fresh temporary per leading axis.
+through it, and it counts the transforms and multipliers made on it.  The
+plan keeps no per-t state and no buffers: ``spectrum``, ``field`` and
+``multiplier`` write into an ``out`` array when given one (the solver module
+lists the buffers its loops keep).  ``field`` makes irfftn's inverse axis by
+axis in a caller's complex ``work`` array, where irfftn maps a fresh
+temporary per leading axis.
 ``apply_direct`` instead convolves with the free-space Gaussian kernel as a
 dense quadrature sum (factored axis by axis, which is the same sum reordered);
 the two agree for well-resolved data away from the box boundary and the tests
-lean on that as an independent route.
+lean on that as an independent route.  The comparison lower bound of a
+forced run is checked on the closed-form data profile.
 """
 
 from __future__ import annotations
@@ -42,7 +44,9 @@ class HeatKernelPlan:
     ``spectrum`` (with the check that a field lies on the grid) and ``field``
     are the one forward and one inverse transform; no per-t state is kept.
     Each method writes into ``out`` when given one (``field`` also into its
-    complex scratch ``work``); None allocates, as in numpy.
+    complex scratch ``work``); None allocates, as in numpy.  ``counts`` tallies
+    the calls made on the plan: "forward_transforms", "inverse_transforms"
+    and "multipliers" (exp(-t|k|^2) tables made).
     """
 
     def __init__(self, dim: int, points_per_axis: int, half_width: float):
@@ -57,6 +61,7 @@ class HeatKernelPlan:
             shape[i] = len(a)
             ksq = ksq + (a**2).reshape(shape)
         self.ksq = ksq
+        self.counts = {"forward_transforms": 0, "inverse_transforms": 0, "multipliers": 0}
 
     @classmethod
     def for_field(cls, f: GridField) -> "HeatKernelPlan":
@@ -64,6 +69,7 @@ class HeatKernelPlan:
 
     def multiplier(self, t: float, out: np.ndarray | None = None) -> np.ndarray:
         """exp(-t |k|^2), computed per call; k = 0 maps to 1, so means are kept."""
+        self.counts["multipliers"] += 1
         out = np.multiply(self.ksq, -t, out=out)
         return np.exp(out, out=out)
 
@@ -71,6 +77,7 @@ class HeatKernelPlan:
         """Half spectrum of f; ValueError when f lies on another grid."""
         if f.grid != self.grid:
             raise ValueError("plan geometry does not match the field")
+        self.counts["forward_transforms"] += 1
         return np.fft.rfftn(f.values, out=out)
 
     def field(self, h: np.ndarray, out: np.ndarray | None = None,
@@ -85,6 +92,7 @@ class HeatKernelPlan:
         bit, but with work given no temporary is made.  work has h's shape;
         None allocates one, as in numpy.
         """
+        self.counts["inverse_transforms"] += 1
         dim, M, half_width = self.grid
         for axis in range(dim - 1):
             h = work = np.fft.ifft(h, axis=axis, out=work)
@@ -169,37 +177,13 @@ def smoothing_check(f: GridField, a, b, t_list) -> list[SmoothingRow]:
     return rows
 
 
-def kernel_weight_constant(u0, dim: int | None = None) -> float:
-    """C0 = (4 pi)^(-dim/2) * integral exp(-|y|^2/2) u0(y) dy.
+def kernel_weight_constant(u0: ProfileSpec, dim: int) -> float:
+    """C0 = (4 pi)^(-dim/2) * integral exp(-|y|^2/2) u0(y) dy, in closed form.
 
-    Closed form for profiles; cell-sum quadrature for sampled fields.  This is
-    the constant in the pointwise lower bound u(x,t) >= C0 t^(-dim/2)
+    This is the constant in the pointwise lower bound u(x,t) >= C0 t^(-dim/2)
     exp(-|x|^2/t) for t >= 1 under nonnegative data.
     """
-    if isinstance(u0, ProfileSpec):
-        dim = _profile_dim(u0, dim)
-        integral = gaussian_weighted_integral(u0, dim, rate=0.5)
-    elif isinstance(u0, GridField):
-        dim = u0.dim
-        r2 = np.zeros(u0.values.shape)
-        ax = u0.axis
-        for d in range(dim):
-            shape = [1] * dim
-            shape[d] = len(ax)
-            r2 = r2 + (ax**2).reshape(shape)
-        integral = float(np.sum(np.exp(-r2 / 2.0) * u0.values)) * u0.cell_volume
-    else:
-        raise TypeError("u0 must be a ProfileSpec or GridField")
-    return (4.0 * math.pi) ** (-dim / 2.0) * integral
-
-
-def _profile_dim(u0: ProfileSpec, dim: int | None) -> int:
-    """dim, or the dimension of the profile's first centre when dim is None."""
-    if dim is not None:
-        return dim
-    if not u0.terms:
-        raise ValueError("dim is required for the zero profile")
-    return len(u0.terms[0].center)
+    return (4.0 * math.pi) ** (-dim / 2.0) * gaussian_weighted_integral(u0, dim, rate=0.5)
 
 
 @dataclass(frozen=True)
@@ -217,51 +201,36 @@ class LowerBoundReport:
     passed: bool
     skipped: str | None = None
 
-    def __bool__(self) -> bool:
-        return self.passed and self.skipped is None
-
 
 def comparison_lower_bound(
-    u0,
+    u0: ProfileSpec,
     traj,
-    q,
+    q: float,
     *,
-    dim: int | None = None,
+    dim: int,
     tol: float = 0.02,
     forcing_certified: bool = True,
 ) -> LowerBoundReport:
     """Check recorded q-norms against C * t^(-(dim/2)(1 - 1/q)) for t >= 1.
 
     C = pi^(dim/(2q)) * q^(-dim/(2q)) * C0 with C0 from the kernel-weighted
-    data integral.  Preconditions (nonnegative data; forcing whose kernel
-    averages are certified nonnegative by the caller) turn into a skipped
-    report, not a failure.  ``traj`` is anything carrying ``times`` and
-    ``q_norms`` sequences.
+    integral of the data profile u0; q = inf gives C0 and decay dim/2.
+    Preconditions (nonnegative data; forcing whose kernel averages are
+    certified nonnegative by the caller) turn into a skipped report, not a
+    failure.  ``traj`` is anything carrying ``times`` and ``q_norms``
+    sequences.
     """
     if not forcing_certified:
         return LowerBoundReport((), True, skipped="forcing condition not certified")
-    if isinstance(u0, GridField):
-        dim = u0.dim
-        if float(np.min(u0.values)) < 0:
-            return LowerBoundReport((), True, skipped="data is not nonnegative")
-    elif isinstance(u0, ProfileSpec):
-        dim = _profile_dim(u0, dim)
-        # about 769^2 probe points in any dimension: 769 per axis in 1-D and
-        # 2-D, 83 in 3-D, so the grid stays tens of MB
-        probe = np.linspace(-24.0, 24.0, min(769, int(769 ** (2 / dim))))
-        pts = np.stack(np.meshgrid(*([probe] * dim), indexing="ij"), axis=-1)
-        if float(np.min(evaluate_profile(u0, pts))) < -1e-12:
-            return LowerBoundReport((), True, skipped="data is not nonnegative")
-    else:
-        raise TypeError("u0 must be a ProfileSpec or GridField")
-    c0 = kernel_weight_constant(u0, dim)
-    if q == math.inf or q == "inf":
-        const = c0
-        decay = dim / 2.0
-    else:
-        q = float(q)
-        const = (math.pi / q) ** (dim / (2.0 * q)) * c0
-        decay = (dim / 2.0) * (1.0 - 1.0 / q)
+    # about 769^2 probe points in any dimension: 769 per axis in 1-D and
+    # 2-D, 83 in 3-D, so the grid stays tens of MB
+    probe = np.linspace(-24.0, 24.0, min(769, int(769 ** (2 / dim))))
+    pts = np.stack(np.meshgrid(*([probe] * dim), indexing="ij"), axis=-1)
+    if float(np.min(evaluate_profile(u0, pts))) < -1e-12:
+        return LowerBoundReport((), True, skipped="data is not nonnegative")
+    # at q = inf, (pi/q)^(dim/(2q)) is 0.0 ** 0.0 = 1.0 and 1/q is 0.0
+    const = (math.pi / q) ** (dim / (2.0 * q)) * kernel_weight_constant(u0, dim)
+    decay = (dim / 2.0) * (1.0 - 1.0 / q)
     rows = []
     for t, recorded in zip(traj.times, traj.q_norms):
         if t < 1.0:

@@ -227,14 +227,12 @@ class _StepHeat:
 
     ``hold(dt)`` fills m(dt), m(dt/2) and dt m(dt/2) when dt changes; the
     scalar dt is folded into the real multiplier before any complex product.
-    ``forcing`` writes W m(theta) into one scratch buffer.  ``multipliers``
-    counts the exp(-t|k|^2) tables made.
+    ``forcing`` writes W m(theta) into one scratch buffer.
     """
 
     def __init__(self, plan: HeatKernelPlan):
         self.plan = plan
         self.dt = None
-        self.multipliers = 0
         shape = plan.ksq.shape
         self.m_dt, self.m_half, self.dt_m_half, self.m_theta = (
             np.empty(shape) for _ in range(4)
@@ -243,7 +241,6 @@ class _StepHeat:
     def hold(self, dt: float) -> None:
         if dt != self.dt:
             self.dt = dt
-            self.multipliers += 2
             self.plan.multiplier(dt, out=self.m_dt)
             self.plan.multiplier(dt / 2.0, out=self.m_half)
             np.multiply(self.m_half, dt, out=self.dt_m_half)
@@ -252,7 +249,6 @@ class _StepHeat:
         """W m(theta), reusing m(dt/2) when theta is exactly dt/2."""
         if theta == self.dt / 2.0:
             return np.multiply(self.m_half, weight, out=self.m_theta)
-        self.multipliers += 1
         self.plan.multiplier(theta, out=self.m_theta)
         self.m_theta *= weight
         return self.m_theta
@@ -329,12 +325,13 @@ def run_from_fields(
     with adapt=False the threshold estimate is good to one step of dt0.
 
     metadata["rejections"] counts refused attempts by cause, "growth" and
-    "overflow", and metadata["counts"] the work done: "forward_transforms",
-    "inverse_transforms" and "multipliers" (exp(-t|k|^2) tables made).  An
-    accepted step makes one forward and one inverse transform, a rejected
-    retry one inverse.  The record's terminal is the last accepted field,
-    and u0 and w are never written.
+    "overflow", and metadata["counts"] the work done on the plan during the
+    run (``HeatKernelPlan.counts``, less what it held on entry).  An accepted
+    step makes one forward and one inverse transform, a rejected retry one
+    inverse.  The record's terminal is the last accepted field, and u0 and w
+    are never written.
     """
+    start = dict(plan.counts)
     t = 0.0
     u = u0
     u_hat, load_hat = plan.spectrum(u0), None  # a load is kept through retries
@@ -342,8 +339,6 @@ def run_from_fields(
     load_field, spare = np.empty(u0.values.shape), np.empty(u0.values.shape)
     w_hat = plan.spectrum(w) if w is not None else None
     heat = _StepHeat(plan)
-    forward = 2 if w is not None else 1  # the spectra of u0 and w
-    inverse = 0
     dt = min(config.dt0, config.t_end)
     atol = 0.0
     if w is not None:
@@ -371,9 +366,7 @@ def run_from_fields(
         try:
             if load_hat is None:
                 load_hat = _load_spectrum(spec, plan, u, out=load_buf, work=load_field)
-                forward += 1
             _step_spectrum(spec, heat, t, u_hat, load_hat, w_hat, out=out, work=work)
-            inverse += 1
             u_new = plan.field(out, out=spare, work=work)
             sup_new = lq_norm(u_new, math.inf)
         except BlowupSignal:
@@ -413,8 +406,7 @@ def run_from_fields(
     if blowup_by is not None:
         metadata["blowup_by"] = blowup_by
     metadata["rejections"] = rejections
-    metadata["counts"] = {"forward_transforms": forward, "inverse_transforms": inverse,
-                          "multipliers": heat.multipliers}
+    metadata["counts"] = {k: n - start[k] for k, n in plan.counts.items()}
     return TrajectoryRecord(times, q_norms, sup_norms, dt_history, verdict, metadata,
                             terminal=u)
 
@@ -436,9 +428,8 @@ def _run_metadata(spec, config, u0) -> dict:
 @dataclass(frozen=True)
 class PicardResult:
     """Terminal node value, sweeps taken, the first difference quotient,
-    every sweep's difference, and counts of the work done:
-    "forward_transforms", "inverse_transforms" and "multipliers"
-    (exp(-t|k|^2) tables made)."""
+    every sweep's difference, and the work the solve did on its plan
+    (``HeatKernelPlan.counts``, less what it held on entry)."""
 
     terminal: GridField
     iterations: int
@@ -490,6 +481,7 @@ def picard_solve(
         raise ValueError(f"fixed-point hypotheses fail: {rep.failed()}")
     if plan is None:
         plan = HeatKernelPlan.for_field(u0)
+    start = dict(plan.counts)
     dt = T / nodes
     heat = _StepHeat(plan)
     heat.hold(dt)  # S(dt) is heat.m_dt
@@ -497,7 +489,6 @@ def picard_solve(
     acc, load, work = (np.empty_like(u0_hat) for _ in range(3))
     load_field, spare = np.empty(u0.values.shape), np.empty(u0.values.shape)
     w_hat = plan.spectrum(w) if w is not None else None
-    counts = {"forward_transforms": 2 if w is not None else 1, "inverse_transforms": 0}
 
     def forcing(j):
         """W_j S(theta_j) w_hat, into work."""
@@ -505,14 +496,9 @@ def picard_solve(
                            out=work)
 
     def half_load(u, out=None):
-        counts["forward_transforms"] += 1
         out = _load_spectrum(spec, plan, u, out=out, work=load_field)
         out *= dt / 2.0
         return out
-
-    def node_field(out=None):
-        counts["inverse_transforms"] += 1
-        return plan.field(acc, out=out, work=work)
 
     states = [u0]
     np.copyto(acc, u0_hat)
@@ -520,7 +506,7 @@ def picard_solve(
         acc *= heat.m_dt
         if w_hat is not None:
             acc += forcing(j)
-        states.append(node_field())
+        states.append(plan.field(acc, work=work))
     load0 = half_load(u0)
     diffs = []
     grow_streak = 0
@@ -537,7 +523,7 @@ def picard_solve(
             acc += left
             if w_hat is not None:
                 acc += forcing(j - 1)
-            new = node_field(out=spare)
+            new = plan.field(acc, out=spare, work=work)
             # old's buffer takes the difference, then becomes the next spare
             diff = np.subtract(new.values, old.values, out=old.values)
             d = max(d, lq_norm(old.with_values(diff), spec.q))
@@ -558,7 +544,7 @@ def picard_solve(
             f"no convergence in {PICARD_MAX_SWEEPS} sweeps (last diff {diffs[-1]:.3e})"
         )
     contraction = diffs[1] / diffs[0] if len(diffs) >= 2 and diffs[0] > 0 else 0.0
-    counts["multipliers"] = heat.multipliers
+    counts = {k: n - start[k] for k, n in plan.counts.items()}
     return PicardResult(states[-1], len(diffs), contraction, tuple(diffs), counts)
 
 
@@ -585,9 +571,11 @@ def uniqueness_probe(
     dt = T / PROBE_NODES / 2**lvl on the same PROBE_NODES * 2**lvl Picard
     nodes, with the points per axis doubled each level.  Each level samples
     the problem record's own profiles on its grid; T not positive and
-    finite, or levels < 1, raises ValueError.  details["levels"] holds one
-    entry per level, with Picard's sweeps and its work counts
-    (``PicardResult.counts``) as "picard_counts".
+    finite, levels < 1, or a finest grid past CELL_CAP raises ValueError
+    before any run.  details["levels"] holds one entry per level, with
+    Picard's sweeps and work counts (``PicardResult.counts``) as
+    "picard_counts" and the stepper run's metadata "counts" and
+    "rejections" as "stepper_counts" and "stepper_rejections".
     """
     if not 0 < T < math.inf:
         raise ValueError("T must be positive and finite")
@@ -597,6 +585,7 @@ def uniqueness_probe(
     if not rep.uniq_ok:
         raise ValueError(f"uniqueness hypotheses fail: {rep.failed()}")
     L, M0 = (geometry or BoxGeometry(points_per_axis=64)).resolve(spec.dim)
+    BoxGeometry(L, M0 * 2**levels).resolve(spec.dim)  # refuse before any level runs
     discrepancies = []
     details = {"levels": []}
     for lvl in range(levels + 1):
@@ -615,7 +604,8 @@ def uniqueness_probe(
         details["levels"].append(
             {"points_per_axis": M, "dt": dt, "picard_nodes": nodes,
              "discrepancy": d, "picard_iterations": pic.iterations,
-             "picard_counts": pic.counts}
+             "picard_counts": pic.counts, "stepper_counts": traj.metadata["counts"],
+             "stepper_rejections": traj.metadata["rejections"]}
         )
     ratios = tuple(
         discrepancies[i] / discrepancies[i + 1] if discrepancies[i + 1] > 0 else math.inf

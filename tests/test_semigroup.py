@@ -192,10 +192,10 @@ def test_smoothing_bound():
 def test_kernel_weight_constant_profile_vs_grid():
     prof = ProfileSpec.gaussian_sum([(0.5, 1.0, (0.0,)), (0.2, 2.0, (1.0,))])
     closed = kernel_weight_constant(prof, 1)
-    grid = kernel_weight_constant(sample(prof, 1, 16.0, 256))
-    assert grid == pytest.approx(closed, rel=1e-12)
-    with pytest.raises(ValueError):
-        kernel_weight_constant(ProfileSpec.zero())
+    # the cell sum of the sampled profile, which converges spectrally
+    u0 = sample(prof, 1, 16.0, 256)
+    cells = float(np.sum(np.exp(-u0.axis**2 / 2.0) * u0.values)) * u0.cell_volume
+    assert cells / math.sqrt(4.0 * math.pi) == pytest.approx(closed, rel=1e-12)
     assert kernel_weight_constant(ProfileSpec.zero(), 2) == 0.0
 
 
@@ -218,26 +218,33 @@ def _linear_run(u0_prof, dim, t_end, M=128):  # callers take the zero_load fixtu
     spec = ProblemSpec(dim, 2.0, 2.0, 0.0, 0.0, u0_prof, ProfileSpec.zero())
     u0 = sample(u0_prof, dim, 16.0, M)
     cfg = SolverConfig(dt0=0.05, t_end=t_end)
-    return u0, run_from_fields(spec, u0, None, cfg, HeatKernelPlan.for_field(u0))
+    return run_from_fields(spec, u0, None, cfg, HeatKernelPlan.for_field(u0))
 
 
 @pytest.mark.usefixtures("zero_load")
 def test_lower_bound_on_linear_heat_flow():
     prof = ProfileSpec.gaussian(0.5, 1.0, (0.0,))
-    u0, traj = _linear_run(prof, 1, 6.0)
+    traj = _linear_run(prof, 1, 6.0)
     rep = comparison_lower_bound(prof, traj, 2.0, dim=1)
     assert rep.skipped is None
     assert rep.passed and len(rep.rows) > 0
     assert all(r.margin >= 0 for r in rep.rows)
-    # grid data path gives the same verdict
-    rep2 = comparison_lower_bound(u0, traj, 2.0)
-    assert rep2.passed and len(rep2.rows) == len(rep.rows)
+
+
+def test_sup_norm_lower_bound_is_c0_times_the_heat_decay():
+    # q = inf: the bound is C0 t^(-dim/2), bit for bit, from t = 1 on
+    prof = ProfileSpec.gaussian(0.5, 1.0, (0.0, 0.0))
+    c0 = kernel_weight_constant(prof, 2)
+    traj = SimpleNamespace(times=[0.5, 1.0, 4.0], q_norms=[1.0, 1.0, 1e-3])
+    rep = comparison_lower_bound(prof, traj, math.inf, dim=2)
+    assert [(r.t, r.bound) for r in rep.rows] == [(1.0, c0), (4.0, c0 / 4.0)]
+    assert rep.rows[0].passed and not rep.rows[1].passed and not rep.passed
 
 
 @pytest.mark.usefixtures("zero_load")
 def test_lower_bound_skip_paths():
     prof = ProfileSpec.gaussian(0.5, 1.0, (0.0,))
-    u0, traj = _linear_run(prof, 1, 0.5)  # never reaches t = 1
+    traj = _linear_run(prof, 1, 0.5)  # never reaches t = 1
     assert comparison_lower_bound(prof, traj, 2.0, dim=1).skipped is not None
     neg = ProfileSpec.gaussian(-0.5, 1.0, (0.0,))
     rep = comparison_lower_bound(neg, traj, 2.0, dim=1)

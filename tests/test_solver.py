@@ -11,7 +11,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from fujitalab import solver
+from fujitalab import field, solver
 from fujitalab.field import BoxGeometry, GridField, lq_norm, sample
 from fujitalab.problem import ProblemSpec, ProfileSpec
 from fujitalab.semigroup import HeatKernelPlan, apply
@@ -414,7 +414,8 @@ def test_forced_picard_holds_no_linear_spectrum_per_node():
 def test_probe_levels_count_picard_work():
     # per level: the spectra of u0 and w and of every load, one inverse per
     # node per sweep plus the first node values, S(dt) and S(dt/2) plus one
-    # table per node per march; the 256^2 level's counts are pinned
+    # table per node per march; the 256^2 level's counts are pinned, and
+    # so is each level's stepper run
     g = ProfileSpec.gaussian(0.05, 1.0, (0.0, 0.0))
     spec = ProblemSpec(2, 2.0, 2.0, 1.0, -0.5, g, g)
     rep = uniqueness_probe(spec, T=0.1, geometry=BoxGeometry(16.0, 64), levels=2)
@@ -432,6 +433,71 @@ def test_probe_levels_count_picard_work():
     assert last["points_per_axis"] == 256 and last["picard_iterations"] == 3
     assert last["picard_counts"] == {"forward_transforms": 195,
                                      "inverse_transforms": 256, "multipliers": 258}
+    assert [tuple(lvl["stepper_counts"].values()) for lvl in rep.details["levels"]] == [
+        (18, 16, 20), (34, 32, 36), (66, 64, 66)]
+    assert all(lvl["stepper_rejections"] == {"growth": 0, "overflow": 0}
+               for lvl in rep.details["levels"])
+
+
+def test_uniqueness_probe_refuses_a_finest_grid_past_the_cap_before_any_run(monkeypatch):
+    # 16^2 and 32^2 fit a cap of 32^2 cells, 64^2 does not: two levels
+    # refuse before the first run, one level starts running
+    monkeypatch.setattr(field, "CELL_CAP", 32**2)
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("a level ran")
+
+    monkeypatch.setattr(solver, "run_from_fields", no_run)
+    g = ProfileSpec.gaussian(0.05, 1.0, (0.0, 0.0))
+    spec = ProblemSpec(2, 2.0, 2.0, 1.0, -0.5, g, g)
+    with pytest.raises(ValueError, match="exceeds cap"):
+        uniqueness_probe(spec, T=0.1, geometry=BoxGeometry(16.0, 16), levels=2)
+    with pytest.raises(AssertionError, match="a level ran"):
+        uniqueness_probe(spec, T=0.1, geometry=BoxGeometry(16.0, 16), levels=1)
+
+
+def test_runs_on_one_plan_report_only_their_own_work():
+    # the plan counts every call made on it; a run and a solve each report
+    # what they added, the same as on a fresh plan of their own
+    g = ProfileSpec.gaussian(0.05, 1.0, (0.0, 0.0))
+    spec = ProblemSpec(2, 2.0, 2.0, 1.0, -0.5, g, g)
+    u0, w = sample(g, 2, 16.0, 32), sample(g, 2, 16.0, 32)
+    cfg = SolverConfig(dt0=0.1 / 16, t_end=0.1, adapt=False)
+    plan = HeatKernelPlan.for_field(u0)
+    rec = run_from_fields(spec, u0, w, cfg, plan)
+    assert rec.metadata["counts"] == plan.counts
+    pic = picard_solve(spec, u0, w, 0.1, nodes=16, plan=plan)
+    assert pic.counts == picard_solve(spec, u0, w, 0.1, nodes=16).counts
+    assert rec.metadata["counts"] == run_from_fields(
+        spec, u0, w, cfg, HeatKernelPlan.for_field(u0)).metadata["counts"]
+    run_counts = rec.metadata["counts"]
+    assert plan.counts == {k: n + pic.counts[k] for k, n in run_counts.items()}
+
+
+def test_degenerate_forcing_cell_has_zero_weight_and_half_step_theta():
+    # t_n + dt rounds to t_n: the power difference is 0, so W = 0 and theta = dt/2
+    assert solver._forcing_weight(1e6, 1e-11, -0.5) == (0.0, 5e-12)
+
+
+def test_run_from_an_all_zero_state_completes_at_zero():
+    # no data, no forcing: growth against a zero sup norm and zero atol is 0
+    spec = ProblemSpec(1, 2.0, 2.0, 0.0, 0.0, ZERO, ZERO)
+    u0 = _const_field(0.0)
+    rec = run_from_fields(spec, u0, None, SolverConfig(dt0=0.25, t_end=1.0),
+                          HeatKernelPlan.for_field(u0))
+    assert rec.verdict is Verdict.COMPLETED
+    assert rec.dt_history == [0.0, 0.25, 0.25, 0.25, 0.25]
+    assert rec.q_norms == rec.sup_norms == [0.0] * 5
+
+
+def test_picard_raises_at_its_sweep_cap(monkeypatch):
+    # one sweep cannot reach PICARD_TOL on a nonlinear problem
+    monkeypatch.setattr(solver, "PICARD_MAX_SWEEPS", 1)
+    spec = ProblemSpec(1, 2.0, 2.0, 1.0, 0.0,
+                       ProfileSpec.gaussian(0.05, 1.0, (0.0,)), ZERO)
+    u0 = sample(spec.u0, 1, 16.0, 64)
+    with pytest.raises(IterationLimitError, match="no convergence in 1 sweeps"):
+        picard_solve(spec, u0, None, 0.1, nodes=16)
 
 
 def test_solver_config_rejects_out_of_range_settings():
