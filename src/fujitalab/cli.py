@@ -263,6 +263,8 @@ def cmd_sweep(args) -> int:
         raise _UsageError("need at least one --axis")
     if len(axes) > 2:
         raise _UsageError("at most two --axis arguments")
+    if len(axes) == 2 and axes[0][0] == axes[1][0]:
+        raise _UsageError(f"--axis {axes[0][0]} given twice")
     if args.jobs < 1:
         raise _UsageError("--jobs must be >= 1")
     if not math.isfinite(args.amplitude):

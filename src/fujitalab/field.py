@@ -153,9 +153,9 @@ def lq_norm(f: GridField, q) -> float:
     q < 1 or nan.
     """
     v = f.values
+    q = float(q)
     if q == math.inf:
         return float(max(v.max(), -v.min()))
-    q = float(q)
     if not q >= 1:
         raise ValueError("q must be >= 1 or inf")
     if q == 2.0:

@@ -484,10 +484,15 @@ def certificate_scaling_check(
     same time cutoff with the w integral under the space cutoff; its slope
     must reach rho + 1 (-tol).  The difference of the two slopes estimates
     -theta, the certificate exponent, and its sign is the decisive part.
-    p <= 1 raises ValueError.
+    In the verify case (N = 3, w = e^{-|x|^2}) F's space factor is the same
+    float at every T of CERT_T_LIST (it first moves at T = 10), so slope_F
+    there measures the time factor only.  ValueError unless p > 1 and N is
+    a positive integer.
     """
     if not p > 1:
         raise ValueError(f"p must be > 1, got {p}")
+    if not (N >= 1 and float(N).is_integer()):
+        raise ValueError(f"N must be a positive integer, got {N}")
     d = delta(alpha, q)
     kappa = 2.0 * p / (p - 1.0)
     pw = p / (p - 1.0)

@@ -2,13 +2,13 @@
 
 The workhorse is spectral: multiply the FFT of the field by exp(-t|k|^2).
 ``HeatKernelPlan`` owns the half-spectrum layout and the grid check, so
-``apply``, ``step``, ``run_from_fields`` and ``picard_solve`` all transform
-through it, and it counts the transforms and multipliers made on it.  The
-plan keeps no per-t state and no buffers: ``spectrum``, ``field`` and
-``multiplier`` write into an ``out`` array when given one (the solver module
-lists the buffers its loops keep).  ``field`` makes irfftn's inverse axis by
-axis in a caller's complex ``work`` array, where irfftn maps a fresh
-temporary per leading axis.
+``apply``, the solver's one stepper ``run_from_fields`` and ``picard_solve``
+all transform through it, and it counts the transforms and multipliers
+made on it.  The plan keeps no per-t state and no buffers: ``spectrum``,
+``field`` and ``multiplier`` write into an ``out`` array when given one
+(the solver module lists the buffers its loops keep).  ``field`` makes
+irfftn's inverse axis by axis in a caller's complex ``work`` array, where
+irfftn maps a fresh temporary per leading axis.
 ``apply_direct`` instead convolves with the free-space Gaussian kernel as a
 dense quadrature sum (factored axis by axis, which is the same sum reordered);
 the two agree for well-resolved data away from the box boundary and the tests

@@ -5,8 +5,9 @@ the current state, plus a one-step quadrature of the nonlinear load, plus a
 forcing increment whose singular t^rho weight is integrated exactly.  Two
 independent routes to the same solution are kept deliberately separate:
 
-* ``run`` -- explicit exponential-Euler stepping with adaptive step control
-  and blow-up detection against a sup-norm threshold;
+* ``run_from_fields`` -- the one stepper: explicit exponential-Euler
+  stepping with adaptive step control and blow-up detection against a
+  sup-norm threshold (``run`` samples the profiles and calls it);
 * ``picard_solve`` -- fixed-point iteration of the integral form on a fixed
   uniform inner time grid, with a trapezoid history integral that is marched
   node to node by the one heat multiplier S(dt) (the semigroup property
@@ -51,7 +52,6 @@ __all__ = [
     "UniquenessReport",
     "NonContractionError",
     "IterationLimitError",
-    "step",
     "run",
     "run_from_fields",
     "picard_solve",
@@ -183,43 +183,8 @@ def _forcing_weight(t_n: float, dt: float, rho: float) -> tuple[float, float]:
     if w <= 0.0 or not math.isfinite(w):
         # dt below the floating resolution of t_n: degenerate cell
         return max(w, 0.0), 0.5 * dt
-    mean = m1 / w
-    if not (t_n <= mean <= t1):
-        mean = min(max(mean, t_n), t1)
+    mean = min(max(m1 / w, t_n), t1)
     return w, t1 - mean
-
-
-def step(
-    spec: ProblemSpec,
-    u_n: GridField,
-    t_n: float,
-    dt: float,
-    plan: HeatKernelPlan,
-    w: GridField | None = None,
-) -> GridField:
-    """One exponential-Euler step of the integral form.
-
-    u_{n+1} = S(dt) u_n + S(dt/2) (dt * ||u_n||_q^alpha |u_n|^p) + W S(theta) w,
-    with the three terms summed in Fourier space and brought back by one
-    inverse transform.  The heat flow is exact; the nonlinear load is frozen
-    at the left endpoint and propagated from the interval midpoint.  The
-    forcing weight W is the exact integral of tau^rho over [t_n, t_n+dt], and
-    theta is the distance from t_n+dt to the tau^rho-weighted mean: exactly
-    dt/2 for rho = 0, tending to dt/2 once t_n >> dt, and keeping the first
-    step O(dt^(rho+2)) accurate when the weight piles up at tau = 0.  A
-    spatially constant state with alpha = 0 reduces this to the explicit
-    Euler step of u' = |u|^p.  w=None means no forcing.  Overflow anywhere
-    surfaces as BlowupSignal rather than NaNs; a field on another grid than
-    the plan's raises ValueError.  run_from_fields makes the same sum from
-    the spectra it carries instead of transforming u_n and w every step.
-    """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    heat = _StepHeat(plan)
-    heat.hold(dt)
-    w_hat = plan.spectrum(w) if w is not None else None
-    u_hat, load_hat = plan.spectrum(u_n), _load_spectrum(spec, plan, u_n)
-    return plan.field(_step_spectrum(spec, heat, t_n, u_hat, load_hat, w_hat))
 
 
 class _StepHeat:
@@ -260,19 +225,6 @@ def _load_spectrum(spec, plan, u, out=None, work=None):
     return plan.spectrum(nonlinearity(u, spec.p, spec.q, spec.alpha, out=work), out=out)
 
 
-def _step_spectrum(spec, heat, t_n, u_hat, load_hat, w_hat, out=None, work=None):
-    """u_hat m(dt) + load_hat dt m(dt/2) + w_hat W m(theta) for the step size
-    heat holds: the summed spectrum of ``step``, made in out with each
-    product in work (None allocates, as in numpy).  w_hat=None means no
-    forcing."""
-    out = np.multiply(u_hat, heat.m_dt, out=out)
-    out += np.multiply(load_hat, heat.dt_m_half, out=work)
-    if w_hat is not None:
-        weight, theta = _forcing_weight(t_n, heat.dt, spec.rho)
-        out += np.multiply(w_hat, heat.forcing(weight, theta), out=work)
-    return out
-
-
 def run(
     spec: ProblemSpec,
     config: SolverConfig | None = None,
@@ -297,7 +249,19 @@ def run_from_fields(
     config: SolverConfig,
     plan: HeatKernelPlan,
 ) -> TrajectoryRecord:
-    """Core adaptive loop over prepared fields.
+    """Core adaptive loop over prepared fields: the one stepper.
+
+    Each step is one exponential-Euler step of the integral form,
+    u_{n+1} = S(dt) u_n + S(dt/2) (dt * ||u_n||_q^alpha |u_n|^p) + W S(theta) w,
+    the three terms summed in Fourier space and brought back by one inverse
+    transform.  The heat flow is exact; the nonlinear load is frozen at the
+    left endpoint and propagated from the interval midpoint.  W is the exact
+    integral of tau^rho over [t_n, t_n+dt], and theta the distance from
+    t_n+dt to the tau^rho-weighted mean: exactly dt/2 for rho = 0, tending
+    to dt/2 once t_n >> dt, and keeping the first step O(dt^(rho+2)) accurate
+    when the weight piles up at tau = 0.  A spatially constant state with
+    alpha = 0 reduces this to the explicit Euler step of u' = |u|^p.  w=None
+    means no forcing; a field off the plan's grid raises ValueError.
 
     Step control: reject and halve when the sup norm grows more than 20% in
     one step (or the step overflows); double, capped at dt0, when growth is
@@ -366,7 +330,11 @@ def run_from_fields(
         try:
             if load_hat is None:
                 load_hat = _load_spectrum(spec, plan, u, out=load_buf, work=load_field)
-            _step_spectrum(spec, heat, t, u_hat, load_hat, w_hat, out=out, work=work)
+            np.multiply(u_hat, heat.m_dt, out=out)
+            out += np.multiply(load_hat, heat.dt_m_half, out=work)
+            if w_hat is not None:
+                weight, theta = _forcing_weight(t, dt_step, spec.rho)
+                out += np.multiply(w_hat, heat.forcing(weight, theta), out=work)
             u_new = plan.field(out, out=spare, work=work)
             sup_new = lq_norm(u_new, math.inf)
         except BlowupSignal:
@@ -452,9 +420,9 @@ def picard_solve(
     The nonlinear history integral uses the trapezoid rule with exact heat
     distances to both subinterval endpoints; the forcing uses its exact
     tau^rho weights.  This quadrature deliberately differs from the marching
-    scheme in `step` (left load, midpoint heat shift), so the two routes are
-    independent discretizations of the same integral equation and their gap
-    measures discretization error, not roundoff.
+    scheme in ``run_from_fields`` (left load, midpoint heat shift), so the
+    two routes are independent discretizations of the same integral equation
+    and their gap measures discretization error, not roundoff.
 
     On the uniform grid S(s + dt) = S(dt) S(s) turns the data, forcing and
     history sums into one recursion in the multiplier S(dt), so a sweep

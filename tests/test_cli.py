@@ -266,6 +266,15 @@ def test_sweep_axis_validation(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_sweep_refuses_a_repeated_axis(tmp_path, capsys):
+    # a repeated axis would sweep only its last range, each point twice
+    spec = _write_spec(tmp_path, SWEEP_SPEC)
+    assert main(["sweep", "--spec", spec, "--axis", "p=1.5:2.5:2",
+                 "--axis", "p=3:4:2"]) == 1
+    captured = capsys.readouterr()
+    assert "error: --axis p given twice" in captured.err and "points:" not in captured.out
+
+
 def test_verify_single_lemma(capsys):
     assert main(["verify", "--lemma", "young"]) == 0
     out = capsys.readouterr().out

@@ -53,7 +53,8 @@ def test_lq_norm_gaussian_closed_form():
         for q in (1.0, 2.0, 3.5):
             exact = 0.7 * (math.pi / q) ** (dim / (2 * q))
             assert lq_norm(f, q) == pytest.approx(exact, rel=1e-12)
-        assert lq_norm(f, math.inf) == pytest.approx(0.7, rel=1e-12)
+        for q in (math.inf, "inf"):
+            assert lq_norm(f, q) == pytest.approx(0.7, rel=1e-12)
         # the q = 2 dot product sums in another order than the plain sum
         plain = math.sqrt(np.sum(np.abs(f.values) ** 2.0) * f.cell_volume)
         assert lq_norm(f, 2.0) == pytest.approx(plain, rel=1e-14)

@@ -406,6 +406,9 @@ def test_oracles_refuse_inputs_outside_their_domain():
     for p in (1.0, 0.5):
         with pytest.raises(ValueError, match="p must be > 1"):
             certificate_scaling_check(3, p, 1.25, 1.0, -0.5)
+    for N in (0, -1, 1.5):
+        with pytest.raises(ValueError, match="N must be a positive integer"):
+            certificate_scaling_check(N, 1.5, 1.25, 1.0, -0.5)
     for bad in (math.inf, math.nan):
         for args in ((bad, 1.0, 0.5, 1.0), (1.0, bad, 0.5, 1.0), (1.0, 1.0, 0.5, bad)):
             with pytest.raises(ValueError, match="need A, M, t >= 0 and finite"):

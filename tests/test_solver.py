@@ -24,7 +24,6 @@ from fujitalab.solver import (
     picard_solve,
     run,
     run_from_fields,
-    step,
     uniqueness_probe,
 )
 
@@ -33,6 +32,32 @@ ZERO = ProfileSpec.zero()
 
 def _const_field(value, M=16):
     return GridField(1, 8.0, np.full(M, float(value)))
+
+
+def _reference_step(spec, u, t_n, dt, plan, w=None):
+    """One exponential-Euler step as three heat round trips in real space,
+    S(dt) u + S(dt/2)(dt * load) + W S(theta) w, with the load made in numpy
+    and W and theta in closed form: it shares no code with the run's fused
+    Fourier-space sum, so it is an independent reference for it."""
+    v = u.values
+    norm = (np.sum(np.abs(v) ** spec.q) * u.cell_volume) ** (1.0 / spec.q)
+    load = norm**spec.alpha * np.abs(v) ** spec.p
+    out = apply(plan, u, dt).values + apply(plan, u.with_values(dt * load), dt / 2.0).values
+    if w is not None:
+        rho, t1 = spec.rho, t_n + dt
+        weight = (t1 ** (rho + 1) - t_n ** (rho + 1)) / (rho + 1)
+        mean_tau = (t1 ** (rho + 2) - t_n ** (rho + 2)) / (rho + 2) / weight
+        out = out + weight * apply(plan, w, t1 - mean_tau).values
+    return u.with_values(out)
+
+
+def _replay(spec, rec, u0, plan, w=None):
+    """The run's accepted step sizes, replayed from u0 with _reference_step."""
+    u, t = u0, 0.0
+    for dt in rec.dt_history[1:]:
+        u = _reference_step(spec, u, t, dt, plan, w)
+        t += dt
+    return u
 
 
 def test_ode_blowup_time():
@@ -110,74 +135,63 @@ def test_single_step_linear_matches_apply():
     spec = ProblemSpec(1, 2.0, 2.0, 0.0, 0.0, ZERO, ZERO)
     u0 = sample(ProfileSpec.gaussian(0.5, 1.0, (0.0,)), 1, 16.0, 128)
     plan = HeatKernelPlan.for_field(u0)
-    out = step(spec, u0, 0.0, 0.125, plan, None)
+    rec = run_from_fields(spec, u0, None, SolverConfig(dt0=0.125, t_end=0.125), plan)
+    assert rec.times == [0.0, 0.125]
     ref = apply(plan, u0, 0.125)
-    assert np.allclose(out.values, ref.values, atol=1e-14)
+    assert np.allclose(rec.terminal.values, ref.values, atol=1e-14)
 
 
+@pytest.mark.usefixtures("zero_load")
 def test_step_forcing_constant_w_exact_weights():
-    # from a zero state the step is the forcing increment alone; the
-    # semigroup fixes constants, so it must be w times the exact integral of
-    # tau^rho over the step
-    w = _const_field(1.0)
-    zero = _const_field(0.0)
-    plan = HeatKernelPlan.for_field(w)
-    for rho in (0.0, -0.5, 0.7):
-        spec = ProblemSpec(1, 2.0, 2.0, 0.0, rho, ZERO, ZERO)
-        for t_n, dt in ((0.0, 0.1), (0.35, 0.1), (7.0, 0.01)):
-            inc = step(spec, zero, t_n, dt, plan, w)
-            t1 = t_n + dt
-            exact = (t1 ** (rho + 1) - t_n ** (rho + 1)) / (rho + 1)
-            assert inc.values[0] == pytest.approx(exact, rel=1e-12)
-    with pytest.raises(ValueError):
-        step(spec, zero, 0.0, -0.1, plan, w)
-    with pytest.raises(ValueError):  # rho <= -1 never reaches the step
+    # from rest the state is the forcing increments alone; the semigroup
+    # fixes constants and the exact cell weights telescope, so every row is
+    # w times the exact integral of tau^rho from 0 to its time
+    for M, c in ((16, 1.0), (32, 2.0)):
+        zero, w = _const_field(0.0, M=M), _const_field(c, M=M)
+        plan = HeatKernelPlan.for_field(w)
+        for rho in (0.0, -0.5, 0.7):
+            spec = ProblemSpec(1, 2.0, 2.0, 0.0, rho, ZERO, ZERO)
+            for dt0, t_end in ((0.1, 0.45), (0.01, 7.01)):
+                cfg = SolverConfig(dt0=dt0, t_end=t_end, adapt=False)
+                rec = run_from_fields(spec, zero, w, cfg, plan)
+                assert rec.verdict is Verdict.COMPLETED
+                assert rec.times[-1] == pytest.approx(t_end, rel=1e-12)
+                for t, sup in zip(rec.times, rec.sup_norms):
+                    exact = c * t ** (rho + 1) / (rho + 1)
+                    assert sup == pytest.approx(exact, rel=1e-12), (M, rho, dt0, t)
+    with pytest.raises(ValueError):  # rho <= -1 never reaches the stepper
         ProblemSpec(1, 2.0, 2.0, 0.0, -1.0, ZERO, ZERO)
 
 
-def test_step_forcing_constant_w_through_semigroup():
-    # the semigroup fixes constants, so the exact weights survive a real plan
-    w = _const_field(2.0, M=32)
-    plan = HeatKernelPlan.for_field(w)
-    spec = ProblemSpec(1, 2.0, 2.0, 0.0, -0.5, ZERO, ZERO)
-    inc = step(spec, _const_field(0.0, M=32), 0.2, 0.05, plan, w)
-    exact = 2.0 * (0.25**0.5 - 0.2**0.5) / 0.5
-    assert np.allclose(inc.values, exact, rtol=1e-12)
-
-
 def test_fused_step_equals_three_round_trips():
-    # the one-transform step sums in Fourier space what three separate heat
-    # applications sum in real space
-    rho, t_n, dt = -0.5, 0.3, 0.05
-    spec = ProblemSpec(2, 2.0, 2.0, 1.0, rho, ZERO, ZERO)
-    u = sample(ProfileSpec.gaussian(0.8, 1.0, (0.5, -0.25)), 2, 8.0, 64)
+    # each step sums in Fourier space what three separate heat applications
+    # sum in real space
+    spec = ProblemSpec(2, 2.0, 2.0, 1.0, -0.5, ZERO, ZERO)
+    u0 = sample(ProfileSpec.gaussian(0.8, 1.0, (0.5, -0.25)), 2, 8.0, 64)
     w = sample(ProfileSpec.gaussian(0.3, 2.0, (0.0, 0.0)), 2, 8.0, 64)
-    plan = HeatKernelPlan.for_field(u)
-    out = step(spec, u, t_n, dt, plan, w)
-    load = lq_norm(u, 2.0) * np.abs(u.values) ** 2
-    t1 = t_n + dt
-    weight = (t1 ** (rho + 1) - t_n ** (rho + 1)) / (rho + 1)
-    mean_tau = (t1 ** (rho + 2) - t_n ** (rho + 2)) / (rho + 2) / weight
-    ref = (apply(plan, u, dt).values
-           + apply(plan, u.with_values(dt * load), dt / 2.0).values
-           + weight * apply(plan, w, t1 - mean_tau).values)
-    scale = np.max(np.abs(ref))
-    assert np.max(np.abs(out.values - ref)) <= 1e-14 * scale
+    plan = HeatKernelPlan.for_field(u0)
+    rec = run_from_fields(spec, u0, w, SolverConfig(dt0=0.05, t_end=0.35, adapt=False), plan)
+    assert len(rec.times) == 8
+    ref = _replay(spec, rec, u0, plan, w)
+    scale = np.max(np.abs(ref.values))
+    assert np.max(np.abs(rec.terminal.values - ref.values)) <= 1e-14 * scale
 
 
 def test_step_rejects_a_plan_of_another_geometry():
     spec = ProblemSpec(1, 2.0, 2.0, 0.0, 0.0, ZERO, ZERO)
     u = _const_field(1.0, M=32)
-    with pytest.raises(ValueError, match="geometry"):
-        step(spec, u, 0.0, 0.1, HeatKernelPlan(1, 16, 8.0))
-    with pytest.raises(ValueError, match="geometry"):
-        step(spec, u, 0.0, 0.1, HeatKernelPlan.for_field(u), _const_field(1.0, M=16))
-    other_box = GridField(1, 4.0, np.ones(32))
-    with pytest.raises(ValueError, match="geometry"):
-        step(spec, u, 0.0, 0.1, HeatKernelPlan.for_field(u), other_box)
-    # same point count, another box: only the half-width tells them apart
-    with pytest.raises(ValueError, match="geometry"):
-        step(spec, u, 0.0, 0.1, HeatKernelPlan(1, 32, 4.0))
+    cfg = SolverConfig(dt0=0.1, t_end=0.2)
+    mismatched = [
+        (HeatKernelPlan(1, 16, 8.0), None),
+        (HeatKernelPlan.for_field(u), _const_field(1.0, M=16)),
+        (HeatKernelPlan.for_field(u), GridField(1, 4.0, np.ones(32))),
+        # same point count, another box: only the half-width tells them apart
+        (HeatKernelPlan(1, 32, 4.0), None),
+    ]
+    for plan, w in mismatched:
+        with pytest.raises(ValueError, match="geometry"):
+            run_from_fields(spec, u, w, cfg, plan)
+        assert plan.counts["inverse_transforms"] == 0  # refused before any step
     for t in (0.1, 0.0):
         with pytest.raises(ValueError, match="geometry"):
             apply(HeatKernelPlan(1, 16, 8.0), u, t)
@@ -557,13 +571,9 @@ def test_fixed_dt_run_returns_the_hand_stepped_terminal():
     cfg = SolverConfig(dt0=0.05, t_end=0.5, adapt=False)
     rec = run_from_fields(spec, u0, w, cfg, plan)
     assert rec.verdict is Verdict.COMPLETED
-    u, t = u0, 0.0
-    for _ in range(len(rec.times) - 1):
-        dt = min(cfg.dt0, cfg.t_end - t)
-        u = step(spec, u, t, dt, plan, w)
-        t += dt
-    # the run carries the spectrum of its state, which differs from
-    # rfftn(u) by roundoff (4e-16 of the sup norm here)
+    # the run carries the spectrum of its state and sums in Fourier space;
+    # the real-space reference differs from it by roundoff
+    u = _replay(spec, rec, u0, plan, w)
     sup = lq_norm(u, math.inf)
     assert np.max(np.abs(rec.terminal.values - u.values)) <= 1e-14 * sup
     assert rec.sup_norms[-1] == pytest.approx(sup, rel=1e-14, abs=0.0)
@@ -594,7 +604,7 @@ def test_runs_never_write_into_the_callers_fields():
 def test_rejected_attempts_leave_the_state_and_terminal_alone():
     # u' = u^3 from dt0 = 0.25 rejects attempts all the way to the threshold;
     # each retry must start from the accepted state, so replaying the
-    # accepted step sizes with `step` gives the run's terminal
+    # accepted step sizes with _reference_step gives the run's terminal
     spec = ProblemSpec(1, 3.0, 2.0, 0.0, 0.0, ZERO, ZERO)
     u0 = _const_field(1.0)
     plan = HeatKernelPlan.for_field(u0)
@@ -602,12 +612,10 @@ def test_rejected_attempts_leave_the_state_and_terminal_alone():
                           SolverConfig(dt0=0.25, t_end=2.0, blowup_threshold=10.0), plan)
     assert rec.verdict is Verdict.BLOWUP_DETECTED
     assert rec.metadata["rejections"]["growth"] > 3
+    assert len(rec.times) > 10  # so the replay below covers accepted steps
     assert np.all(u0.values == 1.0)
     assert lq_norm(rec.terminal, math.inf) == rec.sup_norms[-1]
-    u, t = u0, 0.0
-    for dt in rec.dt_history[1:]:
-        u = step(spec, u, t, dt, plan)
-        t += dt
+    u = _replay(spec, rec, u0, plan)
     sup = lq_norm(u, math.inf)
     assert np.max(np.abs(rec.terminal.values - u.values)) <= 1e-13 * sup
 
