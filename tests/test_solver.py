@@ -163,6 +163,23 @@ def test_step_forcing_constant_w_exact_weights():
         ProblemSpec(1, 2.0, 2.0, 0.0, -1.0, ZERO, ZERO)
 
 
+@pytest.mark.usefixtures("zero_load")
+def test_step_forcing_constant_w_through_semigroup():
+    # the semigroup fixes constants, so the exact weights survive a real plan:
+    # from rest, the step from 0.2 to 0.25 adds w times the integral of tau^rho
+    w = _const_field(2.0, M=32)
+    zero = _const_field(0.0, M=32)
+    plan = HeatKernelPlan.for_field(w)
+    spec = ProblemSpec(1, 2.0, 2.0, 0.0, -0.5, ZERO, ZERO)
+    before = run_from_fields(spec, zero, w, SolverConfig(dt0=0.05, t_end=0.2, adapt=False), plan)
+    after = run_from_fields(spec, zero, w, SolverConfig(dt0=0.05, t_end=0.25, adapt=False), plan)
+    assert after.times[-1] == pytest.approx(0.25, rel=1e-12)
+    assert before.times[-1] == pytest.approx(0.2, rel=1e-12)
+    inc = after.terminal.values - before.terminal.values
+    exact = 2.0 * (0.25**0.5 - 0.2**0.5) / 0.5
+    assert np.allclose(inc, exact, rtol=1e-12)
+
+
 def test_fused_step_equals_three_round_trips():
     # each step sums in Fourier space what three separate heat applications
     # sum in real space
