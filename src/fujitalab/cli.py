@@ -325,14 +325,12 @@ def cmd_sweep(args) -> int:
 # verify
 
 def cmd_verify(args) -> int:
-    if not 0 < args.tolerance_scale < math.inf:
-        raise _UsageError("--tolerance-scale must be positive and finite")
     names = [args.lemma] if args.lemma else list(LEMMAS)
     verdicts = {}
     all_ok = True
     for name in names:
         start = time.perf_counter()
-        passed, detail = LEMMAS[name](args.tolerance_scale)
+        passed, detail = LEMMAS[name]()
         verdicts[name] = {"passed": passed, "detail": detail,
                           "seconds": time.perf_counter() - start}
         all_ok = all_ok and passed
@@ -381,9 +379,6 @@ def _build_parser() -> _Parser:
 
     p_ver = sub.add_parser("verify", help="run the analytic lemma checks")
     p_ver.add_argument("--lemma", choices=sorted(LEMMAS))
-    p_ver.add_argument("--tolerance-scale", type=float, default=1.0,
-                       help="multiply tolerances (test hook; <1 tightens); "
-                            "exponent_sign is exact and ignores it")
     p_ver.add_argument("--out", help="write JSON verdicts here")
     p_ver.set_defaults(func=cmd_verify)
     return parser

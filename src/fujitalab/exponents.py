@@ -323,12 +323,6 @@ class ExponentReport:
 
     values: dict
 
-    def __getattr__(self, name):
-        try:
-            return self.values[name]
-        except KeyError as exc:
-            raise AttributeError(name) from exc
-
     def to_json_dict(self) -> dict:
         return {k: _jsonable(self.values[k]) for k in _REPORT_KEYS}
 

@@ -131,8 +131,6 @@ def sample(
     L, M = BoxGeometry(half_width, points_per_axis).resolve(dim)
     _check_centers(prof, dim)
     ax = coordinates(L, M)
-    if prof.kind == "zero" or not prof.terms:
-        return GridField(dim, L, np.zeros((M,) * dim))
     # evaluate per term with separated 1-d exponentials: cheaper and exact
     out = np.zeros((M,) * dim)
     for t in prof.terms:

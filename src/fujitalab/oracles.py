@@ -39,6 +39,7 @@ __all__ = [
 
 # Fixed resolutions and tolerances of the checks below.
 YOUNG_DRAWS = 100_000             # random (a, b, p, eps) draws per Young sweep
+YOUNG_SLACK = 1e-12               # slack on a*b <= the Young bound
 ML_MAX_TERMS = 100_000            # Mittag-Leffler series terms before giving up
 CUTOFF_THETA = 4.0                # power of the cutoff in g(|x|^2/T)^theta
 CUTOFF_MIN_ORDER = 1.6            # finite-difference order the cutoff check demands
@@ -50,6 +51,7 @@ CERT_T_LIST = (1e2, 1e3, 1e4)     # scales T of the certificate's slope fits
 CERT_TIME_POINTS = 4097           # Simpson nodes of the time cutoff
 CERT_RADIAL_POINTS = 4097         # Simpson nodes of the radial space factor
 CERT_SPACE_POINTS = 65            # trapezoid nodes per axis of the w integral
+CERT_SLOPE_TOL = 0.1              # slack on both of the certificate's slope tests
 BLOCK_BYTES = 512 * 1024          # bytes per float row block of the 2-D cutoff check
 
 # ---------------------------------------------------------------------------
@@ -60,7 +62,7 @@ def _young_rhs(a, b, p, q, eps):
     return eps * a**p + (p * eps) ** (-q / p) * b**q / q
 
 
-def young_batch(seed: int = 0, slack: float = 1e-12):
+def young_batch(seed: int = 0):
     """Vectorized sweep over YOUNG_DRAWS random (a, b, p, eps); (all_ok, max_excess)."""
     rng = np.random.default_rng(seed)
     a = rng.uniform(0.0, 10.0, YOUNG_DRAWS)
@@ -69,7 +71,7 @@ def young_batch(seed: int = 0, slack: float = 1e-12):
     q = p / (p - 1.0)
     eps = 10.0 ** rng.uniform(-3, 3, YOUNG_DRAWS)
     excess = a * b - _young_rhs(a, b, p, q, eps)
-    return bool(np.all(excess <= slack)), float(np.max(excess))
+    return bool(np.all(excess <= YOUNG_SLACK)), float(np.max(excess))
 
 
 # ---------------------------------------------------------------------------
@@ -123,9 +125,6 @@ class MLResult:
     value: float
     remainder_bound: float
     terms_used: int
-
-    def __float__(self) -> float:
-        return self.value
 
 
 def mittag_leffler(order: float, z: float) -> MLResult:
@@ -472,7 +471,6 @@ def certificate_scaling_check(
     alpha: float,
     rho: float,
     w: ProfileSpec | None = None,
-    tol: float = 0.1,
 ) -> CertificateReport:
     """Log-log slopes of the rescaled test-function functionals at the
     scales T in CERT_T_LIST.
@@ -480,10 +478,11 @@ def certificate_scaling_check(
     I1(T) couples the time weight t^(N*delta/(2(p-1))) under the time cutoff
     with the space integral of |Delta psi2^kappa|^(p/(p-1)) * psi2^(-kappa/(p-1)),
     kappa = 2p/(p-1); its slope in ln T must stay below
-    1 + N/2 - p/(p-1) + N*delta/(2(p-1)) (+tol).  F(T) couples t^rho under the
-    same time cutoff with the w integral under the space cutoff; its slope
-    must reach rho + 1 (-tol).  The difference of the two slopes estimates
-    -theta, the certificate exponent, and its sign is the decisive part.
+    1 + N/2 - p/(p-1) + N*delta/(2(p-1)) (+CERT_SLOPE_TOL).  F(T) couples
+    t^rho under the same time cutoff with the w integral under the space
+    cutoff; its slope must reach rho + 1 (-CERT_SLOPE_TOL).  The difference
+    of the two slopes estimates -theta, the certificate exponent, and its
+    sign is the decisive part.
     In the verify case (N = 3, w = e^{-|x|^2}) F's space factor is the same
     float at every T of CERT_T_LIST (it first moves at T = 10), so slope_F
     there measures the time factor only.  ValueError unless p > 1 and N is
@@ -543,8 +542,8 @@ def certificate_scaling_check(
     slope_F = float(np.polyfit(lnT, np.log(F_vals), 1)[0]) if applicable else None
     theta = certificate_exponent(N, p, q, alpha, rho)
     sign_gap = (slope_F - slope_I1) if applicable else None
-    passed = slope_I1 <= slope_bound + tol and (
-        not applicable or slope_F >= (rho + 1.0) - tol
+    passed = slope_I1 <= slope_bound + CERT_SLOPE_TOL and (
+        not applicable or slope_F >= (rho + 1.0) - CERT_SLOPE_TOL
     )
     return CertificateReport(
         T_list=CERT_T_LIST,
@@ -586,35 +585,34 @@ def _space_cutoff_integral(r2, w_vals, h: float, T: float, kappa: float) -> floa
 
 
 # ---------------------------------------------------------------------------
-# the lemma suite: name -> check(tolerance_scale) -> (passed, detail);
-# a tolerance scale below 1 tightens every bound
+# the lemma suite: name -> check() -> (passed, detail)
 
-def _lemma_young(scale: float):
-    ok, excess = young_batch(seed=7, slack=1e-12 * scale)
+def _lemma_young():
+    ok, excess = young_batch(seed=7)
     return ok, f"max excess {excess:.3e} over 1e5 draws"
 
 
-def _lemma_contraction(scale: float):
+def _lemma_contraction():
     details = []
     ok = True
     for p, alpha in ((2.0, 1.0), (3.0, 1.5), (1.5, 0.5), (2.0, 0.0)):
         head, full = contraction_constant_study(p, alpha, n=100_000, seed=3)
-        stable = full <= head * (1.0 + 0.10 * scale) and math.isfinite(full)
+        stable = full <= head * 1.10 and math.isfinite(full)
         ok = ok and stable
         details.append(f"(p={p},a={alpha}) sup {full:.4f}")
     return ok, "; ".join(details)
 
 
-def _lemma_mittag_leffler(scale: float):
+def _lemma_mittag_leffler():
     r1 = mittag_leffler(1.0, 1.0)
     ref1 = math.e
     r2 = mittag_leffler(0.5, 1.0)
     ref2 = math.e * math.erfc(-1.0)
     ok = (
-        abs(r1.value - ref1) <= 1e-12 * scale * ref1
-        and abs(r2.value - ref2) <= 1e-12 * scale * ref2
-        and r1.remainder_bound < 1e-10 * scale
-        and r2.remainder_bound < 1e-10 * scale
+        abs(r1.value - ref1) <= 1e-12 * ref1
+        and abs(r2.value - ref2) <= 1e-12 * ref2
+        and r1.remainder_bound < 1e-10
+        and r2.remainder_bound < 1e-10
     )
     return ok, (f"E_1(1)={r1.value:.12f} (bound {r1.remainder_bound:.1e}), "
                 f"E_1/2(1)={r2.value:.12f} (bound {r2.remainder_bound:.1e})")
@@ -638,13 +636,13 @@ def _product_integration(A: float, M: float, sigma: float, t: float, n: int):
     return psi
 
 
-def _lemma_gronwall(scale: float):
+def _lemma_gronwall():
     A, M, sigma, t_end = 1.0, 1.0, 0.5, 1.0
     bound = gronwall_bound(A, M, sigma, t_end)
     discrete = float(_product_integration(A, M, sigma, t_end, 4000)[-1])
     rel = abs(bound - discrete) / bound
-    majorant = discrete <= bound * (1.0 + 1e-6 * scale)
-    ok = rel <= 0.02 * scale and majorant
+    majorant = discrete <= bound * (1.0 + 1e-6)
+    ok = rel <= 0.02 and majorant
     return ok, f"bound {bound:.6f} vs discrete {discrete:.6f} (rel {rel:.2e})"
 
 
@@ -657,8 +655,8 @@ def _delta_subcritical_tenths(N: int, a10: int, q10: int) -> bool:
     return N * a10 * (q10 - 10) < 20 * q10
 
 
-def _lemma_exponent_sign(scale: float):
-    # Exact, so the scale is ignored.  Of blowup_criterion's admissibility
+def _lemma_exponent_sign():
+    # Exact, so it has no tolerance.  Of blowup_criterion's admissibility
     # conditions only delta < 2/N can fail on these draws (N >= 3, rho in
     # (-1, 0] and N - 2 rho - 2 >= 1 always hold), so it is settled in
     # integers first and only the kept draws become Fractions.  Each kept
@@ -682,7 +680,7 @@ def _lemma_exponent_sign(scale: float):
     return checked > 1000, f"{checked} admissible draws agree exactly"
 
 
-def _lemma_cutoff_laplacian(scale: float):
+def _lemma_cutoff_laplacian():
     c_values = []
     ok = True
     details = []
@@ -692,7 +690,7 @@ def _lemma_cutoff_laplacian(scale: float):
         c_values.append(chk.c_emp)
         details.append(f"T={T:g}: order {chk.order:.2f}")
     spread = (max(c_values) - min(c_values)) / max(c_values)
-    ok = ok and spread <= 0.05 * scale
+    ok = ok and spread <= 0.05
     chk1 = cutoff_laplacian_check("psi1", T=100.0, dim=1)
     chk2 = cutoff_laplacian_check("psi2", T=100.0, dim=2, points=801)
     ok = ok and chk1.passed and chk2.passed
@@ -701,7 +699,7 @@ def _lemma_cutoff_laplacian(scale: float):
     return ok, "; ".join(details)
 
 
-def _lemma_w_condition(scale: float):
+def _lemma_w_condition():
     good = ProfileSpec.gaussian(1.0, 1.0, (0.0,))
     rep_good = w_condition_check(good, dim=1)
     mixed = ProfileSpec.gaussian_sum(
@@ -718,16 +716,15 @@ def _lemma_w_condition(scale: float):
         and rep_good.integral_positive
         and rep_mixed.integral_positive
         and not rep_mixed.holds_kernel_nonneg
-        and abs(direct - rep_mixed.min_kernel_average) <= 1e-8 * scale
+        and abs(direct - rep_mixed.min_kernel_average) <= 1e-8
     )
     return ok, (f"good min {rep_good.min_kernel_average:.2e}; mixed min "
                 f"{rep_mixed.min_kernel_average:.6e} vs quadrature {direct:.6e}")
 
 
-def _lemma_certificate_scaling(scale: float):
+def _lemma_certificate_scaling():
     w = ProfileSpec.gaussian(1.0, 1.0, (0.0, 0.0, 0.0))
-    rep = certificate_scaling_check(
-        3, 1.5, 1.25, 1.0, -0.5, w=w, tol=0.1 * scale)
+    rep = certificate_scaling_check(3, 1.5, 1.25, 1.0, -0.5, w=w)
     sign_ok = rep.applicable and rep.sign_gap is not None and (
         (rep.sign_gap > 0) == (rep.theta < 0))
     ok = rep.passed and sign_ok
@@ -736,7 +733,7 @@ def _lemma_certificate_scaling(scale: float):
                 f"gap {rep.sign_gap:.3f} vs -theta {-rep.theta:.3f}")
 
 
-LEMMAS: dict[str, Callable[[float], tuple[bool, str]]] = {
+LEMMAS: dict[str, Callable[[], tuple[bool, str]]] = {
     "young": _lemma_young,
     "contraction": _lemma_contraction,
     "mittag_leffler": _lemma_mittag_leffler,

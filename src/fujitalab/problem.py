@@ -25,19 +25,10 @@ __all__ = [
     "evaluate_profile",
     "profile_integral",
     "gaussian_weighted_integral",
-    "check_parameters",
     "validate",
 ]
 
 PROFILE_KINDS = ("gaussian_sum", "zero")
-
-_BASE_CONDITIONS = (
-    "dim_positive_integer",
-    "p_gt_1",
-    "q_ge_1",
-    "alpha_nonneg",
-    "rho_gt_minus_1",
-)
 
 
 class SpecFieldError(ValueError):
@@ -243,9 +234,17 @@ class ProblemSpec:
     w: ProfileSpec = field(default_factory=ProfileSpec.zero)
 
     def __post_init__(self):
-        rep = check_parameters(self.dim, self.p, self.q, self.alpha, self.rho)
-        if not rep.base_ok:
-            bad = [k for k in _BASE_CONDITIONS if not rep.conditions[k]]
+        dim, p, q, alpha, rho = self.dim, self.p, self.q, self.alpha, self.rho
+        base = {
+            "dim_positive_integer": isinstance(dim, (int, np.integer))
+            and not isinstance(dim, bool) and dim >= 1,
+            "p_gt_1": _num(p) and p > 1,
+            "q_ge_1": _num(q) and q >= 1,
+            "alpha_nonneg": _num(alpha) and alpha >= 0,
+            "rho_gt_minus_1": _num(rho) and rho > -1,
+        }
+        bad = [k for k, ok in base.items() if not ok]
+        if bad:
             raise InadmissibleError(bad)
         for name, prof in (("u0", self.u0), ("w", self.w)):
             for t in prof.terms:
@@ -297,7 +296,7 @@ def _extract_parameters(d: dict) -> dict:
         v = d[name]
         if isinstance(v, bool) or not isinstance(v, (int, float)):
             raise SpecFieldError(name, f"must be a number, got {type(v).__name__}")
-        if name == "dim" and v != int(v):
+        if name == "dim" and isinstance(v, float) and not v.is_integer():
             raise SpecFieldError(name, "must be an integer")
         out[name] = caster(v)
     return out
@@ -307,43 +306,12 @@ def _extract_parameters(d: dict) -> dict:
 class ValidationReport:
     """Named admissibility conditions, independently queryable."""
 
-    base_ok: bool
     lwp_ok: bool
     uniq_ok: bool
     conditions: dict
 
     def failed(self) -> list[str]:
         return [k for k, v in self.conditions.items() if not v]
-
-
-def check_parameters(dim, p, q, alpha, rho) -> ValidationReport:
-    """Admissibility of raw parameters; never raises on out-of-domain values.
-
-    base: dim positive integer, p > 1, q >= 1, alpha >= 0, rho > -1.
-    lwp:  base plus q > dim*(p-1)/2 and (alpha == 0 or alpha >= 1); the band
-          0 < alpha < 1 is outside the fixed-point argument's reach.
-    uniq: lwp plus q >= p.
-    """
-    conditions = {
-        "dim_positive_integer": isinstance(dim, (int, np.integer)) and not isinstance(dim, bool) and dim >= 1,
-        "p_gt_1": _num(p) and p > 1,
-        "q_ge_1": _num(q) and q >= 1,
-        "alpha_nonneg": _num(alpha) and alpha >= 0,
-        "rho_gt_minus_1": _num(rho) and rho > -1,
-    }
-    base_ok = all(conditions.values())
-    if base_ok:
-        conditions["q_gt_scaling"] = q > dim * (p - 1) / 2
-        conditions["alpha_fixed_point_ok"] = alpha == 0 or alpha >= 1
-        conditions["q_ge_p"] = q >= p
-        lwp_ok = conditions["q_gt_scaling"] and conditions["alpha_fixed_point_ok"]
-        uniq_ok = lwp_ok and conditions["q_ge_p"]
-    else:
-        conditions["q_gt_scaling"] = False
-        conditions["alpha_fixed_point_ok"] = False
-        conditions["q_ge_p"] = False
-        lwp_ok = uniq_ok = False
-    return ValidationReport(base_ok, lwp_ok, uniq_ok, conditions)
 
 
 def _num(x) -> bool:
@@ -353,4 +321,18 @@ def _num(x) -> bool:
 
 
 def validate(spec: ProblemSpec) -> ValidationReport:
-    return check_parameters(spec.dim, spec.p, spec.q, spec.alpha, spec.rho)
+    """Admissibility of a record beyond its base region, which the record
+    itself enforces (dim positive integer, p > 1, q >= 1, alpha >= 0,
+    rho > -1).
+
+    lwp:  q > dim*(p-1)/2 and (alpha == 0 or alpha >= 1); the band
+          0 < alpha < 1 is outside the fixed-point argument's reach.
+    uniq: lwp plus q >= p.
+    """
+    conditions = {
+        "q_gt_scaling": spec.q > spec.dim * (spec.p - 1) / 2,
+        "alpha_fixed_point_ok": spec.alpha == 0 or spec.alpha >= 1,
+        "q_ge_p": spec.q >= spec.p,
+    }
+    lwp_ok = conditions["q_gt_scaling"] and conditions["alpha_fixed_point_ok"]
+    return ValidationReport(lwp_ok, lwp_ok and conditions["q_ge_p"], conditions)

@@ -264,9 +264,9 @@ def run_from_fields(
     means no forcing; a field off the plan's grid raises ValueError.
 
     Step control: reject and halve when the sup norm grows more than 20% in
-    one step (or the step overflows); double, capped at dt0, when growth is
-    under 1%.  Growth is (sup_new - sup_old) / (sup_old + atol), the
-    atol/rtol error test: atol is GROWTH_FLOOR times the forcing one full
+    one step (or the step or its norms overflow); double, capped at dt0,
+    when growth is under 1%.  Growth is (sup_new - sup_old) / (sup_old +
+    atol), the atol/rtol error test: atol is GROWTH_FLOOR times the forcing one full
     first step adds, ||w||_inf dt0^(rho+1)/(rho+1), and zero without
     forcing, so a run from rest starts at steps set by the forcing.  For
     rho < 0 the forcing rate tau^rho is unbounded at t = 0, and halving
@@ -337,6 +337,7 @@ def run_from_fields(
                 out += np.multiply(w_hat, heat.forcing(weight, theta), out=work)
             u_new = plan.field(out, out=spare, work=work)
             sup_new = lq_norm(u_new, math.inf)
+            q_new = lq_norm(u_new, spec.q)
         except BlowupSignal:
             u_new, sup_new = None, math.inf
         sup_old = sup_norms[-1]
@@ -359,7 +360,7 @@ def run_from_fields(
         spare = u.values if u is not u0 else np.empty_like(spare)
         u, u_hat, out, load_hat = u_new, out, u_hat, None
         times.append(t)
-        q_norms.append(lq_norm(u, spec.q))
+        q_norms.append(q_new)
         sup_norms.append(sup_new)
         dt_history.append(dt_step)
         if sup_new >= config.blowup_threshold:

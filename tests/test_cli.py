@@ -2,6 +2,7 @@
 2 inadmissible), output files, the FUJITA_LAB_OUT redirection, and the
 determinism contract for sweep CSVs."""
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -10,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from fujitalab import oracles
 from fujitalab.cli import _build_parser, main
 from fujitalab.field import DEFAULT_HALF_WIDTH
 from fujitalab.solver import SolverConfig, TrajectoryRecord, Verdict
@@ -59,6 +61,14 @@ def test_exit_code_1_on_malformed_input(tmp_path, capsys):
     assert main(["exponents", "--spec", mistyped]) == 1
     assert main(["exponents", "--spec", str(tmp_path / "missing.json")]) == 1
     capsys.readouterr()
+    # a non-finite dim is a malformed field, not a traceback from int()
+    for dim in (float("nan"), float("inf")):
+        spec = _write_spec(tmp_path, dict(GOOD_SPEC, dim=dim), "dim.json")
+        for argv in (["exponents"], ["simulate", "--t-end", "0.1"],
+                     ["sweep", "--axis", "p=1.6:2.6:3"]):
+            assert main(argv + ["--spec", spec]) == 1, (dim, argv)
+            err = capsys.readouterr().err
+            assert err == "error: field 'dim': must be an integer\n", (dim, argv)
 
 
 def test_exit_code_2_on_inadmissible_values(tmp_path, capsys):
@@ -85,7 +95,7 @@ def test_usage_errors_exit_1(tmp_path, capsys):
                  swp + ["--amplitude", "inf"], swp + ["--epsilon", "nan"],
                  swp + ["--epsilon", "inf"], swp + ["--epsilon", "0"],
                  swp + ["--epsilon", "-0.01"],
-                 *(["verify", "--tolerance-scale", s] for s in ("inf", "nan", "0", "-1"))):
+                 ["verify", "--tolerance-scale", "1"]):
         assert main(argv) == 1, argv
         captured = capsys.readouterr()
         assert captured.err.startswith("error: "), argv
@@ -292,12 +302,18 @@ def test_verify_out_times_each_lemma_and_leaves_stdout_alone(capsys, tmp_path):
     assert entry["passed"] is True and entry["seconds"] >= 0.0
 
 
-def test_verify_fault_injection(capsys, tmp_path):
-    # shrinking every tolerance by 1e9 must break a numerical lemma and
-    # surface as exit 1 with a FAIL line: the harness can detect regressions
+def test_verify_fault_injection(capsys, tmp_path, monkeypatch):
+    # a series value off by 1e-9 relative must break the lemma and surface
+    # as exit 1 with a FAIL line: the harness can detect regressions
+    exact = oracles.mittag_leffler
+
+    def skewed(order, z):
+        res = exact(order, z)
+        return dataclasses.replace(res, value=res.value * (1 + 1e-9))
+
+    monkeypatch.setattr(oracles, "mittag_leffler", skewed)
     out_file = tmp_path / "verdicts.json"
-    code = main(["verify", "--lemma", "mittag_leffler",
-                 "--tolerance-scale", "1e-9", "--out", str(out_file)])
+    code = main(["verify", "--lemma", "mittag_leffler", "--out", str(out_file)])
     out = capsys.readouterr().out
     assert code == 1
     assert out.startswith("FAIL mittag_leffler:")

@@ -206,7 +206,8 @@ def test_classify_regimes():
 
 def test_exponent_report_table_and_json():
     rep = exponent_report(_spec(2, 3.0, 3.0, 0.0, -0.5))
-    assert rep.gep_threshold == 3.0 and rep.p_c == 2.0 and rep.ell == 1.0
+    assert rep.values["gep_threshold"] == 3.0
+    assert rep.values["p_c"] == 2.0 and rep.values["ell"] == 1.0
     text = rep.table()
     lines = text.splitlines()
     assert len(lines) == 23
@@ -216,7 +217,7 @@ def test_exponent_report_table_and_json():
     assert d["regime"] == "global_small_data"
     # undefined entries print as 'undefined' and serialize as None
     rep0 = exponent_report(_spec(1, 2.0, 3.0, 0.0, 0.0))
-    assert rep0.p_star is None
+    assert rep0.values["p_star"] is None
     assert "undefined" in rep0.table()
     # inf serializes as the string 'inf'
     repinf = exponent_report(_spec(3, 2.0, 2.0, 0.0, 0.5))

@@ -59,7 +59,6 @@ def test_ml_order_one_is_exp():
     for x in (0.0, 0.3, 1.0, 5.0, 20.0):
         res = mittag_leffler(1.0, x)
         assert res.value == pytest.approx(math.exp(x), rel=1e-12)
-        assert float(res) == res.value
 
 
 def test_ml_half_order_erfc_identity():
@@ -546,7 +545,7 @@ def test_integer_prefilter_is_blowup_admissibility():
 
 
 def test_exponent_sign_lemma_count_is_pinned():
-    assert oracles.LEMMAS["exponent_sign"](1.0) == (
+    assert oracles.LEMMAS["exponent_sign"]() == (
         True, "2269 admissible draws agree exactly")
 
 
@@ -554,5 +553,5 @@ def test_exponent_sign_lemma_fails_a_filter_that_keeps_too_much(monkeypatch):
     monkeypatch.setattr(oracles, "_delta_subcritical_tenths", lambda *a: True)
     bad = next(d for d in _seed11_draws() if not _criterion(*d).admissible)
     N, p, q, alpha, rho = bad[0], *(Fraction(v, 10) for v in bad[1:])
-    assert oracles.LEMMAS["exponent_sign"](1.0) == (
+    assert oracles.LEMMAS["exponent_sign"]() == (
         False, f"inadmissible draw kept at N={N} p={p} q={q} alpha={alpha} rho={rho}")

@@ -17,7 +17,6 @@ from fujitalab.problem import (
     ProblemSpec,
     ProfileSpec,
     SpecFieldError,
-    check_parameters,
     evaluate_profile,
     gaussian_weighted_integral,
     profile_integral,
@@ -148,6 +147,8 @@ def test_malformed_fields_raise_spec_field_error():
         {"p": "three"},
         {"p": True},
         {"dim": 1.5},
+        {"dim": math.nan},
+        {"dim": math.inf},
         {"u0": {"kind": "wavelets"}},
         {"u0": {"kind": "gaussian_sum", "terms": "nope"}},
         {"u0": {"kind": "gaussian_sum", "terms": [[1.0, 1.0]]}},
@@ -203,21 +204,21 @@ def test_profile_of_another_dimension_is_refused():
 
 def test_parameter_bands():
     # base region only
-    rep = check_parameters(1, 2.0, 2.0, 0.0, 0.0)
-    assert rep.base_ok and rep.lwp_ok and rep.uniq_ok
+    rep = validate(ProblemSpec(1, 2.0, 2.0, 0.0, 0.0))
+    assert rep.lwp_ok and rep.uniq_ok
     # the open band 0 < alpha < 1 breaks the fixed-point hypotheses
-    rep = check_parameters(1, 2.0, 2.0, 0.5, 0.0)
-    assert rep.base_ok and not rep.lwp_ok
+    rep = validate(ProblemSpec(1, 2.0, 2.0, 0.5, 0.0))
+    assert not rep.lwp_ok
     assert "alpha_fixed_point_ok" in rep.failed()
     # scaling bound q > dim*(p-1)/2
-    rep = check_parameters(3, 3.0, 2.0, 0.0, 0.0)
+    rep = validate(ProblemSpec(3, 3.0, 2.0, 0.0, 0.0))
     assert not rep.conditions["q_gt_scaling"]
     # uniqueness additionally wants q >= p
-    rep = check_parameters(1, 3.0, 2.0, 0.0, 0.0)
+    rep = validate(ProblemSpec(1, 3.0, 2.0, 0.0, 0.0))
     assert rep.lwp_ok and not rep.uniq_ok
 
 
 def test_validate_reads_the_record():
     spec = ProblemSpec.from_json_dict(_spec_dict())
     rep = validate(spec)
-    assert rep.base_ok and rep.failed() == []
+    assert rep.failed() == []

@@ -101,6 +101,21 @@ def test_overflow_at_min_dt_ends_as_blowup_at_the_step_floor():
     assert rec.metadata["rejections"] == {"growth": 0, "overflow": 14}
 
 
+def test_an_overflowing_q_norm_is_an_overflow_rejection():
+    # at q = 40 the q-norm leaves double range while the field is still
+    # finite: the attempt is refused like a non-finite field, and the run
+    # returns a record instead of letting BlowupSignal escape
+    spec = ProblemSpec(1, 2.0, 40.0, 0.0, 0.0,
+                       ProfileSpec.gaussian(5.0, 0.1, (0.0,)))
+    rec = run(spec, SolverConfig(dt0=0.01, t_end=10.0), BoxGeometry(16.0, 64))
+    assert rec.verdict is Verdict.BLOWUP_DETECTED
+    assert rec.metadata["blowup_by"] == "step_floor"
+    assert rec.times[-1] == pytest.approx(0.22902716268785295, rel=1e-12)
+    assert len(rec.times) - 1 == 132
+    assert rec.metadata["rejections"] == {"growth": 21, "overflow": 16}
+    assert all(math.isfinite(v) for v in rec.q_norms)
+
+
 def test_late_blowup_ends_when_time_stops_advancing():
     # u' = u^3 from 0.005 blows up at T* = 1/(2 u0^2) = 20,000; near there
     # the capped steps fall below the resolution of t before the step floor
