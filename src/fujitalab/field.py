@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .problem import ProfileSpec, _check_centers, evaluate_profile
+from .problem import ProfileSpec, _check_centers
 
 __all__ = [
     "BlowupSignal",

@@ -25,6 +25,7 @@ from .problem import (
     evaluate_profile,
     gaussian_weighted_integral,
     profile_integral,
+    profile_min_rate,
 )
 
 __all__ = [
@@ -40,6 +41,7 @@ __all__ = [
 # Fixed resolutions and tolerances of the checks below.
 YOUNG_DRAWS = 100_000             # random (a, b, p, eps) draws per Young sweep
 YOUNG_SLACK = 1e-12               # slack on a*b <= the Young bound
+CONTRACTION_DRAWS = 100_000       # random (a, b, x, y) draws per contraction study
 ML_MAX_TERMS = 100_000            # Mittag-Leffler series terms before giving up
 CUTOFF_THETA = 4.0                # power of the cutoff in g(|x|^2/T)^theta
 CUTOFF_MIN_ORDER = 1.6            # finite-difference order the cutoff check demands
@@ -88,27 +90,24 @@ def _contraction_sides(a, b, xnorm, ynorm, diffnorm, p, alpha):
     return lhs, scalar_part + norm_part
 
 
-def contraction_constant_study(
-    p: float, alpha: float, n: int = 100_000, seed: int = 0
-):
+def contraction_constant_study(p: float, alpha: float, seed: int = 0):
     """Empirical sup of the contraction ratio over scalar realizations.
 
-    Draws (a, b, x, y) uniform in [0, 2] with diffnorm = |x - y| and returns
-    (max over the first n//10 draws, max over all n).  A well-behaved bound
-    has the two within a few percent of each other: the sup saturates early.
+    Draws CONTRACTION_DRAWS (a, b, x, y) uniform in [0, 2] with
+    diffnorm = |x - y| and returns (max over the first tenth of the draws,
+    max over all of them).  A well-behaved bound has the two within a few
+    percent of each other: the sup saturates early.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
     rng = np.random.default_rng(seed)
-    a = rng.uniform(0.0, 2.0, n)
-    b = rng.uniform(0.0, 2.0, n)
-    x = rng.uniform(0.0, 2.0, n)
-    y = rng.uniform(0.0, 2.0, n)
+    a = rng.uniform(0.0, 2.0, CONTRACTION_DRAWS)
+    b = rng.uniform(0.0, 2.0, CONTRACTION_DRAWS)
+    x = rng.uniform(0.0, 2.0, CONTRACTION_DRAWS)
+    y = rng.uniform(0.0, 2.0, CONTRACTION_DRAWS)
     with np.errstate(divide="ignore", invalid="ignore"):
         lhs, rhs = _contraction_sides(a, b, x, y, np.abs(x - y), p, alpha)
         ratio = np.where(lhs == 0, 0.0, lhs / np.where(rhs == 0, np.nan, rhs))
     ratio = np.nan_to_num(ratio, nan=0.0)
-    head = float(np.max(ratio[: max(1, n // 10)]))
+    head = float(np.max(ratio[: CONTRACTION_DRAWS // 10]))
     full = float(np.max(ratio))
     return head, full
 
@@ -470,7 +469,7 @@ def certificate_scaling_check(
     q: float,
     alpha: float,
     rho: float,
-    w: ProfileSpec | None = None,
+    w: ProfileSpec = ProfileSpec.zero(),
 ) -> CertificateReport:
     """Log-log slopes of the rescaled test-function functionals at the
     scales T in CERT_T_LIST.
@@ -513,7 +512,7 @@ def certificate_scaling_check(
     radial_integrand[0] = 0.0  # bracket vanishes with y faster than any power
     radial_base = _simpson(np.nan_to_num(radial_integrand), y[1] - y[0])
 
-    forced = w is not None and bool(w.terms)
+    forced = bool(w.terms)
     space_grid = _space_grid(w, N) if forced else None
     I1_vals = []
     F_vals = []
@@ -562,9 +561,8 @@ def certificate_scaling_check(
 
 def _space_grid(w: ProfileSpec, N: int):
     """(|x|^2, w(x), spacing) on the tensor trapezoid grid over w's support."""
-    reach = max(
-        (abs(c) for t in w.terms for c in t.center), default=0.0
-    ) + 10.0 / math.sqrt(min(t.rate for t in w.terms))
+    reach = max((abs(c) for t in w.terms for c in t.center), default=0.0)
+    reach += 10.0 / math.sqrt(profile_min_rate(w))
     ax = np.linspace(-reach, reach, CERT_SPACE_POINTS)
     pts = np.stack(np.meshgrid(*([ax] * N), indexing="ij"), axis=-1)
     return np.sum(pts**2, axis=-1), evaluate_profile(w, pts), ax[1] - ax[0]
@@ -596,7 +594,7 @@ def _lemma_contraction():
     details = []
     ok = True
     for p, alpha in ((2.0, 1.0), (3.0, 1.5), (1.5, 0.5), (2.0, 0.0)):
-        head, full = contraction_constant_study(p, alpha, n=100_000, seed=3)
+        head, full = contraction_constant_study(p, alpha, seed=3)
         stable = full <= head * 1.10 and math.isfinite(full)
         ok = ok and stable
         details.append(f"(p={p},a={alpha}) sup {full:.4f}")

@@ -2,8 +2,9 @@
 
 A problem instance is the dimension, the four scalar exponents (p, q, alpha,
 rho) and two spatial profiles: the initial state u0 and the forcing shape w.
-Profiles are finite sums of isotropic Gaussians so that their integrals and
-kernel-weighted averages have closed forms the rest of the package can lean on.
+A profile is a finite sum of isotropic Gaussians, zero when it has no terms,
+so that its integrals and kernel-weighted averages have closed forms the rest
+of the package can lean on.  Its JSON "kind" tag is derived from the terms.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ PROFILE_KINDS = ("gaussian_sum", "zero")
 
 
 class SpecFieldError(ValueError):
-    """Raised when a serialized problem record has a malformed field."""
+    """Raised when a problem record or one of its profiles has a malformed field."""
 
     def __init__(self, field_name: str, reason: str):
         self.field_name = field_name
@@ -60,9 +61,9 @@ class GaussianTerm:
     center: tuple[float, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "center", tuple(float(c) for c in self.center))
         object.__setattr__(self, "coefficient", float(self.coefficient))
         object.__setattr__(self, "rate", float(self.rate))
+        object.__setattr__(self, "center", tuple(float(c) for c in self.center))
         if not math.isfinite(self.coefficient):
             raise ValueError("gaussian coefficient must be finite")
         if not (self.rate > 0 and math.isfinite(self.rate)):
@@ -73,38 +74,40 @@ class GaussianTerm:
 
 @dataclass(frozen=True)
 class ProfileSpec:
-    """A spatial profile: either a finite Gaussian sum or identically zero."""
+    """A spatial profile: a finite Gaussian sum, zero when it has no terms.
 
-    kind: str
+    Raw rows (coefficient, rate, center) become GaussianTerms; a row that
+    does not raises SpecFieldError naming ``terms[i]``."""
+
     terms: tuple[GaussianTerm, ...] = ()
 
     def __post_init__(self):
-        if self.kind not in PROFILE_KINDS:
-            raise ValueError(f"unknown profile kind {self.kind!r}")
-        terms = tuple(
-            t if isinstance(t, GaussianTerm) else GaussianTerm(*t) for t in self.terms
-        )
-        object.__setattr__(self, "terms", terms)
-        if self.kind == "zero" and terms:
-            raise ValueError("zero profile carries no terms")
-        if self.kind == "gaussian_sum" and not terms:
-            raise ValueError("gaussian_sum needs at least one term")
+        terms = []
+        for i, t in enumerate(self.terms):
+            if not isinstance(t, GaussianTerm):
+                try:
+                    c, r, center = t
+                    t = GaussianTerm(c, r, center)
+                except (TypeError, ValueError, OverflowError) as exc:
+                    raise SpecFieldError(f"terms[{i}]", str(exc)) from exc
+            terms.append(t)
+        object.__setattr__(self, "terms", tuple(terms))
 
     @classmethod
     def zero(cls) -> "ProfileSpec":
-        return cls("zero")
+        return cls()
 
     @classmethod
     def gaussian(cls, coefficient: float, rate: float, center=(0.0,)) -> "ProfileSpec":
-        return cls("gaussian_sum", (GaussianTerm(coefficient, rate, center),))
+        return cls(((coefficient, rate, center),))
 
     @classmethod
     def gaussian_sum(cls, terms) -> "ProfileSpec":
-        return cls("gaussian_sum", tuple(GaussianTerm(*t) for t in terms))
+        return cls(terms)
 
     def to_json_dict(self) -> dict:
         return {
-            "kind": self.kind,
+            "kind": "gaussian_sum" if self.terms else "zero",
             "terms": [[t.coefficient, t.rate, list(t.center)] for t in self.terms],
         }
 
@@ -118,17 +121,15 @@ class ProfileSpec:
         raw_terms = d.get("terms", [])
         if not isinstance(raw_terms, list):
             raise SpecFieldError(f"{field_name}.terms", "must be a list")
-        terms = []
-        for i, t in enumerate(raw_terms):
-            try:
-                c, r, center = t
-                terms.append(GaussianTerm(float(c), float(r), tuple(center)))
-            except (TypeError, ValueError) as exc:
-                raise SpecFieldError(f"{field_name}.terms[{i}]", str(exc)) from exc
         try:
-            return cls(kind, tuple(terms))
-        except ValueError as exc:
-            raise SpecFieldError(field_name, str(exc)) from exc
+            prof = cls(raw_terms)
+        except SpecFieldError as exc:
+            raise SpecFieldError(f"{field_name}.{exc.field_name}", exc.reason) from exc
+        if kind == "zero" and prof.terms:
+            raise SpecFieldError(field_name, "zero profile carries no terms")
+        if kind == "gaussian_sum" and not prof.terms:
+            raise SpecFieldError(field_name, "gaussian_sum needs at least one term")
+        return prof
 
 
 def evaluate_profile(prof: ProfileSpec, x) -> np.ndarray:
@@ -148,14 +149,10 @@ def evaluate_profile(prof: ProfileSpec, x) -> np.ndarray:
         squeeze = False
     else:
         squeeze = False
+    _check_centers(prof, x.shape[-1])
     out = np.zeros(x.shape[:-1])
     for t in prof.terms:
-        center = np.asarray(t.center)
-        if center.shape[0] != x.shape[-1]:
-            raise ValueError(
-                f"profile center has dim {center.shape[0]}, points have dim {x.shape[-1]}"
-            )
-        r2 = np.sum((x - center) ** 2, axis=-1)
+        r2 = np.sum((x - np.asarray(t.center)) ** 2, axis=-1)
         out += t.coefficient * np.exp(-t.rate * r2)
     return out[0] if squeeze else out
 
@@ -171,10 +168,10 @@ def profile_integral(prof: ProfileSpec, dim: int) -> float:
     return sum(t.coefficient * (math.pi / t.rate) ** (dim / 2) for t in prof.terms)
 
 
-def _check_centers(prof: ProfileSpec, dim: int) -> None:
+def _check_centers(prof: ProfileSpec, dim: int, name: str = "profile") -> None:
     for t in prof.terms:
         if len(t.center) != dim:
-            raise ValueError(f"profile center has dim {len(t.center)}, expected {dim}")
+            raise ValueError(f"{name} term center must have dim {dim}")
 
 
 def gaussian_weighted_integral(
@@ -213,12 +210,9 @@ def profile_min_rate(prof: ProfileSpec) -> float:
 
 
 def scale_profile(prof: ProfileSpec, factor: float) -> ProfileSpec:
-    if prof.kind == "zero" or factor == 1.0:
+    if factor == 1.0:
         return prof
-    return ProfileSpec(
-        "gaussian_sum",
-        tuple(GaussianTerm(t.coefficient * factor, t.rate, t.center) for t in prof.terms),
-    )
+    return ProfileSpec([(t.coefficient * factor, t.rate, t.center) for t in prof.terms])
 
 
 @dataclass(frozen=True)
@@ -246,10 +240,8 @@ class ProblemSpec:
         bad = [k for k, ok in base.items() if not ok]
         if bad:
             raise InadmissibleError(bad)
-        for name, prof in (("u0", self.u0), ("w", self.w)):
-            for t in prof.terms:
-                if len(t.center) != self.dim:
-                    raise ValueError(f"{name} term center must have dim {self.dim}")
+        _check_centers(self.u0, dim, "u0")
+        _check_centers(self.w, dim, "w")
 
     def to_json_dict(self) -> dict:
         return {
@@ -284,21 +276,19 @@ class ProblemSpec:
 def _extract_parameters(d: dict) -> dict:
     """Pull and type-check the five scalar fields; no domain checks here."""
     out = {}
-    for name, caster in (
-        ("dim", int),
-        ("p", float),
-        ("q", float),
-        ("alpha", float),
-        ("rho", float),
-    ):
+    for name in ("dim", "p", "q", "alpha", "rho"):
         if name not in d:
             raise SpecFieldError(name, "missing")
         v = d[name]
         if isinstance(v, bool) or not isinstance(v, (int, float)):
             raise SpecFieldError(name, f"must be a number, got {type(v).__name__}")
-        if name == "dim" and isinstance(v, float) and not v.is_integer():
+        try:
+            x = float(v)  # a JSON integer may lie beyond float range
+        except OverflowError as exc:
+            raise SpecFieldError(name, str(exc)) from exc
+        if name == "dim" and not x.is_integer():
             raise SpecFieldError(name, "must be an integer")
-        out[name] = caster(v)
+        out[name] = int(v) if name == "dim" else x
     return out
 
 

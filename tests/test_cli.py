@@ -69,6 +69,12 @@ def test_exit_code_1_on_malformed_input(tmp_path, capsys):
             assert main(argv + ["--spec", spec]) == 1, (dim, argv)
             err = capsys.readouterr().err
             assert err == "error: field 'dim': must be an integer\n", (dim, argv)
+    # an integer beyond float range is a malformed field, not an OverflowError
+    for name in ("dim", "p"):
+        spec = _write_spec(tmp_path, dict(GOOD_SPEC, **{name: 10**400}), "huge.json")
+        assert main(["exponents", "--spec", spec]) == 1, name
+        err = capsys.readouterr().err
+        assert err == f"error: field '{name}': int too large to convert to float\n"
 
 
 def test_exit_code_2_on_inadmissible_values(tmp_path, capsys):
@@ -78,6 +84,14 @@ def test_exit_code_2_on_inadmissible_values(tmp_path, capsys):
     assert "inadmissible" in err
     assert main(["simulate", "--spec", inadmissible, "--t-end", "0.1"]) == 2
     assert main(["sweep", "--spec", inadmissible, "--axis", "p=1.6:2.6:3"]) == 2
+    capsys.readouterr()
+    # outside the well-posedness range (0 < alpha < 1) is admissible: a note, exit 0
+    band = _write_spec(tmp_path, dict(SWEEP_SPEC, alpha=0.5), "band.json")
+    assert main(["simulate", "--spec", band, "--t-end", "0.1", "--dt0", "0.05",
+                 "--points", "64"]) == 0
+    captured = capsys.readouterr()
+    assert "note: outside the well-posedness range; integrating anyway\n" in captured.err
+    assert "verdict: " in captured.out
 
 
 def test_usage_errors_exit_1(tmp_path, capsys):

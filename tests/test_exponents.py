@@ -137,6 +137,8 @@ def test_criterion_equals_certificate_sign():
         assert theta == _sh_certificate(N, p, q, alpha, rho)
         checked += 1
     assert checked == 10000
+    with pytest.raises(ValueError, match="p must be > 1"):
+        certificate_exponent(3, 1, 2, 0, Fr(-1, 2))
 
 
 def test_threshold_separates_criterion():

@@ -1,10 +1,13 @@
-"""The package's public surface: every exported name resolves, none twice.
+"""The package's public surface: every exported name resolves, none twice,
+and no module imports a name it never uses.
 
 Tools that walk ``__all__`` (the span tracer of the benchmark does) call
 ``getattr`` on each name, so a stale entry breaks them at import time."""
 
+import ast
 import importlib
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -34,3 +37,33 @@ def test_package_exports_are_the_submodule_lists_concatenated():
     assert len(names) == len(set(names)), "a name is exported by two submodules"
     assert fujitalab.__all__ == names
     assert len(names) == 59
+
+
+def _unused_imports(source: str) -> list[str]:
+    """Names a module imports and never reads (``__all__`` entries count as reads)."""
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                if alias.name != "*":
+                    imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            used |= {c.value for c in ast.walk(node.value) if isinstance(c, ast.Constant)}
+    return [f"{name} (line {line})" for name, line in imported.items() if name not in used]
+
+
+@pytest.mark.parametrize("path", sorted(Path(fujitalab.__file__).parent.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_no_module_imports_a_name_it_never_uses(path):
+    assert _unused_imports(path.read_text()) == []
+
+
+def test_the_unused_import_check_sees_an_unused_name():
+    assert _unused_imports("import os\nfrom a import b, c as d\nd()\n") == [
+        "os (line 1)", "b (line 2)"]

@@ -28,14 +28,19 @@ from fujitalab.semigroup import kernel_weight_constant
 
 
 def test_profile_kinds():
-    ProfileSpec("zero")
-    ProfileSpec.gaussian(1.0, 2.0, (0.0,))
-    with pytest.raises(ValueError):
-        ProfileSpec("splines")
-    with pytest.raises(ValueError):
-        ProfileSpec("zero", (GaussianTerm(1.0, 1.0, (0.0,)),))
-    with pytest.raises(ValueError):
-        ProfileSpec("gaussian_sum", ())
+    # a profile is its terms; the JSON "kind" is written from them and
+    # checked against them when read
+    assert ProfileSpec.zero() == ProfileSpec(())
+    assert ProfileSpec.zero().to_json_dict() == {"kind": "zero", "terms": []}
+    g = ProfileSpec.gaussian(1.0, 2.0, (0.0,))
+    assert g.terms == (GaussianTerm(1.0, 2.0, (0.0,)),)
+    assert g.to_json_dict() == {"kind": "gaussian_sum", "terms": [[1.0, 2.0, [0.0]]]}
+    for prof in (ProfileSpec.zero(), g):
+        assert ProfileSpec.from_json_dict(prof.to_json_dict()) == prof
+    for d in ({"kind": "splines"}, {"kind": "zero", "terms": [[1.0, 1.0, [0.0]]]},
+              {"kind": "gaussian_sum", "terms": []}):
+        with pytest.raises(SpecFieldError):
+            ProfileSpec.from_json_dict(d)
 
 
 def test_gaussian_term_validation():
@@ -109,7 +114,7 @@ def test_scale_and_min_rate():
     assert profile_min_rate(ProfileSpec.zero()) == math.inf
     doubled = scale_profile(prof, 2.0)
     assert [t.coefficient for t in doubled.terms] == [2.0, 4.0]
-    assert scale_profile(ProfileSpec.zero(), 5.0).kind == "zero"
+    assert scale_profile(ProfileSpec.zero(), 5.0).terms == ()
 
 
 def _spec_dict(**overrides):
@@ -143,18 +148,35 @@ def test_spec_hash_is_content_addressed():
 
 
 def test_malformed_fields_raise_spec_field_error():
-    for overrides in (
-        {"p": "three"},
-        {"p": True},
-        {"dim": 1.5},
-        {"dim": math.nan},
-        {"dim": math.inf},
-        {"u0": {"kind": "wavelets"}},
-        {"u0": {"kind": "gaussian_sum", "terms": "nope"}},
-        {"u0": {"kind": "gaussian_sum", "terms": [[1.0, 1.0]]}},
+    def gsum(*terms):
+        return {"kind": "gaussian_sum", "terms": list(terms)}
+
+    for overrides, expected in (
+        ({"p": "three"}, ("p", "must be a number, got str")),
+        ({"p": True}, ("p", "must be a number, got bool")),
+        ({"p": 10**400}, ("p", "int too large to convert to float")),
+        ({"dim": 10**400}, ("dim", "int too large to convert to float")),
+        ({"dim": 1.5}, ("dim", "must be an integer")),
+        ({"dim": math.nan}, ("dim", "must be an integer")),
+        ({"dim": math.inf}, ("dim", "must be an integer")),
+        ({"u0": {"kind": "wavelets"}},
+         ("u0.kind", "must be one of ('gaussian_sum', 'zero')")),
+        ({"u0": {"kind": "gaussian_sum", "terms": "nope"}}, ("u0.terms", "must be a list")),
+        ({"u0": gsum([1.0, 1.0])},
+         ("u0.terms[0]", "not enough values to unpack (expected 3, got 2)")),
+        ({"w": {"kind": "zero", "terms": [[1.0, 1.0, [0.0]]]}},
+         ("w", "zero profile carries no terms")),
+        ({"w": gsum()}, ("w", "gaussian_sum needs at least one term")),
+        ({"u0": gsum([1.0, 1.0, [0.0, 0.0]])}, ("spec", "u0 term center must have dim 1")),
+        ({"u0": gsum([0.5, 1.0, [0.0]], ["x", 1.0, [0.0]])},
+         ("u0.terms[1]", "could not convert string to float: 'x'")),
+        ({"u0": gsum([1.0, -1.0, [0.0]])},
+         ("u0.terms[0]", "gaussian rate must be positive and finite")),
+        ({"u0": gsum([1.0, 1.0, 0.0])}, ("u0.terms[0]", "'float' object is not iterable")),
     ):
-        with pytest.raises(SpecFieldError):
+        with pytest.raises(SpecFieldError) as exc:
             ProblemSpec.from_json_dict(_spec_dict(**overrides))
+        assert (exc.value.field_name, exc.value.reason) == expected, overrides
     missing = _spec_dict()
     del missing["q"]
     with pytest.raises(SpecFieldError) as exc:
