@@ -100,9 +100,6 @@ class BlowupCriterion:
     admissible: bool
     conditions: dict
 
-    def __bool__(self) -> bool:
-        return self.holds
-
 
 def blowup_criterion(N, p, q, alpha, rho) -> BlowupCriterion:
     """Blow-up range test: p + N*delta/(N-2rho-2) < (N-2rho)/(N-2rho-2).
@@ -272,45 +269,21 @@ def classify(spec: ProblemSpec) -> Regime:
 
     ProblemSpec refuses base parameter violations, so every record classifies.
     """
-    bc = blowup_criterion(spec.dim, spec.p, spec.q, spec.alpha, spec.rho)
-    w_mass = profile_integral(spec.w, spec.dim)
-    if bc.admissible and bc.holds and w_mass > 0:
+    params = (spec.dim, spec.p, spec.q, spec.alpha, spec.rho)
+    bc = blowup_criterion(*params)
+    if bc.admissible and bc.holds and profile_integral(spec.w, spec.dim) > 0:
         return Regime.BLOWUP
+    gep = _or_none(gep_exponents, *params)
+    win = gep and gep.admissible and _or_none(r_window, *params)
+    return Regime.GLOBAL_SMALL_DATA if win and win.nonempty else Regime.GAP
+
+
+def _or_none(f, *args):
+    """f(*args), or None where f raises ValueError: the value is undefined."""
     try:
-        gep = gep_exponents(spec.dim, spec.p, spec.q, spec.alpha, spec.rho)
-        if gep.admissible:
-            if r_window(spec.dim, spec.p, spec.q, spec.alpha, spec.rho).nonempty:
-                return Regime.GLOBAL_SMALL_DATA
+        return f(*args)
     except ValueError:
-        pass
-    return Regime.GAP
-
-
-_REPORT_KEYS = (
-    "dim",
-    "p",
-    "q",
-    "alpha",
-    "rho",
-    "delta",
-    "sigma",
-    "p_sigma",
-    "fujita_scaling_p",
-    "p_star",
-    "blowup_admissible",
-    "blowup_holds",
-    "gep_threshold",
-    "p_c",
-    "ell",
-    "r_window_lo",
-    "r_window_hi",
-    "r_window_nonempty",
-    "beta_mid",
-    "beta_upper_bound",
-    "certificate_exponent",
-    "w_integral",
-    "regime",
-)
+        return None
 
 
 @dataclass(frozen=True)
@@ -324,12 +297,11 @@ class ExponentReport:
     values: dict
 
     def to_json_dict(self) -> dict:
-        return {k: _jsonable(self.values[k]) for k in _REPORT_KEYS}
+        return {k: _jsonable(v) for k, v in self.values.items()}
 
     def table(self) -> str:
-        width = max(len(k) for k in _REPORT_KEYS)
-        lines = [f"{k.ljust(width)}  {_fmt(self.values[k])}" for k in _REPORT_KEYS]
-        return "\n".join(lines)
+        width = max(map(len, self.values))
+        return "\n".join(f"{k.ljust(width)}  {_fmt(v)}" for k, v in self.values.items())
 
 
 def _jsonable(v):
@@ -355,38 +327,35 @@ def _fmt(v) -> str:
 def exponent_report(spec: ProblemSpec) -> ExponentReport:
     """Evaluate the whole calculus for one problem, None-ing undefined parts."""
     N, p, q, a, rho = spec.dim, spec.p, spec.q, spec.alpha, spec.rho
-    vals = {k: None for k in _REPORT_KEYS}
-    vals.update(dim=N, p=p, q=q, alpha=a, rho=rho)
-    vals["delta"] = delta(a, q)
-    vals["sigma"] = sigma(N, p, q)
-    vals["p_sigma"] = p * vals["sigma"]
-    vals["fujita_scaling_p"] = fujita_scaling_p(N, q, a)
-    try:
-        vals["p_star"] = p_star(N, rho)
-    except ValueError:
-        pass
+    s = sigma(N, p, q)
     bc = blowup_criterion(N, p, q, a, rho)
-    vals["blowup_admissible"] = bc.admissible
-    vals["blowup_holds"] = bc.holds
-    try:
-        gep = gep_exponents(N, p, q, a, rho)
-        vals["gep_threshold"] = gep.threshold
-        vals["p_c"] = gep.p_c
-        vals["ell"] = gep.ell
-        win = r_window(N, p, q, a, rho)
-        vals["r_window_lo"] = win.lo
-        vals["r_window_hi"] = win.hi
-        vals["r_window_nonempty"] = win.nonempty
-        if win.nonempty:
-            inv_mid = (win.lo + win.hi) / 2
-            vals["beta_mid"] = beta(N, gep.p_c, 1 / inv_mid)
-    except ValueError:
-        pass
-    try:
-        vals["beta_upper_bound"] = beta_upper_bound(p, q, a)
-    except ValueError:
-        pass
-    vals["certificate_exponent"] = certificate_exponent(N, p, q, a, rho)
-    vals["w_integral"] = profile_integral(spec.w, N)
-    vals["regime"] = classify(spec)
-    return ExponentReport(vals)
+    gep = _or_none(gep_exponents, N, p, q, a, rho)
+    win = gep and _or_none(r_window, N, p, q, a, rho)
+    beta_mid = None
+    if win and win.nonempty:
+        beta_mid = _or_none(beta, N, gep.p_c, 1 / ((win.lo + win.hi) / 2))
+    return ExponentReport({
+        "dim": N,
+        "p": p,
+        "q": q,
+        "alpha": a,
+        "rho": rho,
+        "delta": delta(a, q),
+        "sigma": s,
+        "p_sigma": p * s,
+        "fujita_scaling_p": fujita_scaling_p(N, q, a),
+        "p_star": _or_none(p_star, N, rho),
+        "blowup_admissible": bc.admissible,
+        "blowup_holds": bc.holds,
+        "gep_threshold": gep and gep.threshold,
+        "p_c": gep and gep.p_c,
+        "ell": gep and gep.ell,
+        "r_window_lo": win and win.lo,
+        "r_window_hi": win and win.hi,
+        "r_window_nonempty": win and win.nonempty,
+        "beta_mid": beta_mid,
+        "beta_upper_bound": _or_none(beta_upper_bound, p, q, a),
+        "certificate_exponent": certificate_exponent(N, p, q, a, rho),
+        "w_integral": profile_integral(spec.w, N),
+        "regime": classify(spec),
+    })

@@ -442,7 +442,6 @@ def w_condition_check(w: ProfileSpec, dim: int) -> WConditionReport:
 
 @dataclass(frozen=True)
 class CertificateReport:
-    T_list: tuple
     I1_values: tuple
     F_values: tuple
     slope_I1: float
@@ -545,7 +544,6 @@ def certificate_scaling_check(
         not applicable or slope_F >= (rho + 1.0) - CERT_SLOPE_TOL
     )
     return CertificateReport(
-        T_list=CERT_T_LIST,
         I1_values=tuple(I1_vals),
         F_values=tuple(F_vals),
         slope_I1=slope_I1,
@@ -671,7 +669,7 @@ def _lemma_exponent_sign():
         p, q, alpha, rho = (Fraction(v, 10) for v in (p10, q10, a10, rho10))
         crit = blowup_criterion(N, p, q, alpha, rho)
         theta = certificate_exponent(N, p, q, alpha, rho)
-        if not crit.admissible or bool(crit) != (theta < 0):
+        if not crit.admissible or crit.holds != (theta < 0):
             what = "mismatch" if crit.admissible else "inadmissible draw kept"
             return False, f"{what} at N={N} p={p} q={q} alpha={alpha} rho={rho}"
         checked += 1

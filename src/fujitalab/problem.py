@@ -61,9 +61,9 @@ class GaussianTerm:
     center: tuple[float, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "coefficient", float(self.coefficient))
-        object.__setattr__(self, "rate", float(self.rate))
-        object.__setattr__(self, "center", tuple(float(c) for c in self.center))
+        object.__setattr__(self, "coefficient", _number(self.coefficient))
+        object.__setattr__(self, "rate", _number(self.rate))
+        object.__setattr__(self, "center", tuple(_number(c) for c in self.center))
         if not math.isfinite(self.coefficient):
             raise ValueError("gaussian coefficient must be finite")
         if not (self.rate > 0 and math.isfinite(self.rate)):
@@ -279,17 +279,22 @@ def _extract_parameters(d: dict) -> dict:
     for name in ("dim", "p", "q", "alpha", "rho"):
         if name not in d:
             raise SpecFieldError(name, "missing")
-        v = d[name]
-        if isinstance(v, bool) or not isinstance(v, (int, float)):
-            raise SpecFieldError(name, f"must be a number, got {type(v).__name__}")
         try:
-            x = float(v)  # a JSON integer may lie beyond float range
-        except OverflowError as exc:
+            x = _number(d[name])
+        except (TypeError, OverflowError) as exc:
             raise SpecFieldError(name, str(exc)) from exc
         if name == "dim" and not x.is_integer():
             raise SpecFieldError(name, "must be an integer")
-        out[name] = int(v) if name == "dim" else x
+        out[name] = int(d[name]) if name == "dim" else x
     return out
+
+
+def _number(v) -> float:
+    """v as a float when it is a number, not a bool, within float range:
+    TypeError otherwise, or OverflowError for an integer beyond that range."""
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        raise TypeError(f"must be a number, got {type(v).__name__}")
+    return float(v)
 
 
 @dataclass(frozen=True)

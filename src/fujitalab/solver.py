@@ -41,7 +41,7 @@ from enum import Enum
 import numpy as np
 
 from .field import BlowupSignal, BoxGeometry, GridField, lq_norm, nonlinearity, sample
-from .problem import ProblemSpec, profile_min_rate, validate
+from .problem import ProblemSpec, SpecFieldError, profile_min_rate, validate
 from .semigroup import HeatKernelPlan
 
 __all__ = [
@@ -261,7 +261,9 @@ def run_from_fields(
     to dt/2 once t_n >> dt, and keeping the first step O(dt^(rho+2)) accurate
     when the weight piles up at tau = 0.  A spatially constant state with
     alpha = 0 reduces this to the explicit Euler step of u' = |u|^p.  w=None
-    means no forcing; a field off the plan's grid raises ValueError.
+    means no forcing; a field off the plan's grid raises ValueError, and a
+    u0 whose q-norm overflows raises SpecFieldError (a ValueError) naming
+    "u0", both before any step.
 
     Step control: reject and halve when the sup norm grows more than 20% in
     one step (or the step or its norms overflow); double, capped at dt0,
@@ -295,6 +297,10 @@ def run_from_fields(
     inverse.  The record's terminal is the last accepted field, and u0 and w
     are never written.
     """
+    try:
+        q0 = lq_norm(u0, spec.q)
+    except BlowupSignal as exc:
+        raise SpecFieldError("u0", f"q-norm overflows at q = {spec.q!r}") from exc
     start = dict(plan.counts)
     t = 0.0
     u = u0
@@ -310,7 +316,7 @@ def run_from_fields(
         atol = GROWTH_FLOOR * lq_norm(w, math.inf) * first_weight
     rejections = {"growth": 0, "overflow": 0}
     times = [0.0]
-    q_norms = [lq_norm(u, spec.q)]
+    q_norms = [q0]
     sup_norms = [lq_norm(u, math.inf)]
     dt_history = [0.0]
     blowup_by = None
@@ -396,13 +402,12 @@ def _run_metadata(spec, config, u0) -> dict:
 
 @dataclass(frozen=True)
 class PicardResult:
-    """Terminal node value, sweeps taken, the first difference quotient,
-    every sweep's difference, and the work the solve did on its plan
-    (``HeatKernelPlan.counts``, less what it held on entry)."""
+    """Terminal node value, sweeps taken, every sweep's difference, and the
+    work the solve did on its plan (``HeatKernelPlan.counts``, less what it
+    held on entry)."""
 
     terminal: GridField
     iterations: int
-    contraction_estimate: float
     differences: tuple
     counts: dict
 
@@ -436,10 +441,10 @@ def picard_solve(
     reaches its node.  u0 and w are never written.
 
     Stops when sweeps differ by less than PICARD_TOL in sup-over-grid q-norm.
-    The contraction estimate is the first successive-difference quotient,
-    the cleanest observable surrogate of the fixed-point map's Lipschitz
-    factor.  w=None means no forcing; T not positive and finite, nodes < 2
-    or a plan for another grid than u0's (or w's) raises ValueError.
+    Raises NonContractionError once the difference has not fallen for three
+    sweeps running, and IterationLimitError after PICARD_MAX_SWEEPS sweeps.
+    w=None means no forcing; T not positive and finite, nodes < 2 or a plan
+    for another grid than u0's (or w's) raises ValueError.
     """
     if not 0 < T < math.inf:
         raise ValueError("T must be positive and finite")
@@ -478,7 +483,6 @@ def picard_solve(
         states.append(plan.field(acc, work=work))
     load0 = half_load(u0)
     diffs = []
-    grow_streak = 0
     for _ in range(PICARD_MAX_SWEEPS):
         np.copyto(acc, u0_hat)
         left = load0
@@ -500,21 +504,14 @@ def picard_solve(
         diffs.append(d)
         if d < PICARD_TOL:
             break
-        if len(diffs) >= 2 and diffs[-1] >= diffs[-2]:
-            grow_streak += 1
-            if grow_streak >= 3:
-                raise NonContractionError(
-                    f"differences grew 3 sweeps running (last {d:.3e})"
-                )
-        else:
-            grow_streak = 0
+        if len(diffs) >= 4 and diffs[-4] <= diffs[-3] <= diffs[-2] <= diffs[-1]:
+            raise NonContractionError(f"differences grew 3 sweeps running (last {d:.3e})")
     else:
         raise IterationLimitError(
             f"no convergence in {PICARD_MAX_SWEEPS} sweeps (last diff {diffs[-1]:.3e})"
         )
-    contraction = diffs[1] / diffs[0] if len(diffs) >= 2 and diffs[0] > 0 else 0.0
     counts = {k: n - start[k] for k, n in plan.counts.items()}
-    return PicardResult(states[-1], len(diffs), contraction, tuple(diffs), counts)
+    return PicardResult(states[-1], len(diffs), tuple(diffs), counts)
 
 
 @dataclass(frozen=True)

@@ -77,6 +77,17 @@ def test_exit_code_1_on_malformed_input(tmp_path, capsys):
         assert err == f"error: field '{name}': int too large to convert to float\n"
 
 
+def test_simulate_refuses_an_initial_state_whose_q_norm_overflows(tmp_path, capsys):
+    spec = _write_spec(tmp_path, dict(
+        SWEEP_SPEC, q=40.0,
+        u0={"kind": "gaussian_sum", "terms": [[1e10, 0.1, [0.0]]]}))
+    assert main(["simulate", "--spec", spec, "--t-end", "1.0", "--dt0", "0.01",
+                 "--half-width", "16", "--points", "64"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: field 'u0': q-norm overflows at q = 40.0\n"
+    assert captured.out == ""
+
+
 def test_exit_code_2_on_inadmissible_values(tmp_path, capsys):
     inadmissible = _write_spec(tmp_path, dict(GOOD_SPEC, dim=0), "dim0.json")
     assert main(["exponents", "--spec", inadmissible]) == 2

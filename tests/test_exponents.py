@@ -3,9 +3,11 @@ shadow oracle in fractions.Fraction.  Comparisons are exact, no tolerances.
 The package functions are plain arithmetic, so feeding them Fractions keeps
 everything rational end to end."""
 
+import json
 import math
 import random
 from fractions import Fraction as Fr
+from pathlib import Path
 
 import pytest
 
@@ -224,3 +226,27 @@ def test_exponent_report_table_and_json():
     # inf serializes as the string 'inf'
     repinf = exponent_report(_spec(3, 2.0, 2.0, 0.0, 0.5))
     assert repinf.to_json_dict()["p_star"] == "inf"
+
+
+# One spec per None path of the report, plus criterion 1's fully defined one.
+_PINNED_REPORT_SPECS = (
+    _spec(2, 3.0, 3.0, 0.0, -0.5),                # criterion 1: every entry defined
+    _spec(3, 2.0, 2.0, 0.0, 0.0),                 # rho = 0: p_star undefined
+    _spec(3, 2.0, 2.0, 0.0, 0.5),                 # rho > 0: p_star is inf
+    _spec(3, 1.5, 1.0, 1.0, -0.5, w_coeff=1.0),   # q = 1: gep pack and beta bound undefined
+    _spec(3, 2.0, 1.5, 1.0, -0.5),                # empty r-window: beta_mid undefined
+    _spec(2, 2.0, 3.0, 0.0, 0.5),                 # N - 2 rho - 2 < 0: gep pack undefined
+)
+
+
+def _pinned_reports() -> str:
+    blocks = []
+    for spec in _PINNED_REPORT_SPECS:
+        rep = exponent_report(spec)
+        blocks.append(rep.table() + "\n" + json.dumps(rep.to_json_dict(), indent=2) + "\n")
+    return "\n".join(blocks)
+
+
+def test_exponent_report_matches_the_pinned_text():
+    golden = Path(__file__).parent / "data" / "exponents_report.txt"
+    assert _pinned_reports() == golden.read_text()

@@ -169,7 +169,11 @@ def test_malformed_fields_raise_spec_field_error():
         ({"w": gsum()}, ("w", "gaussian_sum needs at least one term")),
         ({"u0": gsum([1.0, 1.0, [0.0, 0.0]])}, ("spec", "u0 term center must have dim 1")),
         ({"u0": gsum([0.5, 1.0, [0.0]], ["x", 1.0, [0.0]])},
-         ("u0.terms[1]", "could not convert string to float: 'x'")),
+         ("u0.terms[1]", "must be a number, got str")),
+        ({"u0": gsum(["0.5", "1", "12"])}, ("u0.terms[0]", "must be a number, got str")),
+        ({"u0": gsum([0.5, 1.0, [True]])}, ("u0.terms[0]", "must be a number, got bool")),
+        ({"u0": gsum([10**400, 1.0, [0.0]])},
+         ("u0.terms[0]", "int too large to convert to float")),
         ({"u0": gsum([1.0, -1.0, [0.0]])},
          ("u0.terms[0]", "gaussian rate must be positive and finite")),
         ({"u0": gsum([1.0, 1.0, 0.0])}, ("u0.terms[0]", "'float' object is not iterable")),

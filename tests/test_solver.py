@@ -13,7 +13,7 @@ import pytest
 
 from fujitalab import field, solver
 from fujitalab.field import BoxGeometry, GridField, lq_norm, sample
-from fujitalab.problem import ProblemSpec, ProfileSpec
+from fujitalab.problem import ProblemSpec, ProfileSpec, SpecFieldError
 from fujitalab.semigroup import HeatKernelPlan, apply
 from fujitalab.solver import (
     PICARD_MAX_SWEEPS,
@@ -114,6 +114,15 @@ def test_an_overflowing_q_norm_is_an_overflow_rejection():
     assert len(rec.times) - 1 == 132
     assert rec.metadata["rejections"] == {"growth": 21, "overflow": 16}
     assert all(math.isfinite(v) for v in rec.q_norms)
+
+
+def test_an_initial_state_whose_q_norm_overflows_is_refused():
+    # 1e10 e^{-0.1 x^2} is finite on the grid, but its 40-norm is not
+    spec = ProblemSpec(1, 2.0, 40.0, 0.0, 0.0,
+                       ProfileSpec.gaussian(1e10, 0.1, (0.0,)))
+    with pytest.raises(SpecFieldError) as exc:
+        run(spec, SolverConfig(dt0=0.01, t_end=1.0), BoxGeometry(16.0, 64))
+    assert (exc.value.field_name, exc.value.reason) == ("u0", "q-norm overflows at q = 40.0")
 
 
 def test_late_blowup_ends_when_time_stops_advancing():
@@ -343,7 +352,7 @@ def test_picard_contracts_on_small_data():
                        ProfileSpec.gaussian(0.05, 1.0, (0.0,)), ZERO)
     u0 = sample(spec.u0, 1, 16.0, 64)
     pic = picard_solve(spec, u0, None, 0.1, nodes=16)
-    assert pic.contraction_estimate < 0.5
+    assert pic.differences[1] / pic.differences[0] < 0.5
     assert pic.differences[-1] < 1e-10
     # successive differences decay monotonically once contraction kicks in
     assert all(b <= a for a, b in zip(pic.differences, pic.differences[1:]))
@@ -354,8 +363,9 @@ def test_picard_rejects_large_data():
     spec = ProblemSpec(1, 2.0, 2.0, 0.0, 0.0,
                        ProfileSpec.gaussian(50.0, 1.0, (0.0,)), ZERO)
     u0 = sample(spec.u0, 1, 16.0, 64)
-    with pytest.raises((NonContractionError, IterationLimitError)):
+    with pytest.raises(NonContractionError) as exc:
         picard_solve(spec, u0, None, 1.0, nodes=16)
+    assert str(exc.value) == "differences grew 3 sweeps running (last 1.732e+18)"
 
 
 def _direct_picard(spec, u0, w, T, n, sweeps, plan):
@@ -522,6 +532,10 @@ def test_runs_on_one_plan_report_only_their_own_work():
         spec, u0, w, cfg, HeatKernelPlan.for_field(u0)).metadata["counts"]
     run_counts = rec.metadata["counts"]
     assert plan.counts == {k: n + pic.counts[k] for k, n in run_counts.items()}
+    # a run after the solve starts from nonzero counts and still reports its own
+    again = run_from_fields(spec, u0, w, cfg, plan)
+    assert again.metadata["counts"] == run_counts == {
+        "forward_transforms": 18, "inverse_transforms": 16, "multipliers": 20}
 
 
 def test_degenerate_forcing_cell_has_zero_weight_and_half_step_theta():
@@ -564,6 +578,7 @@ def test_picard_needs_two_nodes():
     u0 = sample(spec.u0, 1, 16.0, 64)
     with pytest.raises(ValueError, match="nodes"):
         picard_solve(spec, u0, None, 0.1, nodes=1)
+    assert picard_solve(spec, u0, None, 0.1, nodes=2).iterations == 3
     # nan and inf would march into BlowupSignal, which reads as blow-up
     for T in (0.0, -0.1, math.nan, math.inf):
         with pytest.raises(ValueError, match="T must be positive and finite"):
