@@ -166,8 +166,8 @@ _SWEEP_COLUMNS = (
 
 
 def _sweep_point(payload) -> tuple:
-    """Worker for one grid point, (index, row, seconds); must stay
-    module-level for process pools.
+    """Worker for one grid point, (row, seconds); must stay module-level
+    for process pools.
 
     A point whose integration raises becomes an ``error:<ExceptionClass>``
     row with empty result columns, and the traceback goes to stderr, so
@@ -184,7 +184,7 @@ def _sweep_point(payload) -> tuple:
         row.update(index=idx, predicted="inadmissible", verdict="skipped",
                    agreement="not_applicable", t_final="", sup_final="",
                    blowup_time="")
-        return idx, row, time.perf_counter() - start
+        return row, time.perf_counter() - start
     regime = classify(spec)
     row = {
         "index": idx,
@@ -199,7 +199,7 @@ def _sweep_point(payload) -> tuple:
         traceback.print_exc(file=sys.stderr)
         row.update(verdict=f"error:{type(exc).__name__}", agreement="inconclusive",
                    t_final="", sup_final="", blowup_time="")
-        return idx, row, time.perf_counter() - start
+        return row, time.perf_counter() - start
     verdict = record.verdict.value
     # The theorem bounds no T*, so a predicted blow-up still running at t_end
     # is inconclusive, as is a run that ended budget_exhausted; only a
@@ -219,7 +219,7 @@ def _sweep_point(payload) -> tuple:
         blowup_time="" if record.blowup_time_estimate is None
         else repr(record.blowup_time_estimate),
     )
-    return idx, row, time.perf_counter() - start
+    return row, time.perf_counter() - start
 
 
 def _simulate_point(spec, regime, amplitude, epsilon, config, geometry):
@@ -290,8 +290,7 @@ def cmd_sweep(args) -> int:
     else:
         results = [_sweep_point(p) for p in payloads]
     seconds = time.perf_counter() - start
-    results.sort(key=lambda result: result[0])
-    rows = [row for _, row, _ in results]
+    rows = [row for row, _ in results]
 
     lines = [",".join(_SWEEP_COLUMNS)]
     for row in rows:
@@ -314,7 +313,7 @@ def cmd_sweep(args) -> int:
         Path(str(prefix) + ".csv").write_text(csv_text)
         _write_meta(prefix, {"command": "sweep", "jobs": args.jobs,
                              "axes": [a for a in args.axis], "seconds": seconds,
-                             "point_seconds": [s for _, _, s in results]})
+                             "point_seconds": [s for _, s in results]})
         print(f"wrote {prefix}.csv", file=sys.stderr)
     else:
         sys.stdout.write(csv_text)

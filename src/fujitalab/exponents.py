@@ -169,22 +169,11 @@ def gep_exponents(N, p, q, alpha, rho) -> GepExponents:
 
 @dataclass(frozen=True)
 class RWindow:
-    """Open admissibility window for 1/r, plus the printed helper inequalities.
-
-    ``lo``/``hi`` bound 1/r; the window is the max/min of the two candidate
-    bounds on each side.  ``e1``..``e4`` are the four auxiliary inequalities
-    evaluated exactly as printed; e4's long form is reported independently and
-    is not folded into the window.
-    """
+    """Open admissibility window lo < 1/r < hi; each end is the tighter of
+    two candidate bounds."""
 
     lo: object
     hi: object
-    lo_candidates: tuple
-    hi_candidates: tuple
-    e1: bool
-    e2: bool
-    e3: bool
-    e4: bool
 
     @property
     def nonempty(self) -> bool:
@@ -198,8 +187,7 @@ class RWindow:
 def r_window(N, p, q, alpha, rho) -> RWindow:
     """Admissible window in 1/r for the global-existence fixed point."""
     d = delta(alpha, q)
-    gep = gep_exponents(N, p, q, alpha, rho)
-    p_c = gep.p_c
+    p_c = gep_exponents(N, p, q, alpha, rho).p_c
     mix = (p - 1) * (q - 1) + q * d  # recurring combination
     if mix <= 0:
         raise ValueError("window denominators require (p-1)(q-1) + q*delta > 0")
@@ -207,26 +195,7 @@ def r_window(N, p, q, alpha, rho) -> RWindow:
     lo2 = 1 / p_c + 2 * rho / N + 2 * d / (N * p * mix)
     hi1 = 1 / p_c
     hi2 = (p - 1) * (q + d - 1) / (p * mix)
-    e1 = bool(p >= gep.threshold)
-    e2 = bool(lo1 < hi1)
-    e3 = bool(lo1 < hi2)
-    e4_lhs = (
-        1 / p_c
-        + 2 * rho / N
-        + ((p - 1) * (2 * N * q * p - N * q * d * (2 - d)) - N * d - 2 * p * q * d)
-        / (N * p * (p - 1) * mix)
-    )
-    e4 = bool(e4_lhs < N * (p - 1) * (q + d - 1) / (N * p * mix))
-    return RWindow(
-        lo=max(lo1, lo2),
-        hi=min(hi1, hi2),
-        lo_candidates=(lo1, lo2),
-        hi_candidates=(hi1, hi2),
-        e1=e1,
-        e2=e2,
-        e3=e3,
-        e4=e4,
-    )
+    return RWindow(lo=max(lo1, lo2), hi=min(hi1, hi2))
 
 
 def beta(N, p_c, r):

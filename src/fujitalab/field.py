@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .problem import ProfileSpec, _check_centers
+from .problem import ProfileSpec, profile_on_axis
 
 __all__ = [
     "BlowupSignal",
@@ -129,17 +129,7 @@ def sample(
     """Evaluate a profile on the grid; the box resolves as BoxGeometry's does.
     A term centre of another dimension than dim raises ValueError."""
     L, M = BoxGeometry(half_width, points_per_axis).resolve(dim)
-    _check_centers(prof, dim)
-    ax = coordinates(L, M)
-    # evaluate per term with separated 1-d exponentials: cheaper and exact
-    out = np.zeros((M,) * dim)
-    for t in prof.terms:
-        term = np.array(t.coefficient)
-        for d in range(dim):
-            g = np.exp(-t.rate * (ax - t.center[d]) ** 2)
-            term = np.multiply.outer(term, g)
-        out += term
-    return GridField(dim, L, out)
+    return GridField(dim, L, profile_on_axis(prof, dim, coordinates(L, M)))
 
 
 def lq_norm(f: GridField, q) -> float:

@@ -22,10 +22,10 @@ import numpy as np
 from .exponents import blowup_criterion, certificate_exponent, delta
 from .problem import (
     ProfileSpec,
-    evaluate_profile,
     gaussian_weighted_integral,
     profile_integral,
     profile_min_rate,
+    profile_on_axis,
 )
 
 __all__ = [
@@ -442,8 +442,6 @@ def w_condition_check(w: ProfileSpec, dim: int) -> WConditionReport:
 
 @dataclass(frozen=True)
 class CertificateReport:
-    I1_values: tuple
-    F_values: tuple
     slope_I1: float
     slope_bound_I1: float
     slope_F: float | None
@@ -544,8 +542,6 @@ def certificate_scaling_check(
         not applicable or slope_F >= (rho + 1.0) - CERT_SLOPE_TOL
     )
     return CertificateReport(
-        I1_values=tuple(I1_vals),
-        F_values=tuple(F_vals),
         slope_I1=slope_I1,
         slope_bound_I1=slope_bound,
         slope_F=slope_F,
@@ -562,8 +558,10 @@ def _space_grid(w: ProfileSpec, N: int):
     reach = max((abs(c) for t in w.terms for c in t.center), default=0.0)
     reach += 10.0 / math.sqrt(profile_min_rate(w))
     ax = np.linspace(-reach, reach, CERT_SPACE_POINTS)
-    pts = np.stack(np.meshgrid(*([ax] * N), indexing="ij"), axis=-1)
-    return np.sum(pts**2, axis=-1), evaluate_profile(w, pts), ax[1] - ax[0]
+    r2 = sq = ax**2
+    for _ in range(N - 1):
+        r2 = np.add.outer(r2, sq)
+    return r2, profile_on_axis(w, N, ax), ax[1] - ax[0]
 
 
 def _space_cutoff_integral(r2, w_vals, h: float, T: float, kappa: float) -> float:

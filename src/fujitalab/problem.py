@@ -23,7 +23,6 @@ __all__ = [
     "ValidationReport",
     "SpecFieldError",
     "InadmissibleError",
-    "evaluate_profile",
     "profile_integral",
     "gaussian_weighted_integral",
     "validate",
@@ -132,29 +131,21 @@ class ProfileSpec:
         return prof
 
 
-def evaluate_profile(prof: ProfileSpec, x) -> np.ndarray:
-    """Evaluate a profile at points ``x``.
+def profile_on_axis(prof: ProfileSpec, dim: int, ax: np.ndarray) -> np.ndarray:
+    """The profile on the tensor grid ax^dim, shape (len(ax),)*dim.
 
-    ``x`` is array-like with the space dimension on the last axis; a bare
-    scalar or 1-d array is treated as points on the line.  Returns an array
-    shaped like ``x`` without its last axis.
+    Each term is a product of 1-d exponentials, multiplied out axis by axis.
+    A term centre of another dimension than dim raises ValueError.
     """
-    x = np.asarray(x, dtype=float)
-    if x.ndim == 0:
-        x = x.reshape(1, 1)
-        squeeze = True
-    elif x.ndim == 1:
-        # ambiguous: a list of 1-d points
-        x = x[:, None]
-        squeeze = False
-    else:
-        squeeze = False
-    _check_centers(prof, x.shape[-1])
-    out = np.zeros(x.shape[:-1])
+    _check_centers(prof, dim)
+    out = np.zeros((len(ax),) * dim)
     for t in prof.terms:
-        r2 = np.sum((x - np.asarray(t.center)) ** 2, axis=-1)
-        out += t.coefficient * np.exp(-t.rate * r2)
-    return out[0] if squeeze else out
+        term = np.array(t.coefficient)
+        for d in range(dim):
+            g = np.exp(-t.rate * (ax - t.center[d]) ** 2)
+            term = np.multiply.outer(term, g)
+        out += term
+    return out
 
 
 def profile_integral(prof: ProfileSpec, dim: int) -> float:

@@ -171,9 +171,13 @@ def _forcing_weight(t_n: float, dt: float, rho: float) -> tuple[float, float]:
     theta from the tau^rho-weighted mean tau to t_n+dt.
 
     For rho = 0 the weight is flat and theta is exactly dt/2.  Otherwise the
-    mean always lies inside the interval; for dt << t_n the two power
-    differences cancel catastrophically, so the quotient is clamped back into
-    [t_n, t_n+dt] (where it converges to the midpoint anyway).
+    exact mean lies inside the interval, but for dt << t_n the two power
+    differences cancel catastrophically and the quotient can land outside
+    it.  The clamp then returns an end of the step, so theta is 0 or dt
+    rather than about dt/2, and W loses digits too.  The scheme keeps its
+    order, as W (S(dt) - S(dt/2)) w is O(dt^2) like the step's local error,
+    but neither value is then the exact one (ROADMAP.md, item 4, has a
+    cancellation-free form).
     """
     t1 = t_n + dt
     if rho == 0:

@@ -109,10 +109,11 @@ def test_criterion_04_gaussian_identities():
     integral = fl.profile_integral(w, 1)
     weighted = fl.gaussian_weighted_integral(w, 1, rate=1.0)
 
-    num_int, err_int = quad(lambda x: fl.evaluate_profile(w, x), -np.inf, np.inf)
-    num_wt, err_wt = quad(
-        lambda x: math.exp(-x * x) * fl.evaluate_profile(w, x), -np.inf, np.inf
-    )
+    def w_at(x):  # pointwise reference
+        return sum(t.coefficient * math.exp(-t.rate * x * x) for t in w.terms)
+
+    num_int, err_int = quad(w_at, -np.inf, np.inf)
+    num_wt, err_wt = quad(lambda x: math.exp(-x * x) * w_at(x), -np.inf, np.inf)
     assert abs(integral - num_int) <= 1e-6 * abs(num_int) + 10 * err_int
     assert abs(weighted - num_wt) <= 1e-6 * abs(num_wt) + 10 * err_wt
     assert integral == pytest.approx(

@@ -511,7 +511,7 @@ def test_certificate_space_integral_skips_the_cutoff_where_it_is_one(monkeypatch
     monkeypatch.setattr(oracles, "cutoff_jet", counted)
     rep = certificate_scaling_check(*args, w=_W3)
     assert space_args == [300.0 / 1e2]
-    assert rep == reference  # F_values, I1_values and the slopes, bit for bit
+    assert rep == reference  # the slopes and the sign gap, bit for bit
 
 
 def test_certificate_without_forcing_is_inapplicable():

@@ -1,5 +1,6 @@
 """The package's public surface: every exported name resolves, none twice,
-and no module imports a name it never uses.
+no module imports a name it never uses, and none reaches for a sibling
+module's private (underscore) name.
 
 Tools that walk ``__all__`` (the span tracer of the benchmark does) call
 ``getattr`` on each name, so a stale entry breaks them at import time."""
@@ -36,7 +37,7 @@ def test_package_exports_are_the_submodule_lists_concatenated():
     names = [name for exported in lists for name in exported]
     assert len(names) == len(set(names)), "a name is exported by two submodules"
     assert fujitalab.__all__ == names
-    assert len(names) == 59
+    assert len(names) == 58
 
 
 def _unused_imports(source: str) -> list[str]:
@@ -67,3 +68,23 @@ def test_no_module_imports_a_name_it_never_uses(path):
 def test_the_unused_import_check_sees_an_unused_name():
     assert _unused_imports("import os\nfrom a import b, c as d\nd()\n") == [
         "os (line 1)", "b (line 2)"]
+
+
+def _private_sibling_imports(source: str) -> list[str]:
+    """Underscore names a module imports from another module of the package."""
+    return [f"{alias.name} (line {node.lineno})" for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ImportFrom)
+            and (node.level or (node.module or "").startswith("fujitalab."))
+            for alias in node.names if alias.name.startswith("_")]
+
+
+@pytest.mark.parametrize("path", sorted(Path(fujitalab.__file__).parent.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_no_module_imports_a_private_name_of_a_sibling(path):
+    assert _private_sibling_imports(path.read_text()) == []
+
+
+def test_the_private_import_check_sees_a_sibling_private_name():
+    source = ("from .a import b, _c\nfrom fujitalab.d import _e\n"
+              "from os import _exit\nfrom __future__ import annotations\n")
+    assert _private_sibling_imports(source) == ["_c (line 1)", "_e (line 2)"]

@@ -17,10 +17,10 @@ from fujitalab.problem import (
     ProblemSpec,
     ProfileSpec,
     SpecFieldError,
-    evaluate_profile,
     gaussian_weighted_integral,
     profile_integral,
     profile_min_rate,
+    profile_on_axis,
     scale_profile,
     validate,
 )
@@ -54,24 +54,35 @@ def test_gaussian_term_validation():
         GaussianTerm(1.0, 1.0, (math.nan,))
 
 
-def test_evaluate_profile_shapes():
-    prof = ProfileSpec.gaussian(2.0, 0.5, (1.0,))
-    assert evaluate_profile(prof, 1.0) == pytest.approx(2.0)
-    line = evaluate_profile(prof, np.array([0.0, 1.0, 2.0]))
-    assert line.shape == (3,)
-    assert line[1] == pytest.approx(2.0)
-    # stacked 2-d points, dimension on the last axis
-    prof2 = ProfileSpec.gaussian(1.0, 1.0, (0.0, 0.0))
-    pts = np.zeros((4, 5, 2))
-    assert evaluate_profile(prof2, pts).shape == (4, 5)
+def _evaluate_profile(prof, x):
+    """Pointwise reference: the profile at points x, space dimension on the
+    last axis."""
+    x = np.asarray(x, dtype=float)
+    out = np.zeros(x.shape[:-1])
+    for t in prof.terms:
+        out += t.coefficient * np.exp(-t.rate * np.sum((x - t.center) ** 2, axis=-1))
+    return out
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_profile_on_axis_matches_pointwise_reference(dim):
+    prof = ProfileSpec.gaussian_sum([(1.0, 1.0, (0.3, -0.2, 0.5)[:dim]),
+                                     (-0.4, 2.5, (0.0, 1.0, -1.5)[:dim]),
+                                     (0.7, 0.2, (-2.0,) * dim)])
+    ax = np.linspace(-6.0, 5.0, 23)
+    vals = profile_on_axis(prof, dim, ax)
+    assert vals.shape == (23,) * dim
+    pts = np.stack(np.meshgrid(*([ax] * dim), indexing="ij"), axis=-1)
+    assert np.allclose(vals, _evaluate_profile(prof, pts), rtol=0, atol=1e-15)
+    assert not profile_on_axis(ProfileSpec.zero(), dim, ax).any()
     with pytest.raises(ValueError):
-        evaluate_profile(prof2, np.zeros((3, 3)))  # 3-d points vs 2-d centers
+        profile_on_axis(prof, dim + 1, ax)  # centres of another dimension
 
 
 def test_profile_integral_matches_quadrature():
     prof = ProfileSpec.gaussian_sum([(0.8, 1.0, (0.0,)), (-1.0, 2.0, (0.3,))])
     exact = profile_integral(prof, 1)
-    num, err = quad(lambda x: evaluate_profile(prof, x), -np.inf, np.inf)
+    num, err = quad(lambda x: float(_evaluate_profile(prof, [x])), -np.inf, np.inf)
     assert abs(exact - num) <= 1e-9 + 10 * err
     # dim 2 via separability: each isotropic term integrates per axis
     prof2 = ProfileSpec.gaussian_sum([(0.8, 1.0, (0.0, 0.0)), (-1.0, 2.0, (0.3, 0.0))])
@@ -87,10 +98,8 @@ def test_gaussian_weighted_integral_matches_quadrature():
     rate, center = 0.7, (0.4,)
     exact = gaussian_weighted_integral(prof, 1, rate, center)
     num, err = quad(
-        lambda x: math.exp(-rate * (x - center[0]) ** 2) * evaluate_profile(prof, x),
-        -np.inf,
-        np.inf,
-    )
+        lambda x: math.exp(-rate * (x - center[0]) ** 2) * float(_evaluate_profile(prof, [x])),
+        -np.inf, np.inf)
     assert abs(exact - num) <= 1e-9 + 10 * err
     with pytest.raises(ValueError):
         gaussian_weighted_integral(prof, 1, 0.0)

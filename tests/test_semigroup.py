@@ -199,17 +199,29 @@ def test_kernel_weight_constant_profile_vs_grid():
     assert kernel_weight_constant(ProfileSpec.zero(), 2) == 0.0
 
 
-def test_lower_bound_nonnegativity_probe_is_bounded_in_3d():
-    prof = ProfileSpec.gaussian(0.5, 1.0, (0.0, 0.0, 0.0))
+def _lower_bound_peak(dim):
+    """comparison_lower_bound's report and traced peak bytes on a
+    two-sample trajectory."""
+    prof = ProfileSpec.gaussian(0.5, 1.0, (0.0,) * dim)
     traj = SimpleNamespace(times=[0.0, 1.0], q_norms=[1.0, 1.0])
     tracemalloc.start()
     try:
-        rep = comparison_lower_bound(prof, traj, 2.0, dim=3)
+        rep = comparison_lower_bound(prof, traj, 2.0, dim=dim)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert rep.skipped is None and len(rep.rows) == 1
-    assert peak < 100e6
+    return peak
+
+
+# the probe's values are about 769^2 floats (4.7 MB), and each term adds one
+# array of that size while it is summed in
+def test_lower_bound_nonnegativity_probe_is_bounded_in_2d():
+    assert _lower_bound_peak(2) < 12e6
+
+
+def test_lower_bound_nonnegativity_probe_is_bounded_in_3d():
+    assert _lower_bound_peak(3) < 12e6
 
 
 def _linear_run(u0_prof, dim, t_end, M=128):  # callers take the zero_load fixture
