@@ -55,6 +55,10 @@ CERT_RADIAL_POINTS = 4097         # Simpson nodes of the radial space factor
 CERT_SPACE_POINTS = 65            # trapezoid nodes per axis of the w integral
 CERT_SLOPE_TOL = 0.1              # slack on both of the certificate's slope tests
 BLOCK_BYTES = 512 * 1024          # bytes per float row block of the 2-D cutoff check
+# Draws per block of the Young and contraction sweeps: 80 KB per float
+# array, so a block's temporaries stay in cache (BLOCK_BYTES // 8 draws lose
+# most of that).  It is also the contraction study's head, a tenth of its draws.
+DRAW_BLOCK = 10_000
 
 # ---------------------------------------------------------------------------
 # scalar product inequality
@@ -64,16 +68,32 @@ def _young_rhs(a, b, p, q, eps):
     return eps * a**p + (p * eps) ** (-q / p) * b**q / q
 
 
+def _draw_blocks(*draws):
+    """Views of the same DRAW_BLOCK consecutive draws of each array, in order."""
+    for i in range(0, len(draws[0]), DRAW_BLOCK):
+        yield tuple(d[i:i + DRAW_BLOCK] for d in draws)
+
+
 def young_batch(seed: int = 0):
-    """Vectorized sweep over YOUNG_DRAWS random (a, b, p, eps); (all_ok, max_excess)."""
+    """Vectorized sweep over YOUNG_DRAWS random (a, b, p, eps); (all_ok, max_excess).
+
+    The draws are made whole and the bound is evaluated DRAW_BLOCK draws at
+    a time.  Each value is elementwise and the reductions are exact, so the
+    blocks change no result.
+    """
     rng = np.random.default_rng(seed)
-    a = rng.uniform(0.0, 10.0, YOUNG_DRAWS)
-    b = rng.uniform(0.0, 10.0, YOUNG_DRAWS)
-    p = rng.uniform(1.05, 8.0, YOUNG_DRAWS)
-    q = p / (p - 1.0)
-    eps = 10.0 ** rng.uniform(-3, 3, YOUNG_DRAWS)
-    excess = a * b - _young_rhs(a, b, p, q, eps)
-    return bool(np.all(excess <= YOUNG_SLACK)), float(np.max(excess))
+    draws = (
+        rng.uniform(0.0, 10.0, YOUNG_DRAWS),  # a
+        rng.uniform(0.0, 10.0, YOUNG_DRAWS),  # b
+        rng.uniform(1.05, 8.0, YOUNG_DRAWS),  # p
+        rng.uniform(-3, 3, YOUNG_DRAWS),      # log10(eps)
+    )
+    ok, maxima = True, []
+    for a, b, p, log_eps in _draw_blocks(*draws):
+        excess = a * b - _young_rhs(a, b, p, p / (p - 1.0), 10.0 ** log_eps)
+        ok = ok and bool(np.all(excess <= YOUNG_SLACK))
+        maxima.append(np.max(excess))
+    return ok, float(np.max(maxima))
 
 
 # ---------------------------------------------------------------------------
@@ -96,20 +116,20 @@ def contraction_constant_study(p: float, alpha: float, seed: int = 0):
     Draws CONTRACTION_DRAWS (a, b, x, y) uniform in [0, 2] with
     diffnorm = |x - y| and returns (max over the first tenth of the draws,
     max over all of them).  A well-behaved bound has the two within a few
-    percent of each other: the sup saturates early.
+    percent of each other: the sup saturates early.  The draws are made
+    whole and the ratio is evaluated DRAW_BLOCK draws at a time, so the
+    first tenth is the first block; each ratio is elementwise and max is
+    exact, so the blocks change no result.
     """
     rng = np.random.default_rng(seed)
-    a = rng.uniform(0.0, 2.0, CONTRACTION_DRAWS)
-    b = rng.uniform(0.0, 2.0, CONTRACTION_DRAWS)
-    x = rng.uniform(0.0, 2.0, CONTRACTION_DRAWS)
-    y = rng.uniform(0.0, 2.0, CONTRACTION_DRAWS)
+    draws = [rng.uniform(0.0, 2.0, CONTRACTION_DRAWS) for _ in range(4)]  # a, b, x, y
+    maxima = []
     with np.errstate(divide="ignore", invalid="ignore"):
-        lhs, rhs = _contraction_sides(a, b, x, y, np.abs(x - y), p, alpha)
-        ratio = np.where(lhs == 0, 0.0, lhs / np.where(rhs == 0, np.nan, rhs))
-    ratio = np.nan_to_num(ratio, nan=0.0)
-    head = float(np.max(ratio[: CONTRACTION_DRAWS // 10]))
-    full = float(np.max(ratio))
-    return head, full
+        for a, b, x, y in _draw_blocks(*draws):
+            lhs, rhs = _contraction_sides(a, b, x, y, np.abs(x - y), p, alpha)
+            ratio = np.where(lhs == 0, 0.0, lhs / np.where(rhs == 0, np.nan, rhs))
+            maxima.append(np.max(np.nan_to_num(ratio, nan=0.0)))
+    return float(maxima[0]), float(np.max(maxima))
 
 
 # ---------------------------------------------------------------------------
@@ -568,14 +588,20 @@ def _space_cutoff_integral(r2, w_vals, h: float, T: float, kappa: float) -> floa
     """Tensor-trapezoid integral of psi2(|x|^2/T)^kappa * w on ``_space_grid``.
 
     psi2's argument is monotone in |x|^2, so where it is >= 1 at the largest
-    |x|^2 the cutoff is exactly 1 on every node and is not evaluated.
+    |x|^2 the cutoff is exactly 1 on every node and is not evaluated.  The
+    cutoff and the inner trapezoids run on one slab of axis 0 at a time and
+    the outer trapezoid on the slab values: the sums run along the same axes
+    in the same order as on the whole grid, so the float is the same, and
+    no temporary is larger than a slab.
     """
-    vals = w_vals
-    if _cutoff_args("psi2", r2.max() / T)[0] < 1.0:
-        vals = cutoff_jet("psi2", r2 / T)[0] ** kappa * w_vals
-    for _ in range(r2.ndim):
-        vals = np.trapezoid(vals, dx=h, axis=-1)
-    return float(vals)
+    cut = _cutoff_args("psi2", r2.max() / T)[0] < 1.0
+    slab_vals = np.empty(len(r2))
+    for i, (r2_i, w_i) in enumerate(zip(r2, w_vals)):
+        vals = cutoff_jet("psi2", r2_i / T)[0] ** kappa * w_i if cut else w_i
+        for _ in range(r2.ndim - 1):
+            vals = np.trapezoid(vals, dx=h, axis=-1)
+        slab_vals[i] = vals
+    return float(np.trapezoid(slab_vals, dx=h))
 
 
 # ---------------------------------------------------------------------------
@@ -649,22 +675,44 @@ def _delta_subcritical_tenths(N: int, a10: int, q10: int) -> bool:
     return N * a10 * (q10 - 10) < 20 * q10
 
 
+def _exponent_sign_draws():
+    """The exponent_sign lemma's 10,000 draws, in tenths: (N, p, q, alpha, rho).
+
+    The stream of random.Random(11) read as randint(3, 8), randint(11, 60),
+    randint(11, 80), randint(0, 30) and -randint(0, 9), draw by draw.
+    random's randint(lo, hi) is lo + r for the first r = getrandbits(k)
+    below n = hi - lo + 1, k = n.bit_length(); the local randint replays
+    that without the library's argument handling, which took most of the
+    draws' time.
+    """
+    bits = random.Random(11).getrandbits
+
+    def randint(lo, hi):
+        n = hi - lo + 1
+        k = n.bit_length()
+        r = bits(k)
+        while r >= n:
+            r = bits(k)
+        return lo + r
+
+    for _ in range(10_000):
+        yield randint(3, 8), randint(11, 60), randint(11, 80), randint(0, 30), -randint(0, 9)
+
+
 def _lemma_exponent_sign():
     # Exact, so it has no tolerance.  Of blowup_criterion's admissibility
     # conditions only delta < 2/N can fail on these draws (N >= 3, rho in
     # (-1, 0] and N - 2 rho - 2 >= 1 always hold), so it is settled in
-    # integers first and only the kept draws become Fractions.  Each kept
-    # draw must still be admissible to blowup_criterion, so a filter that
-    # keeps too much fails here and one that drops too much moves the count.
-    rng = random.Random(11)
+    # integers first and only the kept draws become Fractions, read from a
+    # table of every tenth drawn.  Each kept draw must still be admissible
+    # to blowup_criterion, so a filter that keeps too much fails here and
+    # one that drops too much moves the count.
+    tenths = {v: Fraction(v, 10) for v in range(-9, 81)}
     checked = 0
-    for _ in range(10_000):
-        N = rng.randint(3, 8)
-        p10, q10, a10 = rng.randint(11, 60), rng.randint(11, 80), rng.randint(0, 30)
-        rho10 = -rng.randint(0, 9)
+    for N, p10, q10, a10, rho10 in _exponent_sign_draws():
         if not _delta_subcritical_tenths(N, a10, q10):
             continue
-        p, q, alpha, rho = (Fraction(v, 10) for v in (p10, q10, a10, rho10))
+        p, q, alpha, rho = tenths[p10], tenths[q10], tenths[a10], tenths[rho10]
         crit = blowup_criterion(N, p, q, alpha, rho)
         theta = certificate_exponent(N, p, q, alpha, rho)
         if not crit.admissible or crit.holds != (theta < 0):

@@ -15,9 +15,12 @@ from fujitalab import oracles
 from fujitalab.exponents import blowup_criterion
 from fujitalab.oracles import (
     BLOCK_BYTES,
+    CONTRACTION_DRAWS,
     CUTOFF_KINDS,
     CUTOFF_MIN_ORDER,
     CUTOFF_THETA,
+    YOUNG_DRAWS,
+    YOUNG_SLACK,
     CutoffCheck,
     SeriesDivergenceError,
     certificate_scaling_check,
@@ -42,6 +45,23 @@ def test_young_batch():
     assert max_excess <= 1e-12
 
 
+def _young_whole(seed):
+    """``young_batch`` with every array on all YOUNG_DRAWS draws at once."""
+    rng = np.random.default_rng(seed)
+    a = rng.uniform(0.0, 10.0, YOUNG_DRAWS)
+    b = rng.uniform(0.0, 10.0, YOUNG_DRAWS)
+    p = rng.uniform(1.05, 8.0, YOUNG_DRAWS)
+    q = p / (p - 1.0)
+    eps = 10.0 ** rng.uniform(-3, 3, YOUNG_DRAWS)
+    excess = a * b - (eps * a**p + (p * eps) ** (-q / p) * b**q / q)
+    return bool(np.all(excess <= YOUNG_SLACK)), float(np.max(excess))
+
+
+def test_blocked_young_batch_equals_the_whole_arrays():
+    for seed in (0, 7):
+        assert young_batch(seed) == _young_whole(seed), seed
+
+
 # ------------------------------------------------------------ contraction
 
 def test_contraction_constant_saturates_early():
@@ -51,6 +71,24 @@ def test_contraction_constant_saturates_early():
         head, full = contraction_constant_study(p, alpha, seed=1)
         assert 0 < full < 2
         assert full <= head * 1.10  # stable within 10% of the early estimate
+
+
+def _contraction_whole(p, alpha, seed):
+    """``contraction_constant_study`` with every array on all draws at once."""
+    rng = np.random.default_rng(seed)
+    a, b, x, y = (rng.uniform(0.0, 2.0, CONTRACTION_DRAWS) for _ in range(4))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lhs, rhs = oracles._contraction_sides(a, b, x, y, np.abs(x - y), p, alpha)
+        ratio = np.where(lhs == 0, 0.0, lhs / np.where(rhs == 0, np.nan, rhs))
+    ratio = np.nan_to_num(ratio, nan=0.0)
+    return float(np.max(ratio[: CONTRACTION_DRAWS // 10])), float(np.max(ratio))
+
+
+def test_blocked_contraction_study_equals_the_whole_arrays():
+    for p, alpha in ((2.0, 1.0), (3.0, 1.5), (1.5, 0.5), (2.0, 0.0)):
+        for seed in (1, 3):
+            got = contraction_constant_study(p, alpha, seed)
+            assert got == _contraction_whole(p, alpha, seed), (p, alpha, seed)
 
 
 # ---------------------------------------------------------- mittag-leffler
@@ -493,25 +531,69 @@ def test_space_integral_skips_the_cutoff_only_where_it_is_one():
             _space_integral_with_cutoff(r2, flat, x[1] - x[0], T, 6.0), top
 
 
+def test_slab_space_integral_equals_the_whole_grid():
+    # psi2 < 1 on nodes that carry weight at T = 3 and 10, so the cutoff
+    # moves the value; one profile is centred, one is off centre
+    kappa = 6.0
+    for w in (ProfileSpec.gaussian(1.0, 1.0, (0.0, 0.0, 0.0)),
+              ProfileSpec.gaussian_sum([(0.7, 0.5, (1.5, -2.0, 0.5)),
+                                        (0.3, 2.0, (0.0, 0.0, 0.0))])):
+        for dim in (1, 2, 3):
+            w_dim = ProfileSpec.gaussian_sum(
+                [(t.coefficient, t.rate, t.center[:dim]) for t in w.terms])
+            r2, w_vals, h = oracles._space_grid(w_dim, dim)
+            uncut = _space_integral_with_cutoff(r2, w_vals, h, 1e300, kappa)
+            for T in (3.0, 10.0):
+                whole = _space_integral_with_cutoff(r2, w_vals, h, T, kappa)
+                assert whole != uncut, (w_dim, T)
+                assert oracles._space_cutoff_integral(r2, w_vals, h, T, kappa) == \
+                    whole, (w_dim, T)
+
+
 def test_certificate_space_integral_skips_the_cutoff_where_it_is_one(monkeypatch):
     # the verify case: w's grid reaches |x|^2 = 300, so psi2(|x|^2/T) is 1 on
-    # every node at T = 1e3 and 1e4 and the cutoff is evaluated at T = 1e2 only
+    # every node at T = 1e3 and 1e4 and the cutoff is evaluated at T = 1e2
+    # only, once on each 65 x 65 slab of the grid
     args = (3, 1.5, 1.25, 1.0, -0.5)
     with monkeypatch.context() as m:
         m.setattr(oracles, "_space_cutoff_integral", _space_integral_with_cutoff)
         reference = certificate_scaling_check(*args, w=_W3)
-    space_args = []
-    jet = oracles.cutoff_jet
+    space_T = []
+    cutoff_calls = []
+    integral, jet = oracles._space_cutoff_integral, oracles.cutoff_jet
+
+    def integral_at(r2, w_vals, h, T, kappa):
+        space_T.append(T)
+        try:
+            return integral(r2, w_vals, h, T, kappa)
+        finally:
+            space_T.pop()
 
     def counted(kind, s):
-        if np.ndim(s) == 3:
-            space_args.append(float(np.max(s)))
+        if space_T:
+            cutoff_calls.append((space_T[-1], kind, np.shape(s)))
         return jet(kind, s)
 
+    monkeypatch.setattr(oracles, "_space_cutoff_integral", integral_at)
     monkeypatch.setattr(oracles, "cutoff_jet", counted)
     rep = certificate_scaling_check(*args, w=_W3)
-    assert space_args == [300.0 / 1e2]
+    n = oracles.CERT_SPACE_POINTS
+    assert cutoff_calls == [(1e2, "psi2", (n, n))] * n
     assert rep == reference  # the slopes and the sign gap, bit for bit
+
+
+def test_lemma_memory_is_bounded_by_blocks_and_slabs():
+    # whole arrays peaked at 7.6, 7.6 and 26.6 MiB
+    bounds = {"young": 5.5, "contraction": 5.0, "certificate_scaling": 8.0}
+    for name, mib in bounds.items():
+        tracemalloc.start()
+        try:
+            ok, _ = oracles.LEMMAS[name]()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert ok, name
+        assert peak < mib * 2**20, (name, peak)
 
 
 def test_certificate_without_forcing_is_inapplicable():
@@ -533,6 +615,12 @@ def _seed11_draws():
 
 def _criterion(N, *tenths):
     return blowup_criterion(N, *(Fraction(v, 10) for v in tenths))
+
+
+def test_exponent_sign_draws_replay_randint():
+    # the lemma replays randint through getrandbits; a change to randint's
+    # sampling fails here rather than moving the lemma's pinned count
+    assert list(oracles._exponent_sign_draws()) == list(_seed11_draws())
 
 
 def test_integer_prefilter_is_blowup_admissibility():
