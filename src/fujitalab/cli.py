@@ -23,6 +23,7 @@ import os
 import sys
 import time
 import traceback
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
@@ -112,14 +113,11 @@ def _write_meta(prefix: Path, extra: dict) -> None:
 def cmd_exponents(args) -> int:
     spec = _load_spec(args.spec)
     rep = exponent_report(spec)
-    if args.format == "json":
-        text = json.dumps(rep.to_json_dict(), indent=2)
-    else:
-        text = rep.table()
-    print(text)
+    text = json.dumps(rep.to_json_dict(), indent=2)
+    print(text if args.format == "json" else rep.table())
     if args.out:
         out = _resolve_out(args.out)
-        out.write_text(json.dumps(rep.to_json_dict(), indent=2) + "\n")
+        out.write_text(text + "\n")
         print(f"wrote {out}", file=sys.stderr)
     return 0
 
@@ -182,8 +180,7 @@ def _sweep_point(payload) -> tuple:
     except (SpecFieldError, InadmissibleError):
         row = {k: assignment.get(k, base_json[k]) for k in ("p", "q", "alpha", "rho")}
         row.update(index=idx, predicted="inadmissible", verdict="skipped",
-                   agreement="not_applicable", t_final="", sup_final="",
-                   blowup_time="")
+                   agreement="not_applicable")
         return row, time.perf_counter() - start
     regime = classify(spec)
     row = {
@@ -197,8 +194,7 @@ def _sweep_point(payload) -> tuple:
     except Exception as exc:
         print(f"sweep point {idx} failed:", file=sys.stderr)
         traceback.print_exc(file=sys.stderr)
-        row.update(verdict=f"error:{type(exc).__name__}", agreement="inconclusive",
-                   t_final="", sup_final="", blowup_time="")
+        row.update(verdict=f"error:{type(exc).__name__}", agreement="inconclusive")
         return row, time.perf_counter() - start
     verdict = record.verdict.value
     # The theorem bounds no T*, so a predicted blow-up still running at t_end
@@ -294,12 +290,10 @@ def cmd_sweep(args) -> int:
 
     lines = [",".join(_SWEEP_COLUMNS)]
     for row in rows:
-        lines.append(",".join(str(row[c]) for c in _SWEEP_COLUMNS))
+        lines.append(",".join(str(row.get(c, "")) for c in _SWEEP_COLUMNS))
     csv_text = "\n".join(lines) + "\n"
 
-    counts = {}
-    for row in rows:
-        counts[row["agreement"]] = counts.get(row["agreement"], 0) + 1
+    counts = Counter(row["agreement"] for row in rows)
     errors = sum(row["verdict"].startswith("error:") for row in rows)
     if errors:
         counts["error"] = errors

@@ -21,7 +21,6 @@ __all__ = [
     "coordinates",
     "sample",
     "lq_norm",
-    "nonlocal_factor",
     "nonlinearity",
 ]
 
@@ -137,8 +136,9 @@ def lq_norm(f: GridField, q) -> float:
 
     The sup norm is max(max v, -min v) and q = 2 is the dot product of the
     values with themselves: each takes no temporary array.  Any other q
-    raises |v| to the q-th power in place, one temporary.  ValueError for
-    q < 1 or nan.
+    raises |v| to the q-th power in place, one temporary.  A cell sum that
+    overflows, alone or times the cell volume, raises BlowupSignal; q < 1 or
+    nan raises ValueError.
     """
     v = f.values
     q = float(q)
@@ -146,46 +146,35 @@ def lq_norm(f: GridField, q) -> float:
         return float(max(v.max(), -v.min()))
     if not q >= 1:
         raise ValueError("q must be >= 1 or inf")
-    if q == 2.0:
-        flat = v.reshape(-1)
-        with np.errstate(over="ignore"):
+    with np.errstate(over="ignore"):
+        if q == 2.0:
+            flat = v.reshape(-1)
             total = float(np.dot(flat, flat))
-        if not math.isfinite(total):
-            raise BlowupSignal("norm overflow")
-    else:
-        with np.errstate(over="raise"):
-            try:
-                a = np.abs(v)
-                total = float(np.sum(np.power(a, q, out=a)))
-            except FloatingPointError as exc:
-                raise BlowupSignal("norm overflow") from exc
-    return (total * f.cell_volume) ** (1.0 / q)
-
-
-def nonlocal_factor(f: GridField, q, alpha: float) -> float:
-    """||f||_q^alpha with the 0^0 = 1 convention at alpha = 0."""
-    if alpha == 0:
-        return 1.0
-    n = lq_norm(f, q)
-    try:
-        out = n**alpha
-    except OverflowError as exc:
-        raise BlowupSignal("nonlocal factor overflow") from exc
-    if not math.isfinite(out):
-        raise BlowupSignal("nonlocal factor overflow")
-    return float(out)
+        else:
+            a = np.abs(v)
+            total = float(np.sum(np.power(a, q, out=a)))
+    total *= f.cell_volume
+    if not math.isfinite(total):
+        raise BlowupSignal("norm overflow")
+    return total ** (1.0 / q)
 
 
 def nonlinearity(f: GridField, p: float, q, alpha: float,
                  out: np.ndarray | None = None) -> GridField:
     """Pointwise load ||f||_q^alpha * |f|^p; overflow surfaces as BlowupSignal.
 
+    At alpha = 0 the norm is not evaluated (the 0^0 = 1 convention).
     The load is computed in place in ``out`` (None allocates, as in numpy;
     out must not be f's own values) and the returned field is backed by it.
     An integral p is raised by square-and-multiply, which for p = 2 is the
     one product |f| |f|; any other p goes through pow.
     """
-    factor = nonlocal_factor(f, q, alpha)
+    factor = 1.0
+    if alpha != 0:
+        try:
+            factor = lq_norm(f, q) ** alpha
+        except OverflowError as exc:
+            raise BlowupSignal("nonlocal factor overflow") from exc
     v = np.abs(f.values, out=out)
     with np.errstate(over="ignore", invalid="ignore"):
         if float(p).is_integer() and p >= 1:

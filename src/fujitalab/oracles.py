@@ -498,7 +498,8 @@ def certificate_scaling_check(
     t^rho under the same time cutoff with the w integral under the space
     cutoff; its slope must reach rho + 1 (-CERT_SLOPE_TOL).  The difference
     of the two slopes estimates -theta, the certificate exponent, and its
-    sign is the decisive part.
+    sign is the decisive part.  F is computed only when w has terms, and
+    the report is applicable when every F is positive.
     In the verify case (N = 3, w = e^{-|x|^2}) F's space factor is the same
     float at every T of CERT_T_LIST (it first moves at T = 10), so slope_F
     there measures the time factor only.  ValueError unless p > 1 and N is
@@ -516,45 +517,35 @@ def certificate_scaling_check(
     tau = np.linspace(0.0, 1.0, CERT_TIME_POINTS)
     psi1_pow = cutoff_jet("psi1", tau)[0] ** pw
 
+    def time_factor(T, e):
+        """T * Simpson over tau <= (T-1)/T of (1 + T tau)^e psi1(tau)^(p/(p-1))."""
+        vals = np.where(tau <= (T - 1.0) / T, (1.0 + T * tau) ** e * psi1_pow, 0.0)
+        return T * _simpson(vals, tau[1] - tau[0])
+
     # radial reduction of the space factor; the cutoff powers cancel exactly:
     # |bracket * g^(kappa-2)|^(p/(p-1)) * g^(-kappa/(p-1)) == |bracket|^(p/(p-1))
     # because (kappa-2)*p/(p-1) == kappa/(p-1) for kappa = 2p/(p-1).
     y = np.linspace(0.0, 2.0, CERT_RADIAL_POINTS)
     bracket = _laplacian_bracket(cutoff_jet("psi2", y), kappa, N, y)
     omega = 2.0 * math.pi ** (N / 2.0) / math.gamma(N / 2.0)
-    with np.errstate(divide="ignore"):
-        radial_integrand = np.abs(bracket) ** pw * np.where(y > 0, y, np.nan) ** (
-            N / 2.0 - 1.0
-        )
-    radial_integrand[0] = 0.0  # bracket vanishes with y faster than any power
-    radial_base = _simpson(np.nan_to_num(radial_integrand), y[1] - y[0])
-
-    forced = bool(w.terms)
-    space_grid = _space_grid(w, N) if forced else None
-    I1_vals = []
+    radial_integrand = np.zeros_like(y)  # bracket vanishes with y faster than any power
+    radial_integrand[1:] = np.abs(bracket[1:]) ** pw * y[1:] ** (N / 2.0 - 1.0)
+    radial_base = _simpson(radial_integrand, y[1] - y[0])
+    I1_vals = [
+        time_factor(T, t_weight_exp)
+        * ((omega / 2.0) * T ** (N / 2.0) * T ** (-pw) * radial_base)
+        for T in CERT_T_LIST
+    ]
     F_vals = []
-    for T in CERT_T_LIST:
-        upper = (T - 1.0) / T
-        mask = tau <= upper
-        time_I1 = T * _simpson(
-            np.where(mask, (1.0 + T * tau) ** t_weight_exp * psi1_pow, 0.0),
-            tau[1] - tau[0],
-        )
-        space_I1 = (omega / 2.0) * T ** (N / 2.0) * T ** (-pw) * radial_base
-        I1_vals.append(time_I1 * space_I1)
-        if forced:
-            time_F = T * _simpson(
-                np.where(mask, (1.0 + T * tau) ** rho * psi1_pow, 0.0),
-                tau[1] - tau[0],
-            )
-            F_vals.append(time_F * _space_cutoff_integral(*space_grid, T, kappa))
-        else:
-            F_vals.append(0.0)
+    if w.terms:
+        space_grid = _space_grid(w, N)
+        F_vals = [time_factor(T, rho) * _space_cutoff_integral(*space_grid, T, kappa)
+                  for T in CERT_T_LIST]
 
     lnT = np.log(np.asarray(CERT_T_LIST))
     slope_I1 = float(np.polyfit(lnT, np.log(I1_vals), 1)[0])
     slope_bound = 1.0 + N / 2.0 - pw + t_weight_exp
-    applicable = all(v > 0 for v in F_vals)
+    applicable = bool(F_vals) and all(v > 0 for v in F_vals)
     slope_F = float(np.polyfit(lnT, np.log(F_vals), 1)[0]) if applicable else None
     theta = certificate_exponent(N, p, q, alpha, rho)
     sign_gap = (slope_F - slope_I1) if applicable else None
@@ -574,31 +565,32 @@ def certificate_scaling_check(
 
 
 def _space_grid(w: ProfileSpec, N: int):
-    """(|x|^2, w(x), spacing) on the tensor trapezoid grid over w's support."""
+    """(axis squares, w(x), spacing) of the tensor trapezoid grid over w's support."""
     reach = max((abs(c) for t in w.terms for c in t.center), default=0.0)
     reach += 10.0 / math.sqrt(profile_min_rate(w))
     ax = np.linspace(-reach, reach, CERT_SPACE_POINTS)
-    r2 = sq = ax**2
-    for _ in range(N - 1):
-        r2 = np.add.outer(r2, sq)
-    return r2, profile_on_axis(w, N, ax), ax[1] - ax[0]
+    return ax**2, profile_on_axis(w, N, ax), ax[1] - ax[0]
 
 
-def _space_cutoff_integral(r2, w_vals, h: float, T: float, kappa: float) -> float:
+def _space_cutoff_integral(sq, w_vals, h: float, T: float, kappa: float) -> float:
     """Tensor-trapezoid integral of psi2(|x|^2/T)^kappa * w on ``_space_grid``.
 
-    psi2's argument is monotone in |x|^2, so where it is >= 1 at the largest
-    |x|^2 the cutoff is exactly 1 on every node and is not evaluated.  The
-    cutoff and the inner trapezoids run on one slab of axis 0 at a time and
-    the outer trapezoid on the slab values: the sums run along the same axes
-    in the same order as on the whole grid, so the float is the same, and
-    no temporary is larger than a slab.
+    The cutoff and the inner trapezoids run on one slab of axis 0 at a time
+    and the outer trapezoid on the slab values.  A slab's |x|^2 is summed
+    from the axis squares in coordinate order, as np.add.outer builds the
+    whole grid's, and the inner sums run along the same axes in the same
+    order, so the float is the whole grid's and no temporary is larger than
+    a slab.  psi2's argument is monotone in |x|^2, so on a slab where it is
+    >= 1 at the largest |x|^2 the cutoff is exactly 1 and is not evaluated.
     """
-    cut = _cutoff_args("psi2", r2.max() / T)[0] < 1.0
-    slab_vals = np.empty(len(r2))
-    for i, (r2_i, w_i) in enumerate(zip(r2, w_vals)):
-        vals = cutoff_jet("psi2", r2_i / T)[0] ** kappa * w_i if cut else w_i
-        for _ in range(r2.ndim - 1):
+    slab_vals = np.empty(len(sq))
+    for i, vals in enumerate(w_vals):
+        r2 = sq[i]
+        for _ in range(w_vals.ndim - 1):
+            r2 = np.add.outer(r2, sq)
+        if _cutoff_args("psi2", r2.max() / T)[0] < 1.0:
+            vals = cutoff_jet("psi2", r2 / T)[0] ** kappa * vals
+        for _ in range(w_vals.ndim - 1):
             vals = np.trapezoid(vals, dx=h, axis=-1)
         slab_vals[i] = vals
     return float(np.trapezoid(slab_vals, dx=h))
@@ -749,7 +741,7 @@ def _lemma_w_condition():
     rep_mixed = w_condition_check(mixed, dim=1)
     # independent quadrature of the worst kernel average found
     lam, x0 = rep_mixed.argmin
-    yy = np.linspace(-30.0, 30.0, 240_001)
+    yy = np.linspace(-30.0, 30.0, 6_001)
     wvals = 0.8 * np.exp(-yy**2) - np.exp(-2.0 * yy**2)
     direct = float(np.trapezoid(
         np.exp(-((x0[0] - yy) ** 2) / lam) * wvals, yy))

@@ -54,13 +54,9 @@ class HeatKernelPlan:
         h = 2.0 * half_width / points_per_axis
         k_full = 2.0 * math.pi * np.fft.fftfreq(points_per_axis, d=h)
         k_half = 2.0 * math.pi * np.fft.rfftfreq(points_per_axis, d=h)
-        axes = [k_full] * (dim - 1) + [k_half]
-        ksq = np.zeros([len(a) for a in axes])
-        for i, a in enumerate(axes):
-            shape = [1] * dim
-            shape[i] = len(a)
-            ksq = ksq + (a**2).reshape(shape)
-        self.ksq = ksq
+        self.ksq = np.zeros(())
+        for a in [k_full] * (dim - 1) + [k_half]:
+            self.ksq = np.add.outer(self.ksq, a**2)
         self.counts = {"forward_transforms": 0, "inverse_transforms": 0, "multipliers": 0}
 
     @classmethod

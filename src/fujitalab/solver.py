@@ -354,10 +354,8 @@ def run_from_fields(
         atol_step = atol
         if t == 0.0 and spec.rho < 0:  # the forcing rate is unbounded at t = 0
             atol_step = atol * (dt_step / config.dt0) ** spec.rho
-        if sup_old + atol_step > 0:
-            growth = (sup_new - sup_old) / (sup_old + atol_step)
-        else:
-            growth = math.inf if sup_new > 0 else 0.0
+        scale = sup_old + atol_step  # 0 only for a zero state without forcing: it stays 0
+        growth = (sup_new - sup_old) / scale if scale > 0 else 0.0
         if u_new is None or (config.adapt and growth > GROWTH_HALVE):
             rejections["overflow" if u_new is None else "growth"] += 1
             if dt_step / 2.0 < config.min_dt:

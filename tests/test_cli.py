@@ -86,6 +86,14 @@ def test_simulate_refuses_an_initial_state_whose_q_norm_overflows(tmp_path, caps
     captured = capsys.readouterr()
     assert captured.err == "error: field 'u0': q-norm overflows at q = 40.0\n"
     assert captured.out == ""
+    # the cell sum of u0^2 is finite, times the cell volume h = 8 it is not
+    spec = _write_spec(tmp_path, dict(
+        SWEEP_SPEC, u0={"kind": "gaussian_sum", "terms": [[1.3e154, 10.0, [0.0]]]}))
+    assert main(["simulate", "--spec", spec, "--t-end", "1.0", "--dt0", "0.01",
+                 "--half-width", "64", "--points", "16"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: field 'u0': q-norm overflows at q = 2.0\n"
+    assert captured.out == ""
 
 
 def test_exit_code_2_on_inadmissible_values(tmp_path, capsys):
@@ -258,6 +266,8 @@ def test_sweep_two_axes_and_inadmissible_rows(tmp_path, capsys):
     # rho = -1.5 rows are inadmissible and must be reported, not crash
     skipped = [r for r in rows if r[6] == "skipped"]
     assert len(skipped) == 2 and all(r[5] == "inadmissible" for r in skipped)
+    # their t_final, sup_final and blowup_time cells are empty
+    assert all(r[8:] == ["", "", ""] for r in skipped)
     # the last axis varies fastest
     assert [(r[1], r[4]) for r in rows] == [
         ("1.8", "-1.5"), ("1.8", "0.0"), ("2.2", "-1.5"), ("2.2", "0.0")]

@@ -14,9 +14,9 @@ from fujitalab.field import (
     coordinates,
     lq_norm,
     nonlinearity,
-    nonlocal_factor,
     sample,
 )
+from fujitalab import field
 from fujitalab.problem import ProfileSpec
 
 
@@ -81,11 +81,17 @@ def test_lq_norm_rejects_small_q():
             lq_norm(f, q)
 
 
-def test_nonlocal_factor_conventions():
+def test_nonlocal_factor_conventions(monkeypatch):
     f = sample(ProfileSpec.gaussian(2.0, 1.0, (0.0,)), 1, 16.0, 64)
-    assert nonlocal_factor(f, 2.0, 0.0) == 1.0  # 0^0 convention, never evaluates the norm
     n2 = lq_norm(f, 2.0)
-    assert nonlocal_factor(f, 2.0, 3.0) == pytest.approx(n2**3, rel=1e-13)
+    np.testing.assert_allclose(nonlinearity(f, 1.0, 2.0, 3.0).values,
+                               n2**3 * np.abs(f.values), rtol=1e-13, atol=0.0)
+
+    def no_norm(*args):
+        raise AssertionError("the norm is evaluated at alpha = 0")
+
+    monkeypatch.setattr(field, "lq_norm", no_norm)  # 0^0 = 1: never evaluated
+    assert np.array_equal(nonlinearity(f, 1.0, 2.0, 0.0).values, np.abs(f.values))
 
 
 def test_nonlinearity_is_nonnegative_power():
@@ -112,11 +118,15 @@ def test_overflow_surfaces_as_blowup_signal():
     with pytest.raises(BlowupSignal):
         lq_norm(f, 2.0)
     with pytest.raises(BlowupSignal):
-        nonlocal_factor(f, 1.0, 2.0)
+        nonlinearity(f, 1.0, 1.0, 2.0)  # ||f||_1^2 overflows, |f| does not
     with pytest.raises(BlowupSignal):
         lq_norm(f, 3.0)
     with pytest.raises(BlowupSignal):
         lq_norm(f, 1.5)
+    for q, top in ((2.0, 1.3e154), (1.0, 1.7e308)):
+        # the cell sum is finite and overflows only times the cell volume 8
+        with pytest.raises(BlowupSignal):
+            lq_norm(GridField(1, 64.0, np.array([top] + [0.0] * 15)), q)
     with pytest.raises(BlowupSignal):
         nonlinearity(f, 2.0, 2.0, 0.0)
     with pytest.raises(BlowupSignal):

@@ -510,8 +510,17 @@ def test_certificate_scaling_positive_theta():
     assert rep.sign_gap <= 0
 
 
-def _space_integral_with_cutoff(r2, w_vals, h, T, kappa):
-    """``_space_cutoff_integral`` evaluating the cutoff at every T."""
+def _whole_grid_r2(sq, dim):
+    r2 = sq
+    for _ in range(dim - 1):
+        r2 = np.add.outer(r2, sq)
+    return r2
+
+
+def _space_integral_with_cutoff(sq, w_vals, h, T, kappa):
+    """``_space_cutoff_integral`` on the whole grid at once, evaluating the
+    cutoff on every node at every T."""
+    r2 = _whole_grid_r2(sq, w_vals.ndim)
     vals = cutoff_jet("psi2", r2 / T)[0] ** kappa * w_vals
     for _ in range(r2.ndim):
         vals = np.trapezoid(vals, dx=h, axis=-1)
@@ -520,15 +529,17 @@ def _space_integral_with_cutoff(r2, w_vals, h, T, kappa):
 
 def test_space_integral_skips_the_cutoff_only_where_it_is_one():
     # a flat w on a 2-D grid reaching |x|^2 = 200, so every node where psi2 < 1
-    # moves the integral; the largest |x|^2 / T runs across 1
+    # moves the integral; the largest |x|^2 / T runs across 1, and slabs
+    # of axis 0 nearer the middle drop below it in turn
     x = np.linspace(-10.0, 10.0, 65)
-    r2 = x[:, None] ** 2 + x[None, :] ** 2
+    sq = x**2
+    r2 = _whole_grid_r2(sq, 2)
     flat = np.ones_like(r2)
     for top in (3.0, 2.0, 1.5, 1.25, 1.0 + 2**-52, 1.0, 0.5):
         T = 200.0 / top
         assert r2.max() / T == top
-        assert oracles._space_cutoff_integral(r2, flat, x[1] - x[0], T, 6.0) == \
-            _space_integral_with_cutoff(r2, flat, x[1] - x[0], T, 6.0), top
+        assert oracles._space_cutoff_integral(sq, flat, x[1] - x[0], T, 6.0) == \
+            _space_integral_with_cutoff(sq, flat, x[1] - x[0], T, 6.0), top
 
 
 def test_slab_space_integral_equals_the_whole_grid():
@@ -541,12 +552,12 @@ def test_slab_space_integral_equals_the_whole_grid():
         for dim in (1, 2, 3):
             w_dim = ProfileSpec.gaussian_sum(
                 [(t.coefficient, t.rate, t.center[:dim]) for t in w.terms])
-            r2, w_vals, h = oracles._space_grid(w_dim, dim)
-            uncut = _space_integral_with_cutoff(r2, w_vals, h, 1e300, kappa)
+            sq, w_vals, h = oracles._space_grid(w_dim, dim)
+            uncut = _space_integral_with_cutoff(sq, w_vals, h, 1e300, kappa)
             for T in (3.0, 10.0):
-                whole = _space_integral_with_cutoff(r2, w_vals, h, T, kappa)
+                whole = _space_integral_with_cutoff(sq, w_vals, h, T, kappa)
                 assert whole != uncut, (w_dim, T)
-                assert oracles._space_cutoff_integral(r2, w_vals, h, T, kappa) == \
+                assert oracles._space_cutoff_integral(sq, w_vals, h, T, kappa) == \
                     whole, (w_dim, T)
 
 
@@ -562,10 +573,10 @@ def test_certificate_space_integral_skips_the_cutoff_where_it_is_one(monkeypatch
     cutoff_calls = []
     integral, jet = oracles._space_cutoff_integral, oracles.cutoff_jet
 
-    def integral_at(r2, w_vals, h, T, kappa):
+    def integral_at(sq, w_vals, h, T, kappa):
         space_T.append(T)
         try:
-            return integral(r2, w_vals, h, T, kappa)
+            return integral(sq, w_vals, h, T, kappa)
         finally:
             space_T.pop()
 
@@ -583,8 +594,13 @@ def test_certificate_space_integral_skips_the_cutoff_where_it_is_one(monkeypatch
 
 
 def test_lemma_memory_is_bounded_by_blocks_and_slabs():
-    # whole arrays peaked at 7.6, 7.6 and 26.6 MiB
-    bounds = {"young": 5.5, "contraction": 5.0, "certificate_scaling": 8.0}
+    # whole arrays peaked at 7.6, 7.6 and 26.6 MiB in young, contraction and
+    # certificate_scaling, a whole-grid |x|^2 at 6.6 MiB in the last, and the
+    # w_condition quadrature on 240,001 nodes at 9.2 MiB
+    bounds = {"young": 5.5, "contraction": 5.0, "mittag_leffler": 1.0, "gronwall": 1.0,
+              "exponent_sign": 1.0, "cutoff_laplacian": 6.0, "w_condition": 1.0,
+              "certificate_scaling": 5.5}
+    assert set(bounds) == set(oracles.LEMMAS)
     for name, mib in bounds.items():
         tracemalloc.start()
         try:

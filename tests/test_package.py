@@ -37,7 +37,7 @@ def test_package_exports_are_the_submodule_lists_concatenated():
     names = [name for exported in lists for name in exported]
     assert len(names) == len(set(names)), "a name is exported by two submodules"
     assert fujitalab.__all__ == names
-    assert len(names) == 58
+    assert len(names) == 57
 
 
 def _unused_imports(source: str) -> list[str]:

@@ -117,12 +117,17 @@ def test_an_overflowing_q_norm_is_an_overflow_rejection():
 
 
 def test_an_initial_state_whose_q_norm_overflows_is_refused():
-    # 1e10 e^{-0.1 x^2} is finite on the grid, but its 40-norm is not
-    spec = ProblemSpec(1, 2.0, 40.0, 0.0, 0.0,
-                       ProfileSpec.gaussian(1e10, 0.1, (0.0,)))
-    with pytest.raises(SpecFieldError) as exc:
-        run(spec, SolverConfig(dt0=0.01, t_end=1.0), BoxGeometry(16.0, 64))
-    assert (exc.value.field_name, exc.value.reason) == ("u0", "q-norm overflows at q = 40.0")
+    # 1e10 e^{-0.1 x^2} is finite on the grid, but its 40-norm is not; the
+    # cell sum of (1.3e154 e^{-10 x^2})^2 is finite, but not times the cell
+    # volume h = 8
+    for q, amplitude, rate, box in ((40.0, 1e10, 0.1, BoxGeometry(16.0, 64)),
+                                    (2.0, 1.3e154, 10.0, BoxGeometry(64.0, 16))):
+        spec = ProblemSpec(1, 2.0, q, 0.0, 0.0,
+                           ProfileSpec.gaussian(amplitude, rate, (0.0,)))
+        with pytest.raises(SpecFieldError) as exc:
+            run(spec, SolverConfig(dt0=0.01, t_end=1.0), box)
+        assert (exc.value.field_name, exc.value.reason) == (
+            "u0", f"q-norm overflows at q = {q!r}")
 
 
 def test_late_blowup_ends_when_time_stops_advancing():
