@@ -175,20 +175,14 @@ def _sweep_point(payload) -> tuple:
     idx, base_json, assignment, amplitude, epsilon, config, geometry = payload
     doc = dict(base_json)
     doc.update(assignment)
+    row = {"index": idx, **{k: doc[k] for k in ("p", "q", "alpha", "rho")}}
     try:
         spec = ProblemSpec.from_json_dict(doc)
     except (SpecFieldError, InadmissibleError):
-        row = {k: assignment.get(k, base_json[k]) for k in ("p", "q", "alpha", "rho")}
-        row.update(index=idx, predicted="inadmissible", verdict="skipped",
-                   agreement="not_applicable")
+        row.update(predicted="inadmissible", verdict="skipped", agreement="not_applicable")
         return row, time.perf_counter() - start
     regime = classify(spec)
-    row = {
-        "index": idx,
-        "p": float(spec.p), "q": float(spec.q),
-        "alpha": float(spec.alpha), "rho": float(spec.rho),
-        "predicted": regime.value,
-    }
+    row["predicted"] = regime.value
     try:
         record = _simulate_point(spec, regime, amplitude, epsilon, config, geometry)
     except Exception as exc:

@@ -144,8 +144,8 @@ def gep_exponents(N, p, q, alpha, rho) -> GepExponents:
           / (2(q-1) + N delta + 2(rho+1)(p-1)(q-1) + 2(rho+1) delta)
 
     Raises ValueError when any denominator is nonpositive; hypothesis flags
-    (dimension, rho range, delta subcritical, p >= threshold, q band) are
-    reported in ``conditions``.
+    (dimension, rho range, delta subcritical, p >= threshold, q band, and
+    p_c, ell >= 1 for the Lebesgue spaces L^p_c, L^ell) are in ``conditions``.
     """
     d = delta(alpha, q)
     den_thr = N - 2 * rho - 2
@@ -163,6 +163,7 @@ def gep_exponents(N, p, q, alpha, rho) -> GepExponents:
         "delta_subcritical": d * N < 2,
         "p_ge_threshold": p >= threshold,
         "q_band": N * (p - 1) <= 2 * q and q <= p,
+        "lebesgue_exponents": p_c >= 1 and ell >= 1,
     }
     return GepExponents(threshold, p_c, ell, conditions)
 
@@ -274,8 +275,6 @@ class ExponentReport:
 
 
 def _jsonable(v):
-    if isinstance(v, Regime):
-        return v.value
     if isinstance(v, float) and math.isinf(v):
         return "inf"
     return v

@@ -47,7 +47,7 @@ CUTOFF_THETA = 4.0                # power of the cutoff in g(|x|^2/T)^theta
 CUTOFF_MIN_ORDER = 1.6            # finite-difference order the cutoff check demands
 KERNEL_WIDTHS = np.logspace(-3, 6, 40)  # Gaussian kernel widths lambda scanned
 CENTER_EXTENT = 12.0              # kernel centers cover [-12, 12]^dim
-CENTER_POINTS = 25                # centers per axis for off-center profiles
+CENTER_POINTS = 25                # centers per axis of that box
 KERNEL_AVERAGE_TOL = 1e-10        # slack for "kernel average >= 0"
 CERT_T_LIST = (1e2, 1e3, 1e4)     # scales T of the certificate's slope fits
 CERT_TIME_POINTS = 4097           # Simpson nodes of the time cutoff
@@ -426,19 +426,12 @@ def w_condition_check(w: ProfileSpec, dim: int) -> WConditionReport:
     (log-spaced 1e-3..1e6) and centers x in the box [-CENTER_EXTENT,
     CENTER_EXTENT]^dim, reporting the minimum; the first condition asks it
     to be nonnegative (to KERNEL_AVERAGE_TOL) for every width and center.
-    The second is plain positivity of the total integral.  Radial profiles
-    collapse the center scan to a ray.
+    The centers are the CENTER_POINTS^dim nodes of that box for every
+    profile.  The second is plain positivity of the total integral.
     """
-    radial = all(all(c == 0 for c in t.center) for t in w.terms)
-    if radial:
-        rr = np.linspace(0.0, CENTER_EXTENT, 201)
-        centers = np.zeros((rr.size, dim))
-        centers[:, 0] = rr
-    else:
-        ax = np.linspace(-CENTER_EXTENT, CENTER_EXTENT, CENTER_POINTS)
-        centers = np.stack(
-            np.meshgrid(*([ax] * dim), indexing="ij"), axis=-1
-        ).reshape(-1, dim)
+    ax = np.linspace(-CENTER_EXTENT, CENTER_EXTENT, CENTER_POINTS)
+    grids = np.meshgrid(*([ax] * dim), indexing="ij")
+    centers = np.stack(grids, axis=-1).reshape(-1, dim)
     best = math.inf
     best_at = (math.nan, None)
     for lam in KERNEL_WIDTHS:

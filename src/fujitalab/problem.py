@@ -201,8 +201,6 @@ def profile_min_rate(prof: ProfileSpec) -> float:
 
 
 def scale_profile(prof: ProfileSpec, factor: float) -> ProfileSpec:
-    if factor == 1.0:
-        return prof
     return ProfileSpec([(t.coefficient * factor, t.rate, t.center) for t in prof.terms])
 
 

@@ -156,8 +156,7 @@ def smoothing_check(f: GridField, a, b, t_list) -> list[SmoothingRow]:
     free-space one; on the box it holds comfortably for t small against the
     box diffusion time, which is the regime the tests probe.
     """
-    inv_a = 0.0 if a == math.inf else 1.0 / float(a)
-    inv_b = 0.0 if b == math.inf else 1.0 / float(b)
+    inv_a, inv_b = 1.0 / float(a), 1.0 / float(b)  # 0.0 at inf
     if inv_b > inv_a:
         raise ValueError("need a <= b")
     plan = HeatKernelPlan.for_field(f)

@@ -23,13 +23,13 @@ is the next state's.  It keeps a ping-pong pair for the state's spectrum and
 the summed one, one load spectrum, one complex scratch that takes each
 product and then the leading-axis passes of the inverse transform, one real
 load field, and one spare field that the attempt is transformed into and
-that trades places with the accepted state; ``_StepHeat`` holds the
-multipliers of the current step size only.  ``picard_solve`` keeps its n + 1
-node fields, a ``_StepHeat`` for its one step size, the accumulator, one
-load spectrum, one complex scratch for each product and the inverse
-transform's leading axes, one real load field, and one spare node field that
-each new node value is transformed into; the replaced node's buffer takes
-the sweep difference and becomes the next spare.
+that trades places with the accepted state; ``_StepHeat`` holds w's
+spectrum and the multipliers of the current step size only.
+``picard_solve`` keeps its n + 1 node fields, a ``_StepHeat`` for its one
+step size, the accumulator, one load spectrum, one complex scratch for each
+product and the inverse transform's leading axes, one real load field, and
+one spare node field that each new node value is transformed into; the
+replaced node's buffer takes the sweep difference and becomes the next spare.
 """
 
 from __future__ import annotations
@@ -192,15 +192,20 @@ def _forcing_weight(t_n: float, dt: float, rho: float) -> tuple[float, float]:
 
 
 class _StepHeat:
-    """The heat multipliers of one step size, held in place.
+    """Both routes' heat multipliers of one step size, held in place, and
+    their forcing term.
 
     ``hold(dt)`` fills m(dt), m(dt/2) and dt m(dt/2) when dt changes; the
     scalar dt is folded into the real multiplier before any complex product.
-    ``forcing`` writes W m(theta) into one scratch buffer.
+    ``add_forcing`` adds W m(theta) w_hat for the held step, w (None without
+    forcing) transformed once; ``counts`` is the plan's work since __init__.
     """
 
-    def __init__(self, plan: HeatKernelPlan):
+    def __init__(self, plan: HeatKernelPlan, w: GridField | None, rho: float):
         self.plan = plan
+        self.rho = rho
+        self.start = dict(plan.counts)
+        self.w_hat = plan.spectrum(w) if w is not None else None
         self.dt = None
         shape = plan.ksq.shape
         self.m_dt, self.m_half, self.dt_m_half, self.m_theta = (
@@ -214,13 +219,19 @@ class _StepHeat:
             self.plan.multiplier(dt / 2.0, out=self.m_half)
             np.multiply(self.m_half, dt, out=self.dt_m_half)
 
-    def forcing(self, weight: float, theta: float) -> np.ndarray:
-        """W m(theta), reusing m(dt/2) when theta is exactly dt/2."""
-        if theta == self.dt / 2.0:
-            return np.multiply(self.m_half, weight, out=self.m_theta)
-        self.plan.multiplier(theta, out=self.m_theta)
-        self.m_theta *= weight
-        return self.m_theta
+    def add_forcing(self, acc: np.ndarray, t: float, work: np.ndarray) -> None:
+        """acc += W m(theta) w_hat for the held step from t, made in work;
+        m(dt/2) is reused when theta is exactly dt/2.  No forcing adds nothing."""
+        if self.w_hat is None:
+            return
+        weight, theta = _forcing_weight(t, self.dt, self.rho)
+        m = self.m_half
+        if theta != self.dt / 2.0:
+            m = self.plan.multiplier(theta, out=self.m_theta)
+        acc += np.multiply(self.w_hat, np.multiply(m, weight, out=self.m_theta), out=work)
+
+    def counts(self) -> dict:
+        return {k: n - self.start[k] for k, n in self.plan.counts.items()}
 
 
 def _load_spectrum(spec, plan, u, out=None, work=None):
@@ -305,14 +316,12 @@ def run_from_fields(
         q0 = lq_norm(u0, spec.q)
     except BlowupSignal as exc:
         raise SpecFieldError("u0", f"q-norm overflows at q = {spec.q!r}") from exc
-    start = dict(plan.counts)
+    heat = _StepHeat(plan, w, spec.rho)
     t = 0.0
     u = u0
     u_hat, load_hat = plan.spectrum(u0), None  # a load is kept through retries
     out, load_buf, work = (np.empty_like(u_hat) for _ in range(3))
     load_field, spare = np.empty(u0.values.shape), np.empty(u0.values.shape)
-    w_hat = plan.spectrum(w) if w is not None else None
-    heat = _StepHeat(plan)
     dt = min(config.dt0, config.t_end)
     atol = 0.0
     if w is not None:
@@ -342,9 +351,7 @@ def run_from_fields(
                 load_hat = _load_spectrum(spec, plan, u, out=load_buf, work=load_field)
             np.multiply(u_hat, heat.m_dt, out=out)
             out += np.multiply(load_hat, heat.dt_m_half, out=work)
-            if w_hat is not None:
-                weight, theta = _forcing_weight(t, dt_step, spec.rho)
-                out += np.multiply(w_hat, heat.forcing(weight, theta), out=work)
+            heat.add_forcing(out, t, work)
             u_new = plan.field(out, out=spare, work=work)
             sup_new = lq_norm(u_new, math.inf)
             q_new = lq_norm(u_new, spec.q)
@@ -383,7 +390,7 @@ def run_from_fields(
     if blowup_by is not None:
         metadata["blowup_by"] = blowup_by
     metadata["rejections"] = rejections
-    metadata["counts"] = {k: n - start[k] for k, n in plan.counts.items()}
+    metadata["counts"] = heat.counts()
     return TrajectoryRecord(times, q_norms, sup_norms, dt_history, verdict, metadata,
                             terminal=u)
 
@@ -391,7 +398,7 @@ def run_from_fields(
 def _run_metadata(spec, config, u0) -> dict:
     min_rate = min(profile_min_rate(spec.u0), profile_min_rate(spec.w))
     L = u0.half_width
-    trunc = 0.0 if math.isinf(min_rate) else math.exp(-(L**2) * min_rate)
+    trunc = math.exp(-(L**2) * min_rate)  # 0.0 without terms, where min_rate is inf
     return {
         "spec": spec.to_json_dict(),
         "spec_hash": spec.spec_hash(),
@@ -438,9 +445,9 @@ def picard_solve(
     S(dt) (G_j + dt/2 N_j) + dt/2 N_{j+1} + W_j S(theta_j) w_hat, and node
     j+1 is the field of G_{j+1}; the first node values march it without
     loads.  Unrolled it is the same sums, at O(n) spectral operations per
-    sweep.  S(dt) and each node's forcing factor W_j S(theta_j) come from
-    the stepper's ``_StepHeat``, the factor made afresh whenever the march
-    reaches its node.  u0 and w are never written.
+    sweep.  S(dt) and each node's forcing term W_j S(theta_j) w_hat come
+    from ``_StepHeat``, which also forms the stepper's, the term made afresh
+    whenever the march reaches its node.  u0 and w are never written.
 
     Stops when sweeps differ by less than PICARD_TOL in sup-over-grid q-norm.
     Raises NonContractionError once the difference has not fallen for three
@@ -457,19 +464,12 @@ def picard_solve(
         raise ValueError(f"fixed-point hypotheses fail: {rep.failed()}")
     if plan is None:
         plan = HeatKernelPlan.for_field(u0)
-    start = dict(plan.counts)
     dt = T / nodes
-    heat = _StepHeat(plan)
+    heat = _StepHeat(plan, w, spec.rho)
     heat.hold(dt)  # S(dt) is heat.m_dt
     u0_hat = plan.spectrum(u0)
     acc, load, work = (np.empty_like(u0_hat) for _ in range(3))
     load_field, spare = np.empty(u0.values.shape), np.empty(u0.values.shape)
-    w_hat = plan.spectrum(w) if w is not None else None
-
-    def forcing(j):
-        """W_j S(theta_j) w_hat, into work."""
-        return np.multiply(heat.forcing(*_forcing_weight(j * dt, dt, spec.rho)), w_hat,
-                           out=work)
 
     def half_load(u, out=None):
         out = _load_spectrum(spec, plan, u, out=out, work=load_field)
@@ -480,8 +480,7 @@ def picard_solve(
     np.copyto(acc, u0_hat)
     for j in range(nodes):
         acc *= heat.m_dt
-        if w_hat is not None:
-            acc += forcing(j)
+        heat.add_forcing(acc, j * dt, work)
         states.append(plan.field(acc, work=work))
     load0 = half_load(u0)
     diffs = []
@@ -496,8 +495,7 @@ def picard_solve(
             acc *= heat.m_dt
             left = half_load(old, out=load)  # the right end, and the next left
             acc += left
-            if w_hat is not None:
-                acc += forcing(j - 1)
+            heat.add_forcing(acc, (j - 1) * dt, work)
             new = plan.field(acc, out=spare, work=work)
             # old's buffer takes the difference, then becomes the next spare
             diff = np.subtract(new.values, old.values, out=old.values)
@@ -512,8 +510,7 @@ def picard_solve(
         raise IterationLimitError(
             f"no convergence in {PICARD_MAX_SWEEPS} sweeps (last diff {diffs[-1]:.3e})"
         )
-    counts = {k: n - start[k] for k, n in plan.counts.items()}
-    return PicardResult(states[-1], len(diffs), tuple(diffs), counts)
+    return PicardResult(states[-1], len(diffs), tuple(diffs), heat.counts())
 
 
 @dataclass(frozen=True)

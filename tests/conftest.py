@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import fujitalab
+from fujitalab.field import GridField
 
 
 @pytest.fixture(autouse=True, scope="session")
@@ -24,3 +25,23 @@ def zero_load(monkeypatch):
         return f.with_values(np.zeros_like(f.values))
 
     monkeypatch.setattr("fujitalab.solver.nonlinearity", zero)
+
+
+@pytest.fixture
+def band_limited():
+    """Builder of a random real trigonometric polynomial with modes |k| <= kmax,
+    scaled to sup 1."""
+
+    def build(dim, half_width, M, seed, kmax=5):
+        rng = np.random.default_rng(seed)
+        spec = np.fft.fftn(rng.standard_normal((M,) * dim))
+        idx = np.fft.fftfreq(M) * M
+        mask = np.ones((M,) * dim, dtype=bool)
+        for d in range(dim):
+            shape = [1] * dim
+            shape[d] = M
+            mask &= np.abs(idx).reshape(shape) <= kmax
+        vals = np.real(np.fft.ifftn(np.where(mask, spec, 0.0)))
+        return GridField(dim, half_width, vals / np.max(np.abs(vals)))
+
+    return build

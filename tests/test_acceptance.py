@@ -130,27 +130,14 @@ def test_criterion_04_gaussian_identities():
 
 # --------------------------------------------------------------- criterion 5
 
-def _band_limited(dim, half_width, M, seed, kmax=5):
-    rng = np.random.default_rng(seed)
-    spec = np.fft.fftn(rng.standard_normal((M,) * dim))
-    idx = np.fft.fftfreq(M) * M
-    mask = np.ones((M,) * dim, dtype=bool)
-    for d in range(dim):
-        shape = [1] * dim
-        shape[d] = M
-        mask &= np.abs(idx).reshape(shape) <= kmax
-    vals = np.real(np.fft.ifftn(np.where(mask, spec, 0.0)))
-    return GridField(dim, half_width, vals / np.max(np.abs(vals)))
-
-
-def test_criterion_05_semigroup_suite():
+def test_criterion_05_semigroup_suite(band_limited):
     t0 = time.perf_counter()
     t_list = (0.1, 1.0, 10.0)
     norms = (1.0, 2.0, math.inf)
     checks = 0
     for dim, M in ((1, 256), (2, 128)):
         gauss = fl.sample(_gauss(1.0, 1.0, dim), dim, 16.0, M)
-        rough = _band_limited(dim, 16.0, M, seed=dim)
+        rough = band_limited(dim, 16.0, M, seed=dim)
         # nonnegative smooth variant for the positivity check
         shifted = rough.with_values(rough.values - rough.values.min() + 0.5)
         for f in (gauss, rough, shifted):

@@ -255,6 +255,22 @@ def test_sweep_turns_a_failing_point_into_an_error_row(tmp_path, capsys, monkeyp
     assert "sweep point 1 failed" in captured.err and "step budget exhausted" in captured.err
 
 
+def test_sweep_runs_a_point_whose_ell_is_below_one(tmp_path, capsys):
+    # the window is nonempty but ell = 0.9019: the point is a gap, not a
+    # small-data point whose L^ell rescaling would refuse ell < 1
+    spec = _write_spec(tmp_path, {
+        "dim": 2, "p": 2.2875, "q": 1.875, "alpha": 0.5, "rho": -0.70625,
+        "u0": {"kind": "gaussian_sum", "terms": [[1.0, 1.0, [0.0, 0.0]]]},
+        "w": {"kind": "gaussian_sum", "terms": [[0.5, 1.0, [0.0, 0.0]]]},
+    })
+    assert main(["sweep", "--spec", spec, "--axis", "alpha=0.5:0.5:1",
+                 "--t-end", "0.5", "--points", "32"]) == 0
+    captured = capsys.readouterr()
+    assert [r[5:8] for r in _sweep_rows(captured.out)] == [
+        ["gap", "blowup_detected", "not_applicable"]]
+    assert "error" not in captured.out and captured.err == ""
+
+
 def test_sweep_two_axes_and_inadmissible_rows(tmp_path, capsys):
     spec = _write_spec(tmp_path, SWEEP_SPEC)
     assert main(["sweep", "--spec", spec,
@@ -306,6 +322,9 @@ def test_sweep_axis_validation(tmp_path, capsys):
     spec = _write_spec(tmp_path, SWEEP_SPEC)
     assert main(["sweep", "--spec", spec, "--axis", "banana=1:2:2"]) == 1
     assert main(["sweep", "--spec", spec]) == 1  # no axis
+    capsys.readouterr()
+    assert main(["sweep", "--spec", spec, "--axis", "p=1:2:0"]) == 1
+    assert capsys.readouterr().err == "error: bad --axis 'p=1:2:0': axis count must be >= 1\n"
     assert main(["sweep", "--spec", spec, "--axis", "p=1:2:2",
                  "--axis", "q=1:2:2", "--axis", "rho=-0.5:0:2"]) == 1
     capsys.readouterr()

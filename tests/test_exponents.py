@@ -67,6 +67,7 @@ def test_worked_point_exact():
     assert win.nonempty and win.contains_r(4)
     assert beta(WORKED["N"], gep.p_c, Fr(4)) == Fr(1, 4)
     assert gep.admissible
+    assert gep.conditions["lebesgue_exponents"]  # ell = 1 is a Lebesgue exponent
 
 
 def test_delta_sigma_values():
@@ -188,6 +189,8 @@ def test_window_structure():
 def test_gep_denominator_errors():
     with pytest.raises(ValueError):
         gep_exponents(1, 2.0, 1.0, 0.0, -0.5)  # p_c denominator is 0 at q=1, alpha=0
+    with pytest.raises(ValueError, match="window denominators"):
+        r_window(3, 1.0, 2.0, 0.0, -0.5)  # (p-1)(q-1) + q*delta is 0 at p=1, alpha=0
 
 
 def _spec(N, p, q, alpha, rho, w_coeff=0.0):
@@ -201,8 +204,15 @@ def test_classify_regimes():
     assert classify(_spec(3, 1.5, 2.0, 0.0, -0.5, w_coeff=1.0)) is Regime.BLOWUP
     # same point without forcing mass cannot be certified as blow-up
     assert classify(_spec(3, 1.5, 2.0, 0.0, -0.5)) is Regime.GAP
+    # criterion 1's point, where ell is exactly 1
     assert classify(_spec(2, 3.0, 3.0, 0.0, -0.5)) is Regime.GLOBAL_SMALL_DATA
     assert classify(_spec(3, 3.5, 2.0, 0.0, -0.25, w_coeff=1.0)) is Regime.GAP
+    # a nonempty window, but ell = 0.9019 < 1: the data cannot be measured in
+    # L^ell, so the small-data theorem does not speak
+    gep = gep_exponents(2, 2.2875, 1.875, 0.5, -0.70625)
+    assert gep.ell < 1 and not gep.conditions["lebesgue_exponents"]
+    assert r_window(2, 2.2875, 1.875, 0.5, -0.70625).nonempty
+    assert classify(_spec(2, 2.2875, 1.875, 0.5, -0.70625, w_coeff=0.5)) is Regime.GAP
 
 
 def test_exponent_report_table_and_json():

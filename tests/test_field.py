@@ -144,6 +144,8 @@ def test_geometry_validation():
         GridField(1, 8.0, np.zeros(17))  # not a power of two
     with pytest.raises(ValueError):
         GridField(2, 8.0, np.zeros((8, 16)))  # ragged
+    with pytest.raises(ValueError, match="values must be 2-dimensional"):
+        GridField(2, 8.0, np.zeros(16))
     with pytest.raises(ValueError):
         GridField(1, -1.0, np.zeros(16))
     with pytest.raises(ValueError):

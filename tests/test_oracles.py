@@ -125,7 +125,7 @@ def test_ml_remainder_bound_is_honest():
         assert res.terms_used > 3
 
 
-def test_ml_domain_errors():
+def test_ml_domain_errors(monkeypatch):
     with pytest.raises(ValueError):
         mittag_leffler(0.0, 1.0)
     with pytest.raises(ValueError):
@@ -134,6 +134,11 @@ def test_ml_domain_errors():
         mittag_leffler(0.5, -1.0)
     with pytest.raises(SeriesDivergenceError):
         mittag_leffler(0.5, 40.0)
+    with pytest.raises(SeriesDivergenceError, match="partial sums overflow"):
+        mittag_leffler(1.0, 710.0)
+    monkeypatch.setattr(oracles, "ML_MAX_TERMS", 2)
+    with pytest.raises(SeriesDivergenceError, match="no convergence within 2 terms"):
+        mittag_leffler(1.0, 1.0)
 
 
 def test_gronwall_bound_shape():
@@ -452,6 +457,10 @@ def test_oracles_refuse_inputs_outside_their_domain():
         for args in ((bad, 1.0, 0.5, 1.0), (1.0, bad, 0.5, 1.0), (1.0, 1.0, 0.5, bad)):
             with pytest.raises(ValueError, match="need A, M, t >= 0 and finite"):
                 gronwall_bound(*args)
+    with pytest.raises(ValueError, match=r"sigma must be in \[0, 1\)"):
+        gronwall_bound(1, 1, 1.0, 1)
+    with pytest.raises(ValueError, match="simpson needs an odd number of nodes"):
+        oracles._simpson(np.ones(4), 1.0)
 
 
 def test_cutoff_constant_is_t_stable():
@@ -486,6 +495,17 @@ def test_w_condition_off_center_uses_box_grid():
     rep = w_condition_check(w, 2)
     assert rep.holds_kernel_nonneg and rep.integral_positive
     assert len(rep.argmin) == 2
+    # positive mass, negative for |x| > 15.2: the box corners see it, a ray
+    # along one axis does not, so a centred profile takes the same box scan
+    # as its twin moved by 1e-9
+    reps = [
+        w_condition_check(
+            ProfileSpec.gaussian_sum([(1.0, 0.02, (s, s)), (-0.1, 0.01, (s, s))]), 2)
+        for s in (0.0, 1e-9)
+    ]
+    assert [(r.holds_kernel_nonneg, r.integral_positive) for r in reps] == [(False, True)] * 2
+    assert reps[0].min_kernel_average == -0.020366372957225765
+    assert reps[0].argmin == (4.923882631706742, (-12.0, -12.0))
 
 
 # ----------------------------------------------------- scaling certificate

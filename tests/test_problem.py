@@ -168,6 +168,7 @@ def test_malformed_fields_raise_spec_field_error():
         ({"dim": 1.5}, ("dim", "must be an integer")),
         ({"dim": math.nan}, ("dim", "must be an integer")),
         ({"dim": math.inf}, ("dim", "must be an integer")),
+        ({"u0": [1.0, 1.0, [0.0]]}, ("u0", "profile must be an object")),
         ({"u0": {"kind": "wavelets"}},
          ("u0.kind", "must be one of ('gaussian_sum', 'zero')")),
         ({"u0": {"kind": "gaussian_sum", "terms": "nope"}}, ("u0.terms", "must be a list")),

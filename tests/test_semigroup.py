@@ -13,7 +13,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from fujitalab.field import GridField, lq_norm, sample
+from fujitalab.field import lq_norm, sample
 from fujitalab.problem import ProfileSpec
 from fujitalab.semigroup import (
     HeatKernelPlan,
@@ -24,20 +24,6 @@ from fujitalab.semigroup import (
     smoothing_check,
 )
 from fujitalab.solver import SolverConfig, run_from_fields
-
-
-def _band_limited(dim, half_width, M, seed, kmax=5):
-    """Random real trigonometric polynomial with modes |k| <= kmax, sup ~ 1."""
-    rng = np.random.default_rng(seed)
-    spec = np.fft.fftn(rng.standard_normal((M,) * dim))
-    idx = np.fft.fftfreq(M) * M
-    mask = np.ones((M,) * dim, dtype=bool)
-    for d in range(dim):
-        shape = [1] * dim
-        shape[d] = M
-        mask &= np.abs(idx).reshape(shape) <= kmax
-    vals = np.real(np.fft.ifftn(np.where(mask, spec, 0.0)))
-    return GridField(dim, half_width, vals / np.max(np.abs(vals)))
 
 
 def test_gaussian_evolves_in_closed_form():
@@ -57,8 +43,8 @@ def test_gaussian_evolves_in_closed_form():
             assert err < 1e-10, (dim, t, err)
 
 
-def test_semigroup_law():
-    f = _band_limited(2, 16.0, 64, seed=1)
+def test_semigroup_law(band_limited):
+    f = band_limited(2, 16.0, 64, seed=1)
     plan = HeatKernelPlan.for_field(f)
     two_step = apply(plan, apply(plan, f, 0.3), 0.7)
     one_step = apply(plan, f, 1.0)
@@ -82,23 +68,24 @@ def test_multipliers_are_not_kept_per_t():
     assert kept < 2 * plan.ksq.nbytes
 
 
-def test_apply_refuses_negative_and_non_finite_t():
+def test_apply_refuses_negative_and_non_finite_t(band_limited):
     # inf would also warn from 0 * inf at k = 0 before the blow-up check;
     # the dense oracle would fail to count its images for nan and inf
-    f = _band_limited(1, 8.0, 32, seed=0)
+    f = band_limited(1, 8.0, 32, seed=0)
     plan = HeatKernelPlan.for_field(f)
     for t in (-1e-3, -math.inf, math.inf, math.nan):
         with pytest.raises(ValueError, match="t must be >= 0 and finite"):
             apply(plan, f, t)
         with pytest.raises(ValueError, match="t must be >= 0 and finite"):
             apply_direct(f, t)
+    assert apply_direct(f, 0.0) is f
 
 
-def test_field_is_irfftn_bit_for_bit():
+def test_field_is_irfftn_bit_for_bit(band_limited):
     # ifft over each leading axis, then irfft of the last: irfftn's own steps
     for dim, M in ((1, 64), (2, 32), (3, 16)):
         plan = HeatKernelPlan(dim, M, 8.0)
-        h = plan.spectrum(_band_limited(dim, 8.0, M, seed=dim)) * plan.multiplier(0.1)
+        h = plan.spectrum(band_limited(dim, 8.0, M, seed=dim)) * plan.multiplier(0.1)
         before = h.copy()
         ref = np.fft.irfftn(h, s=(M,) * dim, axes=range(dim))
         assert np.array_equal(plan.field(h).values, ref)
@@ -109,11 +96,11 @@ def test_field_is_irfftn_bit_for_bit():
         assert np.array_equal(h, before)
 
 
-def test_field_in_work_allocates_no_spectrum_sized_temporary():
+def test_field_in_work_allocates_no_spectrum_sized_temporary(band_limited):
     # irfftn makes a complex temporary per leading axis (558,856 B peak at
     # 32^3); with work given the inverse takes none
     plan = HeatKernelPlan(3, 32, 16.0)
-    h = plan.spectrum(_band_limited(3, 16.0, 32, seed=4))
+    h = plan.spectrum(band_limited(3, 16.0, 32, seed=4))
     out, work = np.empty((32,) * 3), np.empty_like(h)
     plan.field(h, out=out, work=work)
     tracemalloc.start()
@@ -139,8 +126,8 @@ def test_mass_conservation_and_positivity():
             assert g.values.min() >= -1e-10 * g.values.max()
 
 
-def test_lp_contraction():
-    f = _band_limited(1, 16.0, 256, seed=2)
+def test_lp_contraction(band_limited):
+    f = band_limited(1, 16.0, 256, seed=2)
     plan = HeatKernelPlan.for_field(f)
     for a in (1.0, 2.0, math.inf):
         before = lq_norm(f, a)
@@ -148,7 +135,7 @@ def test_lp_contraction():
             assert lq_norm(apply(plan, f, t), a) <= before * (1 + 1e-12)
 
 
-def test_spectral_matches_direct_kernel():
+def test_spectral_matches_direct_kernel(band_limited):
     # dense periodized-kernel quadrature is the slow reference; its trapezoid
     # sum needs h^2/(4t) well resolved, hence the grid sizes
     cases = [
@@ -156,7 +143,7 @@ def test_spectral_matches_direct_kernel():
         (2, 64, (0.5, 2.0)),
     ]
     for dim, M, ts in cases:
-        for seed, builder in ((3, _band_limited), (None, None)):
+        for seed, builder in ((3, band_limited), (None, None)):
             if builder is None:
                 f = sample(ProfileSpec.gaussian(1.0, 1.0, (0.0,) * dim), dim, 16.0, M)
             else:

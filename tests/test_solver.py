@@ -20,6 +20,7 @@ from fujitalab.solver import (
     IterationLimitError,
     NonContractionError,
     SolverConfig,
+    TrajectoryRecord,
     Verdict,
     picard_solve,
     run,
@@ -575,6 +576,13 @@ def test_solver_config_rejects_out_of_range_settings():
                 {"dt0": math.inf}, {"t_end": math.inf}):
         with pytest.raises(ValueError):
             SolverConfig(**bad)
+    with pytest.raises(ValueError, match="need 0 < min_dt <= dt0"):
+        SolverConfig(dt0=0.1, min_dt=1.0)
+    # a record refuses columns that do not line up the same way
+    with pytest.raises(ValueError, match="trajectory columns must have equal length"):
+        TrajectoryRecord([0.0, 1.0], [1.0], [1.0, 1.0], [0.0, 1.0], Verdict.COMPLETED)
+    with pytest.raises(ValueError, match="times must be strictly increasing"):
+        TrajectoryRecord([0.0, 0.0], [1.0] * 2, [1.0] * 2, [0.0, 1.0], Verdict.COMPLETED)
 
 
 def test_picard_needs_two_nodes():
