@@ -21,11 +21,12 @@ import numpy as np
 
 from .exponents import blowup_criterion, certificate_exponent, delta
 from .problem import (
+    KERNEL_AVERAGE_TOL,
     ProfileSpec,
-    gaussian_weighted_integral,
     profile_integral,
     profile_min_rate,
     profile_on_axis,
+    profile_sign,
 )
 
 __all__ = [
@@ -45,10 +46,6 @@ CONTRACTION_DRAWS = 100_000       # random (a, b, x, y) draws per contraction st
 ML_MAX_TERMS = 100_000            # Mittag-Leffler series terms before giving up
 CUTOFF_THETA = 4.0                # power of the cutoff in g(|x|^2/T)^theta
 CUTOFF_MIN_ORDER = 1.6            # finite-difference order the cutoff check demands
-KERNEL_WIDTHS = np.logspace(-3, 6, 40)  # Gaussian kernel widths lambda scanned
-CENTER_EXTENT = 12.0              # kernel centers cover [-12, 12]^dim
-CENTER_POINTS = 25                # centers per axis of that box
-KERNEL_AVERAGE_TOL = 1e-10        # slack for "kernel average >= 0"
 CERT_T_LIST = (1e2, 1e3, 1e4)     # scales T of the certificate's slope fits
 CERT_TIME_POINTS = 4097           # Simpson nodes of the time cutoff
 CERT_RADIAL_POINTS = 4097         # Simpson nodes of the radial space factor
@@ -411,40 +408,27 @@ def cutoff_laplacian_check(
 
 @dataclass(frozen=True)
 class WConditionReport:
-    min_kernel_average: float
-    argmin: tuple
+    """``holds_kernel_nonneg`` is True when ``profile_sign`` says yes;
+    ``witness`` is its point where w < -KERNEL_AVERAGE_TOL when it says no,
+    so False with no witness means undecided."""
+
     holds_kernel_nonneg: bool
+    witness: tuple | None
     integral: float
     integral_positive: bool
 
 
 def w_condition_check(w: ProfileSpec, dim: int) -> WConditionReport:
-    """Grid certificate for the two forcing conditions.
-
-    Scans the closed-form Gaussian-kernel averages
-    integral exp(-|x-y|^2/lambda) w(y) dy over the widths KERNEL_WIDTHS
-    (log-spaced 1e-3..1e6) and centers x in the box [-CENTER_EXTENT,
-    CENTER_EXTENT]^dim, reporting the minimum; the first condition asks it
-    to be nonnegative (to KERNEL_AVERAGE_TOL) for every width and center.
-    The centers are the CENTER_POINTS^dim nodes of that box for every
-    profile.  The second is plain positivity of the total integral.
+    """Certificate for the two forcing conditions: every Gaussian-kernel
+    average integral exp(-|x-y|^2/lambda) w(y) dy is >= 0, which holds just
+    when w >= 0 (the averages tend to (pi*lambda)^(dim/2) w(x) as lambda -> 0)
+    and which ``problem.profile_sign`` decides; and the total integral is > 0.
     """
-    ax = np.linspace(-CENTER_EXTENT, CENTER_EXTENT, CENTER_POINTS)
-    grids = np.meshgrid(*([ax] * dim), indexing="ij")
-    centers = np.stack(grids, axis=-1).reshape(-1, dim)
-    best = math.inf
-    best_at = (math.nan, None)
-    for lam in KERNEL_WIDTHS:
-        total = gaussian_weighted_integral(w, dim, 1.0 / lam, centers)
-        i = int(np.argmin(total))
-        if total[i] < best:
-            best = float(total[i])
-            best_at = (float(lam), tuple(float(c) for c in centers[i]))
+    nonneg, witness = profile_sign(w, dim)
     integral = profile_integral(w, dim)
     return WConditionReport(
-        min_kernel_average=best,
-        argmin=best_at,
-        holds_kernel_nonneg=best >= -KERNEL_AVERAGE_TOL,
+        holds_kernel_nonneg=nonneg is True,
+        witness=witness,
         integral=integral,
         integral_positive=integral > 0,
     )
@@ -732,21 +716,21 @@ def _lemma_w_condition():
     mixed = ProfileSpec.gaussian_sum(
         [(0.8, 1.0, (0.0,)), (-1.0, 2.0, (0.0,))])
     rep_mixed = w_condition_check(mixed, dim=1)
-    # independent quadrature of the worst kernel average found
-    lam, x0 = rep_mixed.argmin
-    yy = np.linspace(-30.0, 30.0, 6_001)
-    wvals = 0.8 * np.exp(-yy**2) - np.exp(-2.0 * yy**2)
-    direct = float(np.trapezoid(
-        np.exp(-((x0[0] - yy) ** 2) / lam) * wvals, yy))
+    # independent checks: w evaluated directly at the witness, and a dense
+    # sample of the good profile that must not contradict its yes
+    x0 = rep_mixed.witness[0] if rep_mixed.witness else math.nan
+    direct = 0.8 * math.exp(-x0**2) - math.exp(-2.0 * x0**2)
+    dense = float(np.min(np.exp(-np.linspace(-30.0, 30.0, 6_001) ** 2)))
     ok = (
         rep_good.holds_kernel_nonneg
         and rep_good.integral_positive
+        and dense >= -KERNEL_AVERAGE_TOL
         and rep_mixed.integral_positive
         and not rep_mixed.holds_kernel_nonneg
-        and abs(direct - rep_mixed.min_kernel_average) <= 1e-8
+        and direct < -KERNEL_AVERAGE_TOL
     )
-    return ok, (f"good min {rep_good.min_kernel_average:.2e}; mixed min "
-                f"{rep_mixed.min_kernel_average:.6e} vs quadrature {direct:.6e}")
+    return ok, (f"good: yes, dense min {dense:.2e}; mixed: no, "
+                f"w({x0:g}) = {direct:.6e}")
 
 
 def _lemma_certificate_scaling():

@@ -29,6 +29,8 @@ __all__ = [
 ]
 
 PROFILE_KINDS = ("gaussian_sum", "zero")
+KERNEL_AVERAGE_TOL = 1e-10  # profile_sign's slack: w >= 0 means w >= -KERNEL_AVERAGE_TOL
+SIGN_BOXES = 1 << 14        # boxes after which profile_sign's branch and bound stops
 
 
 class SpecFieldError(ValueError):
@@ -172,25 +174,22 @@ def gaussian_weighted_integral(
 
     Gaussian-times-Gaussian integrates to
     (pi/(rate+r))^(dim/2) * exp(-(rate*r/(rate+r)) * |center - c|^2) per term.
-    ``center`` may also be an array of centres with the space dimension on
-    the last axis; the result is then an array shaped like ``center``
-    without that axis, and a float for one centre.  A term whose centre does
-    not have ``dim`` coordinates raises ValueError.
+    A term centre or ``center`` without ``dim`` coordinates raises ValueError.
     """
     if rate <= 0:
         raise ValueError("weight rate must be positive")
     _check_centers(prof, dim)
-    if center is None:
-        center = (0.0,) * dim
-    center = np.asarray(center, dtype=float)
-    total = np.zeros(center.shape[:-1])
+    center = np.zeros(dim) if center is None else np.asarray(center, dtype=float)
+    if center.shape != (dim,):
+        raise ValueError(f"weight center must have dim {dim}")
+    total = 0.0
     for t in prof.terms:
         s = rate + t.rate
-        d2 = np.sum((center - np.asarray(t.center)) ** 2, axis=-1)
+        d2 = np.sum((center - np.asarray(t.center)) ** 2)
         total += t.coefficient * (math.pi / s) ** (dim / 2) * np.exp(
             -(rate * t.rate / s) * d2
         )
-    return total if center.ndim > 1 else float(total)
+    return float(total)
 
 
 def profile_min_rate(prof: ProfileSpec) -> float:
@@ -198,6 +197,62 @@ def profile_min_rate(prof: ProfileSpec) -> float:
     if not prof.terms:
         return math.inf
     return min(t.rate for t in prof.terms)
+
+
+def profile_sign(prof: ProfileSpec, dim: int) -> tuple:
+    """(True, None) if the profile is >= -KERNEL_AVERAGE_TOL on all of R^dim,
+    (False, x) with a point x where it is below that, else (None, None), by
+    range bounds and branch and bound as in Moore, Kearfott & Cloud,
+    *Introduction to Interval Analysis* (SIAM, 2009).
+
+    Merged by rate and centre, a sum with no negative coefficient is >= 0.
+    Else a sole least-rate term c0 exp(-a|x - y0|^2) fixes the far field:
+    past the radius R about y0 where each of the m opposite-sign terms is
+    <= |c0| exp(-a r^2)/(2m), the sum has c0's sign and half its size, so a
+    negative c0 is refuted at y0 + R e_1 if the sum is below the slack there.
+    On the cube y0 +- R a box's lower bound takes positive terms at their
+    farthest point and negative ones at their nearest; a midpoint below the
+    slack refutes, a box whose bound is not below it is certified, and the
+    rest split along their widest side.  Least rates at distinct centres, a
+    search past SIGN_BOXES boxes, or a negative c0 not refuted give undecided.
+    A term centre of another dimension raises ValueError.
+    """
+    _check_centers(prof, dim)
+    merged = {}
+    for t in prof.terms:
+        merged[t.rate, t.center] = merged.get((t.rate, t.center), 0.0) + t.coefficient
+    terms = sorted((r, c, y) for (r, y), c in merged.items() if c != 0.0)
+    if all(c > 0 for _, c, _ in terms):
+        return True, None
+    (a, c0, y0), *rest = terms
+    if rest and rest[0][0] == a:
+        return None, None
+    other = [(abs(c), b, math.dist(y, y0)) for b, c, y in rest if c * c0 < 0]
+    R = max(((b * d + math.sqrt(max(0.0, a * b * d * d + (b - a) * (
+        math.log(2 * len(other) * c) - math.log(abs(c0)))))) / (b - a)
+        for c, b, d in other), default=0.0)
+    if not math.isfinite(R):
+        return None, None
+    B, C, Y = (np.array(v) for v in zip(*terms))
+    mid, half = np.array([y0]), np.full((1, dim), R)
+    if c0 < 0:  # the far-field witness, as a box of width 0
+        mid, half = np.vstack([mid, mid + R * np.eye(dim)[0]]), np.vstack([half, 0 * half])
+    used = 0
+    while len(mid) and (used := used + len(mid)) <= SIGN_BOXES:
+        vals = (C * np.exp(-B * np.sum((mid[:, None] - Y) ** 2, axis=-1))).sum(axis=1)
+        i = int(np.argmin(vals))
+        if vals[i] < -KERNEL_AVERAGE_TOL:
+            return False, tuple(float(v) for v in mid[i])
+        gap, h = np.abs(mid[:, None] - Y), half[:, None]
+        reach = np.where((C > 0)[:, None], gap + h, np.maximum(gap - h, 0.0))
+        keep = (C * np.exp(-B * np.sum(reach**2, axis=-1))).sum(axis=1) < -KERNEL_AVERAGE_TOL
+        mid, half = mid[keep], half[keep]
+        rows, axis = np.arange(len(mid)), np.argmax(half, axis=1)
+        half[rows, axis] /= 2
+        step = np.zeros_like(mid)
+        step[rows, axis] = half[rows, axis]
+        mid, half = np.concatenate([mid - step, mid + step]), np.concatenate([half, half])
+    return (True if c0 > 0 and not len(mid) else None), None
 
 
 def scale_profile(prof: ProfileSpec, factor: float) -> ProfileSpec:

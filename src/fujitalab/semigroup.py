@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .field import GridField, lq_norm
-from .problem import ProfileSpec, gaussian_weighted_integral, profile_on_axis
+from .problem import ProfileSpec, gaussian_weighted_integral, profile_sign
 
 __all__ = [
     "HeatKernelPlan",
@@ -210,18 +210,18 @@ def comparison_lower_bound(
 
     C = pi^(dim/(2q)) * q^(-dim/(2q)) * C0 with C0 from the kernel-weighted
     integral of the data profile u0; q = inf gives C0 and decay dim/2.
-    Preconditions (nonnegative data; forcing whose kernel averages are
-    certified nonnegative by the caller) turn into a skipped report, not a
-    failure.  ``traj`` is anything carrying ``times`` and ``q_norms``
-    sequences.
+    Preconditions turn into a skipped report, not a failure: forcing whose
+    kernel averages the caller certified nonnegative, and data u0 that
+    ``problem.profile_sign`` proves nonnegative (a refuted sign and an
+    undecided one are skipped with different reasons).  ``traj`` is
+    anything carrying ``times`` and ``q_norms`` sequences.
     """
     if not forcing_certified:
         return LowerBoundReport((), True, skipped="forcing condition not certified")
-    # about 769^2 probe points in any dimension: 769 per axis in 1-D and
-    # 2-D, 83 in 3-D, so the probe values take about 5 MB
-    probe = np.linspace(-24.0, 24.0, min(769, int(769 ** (2 / dim))))
-    if float(np.min(profile_on_axis(u0, dim, probe))) < -1e-12:
-        return LowerBoundReport((), True, skipped="data is not nonnegative")
+    nonneg, _ = profile_sign(u0, dim)
+    if not nonneg:
+        why = "data sign undecided" if nonneg is None else "data is not nonnegative"
+        return LowerBoundReport((), True, skipped=why)
     # at q = inf, (pi/q)^(dim/(2q)) is 0.0 ** 0.0 = 1.0 and 1/q is 0.0
     const = (math.pi / q) ** (dim / (2.0 * q)) * kernel_weight_constant(u0, dim)
     decay = (dim / 2.0) * (1.0 - 1.0 / q)

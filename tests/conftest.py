@@ -45,3 +45,16 @@ def band_limited():
         return GridField(dim, half_width, vals / np.max(np.abs(vals)))
 
     return build
+
+
+@pytest.fixture
+def gauss_sum():
+    """Hand-written reference: sum of c * exp(-a |x - y|^2) over raw (c, a, y)
+    rows, at a point x or at points with the space dimension on the last axis."""
+
+    def at(rows, x):
+        x = np.asarray(x, dtype=float)
+        return sum(c * np.exp(-a * np.sum((x - np.asarray(y)) ** 2, axis=-1))
+                   for c, a, y in rows)
+
+    return at

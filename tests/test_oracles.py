@@ -479,33 +479,40 @@ def test_w_condition_positive_gaussian():
     rep = w_condition_check(w, 1)
     assert rep.holds_kernel_nonneg and rep.integral_positive
     assert rep.integral == pytest.approx(0.5 * math.sqrt(math.pi), rel=1e-12)
-    assert rep.min_kernel_average >= -1e-10
+    assert rep.witness is None
 
 
-def test_w_condition_mixed_sign_fails_kernel_positivity():
-    w = ProfileSpec.gaussian_sum([(0.8, 1.0, (0.0,)), (-1.0, 2.0, (0.0,))])
-    rep = w_condition_check(w, 1)
+def test_w_condition_mixed_sign_fails_kernel_positivity(gauss_sum):
+    rows = [(0.8, 1.0, (0.0,)), (-1.0, 2.0, (0.0,))]
+    rep = w_condition_check(ProfileSpec.gaussian_sum(rows), 1)
     assert not rep.holds_kernel_nonneg
     assert rep.integral_positive  # positive total mass is not enough
-    assert rep.min_kernel_average < 0
+    assert gauss_sum(rows, rep.witness) < 0
 
 
-def test_w_condition_off_center_uses_box_grid():
+def test_w_condition_decides_off_centre_and_far_field_profiles(gauss_sum):
     w = ProfileSpec.gaussian_sum([(0.5, 1.0, (1.0, -2.0))])
     rep = w_condition_check(w, 2)
-    assert rep.holds_kernel_nonneg and rep.integral_positive
-    assert len(rep.argmin) == 2
-    # positive mass, negative for |x| > 15.2: the box corners see it, a ray
-    # along one axis does not, so a centred profile takes the same box scan
-    # as its twin moved by 1e-9
-    reps = [
-        w_condition_check(
-            ProfileSpec.gaussian_sum([(1.0, 0.02, (s, s)), (-0.1, 0.01, (s, s))]), 2)
-        for s in (0.0, 1e-9)
-    ]
-    assert [(r.holds_kernel_nonneg, r.integral_positive) for r in reps] == [(False, True)] * 2
-    assert reps[0].min_kernel_average == -0.020366372957225765
-    assert reps[0].argmin == (4.923882631706742, (-12.0, -12.0))
+    assert rep.holds_kernel_nonneg and rep.integral_positive and rep.witness is None
+    # positive mass, negative for |x| > 15.2: the least-rate term is the
+    # negative one, so the far field refutes it, centred or moved by 1e-9
+    for s in (0.0, 1e-9):
+        rows = [(1.0, 0.02, (s, s)), (-0.1, 0.01, (s, s))]
+        rep = w_condition_check(ProfileSpec.gaussian_sum(rows), 2)
+        assert (rep.holds_kernel_nonneg, rep.integral_positive) == (False, True)
+        assert gauss_sum(rows, rep.witness) < 0
+
+
+@pytest.mark.parametrize("rows", [
+    # negative only for |x| > 15.2, outside a fixed box [-12, 12]
+    [(1.0, 0.02, (0.0,)), (-0.1, 0.01, (0.0,))],
+    # a dip to -1 between the nodes of a unit-spaced grid, in 1-, 2- and 3-D
+    *([(1.0, 0.01, (0.0,) * d), (-2.0, 100.0, (0.5,) * d)] for d in (1, 2, 3)),
+], ids=["far_field_1d", "dip_1d", "dip_2d", "dip_3d"])
+def test_w_condition_refuses_profiles_negative_somewhere(rows, gauss_sum):
+    rep = w_condition_check(ProfileSpec.gaussian_sum(rows), len(rows[0][2]))
+    assert not rep.holds_kernel_nonneg and rep.integral_positive
+    assert gauss_sum(rows, rep.witness) < 0
 
 
 # ----------------------------------------------------- scaling certificate
@@ -615,8 +622,7 @@ def test_certificate_space_integral_skips_the_cutoff_where_it_is_one(monkeypatch
 
 def test_lemma_memory_is_bounded_by_blocks_and_slabs():
     # whole arrays peaked at 7.6, 7.6 and 26.6 MiB in young, contraction and
-    # certificate_scaling, a whole-grid |x|^2 at 6.6 MiB in the last, and the
-    # w_condition quadrature on 240,001 nodes at 9.2 MiB
+    # certificate_scaling, and a whole-grid |x|^2 at 6.6 MiB in the last
     bounds = {"young": 5.5, "contraction": 5.0, "mittag_leffler": 1.0, "gronwall": 1.0,
               "exponent_sign": 1.0, "cutoff_laplacian": 6.0, "w_condition": 1.0,
               "certificate_scaling": 5.5}

@@ -1,6 +1,7 @@
 """The package's public surface: every exported name resolves, none twice,
-no module imports a name it never uses, and none reaches for a sibling
-module's private (underscore) name.
+no module imports a name it never uses, none reaches for a sibling
+module's private (underscore) name, and every constant the README names
+exists.
 
 Tools that walk ``__all__`` (the span tracer of the benchmark does) call
 ``getattr`` on each name, so a stale entry breaks them at import time."""
@@ -8,6 +9,7 @@ Tools that walk ``__all__`` (the span tracer of the benchmark does) call
 import ast
 import importlib
 import pkgutil
+import re
 from pathlib import Path
 
 import pytest
@@ -88,3 +90,21 @@ def test_the_private_import_check_sees_a_sibling_private_name():
     source = ("from .a import b, _c\nfrom fujitalab.d import _e\n"
               "from os import _exit\nfrom __future__ import annotations\n")
     assert _private_sibling_imports(source) == ["_c (line 1)", "_e (line 2)"]
+
+
+def _readme_constants_missing(text: str) -> list[str]:
+    """Backticked ALL_CAPS names of the text that no package module defines;
+    the environment variable FUJITA_LAB_OUT is not a constant."""
+    modules = [importlib.import_module(name) for name in MODULES]
+    return [name for name in re.findall(r"`([A-Z][A-Z0-9_]+)`", text)
+            if name != "FUJITA_LAB_OUT" and not any(hasattr(m, name) for m in modules)]
+
+
+def test_every_constant_the_readme_names_exists():
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    assert _readme_constants_missing(readme.read_text()) == []
+
+
+def test_the_readme_constant_check_sees_a_stale_name():
+    assert _readme_constants_missing("`CELL_CAP`, `FUJITA_LAB_OUT`, `T`, `KERNEL_WIDTHS`") == [
+        "KERNEL_WIDTHS"]

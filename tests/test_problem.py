@@ -4,6 +4,7 @@ field vs inadmissible values)."""
 
 import json
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from scipy.integrate import quad
 from fujitalab.field import sample
 from fujitalab.oracles import w_condition_check
 from fujitalab.problem import (
+    KERNEL_AVERAGE_TOL,
     GaussianTerm,
     InadmissibleError,
     ProblemSpec,
@@ -21,10 +23,11 @@ from fujitalab.problem import (
     profile_integral,
     profile_min_rate,
     profile_on_axis,
+    profile_sign,
     scale_profile,
     validate,
 )
-from fujitalab.semigroup import kernel_weight_constant
+from fujitalab.semigroup import comparison_lower_bound, kernel_weight_constant
 
 
 def test_profile_kinds():
@@ -54,35 +57,26 @@ def test_gaussian_term_validation():
         GaussianTerm(1.0, 1.0, (math.nan,))
 
 
-def _evaluate_profile(prof, x):
-    """Pointwise reference: the profile at points x, space dimension on the
-    last axis."""
-    x = np.asarray(x, dtype=float)
-    out = np.zeros(x.shape[:-1])
-    for t in prof.terms:
-        out += t.coefficient * np.exp(-t.rate * np.sum((x - t.center) ** 2, axis=-1))
-    return out
-
-
 @pytest.mark.parametrize("dim", [1, 2, 3])
-def test_profile_on_axis_matches_pointwise_reference(dim):
-    prof = ProfileSpec.gaussian_sum([(1.0, 1.0, (0.3, -0.2, 0.5)[:dim]),
-                                     (-0.4, 2.5, (0.0, 1.0, -1.5)[:dim]),
-                                     (0.7, 0.2, (-2.0,) * dim)])
+def test_profile_on_axis_matches_pointwise_reference(dim, gauss_sum):
+    rows = [(1.0, 1.0, (0.3, -0.2, 0.5)[:dim]), (-0.4, 2.5, (0.0, 1.0, -1.5)[:dim]),
+            (0.7, 0.2, (-2.0,) * dim)]
+    prof = ProfileSpec.gaussian_sum(rows)
     ax = np.linspace(-6.0, 5.0, 23)
     vals = profile_on_axis(prof, dim, ax)
     assert vals.shape == (23,) * dim
     pts = np.stack(np.meshgrid(*([ax] * dim), indexing="ij"), axis=-1)
-    assert np.allclose(vals, _evaluate_profile(prof, pts), rtol=0, atol=1e-15)
+    assert np.allclose(vals, gauss_sum(rows, pts), rtol=0, atol=1e-15)
     assert not profile_on_axis(ProfileSpec.zero(), dim, ax).any()
     with pytest.raises(ValueError):
         profile_on_axis(prof, dim + 1, ax)  # centres of another dimension
 
 
-def test_profile_integral_matches_quadrature():
-    prof = ProfileSpec.gaussian_sum([(0.8, 1.0, (0.0,)), (-1.0, 2.0, (0.3,))])
+def test_profile_integral_matches_quadrature(gauss_sum):
+    rows = [(0.8, 1.0, (0.0,)), (-1.0, 2.0, (0.3,))]
+    prof = ProfileSpec.gaussian_sum(rows)
     exact = profile_integral(prof, 1)
-    num, err = quad(lambda x: float(_evaluate_profile(prof, [x])), -np.inf, np.inf)
+    num, err = quad(lambda x: float(gauss_sum(rows, [x])), -np.inf, np.inf)
     assert abs(exact - num) <= 1e-9 + 10 * err
     # dim 2 via separability: each isotropic term integrates per axis
     prof2 = ProfileSpec.gaussian_sum([(0.8, 1.0, (0.0, 0.0)), (-1.0, 2.0, (0.3, 0.0))])
@@ -93,28 +87,17 @@ def test_profile_integral_matches_quadrature():
         profile_integral(prof, 0)
 
 
-def test_gaussian_weighted_integral_matches_quadrature():
-    prof = ProfileSpec.gaussian_sum([(0.8, 1.0, (0.0,)), (-1.0, 2.0, (0.3,))])
+def test_gaussian_weighted_integral_matches_quadrature(gauss_sum):
+    rows = [(0.8, 1.0, (0.0,)), (-1.0, 2.0, (0.3,))]
+    prof = ProfileSpec.gaussian_sum(rows)
     rate, center = 0.7, (0.4,)
     exact = gaussian_weighted_integral(prof, 1, rate, center)
     num, err = quad(
-        lambda x: math.exp(-rate * (x - center[0]) ** 2) * float(_evaluate_profile(prof, [x])),
+        lambda x: math.exp(-rate * (x - center[0]) ** 2) * float(gauss_sum(rows, [x])),
         -np.inf, np.inf)
     assert abs(exact - num) <= 1e-9 + 10 * err
     with pytest.raises(ValueError):
         gaussian_weighted_integral(prof, 1, 0.0)
-
-
-def test_gaussian_weighted_integral_over_centres_equals_scalar_calls():
-    prof = ProfileSpec.gaussian_sum([(0.5, 1.0, (1.0, -2.0)), (-0.3, 3.0, (0.0, 0.5))])
-    ax = np.linspace(-4.0, 4.0, 9)
-    centres = np.stack(np.meshgrid(ax, ax, indexing="ij"), axis=-1)
-    batch = gaussian_weighted_integral(prof, 2, 0.7, centres)
-    assert batch.shape == (9, 9)
-    single = gaussian_weighted_integral(prof, 2, 0.7, centres[3, 5])
-    assert isinstance(single, float)
-    for idx in np.ndindex(9, 9):
-        assert batch[idx] == gaussian_weighted_integral(prof, 2, 0.7, centres[idx])
 
 
 def test_scale_and_min_rate():
@@ -214,6 +197,65 @@ def test_inadmissible_values_raise_inadmissible_error():
         assert name in exc.value.failed_conditions
 
 
+# ----------------------------------------------------- sign decision
+
+def test_profile_sign_on_random_mixed_sums(gauss_sum):
+    # a "no" witness is negative under the hand-written sum, and a "yes" is
+    # not contradicted by a dense sample: a grid and random points
+    rng = np.random.default_rng(31)
+    answers = []
+    for _ in range(300):
+        dim = int(rng.integers(1, 4))
+        rows = [(float(rng.uniform(-1.0, 1.0)), float(rng.uniform(0.2, 3.0)),
+                 tuple(float(y) for y in rng.uniform(-1.5, 1.5, dim)))
+                for _ in range(rng.integers(2, 5))]
+        nonneg, witness = profile_sign(ProfileSpec.gaussian_sum(rows), dim)
+        answers.append(nonneg)
+        if nonneg is False:
+            assert gauss_sum(rows, witness) < 0, rows
+        elif nonneg:
+            ax = np.linspace(-4.0, 4.0, 41)
+            grid = np.stack(np.meshgrid(*[ax] * dim, indexing="ij"), axis=-1)
+            assert witness is None
+            assert gauss_sum(rows, grid).min() >= -KERNEL_AVERAGE_TOL, rows
+            points = rng.uniform(-8.0, 8.0, (4000, dim))
+            assert gauss_sum(rows, points).min() >= -KERNEL_AVERAGE_TOL, rows
+    assert answers.count(True) > 30 and answers.count(False) > 150
+
+
+# e^{-|x|^2} - 0.5 e^{-2|x-y|^2} >= 0 iff |x|^2 - 2|x-y|^2 <= ln 2 for every
+# x; the left side peaks at 2|y|^2, so |y|^2 <= 0.34 keeps these nonnegative
+NONNEG_MIXED = [
+    [(1.0, 1.0, (0.0,)), (-0.5, 2.0, (0.3,))],
+    [(1.0, 1.0, (0.0, 0.0)), (-0.5, 2.0, (0.1, 0.0))],
+    [(1.0, 1.0, (0.0,) * 3), (-0.5, 2.0, (0.1, 0.0, -0.1))],
+]
+
+
+def test_profile_sign_says_yes_to_nonnegative_mixed_sums(monkeypatch):
+    for rows in NONNEG_MIXED:
+        assert profile_sign(ProfileSpec.gaussian_sum(rows), len(rows[0][2])) == (True, None)
+    # terms of one rate and centre are merged: these sums are 0 and e^{-x^2}
+    for c in (1.0, 2.0):
+        assert profile_sign(ProfileSpec.gaussian_sum(
+            [(c, 1.0, (0.0,)), (-1.0, 1.0, (0.0,))]), 1) == (True, None)
+    # a used-up box budget is undecided, not yes
+    monkeypatch.setattr("fujitalab.problem.SIGN_BOXES", 1)
+    rows = NONNEG_MIXED[2]
+    assert profile_sign(ProfileSpec.gaussian_sum(rows), 3) == (None, None)
+
+
+def test_a_far_field_past_float_range_is_undecided_and_not_certified():
+    # 2e^{-x^2} - e^{-(x - 1e-6)^2} < 0 only for x > ln(2)/2e-6, where both
+    # terms underflow; equal least rates at distinct centres leave it open
+    w = ProfileSpec.gaussian_sum([(2.0, 1.0, (0.0,)), (-1.0, 1.0, (1e-6,))])
+    assert profile_sign(w, 1) == (None, None)
+    rep = w_condition_check(w, 1)
+    assert not rep.holds_kernel_nonneg and rep.witness is None
+    traj = SimpleNamespace(times=[1.0], q_norms=[1.0])
+    assert comparison_lower_bound(w, traj, 2.0, dim=1).skipped == "data sign undecided"
+
+
 def test_center_dimension_must_match():
     with pytest.raises(ValueError):
         ProblemSpec(2, 2.0, 2.0, 0.0, 0.0, ProfileSpec.gaussian(1.0, 1.0, (0.0,)))
@@ -227,6 +269,11 @@ def test_profile_of_another_dimension_is_refused():
         kernel_weight_constant(ProfileSpec.gaussian(1.0, 1.0, (0.0,)), dim=3)
     with pytest.raises(ValueError, match="dim"):
         gaussian_weighted_integral(ProfileSpec.gaussian(1.0, 1.0, (0.0,)), 2, 1.0)
+    # one kernel centre, not an array of them
+    with pytest.raises(ValueError, match="dim"):
+        gaussian_weighted_integral(ProfileSpec.gaussian(1.0, 1.0, (0.0,)), 1, 1.0, [[0.0]] * 3)
+    with pytest.raises(ValueError, match="dim"):
+        profile_sign(ProfileSpec.gaussian(1.0, 1.0, (0.0,)), 2)
     # pi for this 2-D Gaussian, not the 1-D sqrt(pi)
     with pytest.raises(ValueError, match="dim"):
         profile_integral(ProfileSpec.gaussian(1.0, 1.0, (0.0, 0.0)), 1)

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from fujitalab.field import lq_norm, sample
-from fujitalab.problem import ProfileSpec
+from fujitalab.problem import ProfileSpec, profile_sign
 from fujitalab.semigroup import (
     HeatKernelPlan,
     apply,
@@ -201,8 +201,8 @@ def _lower_bound_peak(dim):
     return peak
 
 
-# the probe's values are about 769^2 floats (4.7 MB), and each term adds one
-# array of that size while it is summed in
+# the data's sign is decided box by box, never on a grid: a probe of 769^2
+# points would hold 4.7 MB, and one more array of that size per term
 def test_lower_bound_nonnegativity_probe_is_bounded_in_2d():
     assert _lower_bound_peak(2) < 12e6
 
@@ -252,3 +252,18 @@ def test_lower_bound_skip_paths():
     assert "forcing" in rep.skipped
     # skipped reports carry no rows and never fail
     assert rep.passed and rep.rows == ()
+
+
+@pytest.mark.parametrize("rows", [
+    # -1.0 at (0.3, 0.3, 0.3), between the nodes of an 83^3 grid on [-24, 24]^3
+    [(1.0, 0.01, (0.0,) * 3), (-2.0, 100.0, (0.3,) * 3)],
+    # negative only for |x| > 48, outside a fixed box [-24, 24]
+    [(1.0, 0.002, (0.0,)), (-0.1, 0.001, (0.0,))],
+], ids=["dip_3d", "far_field_1d"])
+def test_lower_bound_skips_data_negative_somewhere(rows, gauss_sum):
+    dim = len(rows[0][2])
+    traj = SimpleNamespace(times=[1.0], q_norms=[1.0])
+    rep = comparison_lower_bound(ProfileSpec.gaussian_sum(rows), traj, 2.0, dim=dim)
+    assert rep.skipped == "data is not nonnegative" and rep.rows == ()
+    nonneg, witness = profile_sign(ProfileSpec.gaussian_sum(rows), dim)
+    assert nonneg is False and gauss_sum(rows, witness) < 0
