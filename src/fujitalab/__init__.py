@@ -7,17 +7,41 @@ exponent arithmetic (`exponents`), periodic grid fields (`field`), the heat
 propagator (`semigroup`), mild-solution time stepping and Picard iteration
 (`solver`), analytic lemma verifiers (`oracles`), and a CLI (`cli`).
 Each submodule's ``__all__`` is exactly what the package exports.
+
+``import fujitalab`` loads `problem`, `field`, `semigroup` and `solver`.
+`exponents` and `oracles` load on the first use of any of their names (or of
+the package ``__all__``), so a run that never asks for the exponent calculus
+or the lemma suite does not pay for importing them.  Only ``sweep --jobs N``
+with more than one worker loads the process pool.
 """
 
-from . import exponents, field, oracles, problem, semigroup, solver
-from .exponents import *
+import importlib
+
 from .field import *
-from .oracles import *
 from .problem import *
 from .semigroup import *
 from .solver import *
 
 __version__ = "0.1.0"
 
-__all__ = (exponents.__all__ + field.__all__ + oracles.__all__ + problem.__all__
-           + semigroup.__all__ + solver.__all__)
+# Every exporting submodule, in the order of the package's __all__.
+_EXPORTING = ("exponents", "field", "oracles", "problem", "semigroup", "solver")
+_ON_FIRST_USE = ("exponents", "oracles")
+
+
+def __getattr__(name):
+    """Serve the on-first-use submodules, their names and ``__all__``.
+
+    Nothing is cached here: each access forwards to the submodule, so a name
+    patched there and restored later reads the same through the package.
+    """
+    if name in _ON_FIRST_USE:
+        return importlib.import_module(f"{__name__}.{name}")
+    if name == "__all__":
+        return [n for sub in _EXPORTING
+                for n in importlib.import_module(f"{__name__}.{sub}").__all__]
+    for sub in _ON_FIRST_USE:
+        module = importlib.import_module(f"{__name__}.{sub}")
+        if name in module.__all__:
+            return getattr(module, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

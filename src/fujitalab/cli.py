@@ -24,7 +24,6 @@ import sys
 import time
 import traceback
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -275,6 +274,8 @@ def cmd_sweep(args) -> int:
     # a fork pool starts all max_workers at once, so start no idle ones
     workers = min(args.jobs, len(payloads))
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_sweep_point, payloads))
     else:

@@ -307,7 +307,7 @@ def test_sweep_starts_no_more_workers_than_points(tmp_path, capsys, monkeypatch)
         def map(self, fn, items):
             return map(fn, items)
 
-    monkeypatch.setattr("fujitalab.cli.ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", SerialPool)
     spec = _write_spec(tmp_path, SWEEP_SPEC)
     argv = ["sweep", "--spec", spec, "--t-end", "0.1", "--dt0", "0.05",
             "--points", "16", "--jobs", "8"]
