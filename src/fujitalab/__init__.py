@@ -9,10 +9,11 @@ propagator (`semigroup`), mild-solution time stepping and Picard iteration
 Each submodule's ``__all__`` is exactly what the package exports.
 
 ``import fujitalab`` loads `problem`, `field`, `semigroup` and `solver`.
-`exponents` and `oracles` load on the first use of any of their names (or of
-the package ``__all__``), so a run that never asks for the exponent calculus
-or the lemma suite does not pay for importing them.  Only ``sweep --jobs N``
-with more than one worker loads the process pool.
+`exponents` and `oracles` load on the first use of any of their names, so a
+run that never asks for the exponent calculus or the lemma suite does not
+pay for importing them.  The CLI loads them only in the commands that use
+them, and only ``sweep --jobs N`` with more than one worker loads the
+process pool.
 """
 
 import importlib
@@ -24,24 +25,37 @@ from .solver import *
 
 __version__ = "0.1.0"
 
-# Every exporting submodule, in the order of the package's __all__.
-_EXPORTING = ("exponents", "field", "oracles", "problem", "semigroup", "solver")
-_ON_FIRST_USE = ("exponents", "oracles")
+# The names of the submodules that load on first use, as in their __all__
+# (tests/test_package.py checks the package __all__ against the submodules').
+_ON_FIRST_USE = {
+    "exponents": (
+        "Regime", "BlowupCriterion", "GepExponents", "RWindow", "ExponentReport",
+        "delta", "sigma", "fujita_scaling_p", "p_star", "blowup_criterion",
+        "gep_exponents", "r_window", "beta", "beta_upper_bound",
+        "certificate_exponent", "classify", "exponent_report",
+    ),
+    "oracles": (
+        "MLResult", "SeriesDivergenceError", "mittag_leffler", "gronwall_bound",
+        "cutoff_laplacian_check", "w_condition_check", "certificate_scaling_check",
+    ),
+}
+__all__ = [name for sub in ("exponents", "field", "oracles", "problem", "semigroup", "solver")
+           for name in (_ON_FIRST_USE[sub] if sub in _ON_FIRST_USE else globals()[sub].__all__)]
 
 
 def __getattr__(name):
-    """Serve the on-first-use submodules, their names and ``__all__``.
+    """Import an on-first-use submodule for itself or one of its names.
 
     Nothing is cached here: each access forwards to the submodule, so a name
     patched there and restored later reads the same through the package.
     """
     if name in _ON_FIRST_USE:
         return importlib.import_module(f"{__name__}.{name}")
-    if name == "__all__":
-        return [n for sub in _EXPORTING
-                for n in importlib.import_module(f"{__name__}.{sub}").__all__]
-    for sub in _ON_FIRST_USE:
-        module = importlib.import_module(f"{__name__}.{sub}")
-        if name in module.__all__:
-            return getattr(module, name)
+    for sub, names in _ON_FIRST_USE.items():
+        if name in names:
+            return getattr(importlib.import_module(f"{__name__}.{sub}"), name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted({*globals(), *_ON_FIRST_USE, *__all__})

@@ -136,11 +136,9 @@ def lq_norm(f: GridField, q) -> float:
 
     The sup norm is max(max v, -min v) and q = 2 is the dot product of the
     values with themselves: each takes no temporary array.  Any other q
-    raises |v| to the q-th power in place, one temporary; cell powers below
-    the smallest normal double are dropped: pow is slow where its result is
-    subnormal, and together those terms can move only a sum below about
-    (cell count) * 2^-970.  A cell sum that overflows, alone or times the
-    cell volume, raises BlowupSignal; q < 1 or nan raises ValueError.
+    raises |v| to the q-th power in place, one temporary.  A cell sum that
+    overflows, alone or times the cell volume, raises BlowupSignal; q < 1 or
+    nan raises ValueError.
     """
     v = f.values
     q = float(q)
@@ -154,7 +152,6 @@ def lq_norm(f: GridField, q) -> float:
             total = float(np.dot(flat, flat))
         else:
             a = np.abs(v)
-            a[a < 2.0 ** (-1022.0 / q)] = 0.0
             total = float(np.sum(np.power(a, q, out=a)))
     total *= f.cell_volume
     if not math.isfinite(total):

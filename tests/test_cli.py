@@ -345,6 +345,14 @@ def test_verify_single_lemma(capsys):
     assert out.startswith("PASS young:")
 
 
+def test_verify_unknown_lemma_is_a_usage_error(capsys):
+    assert main(["verify", "--lemma", "nope"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: argument --lemma: invalid choice: 'nope' "
+                                   "(choose from 'certificate_scaling', 'contraction',")
+
+
 def test_verify_out_times_each_lemma_and_leaves_stdout_alone(capsys, tmp_path):
     args = ["verify", "--lemma", "mittag_leffler"]
     assert main(args) == 0
