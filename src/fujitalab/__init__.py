@@ -8,25 +8,21 @@ propagator (`semigroup`), mild-solution time stepping and Picard iteration
 (`solver`), analytic lemma verifiers (`oracles`), and a CLI (`cli`).
 Each submodule's ``__all__`` is exactly what the package exports.
 
-``import fujitalab`` loads `problem`, `field`, `semigroup` and `solver`.
-`exponents` and `oracles` load on the first use of any of their names, so a
-run that never asks for the exponent calculus or the lemma suite does not
-pay for importing them.  The CLI loads them only in the commands that use
-them, and only ``sweep --jobs N`` with more than one worker loads the
-process pool.
+``import fujitalab`` loads no submodule.  Each loads on the first use of
+itself or of one of its names, so the exponent calculus never pays for the
+solver and a solver run never pays for the calculus.  The CLI loads in each
+command only what that command uses (``exponents``: `problem` and
+`exponents`; ``verify``: those and `oracles`; ``simulate``: `problem`,
+`field`, `semigroup` and `solver`; ``sweep``: all five), and only
+``sweep --jobs N`` with more than one worker loads the process pool.
 """
 
 import importlib
 
-from .field import *
-from .problem import *
-from .semigroup import *
-from .solver import *
-
 __version__ = "0.1.0"
 
-# The names of the submodules that load on first use, as in their __all__
-# (tests/test_package.py checks the package __all__ against the submodules').
+# Each submodule's names, as in its __all__ (tests/test_package.py checks the
+# package __all__ against the submodules').
 _ON_FIRST_USE = {
     "exponents": (
         "Regime", "BlowupCriterion", "GepExponents", "RWindow", "ExponentReport",
@@ -34,26 +30,43 @@ _ON_FIRST_USE = {
         "gep_exponents", "r_window", "beta", "beta_upper_bound",
         "certificate_exponent", "classify", "exponent_report",
     ),
+    "field": (
+        "BlowupSignal", "BoxGeometry", "GridField", "coordinates", "sample",
+        "lq_norm", "nonlinearity",
+    ),
     "oracles": (
         "MLResult", "SeriesDivergenceError", "mittag_leffler", "gronwall_bound",
         "cutoff_laplacian_check", "w_condition_check", "certificate_scaling_check",
     ),
+    "problem": (
+        "GaussianTerm", "ProfileSpec", "ProblemSpec", "ValidationReport",
+        "SpecFieldError", "InadmissibleError", "profile_integral",
+        "gaussian_weighted_integral", "validate",
+    ),
+    "semigroup": (
+        "HeatKernelPlan", "apply", "apply_direct", "smoothing_check",
+        "kernel_weight_constant", "comparison_lower_bound",
+    ),
+    "solver": (
+        "Verdict", "SolverConfig", "TrajectoryRecord", "PicardResult", "UniquenessReport",
+        "NonContractionError", "IterationLimitError", "run", "run_from_fields",
+        "picard_solve", "uniqueness_probe",
+    ),
 }
-__all__ = [name for sub in ("exponents", "field", "oracles", "problem", "semigroup", "solver")
-           for name in (_ON_FIRST_USE[sub] if sub in _ON_FIRST_USE else globals()[sub].__all__)]
+_HOME = {name: sub for sub, names in _ON_FIRST_USE.items() for name in names}
+__all__ = list(_HOME)
 
 
 def __getattr__(name):
-    """Import an on-first-use submodule for itself or one of its names.
+    """Import a submodule for itself or one of its names.
 
     Nothing is cached here: each access forwards to the submodule, so a name
     patched there and restored later reads the same through the package.
     """
     if name in _ON_FIRST_USE:
         return importlib.import_module(f"{__name__}.{name}")
-    for sub, names in _ON_FIRST_USE.items():
-        if name in names:
-            return getattr(importlib.import_module(f"{__name__}.{sub}"), name)
+    if name in _HOME:
+        return getattr(importlib.import_module(f"{__name__}.{_HOME[name]}"), name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 

@@ -28,7 +28,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .field import DEFAULT_HALF_WIDTH, BoxGeometry, lq_norm, sample
 from .problem import (
     InadmissibleError,
     ProblemSpec,
@@ -36,7 +35,6 @@ from .problem import (
     scale_profile,
     validate,
 )
-from .solver import SolverConfig, run
 
 __all__ = ["main"]
 
@@ -72,25 +70,42 @@ def _load_spec(path: str) -> ProblemSpec:
     return ProblemSpec.from_json_dict(payload)
 
 
-def _run_setup(args, dim: int, **config) -> tuple[SolverConfig, BoxGeometry]:
-    """Solver config and box from the shared options, checked before any run."""
+def _given(args, **options) -> dict:
+    """The keywords whose options were given on the command line."""
+    return {key: getattr(args, dest) for key, dest in options.items()
+            if getattr(args, dest) is not None}
+
+
+def _run_setup(args, dim: int, **config):
+    """Solver config and box from the shared options, checked before any run.
+
+    An option left out is left to the library's own default.
+    """
+    from .field import BoxGeometry
+    from .solver import SolverConfig
+
     try:
-        geometry = BoxGeometry(half_width=args.half_width, points_per_axis=args.points)
+        geometry = BoxGeometry(**_given(args, half_width="half_width",
+                                        points_per_axis="points"))
         geometry.resolve(dim)
-        return SolverConfig(dt0=args.dt0, t_end=args.t_end,
-                            blowup_threshold=args.threshold, **config), geometry
+        return SolverConfig(**_given(args, dt0="dt0", t_end="t_end",
+                                     blowup_threshold="threshold"), **config), geometry
     except ValueError as exc:
         raise _UsageError(str(exc)) from exc
 
 
 def _add_run_options(parser) -> None:
-    """The run options simulate and sweep share, defaulting as the library does."""
-    defaults = SolverConfig()
-    parser.add_argument("--t-end", type=float, default=defaults.t_end)
-    parser.add_argument("--dt0", type=float, default=defaults.dt0)
-    parser.add_argument("--threshold", type=float, default=defaults.blowup_threshold)
-    parser.add_argument("--half-width", type=float, default=DEFAULT_HALF_WIDTH)
-    parser.add_argument("--points", type=int, default=None)
+    """The run options simulate and sweep share.
+
+    None of them has an argparse default: ``_run_setup`` passes on only
+    the options given, so ``SolverConfig`` and ``BoxGeometry`` hold the one
+    set of defaults and building the parser loads no solver.
+    """
+    parser.add_argument("--t-end", type=float)
+    parser.add_argument("--dt0", type=float)
+    parser.add_argument("--threshold", type=float)
+    parser.add_argument("--half-width", type=float)
+    parser.add_argument("--points", type=int)
 
 
 def _write_meta(prefix: Path, extra: dict) -> None:
@@ -120,6 +135,8 @@ def cmd_exponents(args) -> int:
 # simulate
 
 def cmd_simulate(args) -> int:
+    from .solver import run
+
     spec = _load_spec(args.spec)
     if not validate(spec).lwp_ok:
         print("note: outside the well-posedness range; integrating anyway",
@@ -211,6 +228,8 @@ def _sweep_point(payload) -> tuple:
 def _simulate_point(spec, regime, amplitude, epsilon, config, geometry):
     """The sweep's run of one admissible point, small data rescaled to epsilon."""
     from .exponents import Regime, gep_exponents
+    from .field import lq_norm, sample
+    from .solver import run
 
     u0 = scale_profile(spec.u0, amplitude)
     w = spec.w

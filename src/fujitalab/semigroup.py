@@ -152,13 +152,14 @@ def smoothing_check(f: GridField, a, b, t_list) -> list[SmoothingRow]:
     """Check ||S(t) f||_b <= t^(-(dim/2)(1/a - 1/b)) ||f||_a for each t,
     to a relative slack of SMOOTHING_TOL.
 
-    Requires 1 <= a <= b (inf allowed).  The constant-one bound is the
-    free-space one; on the box it holds comfortably for t small against the
-    box diffusion time, which is the regime the tests probe.
+    Requires 1 <= a <= b (inf allowed); anything else, nan included, is a
+    ValueError.  The constant-one bound is the free-space one; on the box it
+    holds comfortably for t small against the box diffusion time, which is
+    the regime the tests probe.
     """
+    if not 1 <= float(a) <= float(b):
+        raise ValueError("need 1 <= a <= b")
     inv_a, inv_b = 1.0 / float(a), 1.0 / float(b)  # 0.0 at inf
-    if inv_b > inv_a:
-        raise ValueError("need a <= b")
     plan = HeatKernelPlan.for_field(f)
     norm_a = lq_norm(f, a)
     rows = []
@@ -214,8 +215,11 @@ def comparison_lower_bound(
     kernel averages the caller certified nonnegative, and data u0 that
     ``problem.profile_sign`` proves nonnegative (a refuted sign and an
     undecided one are skipped with different reasons).  ``traj`` is
-    anything carrying ``times`` and ``q_norms`` sequences.
+    anything carrying ``times`` and ``q_norms`` sequences.  q < 1 or nan
+    raises ValueError, as in ``lq_norm``.
     """
+    if not q >= 1:
+        raise ValueError("q must be >= 1 or inf")
     if not forcing_certified:
         return LowerBoundReport((), True, skipped="forcing condition not certified")
     nonneg, _ = profile_sign(u0, dim)

@@ -12,8 +12,8 @@ from pathlib import Path
 import pytest
 
 from fujitalab import oracles
-from fujitalab.cli import _build_parser, main
-from fujitalab.field import DEFAULT_HALF_WIDTH
+from fujitalab.cli import _build_parser, _run_setup, main
+from fujitalab.field import BoxGeometry
 from fujitalab.solver import SolverConfig, TrajectoryRecord, Verdict
 
 GOOD_SPEC = {
@@ -204,7 +204,7 @@ def test_sweep_keeps_mismatch_for_a_small_data_blowup(tmp_path, capsys, monkeypa
         return TrajectoryRecord([0.0, 1.0], [1.0, 1.0], [1.0, 1.0], [0.0, 1.0],
                                 next(verdicts))
 
-    monkeypatch.setattr("fujitalab.cli.run", scripted_run)
+    monkeypatch.setattr("fujitalab.solver.run", scripted_run)
     spec = _write_spec(tmp_path, GOOD_SPEC)
     assert main(["sweep", "--spec", spec, "--axis", "p=3.0:3.2:3",
                  "--points", "16"]) == 0
@@ -238,7 +238,7 @@ def test_sweep_turns_a_failing_point_into_an_error_row(tmp_path, capsys, monkeyp
         return TrajectoryRecord([0.0, 1.0], [1.0, 1.0], [1.0, 1.0], [0.0, 1.0],
                                 verdict)
 
-    monkeypatch.setattr("fujitalab.cli.run", scripted_run)
+    monkeypatch.setattr("fujitalab.solver.run", scripted_run)
     spec = _write_spec(tmp_path, GOOD_SPEC)
     assert main(["sweep", "--spec", spec, "--axis", "p=3.0:3.2:3",
                  "--points", "16", "--jobs", "1"]) == 0
@@ -430,10 +430,12 @@ def test_sweep_determinism_across_jobs(tmp_path):
 
 
 def test_run_options_default_to_the_library():
+    # an option left out is not passed on, so the dataclasses' defaults hold
     parser = _build_parser()
-    defaults = SolverConfig()
     for command in ("simulate", "sweep"):
         args = parser.parse_args([command, "--spec", "problem.json"])
-        assert (args.dt0, args.t_end, args.threshold) == (
-            defaults.dt0, defaults.t_end, defaults.blowup_threshold)
-        assert args.half_width == DEFAULT_HALF_WIDTH
+        assert _run_setup(args, 1) == (SolverConfig(), BoxGeometry())
+        args = parser.parse_args([command, "--spec", "problem.json", "--dt0", "0.5",
+                                  "--threshold", "1e3", "--points", "32"])
+        assert _run_setup(args, 1) == (SolverConfig(dt0=0.5, blowup_threshold=1e3),
+                                       BoxGeometry(points_per_axis=32))

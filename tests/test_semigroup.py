@@ -171,9 +171,11 @@ def test_smoothing_bound():
         assert all(r.passed for r in rows)
         assert all(r.lhs <= r.rhs for r in rows)
     with pytest.raises(ValueError):
-        smoothing_check(f, 2, 1, (0.1,))
-    with pytest.raises(ValueError):
         smoothing_check(f, 1, 2, (0.0,))
+    # b < a, a < 1 (1/a and 1/b are never formed) and nan are refused
+    for a, b in ((2, 1), (0, 2), (1, 0), (0.5, 2), (math.nan, 2), (1, math.nan)):
+        with pytest.raises(ValueError, match="need 1 <= a <= b"):
+            smoothing_check(f, a, b, (0.1,))
 
 
 def test_kernel_weight_constant_profile_vs_grid():
@@ -238,6 +240,17 @@ def test_sup_norm_lower_bound_is_c0_times_the_heat_decay():
     rep = comparison_lower_bound(prof, traj, math.inf, dim=2)
     assert [(r.t, r.bound) for r in rep.rows] == [(1.0, c0), (4.0, c0 / 4.0)]
     assert rep.rows[0].passed and not rep.rows[1].passed and not rep.passed
+
+
+@pytest.mark.parametrize("q", [0.0, -1.0, 0.5, math.nan])
+def test_lower_bound_refuses_q_below_one(q):
+    # lq_norm's rule: q = 0 divided by zero, q = -1 took a complex power and
+    # q = 0.5 or nan gave rows that mean nothing; a skip does not hide it
+    prof = ProfileSpec.gaussian(0.5, 1.0, (0.0,))
+    traj = SimpleNamespace(times=[1.0, 4.0], q_norms=[1.0, 1.0])
+    for certified in (True, False):
+        with pytest.raises(ValueError, match=r"q must be >= 1 or inf"):
+            comparison_lower_bound(prof, traj, q, dim=1, forcing_certified=certified)
 
 
 @pytest.mark.usefixtures("zero_load")
