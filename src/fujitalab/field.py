@@ -8,6 +8,7 @@ periodic setup is the trapezoid rule and converges spectrally for smooth data.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -131,14 +132,25 @@ def sample(
     return GridField(dim, L, profile_on_axis(prof, dim, coordinates(L, M)))
 
 
+def _power_sum(v: np.ndarray, q: float) -> float:
+    """Sum of |v|^q: the dot product v.v at q = 2, with no temporary array;
+    any other q raises |v| to the q-th power in place, one temporary."""
+    with np.errstate(over="ignore"):
+        if q == 2.0:
+            flat = v.reshape(-1)
+            return float(np.dot(flat, flat))
+        a = np.abs(v)
+        return float(np.sum(np.power(a, q, out=a)))
+
+
 def lq_norm(f: GridField, q) -> float:
     """L^q norm by cell sum; q = inf gives the sup norm.
 
-    The sup norm is max(max v, -min v) and q = 2 is the dot product of the
-    values with themselves: each takes no temporary array.  Any other q
-    raises |v| to the q-th power in place, one temporary.  A cell sum that
-    overflows, alone or times the cell volume, raises BlowupSignal; q < 1 or
-    nan raises ValueError.
+    The sup norm is max(max v, -min v) and takes no temporary array.  A cell
+    sum that overflows, alone or times the cell volume, raises BlowupSignal;
+    q < 1 or nan raises ValueError.  A nonzero field whose scaled cell sum
+    is below the smallest normal double has lost its powers to underflow:
+    its norm is max|v| times the norm of v / max|v|.
     """
     v = f.values
     q = float(q)
@@ -146,16 +158,11 @@ def lq_norm(f: GridField, q) -> float:
         return float(max(v.max(), -v.min()))
     if not q >= 1:
         raise ValueError("q must be >= 1 or inf")
-    with np.errstate(over="ignore"):
-        if q == 2.0:
-            flat = v.reshape(-1)
-            total = float(np.dot(flat, flat))
-        else:
-            a = np.abs(v)
-            total = float(np.sum(np.power(a, q, out=a)))
-    total *= f.cell_volume
+    total = _power_sum(v, q) * f.cell_volume
     if not math.isfinite(total):
         raise BlowupSignal("norm overflow")
+    if total < sys.float_info.min and (top := lq_norm(f, math.inf)) > 0:
+        return top * (_power_sum(v / top, q) * f.cell_volume) ** (1.0 / q)
     return total ** (1.0 / q)
 
 

@@ -51,7 +51,7 @@ CERT_TIME_POINTS = 4097           # Simpson nodes of the time cutoff
 CERT_RADIAL_POINTS = 4097         # Simpson nodes of the radial space factor
 CERT_SPACE_POINTS = 65            # trapezoid nodes per axis of the w integral
 CERT_SLOPE_TOL = 0.1              # slack on both of the certificate's slope tests
-BLOCK_BYTES = 512 * 1024          # bytes per float row block of the 2-D cutoff check
+BLOCK_BYTES = 128 * 1024          # bytes per float row block of the 2-D cutoff check
 # Draws per block of the Young and contraction sweeps: 80 KB per float
 # array, so a block's temporaries stay in cache (BLOCK_BYTES // 8 draws lose
 # most of that).  It is also the contraction study's head, a tenth of its draws.
@@ -65,28 +65,31 @@ def _young_rhs(a, b, p, q, eps):
     return eps * a**p + (p * eps) ** (-q / p) * b**q / q
 
 
-def _draw_blocks(*draws):
-    """Views of the same DRAW_BLOCK consecutive draws of each array, in order."""
-    for i in range(0, len(draws[0]), DRAW_BLOCK):
-        yield tuple(d[i:i + DRAW_BLOCK] for d in draws)
+def _draw_blocks(seed: int, n: int, *bounds):
+    """DRAW_BLOCK consecutive draws at a time of the arrays
+    default_rng(seed).uniform(lo, hi, n), one per (lo, hi) in bounds, in order.
+
+    uniform takes one 64-bit output per double, so array k is the stream of
+    PCG64(seed) advanced past the k * n outputs before it: the blocks are
+    the whole arrays bit for bit, and no array of n draws is made.
+    """
+    gens = [np.random.Generator(np.random.PCG64(seed).advance(k * n))
+            for k in range(len(bounds))]
+    for i in range(0, n, DRAW_BLOCK):
+        size = min(DRAW_BLOCK, n - i)
+        yield tuple(g.uniform(lo, hi, size) for g, (lo, hi) in zip(gens, bounds))
 
 
 def young_batch(seed: int = 0):
     """Vectorized sweep over YOUNG_DRAWS random (a, b, p, eps); (all_ok, max_excess).
 
-    The draws are made whole and the bound is evaluated DRAW_BLOCK draws at
-    a time.  Each value is elementwise and the reductions are exact, so the
+    The draws are streamed and the bound is evaluated DRAW_BLOCK draws at a
+    time.  Each value is elementwise and the reductions are exact, so the
     blocks change no result.
     """
-    rng = np.random.default_rng(seed)
-    draws = (
-        rng.uniform(0.0, 10.0, YOUNG_DRAWS),  # a
-        rng.uniform(0.0, 10.0, YOUNG_DRAWS),  # b
-        rng.uniform(1.05, 8.0, YOUNG_DRAWS),  # p
-        rng.uniform(-3, 3, YOUNG_DRAWS),      # log10(eps)
-    )
     ok, maxima = True, []
-    for a, b, p, log_eps in _draw_blocks(*draws):
+    bounds = ((0.0, 10.0), (0.0, 10.0), (1.05, 8.0), (-3.0, 3.0))  # a, b, p, log10(eps)
+    for a, b, p, log_eps in _draw_blocks(seed, YOUNG_DRAWS, *bounds):
         excess = a * b - _young_rhs(a, b, p, p / (p - 1.0), 10.0 ** log_eps)
         ok = ok and bool(np.all(excess <= YOUNG_SLACK))
         maxima.append(np.max(excess))
@@ -113,19 +116,17 @@ def contraction_constant_study(p: float, alpha: float, seed: int = 0):
     Draws CONTRACTION_DRAWS (a, b, x, y) uniform in [0, 2] with
     diffnorm = |x - y| and returns (max over the first tenth of the draws,
     max over all of them).  A well-behaved bound has the two within a few
-    percent of each other: the sup saturates early.  The draws are made
-    whole and the ratio is evaluated DRAW_BLOCK draws at a time, so the
-    first tenth is the first block; each ratio is elementwise and max is
+    percent of each other: the sup saturates early.  lhs = 0 is ratio 0;
+    rhs = 0 < lhs, or an overflowing ratio, makes the sup +inf.  The draws
+    are streamed and the ratio is evaluated DRAW_BLOCK draws at a time, so
+    the first tenth is the first block; each ratio is elementwise and max is
     exact, so the blocks change no result.
     """
-    rng = np.random.default_rng(seed)
-    draws = [rng.uniform(0.0, 2.0, CONTRACTION_DRAWS) for _ in range(4)]  # a, b, x, y
     maxima = []
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for a, b, x, y in _draw_blocks(*draws):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for a, b, x, y in _draw_blocks(seed, CONTRACTION_DRAWS, *[(0.0, 2.0)] * 4):
             lhs, rhs = _contraction_sides(a, b, x, y, np.abs(x - y), p, alpha)
-            ratio = np.where(lhs == 0, 0.0, lhs / np.where(rhs == 0, np.nan, rhs))
-            maxima.append(np.max(np.nan_to_num(ratio, nan=0.0)))
+            maxima.append(np.max(np.where(lhs == 0, 0.0, lhs / rhs)))
     return float(maxima[0]), float(np.max(maxima))
 
 
@@ -542,32 +543,35 @@ def certificate_scaling_check(
 
 
 def _space_grid(w: ProfileSpec, N: int):
-    """(axis squares, w(x), spacing) of the tensor trapezoid grid over w's support."""
+    """(axis, slab, spacing) of the tensor trapezoid grid over w's support;
+    slab(i) is w on slab i of axis 0, the whole grid's floats."""
     reach = max((abs(c) for t in w.terms for c in t.center), default=0.0)
     reach += 10.0 / math.sqrt(profile_min_rate(w))
     ax = np.linspace(-reach, reach, CERT_SPACE_POINTS)
-    return ax**2, profile_on_axis(w, N, ax), ax[1] - ax[0]
+    return ax, lambda i: profile_on_axis(w, N, ax, slice(i, i + 1))[0], ax[1] - ax[0]
 
 
-def _space_cutoff_integral(sq, w_vals, h: float, T: float, kappa: float) -> float:
+def _space_cutoff_integral(ax, slab, h: float, T: float, kappa: float) -> float:
     """Tensor-trapezoid integral of psi2(|x|^2/T)^kappa * w on ``_space_grid``.
 
-    The cutoff and the inner trapezoids run on one slab of axis 0 at a time
-    and the outer trapezoid on the slab values.  A slab's |x|^2 is summed
+    w, the cutoff and the inner trapezoids run on one slab of axis 0 at a
+    time and the outer trapezoid on the slab values.  A slab's |x|^2 is summed
     from the axis squares in coordinate order, as np.add.outer builds the
     whole grid's, and the inner sums run along the same axes in the same
     order, so the float is the whole grid's and no temporary is larger than
     a slab.  psi2's argument is monotone in |x|^2, so on a slab where it is
     >= 1 at the largest |x|^2 the cutoff is exactly 1 and is not evaluated.
     """
-    slab_vals = np.empty(len(sq))
-    for i, vals in enumerate(w_vals):
+    sq = ax**2
+    slab_vals = np.empty(len(ax))
+    for i in range(len(ax)):
+        vals = slab(i)
         r2 = sq[i]
-        for _ in range(w_vals.ndim - 1):
+        for _ in range(vals.ndim):
             r2 = np.add.outer(r2, sq)
         if _cutoff_args("psi2", r2.max() / T)[0] < 1.0:
             vals = cutoff_jet("psi2", r2 / T)[0] ** kappa * vals
-        for _ in range(w_vals.ndim - 1):
+        for _ in range(vals.ndim):
             vals = np.trapezoid(vals, dx=h, axis=-1)
         slab_vals[i] = vals
     return float(np.trapezoid(slab_vals, dx=h))

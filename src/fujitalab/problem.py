@@ -133,19 +133,22 @@ class ProfileSpec:
         return prof
 
 
-def profile_on_axis(prof: ProfileSpec, dim: int, ax: np.ndarray) -> np.ndarray:
+def profile_on_axis(prof: ProfileSpec, dim: int, ax: np.ndarray,
+                    rows: slice = slice(None)) -> np.ndarray:
     """The profile on the tensor grid ax^dim, shape (len(ax),)*dim.
 
     Each term is a product of 1-d exponentials, multiplied out axis by axis.
+    ``rows`` (a slice) keeps only those nodes of axis 0, so a slab of the
+    grid has the whole grid's floats.
     A term centre of another dimension than dim raises ValueError.
     """
     _check_centers(prof, dim)
-    out = np.zeros((len(ax),) * dim)
+    out = np.zeros((len(ax[rows]),) + (len(ax),) * (dim - 1))
     for t in prof.terms:
         term = np.array(t.coefficient)
         for d in range(dim):
             g = np.exp(-t.rate * (ax - t.center[d]) ** 2)
-            term = np.multiply.outer(term, g)
+            term = np.multiply.outer(term, g if d else g[rows])
         out += term
     return out
 

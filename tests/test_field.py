@@ -74,6 +74,18 @@ def test_lq_norm_general_q_is_the_plain_power_sum():
     assert np.array_equal(f.values, before)
 
 
+def test_lq_norm_of_a_tiny_field_is_not_lost_to_underflow():
+    # every power |v|^q underflows (at 1e-105 and q = 3 they are subnormal
+    # and lost 9e-10 of the norm): the norm is max|v| times that of v / max|v|
+    def norm(A, q):
+        return lq_norm(sample(ProfileSpec.gaussian(A, 1.0, (0.0,)), 1, 16.0, 256), q)
+
+    for A, q in ((1e-110, 3.0), (1e-170, 2.0), (1e-250, 1.5), (1e-105, 3.0)):
+        expected = A * norm(1.0, q)
+        assert abs(norm(A, q) - expected) <= 1e-14 * expected, (A, q)
+    assert norm(0.0, 3.0) == 0.0
+
+
 def test_lq_norm_rejects_small_q():
     f = sample(ProfileSpec.gaussian(1.0, 1.0, (0.0,)), 1, 8.0, 16)
     for q in (0.5, math.nan):

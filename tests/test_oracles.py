@@ -19,6 +19,7 @@ from fujitalab.oracles import (
     CUTOFF_KINDS,
     CUTOFF_MIN_ORDER,
     CUTOFF_THETA,
+    DRAW_BLOCK,
     YOUNG_DRAWS,
     YOUNG_SLACK,
     CutoffCheck,
@@ -34,7 +35,7 @@ from fujitalab.oracles import (
     w_condition_check,
     young_batch,
 )
-from fujitalab.problem import ProfileSpec
+from fujitalab.problem import ProfileSpec, profile_on_axis
 
 
 # ------------------------------------------------------------------ young
@@ -60,6 +61,21 @@ def _young_whole(seed):
 def test_blocked_young_batch_equals_the_whole_arrays():
     for seed in (0, 7):
         assert young_batch(seed) == _young_whole(seed), seed
+
+
+def test_draw_blocks_join_up_to_the_whole_arrays():
+    # a count that ends on a partial block, with young's mixed bounds
+    n, bounds = 25_001, ((0.0, 10.0), (1.05, 8.0), (-3.0, 3.0))
+    for seed in (3, 7):
+        rng = np.random.default_rng(seed)
+        whole = [rng.uniform(lo, hi, n) for lo, hi in bounds]
+        blocks = list(oracles._draw_blocks(seed, n, *bounds))
+        assert [len(block[0]) for block in blocks] == [DRAW_BLOCK, DRAW_BLOCK, 5_001]
+        for k, draws in enumerate(whole):
+            joined = np.concatenate([block[k] for block in blocks])
+            assert np.array_equal(joined, draws), (seed, k)
+    # the contraction study's head, its first tenth, is its first block
+    assert CONTRACTION_DRAWS == 10 * DRAW_BLOCK
 
 
 # ------------------------------------------------------------ contraction
@@ -89,6 +105,32 @@ def test_blocked_contraction_study_equals_the_whole_arrays():
         for seed in (1, 3):
             got = contraction_constant_study(p, alpha, seed)
             assert got == _contraction_whole(p, alpha, seed), (p, alpha, seed)
+
+
+def test_contraction_study_reads_an_infinite_ratio_as_inf(monkeypatch):
+    # one draw per block with rhs = 0 < lhs, or with a ratio that
+    # overflows, makes the sup +inf and fails the lemma; 0/0 stays 0
+    sides = oracles._contraction_sides
+
+    def patched(lhs0, rhs0):
+        def with_first_draw(*args):
+            lhs, rhs = sides(*args)
+            lhs[0], rhs[0] = lhs0, rhs0
+            return lhs, rhs
+        return with_first_draw
+
+    for lhs0, rhs0 in ((1.0, 0.0), (1e300, 1e-300)):
+        monkeypatch.setattr(oracles, "_contraction_sides", patched(lhs0, rhs0))
+        assert contraction_constant_study(2.0, 1.0, seed=3) == (math.inf, math.inf)
+        ok, detail = oracles.LEMMAS["contraction"]()
+        assert not ok and detail.count("sup inf") == 4, detail
+
+    def all_zero(*args):
+        lhs, rhs = sides(*args)
+        return np.zeros_like(lhs), np.zeros_like(rhs)
+
+    monkeypatch.setattr(oracles, "_contraction_sides", all_zero)
+    assert contraction_constant_study(2.0, 1.0, seed=3) == (0.0, 0.0)
 
 
 # ---------------------------------------------------------- mittag-leffler
@@ -373,9 +415,11 @@ def test_row_blocked_2d_check_equals_the_full_grid():
     # numbers bit for bit. The coarse grids have stencils that jump over a
     # band of the cutoff and must not be skipped (at 3 and 4 points psi2
     # jumps from g = 1 to g = 0 between neighbours); even n have no middle
-    # row or column
-    rows = BLOCK_BYTES // (8 * (2 * 401 - 1))
-    assert (801 - 1 - 801 // 2) % rows != 0  # the fine grid ends on a partial block
+    # row or column. A fine grid of 2p - 1 points has p - 1 inner rows from
+    # its middle on: at 401 points they end on a whole block, at 400 on a
+    # partial one
+    whole = [(p - 1) % (BLOCK_BYTES // (8 * (2 * p - 1))) == 0 for p in (401, 400)]
+    assert whole == [True, False]
     cases = [("psi2", 100.0, 401), ("psi1", 100.0, 401), ("psi2", 30.0, 151),
              ("psi2", 1e-3, 401), ("psi2", 100.0, 3), ("psi2", 100.0, 4),
              ("psi2", 100.0, 801), ("psi1", 30.0, 400), ("psi2", 1e-3, 150)]
@@ -402,7 +446,7 @@ def test_2d_cutoff_check_evaluates_only_stencils_off_the_flat_pieces(monkeypatch
     # the verify case: a column of a row block is evaluated only where its
     # stencil box reaches a non-flat value of psi2, in the quadrant of rows
     # and columns from n//2 on (1,412,964 jet elements on the whole grid,
-    # 3,344,098 with no flat column skipped)
+    # 3,344,098 with no flat column skipped; 354,152 in blocks of 512 KiB)
     sizes = []
     jet = oracles.cutoff_jet
 
@@ -412,7 +456,7 @@ def test_2d_cutoff_check_evaluates_only_stencils_off_the_flat_pieces(monkeypatch
 
     monkeypatch.setattr(oracles, "cutoff_jet", counted)
     cutoff_laplacian_check("psi2", T=100.0, dim=2, points=801)
-    assert sum(sizes) == 354_152
+    assert sum(sizes) == 357_900
 
 
 def test_row_blocks_leave_no_remainder_unchecked(monkeypatch):
@@ -565,7 +609,7 @@ def test_space_integral_skips_the_cutoff_only_where_it_is_one():
     for top in (3.0, 2.0, 1.5, 1.25, 1.0 + 2**-52, 1.0, 0.5):
         T = 200.0 / top
         assert r2.max() / T == top
-        assert oracles._space_cutoff_integral(sq, flat, x[1] - x[0], T, 6.0) == \
+        assert oracles._space_cutoff_integral(x, flat.__getitem__, x[1] - x[0], T, 6.0) == \
             _space_integral_with_cutoff(sq, flat, x[1] - x[0], T, 6.0), top
 
 
@@ -579,12 +623,15 @@ def test_slab_space_integral_equals_the_whole_grid():
         for dim in (1, 2, 3):
             w_dim = ProfileSpec.gaussian_sum(
                 [(t.coefficient, t.rate, t.center[:dim]) for t in w.terms])
-            sq, w_vals, h = oracles._space_grid(w_dim, dim)
-            uncut = _space_integral_with_cutoff(sq, w_vals, h, 1e300, kappa)
+            ax, slab, h = oracles._space_grid(w_dim, dim)
+            w_vals = profile_on_axis(w_dim, dim, ax)
+            for i in range(len(ax)):  # each slab is the whole grid's, bit for bit
+                assert np.array_equal(slab(i), w_vals[i]), (w_dim, i)
+            uncut = _space_integral_with_cutoff(ax**2, w_vals, h, 1e300, kappa)
             for T in (3.0, 10.0):
-                whole = _space_integral_with_cutoff(sq, w_vals, h, T, kappa)
+                whole = _space_integral_with_cutoff(ax**2, w_vals, h, T, kappa)
                 assert whole != uncut, (w_dim, T)
-                assert oracles._space_cutoff_integral(sq, w_vals, h, T, kappa) == \
+                assert oracles._space_cutoff_integral(ax, slab, h, T, kappa) == \
                     whole, (w_dim, T)
 
 
@@ -593,17 +640,20 @@ def test_certificate_space_integral_skips_the_cutoff_where_it_is_one(monkeypatch
     # every node at T = 1e3 and 1e4 and the cutoff is evaluated at T = 1e2
     # only, once on each 65 x 65 slab of the grid
     args = (3, 1.5, 1.25, 1.0, -0.5)
+    def whole_grid(ax, slab, h, T, kappa):
+        return _space_integral_with_cutoff(ax**2, profile_on_axis(_W3, 3, ax), h, T, kappa)
+
     with monkeypatch.context() as m:
-        m.setattr(oracles, "_space_cutoff_integral", _space_integral_with_cutoff)
+        m.setattr(oracles, "_space_cutoff_integral", whole_grid)
         reference = certificate_scaling_check(*args, w=_W3)
     space_T = []
     cutoff_calls = []
     integral, jet = oracles._space_cutoff_integral, oracles.cutoff_jet
 
-    def integral_at(sq, w_vals, h, T, kappa):
+    def integral_at(ax, slab, h, T, kappa):
         space_T.append(T)
         try:
-            return integral(sq, w_vals, h, T, kappa)
+            return integral(ax, slab, h, T, kappa)
         finally:
             space_T.pop()
 
@@ -622,10 +672,16 @@ def test_certificate_space_integral_skips_the_cutoff_where_it_is_one(monkeypatch
 
 def test_lemma_memory_is_bounded_by_blocks_and_slabs():
     # whole arrays peaked at 7.6, 7.6 and 26.6 MiB in young, contraction and
-    # certificate_scaling, and a whole-grid |x|^2 at 6.6 MiB in the last
-    bounds = {"young": 5.5, "contraction": 5.0, "mittag_leffler": 1.0, "gronwall": 1.0,
-              "exponent_sign": 1.0, "cutoff_laplacian": 6.0, "w_condition": 1.0,
-              "certificate_scaling": 5.5}
+    # certificate_scaling, and a whole-grid |x|^2 at 6.6 MiB in the last;
+    # the whole draws at 4.3 and 3.8 MiB, a whole 65^3 w at 4.5 MiB and
+    # 512 KiB cutoff blocks at 4.4 MiB. The sweeps' first draw loads
+    # numpy.random (0.7 MiB of module objects), which is not a lemma's
+    # memory, so it is loaded before any peak is taken
+    import numpy.random  # noqa: F401
+
+    bounds = {"young": 1.5, "contraction": 1.5, "mittag_leffler": 1.0, "gronwall": 1.0,
+              "exponent_sign": 1.0, "cutoff_laplacian": 1.5, "w_condition": 1.0,
+              "certificate_scaling": 1.5}
     assert set(bounds) == set(oracles.LEMMAS)
     for name, mib in bounds.items():
         tracemalloc.start()
