@@ -149,8 +149,8 @@ def lq_norm(f: GridField, q) -> float:
     The sup norm is max(max v, -min v) and takes no temporary array.  A cell
     sum that overflows, alone or times the cell volume, raises BlowupSignal;
     q < 1 or nan raises ValueError.  A nonzero field whose scaled cell sum
-    is below the smallest normal double has lost its powers to underflow:
-    its norm is max|v| times the norm of v / max|v|.
+    is below the smallest normal double has lost its powers or cell volume
+    to underflow: its norm is max|v| h^(dim/q) (sum |v / max|v||^q)^(1/q).
     """
     v = f.values
     q = float(q)
@@ -162,7 +162,7 @@ def lq_norm(f: GridField, q) -> float:
     if not math.isfinite(total):
         raise BlowupSignal("norm overflow")
     if total < sys.float_info.min and (top := lq_norm(f, math.inf)) > 0:
-        return top * (_power_sum(v / top, q) * f.cell_volume) ** (1.0 / q)
+        return top * f.spacing ** (f.dim / q) * _power_sum(v / top, q) ** (1.0 / q)
     return total ** (1.0 / q)
 
 

@@ -53,7 +53,7 @@ CERT_SPACE_POINTS = 65            # trapezoid nodes per axis of the w integral
 CERT_SLOPE_TOL = 0.1              # slack on both of the certificate's slope tests
 BLOCK_BYTES = 128 * 1024          # bytes per float row block of the 2-D cutoff check
 # Draws per block of the Young and contraction sweeps: 80 KB per float
-# array, so a block's temporaries stay in cache (BLOCK_BYTES // 8 draws lose
+# array, so a block's temporaries stay in cache (65,536-draw blocks lost
 # most of that).  It is also the contraction study's head, a tenth of its draws.
 DRAW_BLOCK = 10_000
 
@@ -516,9 +516,8 @@ def certificate_scaling_check(
     ]
     F_vals = []
     if w.terms:
-        space_grid = _space_grid(w, N)
-        F_vals = [time_factor(T, rho) * _space_cutoff_integral(*space_grid, T, kappa)
-                  for T in CERT_T_LIST]
+        F_vals = [time_factor(T, rho) * space for T, space in
+                  zip(CERT_T_LIST, _space_cutoff_integrals(w, N, kappa))]
 
     lnT = np.log(np.asarray(CERT_T_LIST))
     slope_I1 = float(np.polyfit(lnT, np.log(I1_vals), 1)[0])
@@ -542,39 +541,38 @@ def certificate_scaling_check(
     )
 
 
-def _space_grid(w: ProfileSpec, N: int):
-    """(axis, slab, spacing) of the tensor trapezoid grid over w's support;
-    slab(i) is w on slab i of axis 0, the whole grid's floats."""
+def _space_cutoff_integrals(w: ProfileSpec, N: int, kappa: float) -> list[float]:
+    """Tensor-trapezoid integrals of psi2(|x|^2/T)^kappa * w over w's support,
+    one per T in CERT_T_LIST, in one pass over the slabs of axis 0.
+
+    A slab's w and |x|^2 are made once and serve every T; the cutoff and the
+    inner trapezoids run per T on the slab, and the outer trapezoid on each
+    T's slab values.  |x|^2 is summed from the axis squares in coordinate
+    order, as np.add.outer builds the whole grid's, and the inner sums run
+    along the same axes in the same order, so each float is the whole grid's
+    and no temporary is larger than a slab.  psi2's argument is monotone in
+    |x|^2, so on a slab where it is >= 1 at the largest |x|^2 the cutoff is
+    exactly 1 and is not evaluated.
+    """
     reach = max((abs(c) for t in w.terms for c in t.center), default=0.0)
     reach += 10.0 / math.sqrt(profile_min_rate(w))
     ax = np.linspace(-reach, reach, CERT_SPACE_POINTS)
-    return ax, lambda i: profile_on_axis(w, N, ax, slice(i, i + 1))[0], ax[1] - ax[0]
-
-
-def _space_cutoff_integral(ax, slab, h: float, T: float, kappa: float) -> float:
-    """Tensor-trapezoid integral of psi2(|x|^2/T)^kappa * w on ``_space_grid``.
-
-    w, the cutoff and the inner trapezoids run on one slab of axis 0 at a
-    time and the outer trapezoid on the slab values.  A slab's |x|^2 is summed
-    from the axis squares in coordinate order, as np.add.outer builds the
-    whole grid's, and the inner sums run along the same axes in the same
-    order, so the float is the whole grid's and no temporary is larger than
-    a slab.  psi2's argument is monotone in |x|^2, so on a slab where it is
-    >= 1 at the largest |x|^2 the cutoff is exactly 1 and is not evaluated.
-    """
-    sq = ax**2
-    slab_vals = np.empty(len(ax))
+    h, sq = ax[1] - ax[0], ax**2
+    slab_vals = np.empty((len(CERT_T_LIST), len(ax)))
     for i in range(len(ax)):
-        vals = slab(i)
+        w_slab = profile_on_axis(w, N, ax, slice(i, i + 1))[0]
         r2 = sq[i]
-        for _ in range(vals.ndim):
+        for _ in range(w_slab.ndim):
             r2 = np.add.outer(r2, sq)
-        if _cutoff_args("psi2", r2.max() / T)[0] < 1.0:
-            vals = cutoff_jet("psi2", r2 / T)[0] ** kappa * vals
-        for _ in range(vals.ndim):
-            vals = np.trapezoid(vals, dx=h, axis=-1)
-        slab_vals[i] = vals
-    return float(np.trapezoid(slab_vals, dx=h))
+        r2_top = r2.max()
+        for k, T in enumerate(CERT_T_LIST):
+            vals = w_slab
+            if _cutoff_args("psi2", r2_top / T)[0] < 1.0:
+                vals = cutoff_jet("psi2", r2 / T)[0] ** kappa * vals
+            for _ in range(vals.ndim):
+                vals = np.trapezoid(vals, dx=h, axis=-1)
+            slab_vals[k, i] = vals
+    return [float(np.trapezoid(row, dx=h)) for row in slab_vals]
 
 
 # ---------------------------------------------------------------------------

@@ -84,6 +84,12 @@ def test_lq_norm_of_a_tiny_field_is_not_lost_to_underflow():
         expected = A * norm(1.0, q)
         assert abs(norm(A, q) - expected) <= 1e-14 * expected, (A, q)
     assert norm(0.0, 3.0) == 0.0
+    # a box so small that the cell volume h^3 underflows: 512 unit values
+    # have the closed-form norm 512^(1/q) h^(3/q)
+    box = GridField(3, 1e-110, np.ones((8, 8, 8)))
+    assert box.cell_volume == 0.0
+    for q in (2.0, 3.0, 1.5):
+        assert lq_norm(box, q) == 512.0 ** (1.0 / q) * box.spacing ** (3.0 / q), q
 
 
 def test_lq_norm_rejects_small_q():

@@ -35,7 +35,7 @@ from fujitalab.oracles import (
     w_condition_check,
     young_batch,
 )
-from fujitalab.problem import ProfileSpec, profile_on_axis
+from fujitalab.problem import ProfileSpec, profile_min_rate, profile_on_axis
 
 
 # ------------------------------------------------------------------ young
@@ -589,8 +589,8 @@ def _whole_grid_r2(sq, dim):
 
 
 def _space_integral_with_cutoff(sq, w_vals, h, T, kappa):
-    """``_space_cutoff_integral`` on the whole grid at once, evaluating the
-    cutoff on every node at every T."""
+    """One T's value of ``_space_cutoff_integrals`` on the whole grid at once,
+    evaluating the cutoff on every node."""
     r2 = _whole_grid_r2(sq, w_vals.ndim)
     vals = cutoff_jet("psi2", r2 / T)[0] ** kappa * w_vals
     for _ in range(r2.ndim):
@@ -598,41 +598,67 @@ def _space_integral_with_cutoff(sq, w_vals, h, T, kappa):
     return float(vals)
 
 
-def test_space_integral_skips_the_cutoff_only_where_it_is_one():
+def _cert_axis(w):
+    """The certificate's trapezoid axis: w's centres plus 10 / sqrt(least rate)."""
+    reach = max(abs(c) for t in w.terms for c in t.center)
+    reach += 10.0 / math.sqrt(profile_min_rate(w))
+    return np.linspace(-reach, reach, oracles.CERT_SPACE_POINTS)
+
+
+def test_space_integral_skips_the_cutoff_only_where_it_is_one(monkeypatch):
     # a flat w on a 2-D grid reaching |x|^2 = 200, so every node where psi2 < 1
     # moves the integral; the largest |x|^2 / T runs across 1, and slabs
     # of axis 0 nearer the middle drop below it in turn
+    w = ProfileSpec.gaussian(1.0, 1.0, (0.0, 0.0))
     x = np.linspace(-10.0, 10.0, 65)
+    assert np.array_equal(_cert_axis(w), x)
     sq = x**2
     r2 = _whole_grid_r2(sq, 2)
     flat = np.ones_like(r2)
-    for top in (3.0, 2.0, 1.5, 1.25, 1.0 + 2**-52, 1.0, 0.5):
-        T = 200.0 / top
-        assert r2.max() / T == top
-        assert oracles._space_cutoff_integral(x, flat.__getitem__, x[1] - x[0], T, 6.0) == \
-            _space_integral_with_cutoff(sq, flat, x[1] - x[0], T, 6.0), top
+    tops = (3.0, 2.0, 1.5, 1.25, 1.0 + 2**-52, 1.0, 0.5)
+    T_list = tuple(200.0 / top for top in tops)
+    assert [r2.max() / T for T in T_list] == list(tops)
+    monkeypatch.setattr(oracles, "CERT_T_LIST", T_list)
+    monkeypatch.setattr(oracles, "profile_on_axis",
+                        lambda prof, dim, ax, rows: np.ones_like(r2[rows]))
+    assert oracles._space_cutoff_integrals(w, 2, 6.0) == \
+        [_space_integral_with_cutoff(sq, flat, x[1] - x[0], T, 6.0) for T in T_list]
 
 
-def test_slab_space_integral_equals_the_whole_grid():
-    # psi2 < 1 on nodes that carry weight at T = 3 and 10, so the cutoff
-    # moves the value; one profile is centred, one is off centre
+def test_slab_space_integral_equals_the_whole_grid(monkeypatch):
+    # one pass over the slabs serves every T: psi2 < 1 on nodes that carry
+    # weight at T = 3 and 10, so the cutoff moves the value, and nothing is
+    # cut at T = 1e300; one profile is centred, one is off centre
     kappa = 6.0
-    for w in (ProfileSpec.gaussian(1.0, 1.0, (0.0, 0.0, 0.0)),
-              ProfileSpec.gaussian_sum([(0.7, 0.5, (1.5, -2.0, 0.5)),
-                                        (0.3, 2.0, (0.0, 0.0, 0.0))])):
-        for dim in (1, 2, 3):
-            w_dim = ProfileSpec.gaussian_sum(
-                [(t.coefficient, t.rate, t.center[:dim]) for t in w.terms])
-            ax, slab, h = oracles._space_grid(w_dim, dim)
-            w_vals = profile_on_axis(w_dim, dim, ax)
-            for i in range(len(ax)):  # each slab is the whole grid's, bit for bit
-                assert np.array_equal(slab(i), w_vals[i]), (w_dim, i)
-            uncut = _space_integral_with_cutoff(ax**2, w_vals, h, 1e300, kappa)
-            for T in (3.0, 10.0):
-                whole = _space_integral_with_cutoff(ax**2, w_vals, h, T, kappa)
-                assert whole != uncut, (w_dim, T)
-                assert oracles._space_cutoff_integral(ax, slab, h, T, kappa) == \
-                    whole, (w_dim, T)
+    T_list = (3.0, 10.0, 1e300)
+    n = oracles.CERT_SPACE_POINTS
+    rows = []
+
+    def counted(prof, dim, ax, r=slice(None)):
+        rows.append((r.start, r.stop))
+        return profile_on_axis(prof, dim, ax, r)
+
+    monkeypatch.setattr(oracles, "profile_on_axis", counted)
+    cases = [(w, dim) for w in (ProfileSpec.gaussian(1.0, 1.0, (0.0, 0.0, 0.0)),
+                                ProfileSpec.gaussian_sum([(0.7, 0.5, (1.5, -2.0, 0.5)),
+                                                          (0.3, 2.0, (0.0, 0.0, 0.0))]))
+             for dim in (1, 2, 3)]
+    for w, dim in cases:
+        w_dim = ProfileSpec.gaussian_sum(
+            [(t.coefficient, t.rate, t.center[:dim]) for t in w.terms])
+        ax = _cert_axis(w_dim)
+        w_vals = profile_on_axis(w_dim, dim, ax)
+        whole = [_space_integral_with_cutoff(ax**2, w_vals, ax[1] - ax[0], T, kappa)
+                 for T in T_list]
+        assert whole[0] != whole[2] and whole[1] != whole[2], w_dim
+        rows.clear()
+        with monkeypatch.context() as m:
+            m.setattr(oracles, "CERT_T_LIST", T_list)
+            assert oracles._space_cutoff_integrals(w_dim, dim, kappa) == whole, w_dim
+        assert rows == [(i, i + 1) for i in range(n)], w_dim  # each slab once
+    rows.clear()
+    certificate_scaling_check(3, 1.5, 1.25, 1.0, -0.5, w=_W3)
+    assert len(rows) == n  # one pass for all of CERT_T_LIST
 
 
 def test_certificate_space_integral_skips_the_cutoff_where_it_is_one(monkeypatch):
@@ -640,33 +666,39 @@ def test_certificate_space_integral_skips_the_cutoff_where_it_is_one(monkeypatch
     # every node at T = 1e3 and 1e4 and the cutoff is evaluated at T = 1e2
     # only, once on each 65 x 65 slab of the grid
     args = (3, 1.5, 1.25, 1.0, -0.5)
-    def whole_grid(ax, slab, h, T, kappa):
-        return _space_integral_with_cutoff(ax**2, profile_on_axis(_W3, 3, ax), h, T, kappa)
+    ax = _cert_axis(_W3)
+    h, sq = ax[1] - ax[0], ax**2
+
+    def whole_grid(w, N, kappa):
+        return [_space_integral_with_cutoff(sq, profile_on_axis(_W3, 3, ax), h, T, kappa)
+                for T in oracles.CERT_T_LIST]
 
     with monkeypatch.context() as m:
-        m.setattr(oracles, "_space_cutoff_integral", whole_grid)
+        m.setattr(oracles, "_space_cutoff_integrals", whole_grid)
         reference = certificate_scaling_check(*args, w=_W3)
-    space_T = []
-    cutoff_calls = []
-    integral, jet = oracles._space_cutoff_integral, oracles.cutoff_jet
+    in_space = []
+    cutoff_args = []
+    integrals, jet = oracles._space_cutoff_integrals, oracles.cutoff_jet
 
-    def integral_at(ax, slab, h, T, kappa):
-        space_T.append(T)
+    def integrals_flagged(w, N, kappa):
+        in_space.append(True)
         try:
-            return integral(ax, slab, h, T, kappa)
+            return integrals(w, N, kappa)
         finally:
-            space_T.pop()
+            in_space.pop()
 
     def counted(kind, s):
-        if space_T:
-            cutoff_calls.append((space_T[-1], kind, np.shape(s)))
+        if in_space:
+            cutoff_args.append((kind, s))
         return jet(kind, s)
 
-    monkeypatch.setattr(oracles, "_space_cutoff_integral", integral_at)
+    monkeypatch.setattr(oracles, "_space_cutoff_integrals", integrals_flagged)
     monkeypatch.setattr(oracles, "cutoff_jet", counted)
     rep = certificate_scaling_check(*args, w=_W3)
-    n = oracles.CERT_SPACE_POINTS
-    assert cutoff_calls == [(1e2, "psi2", (n, n))] * n
+    r2 = _whole_grid_r2(sq, 3)
+    assert [kind for kind, _ in cutoff_args] == ["psi2"] * oracles.CERT_SPACE_POINTS
+    for (_, s), r2_slab in zip(cutoff_args, r2):  # slab i at T = 1e2
+        assert np.array_equal(s, r2_slab / 1e2)
     assert rep == reference  # the slopes and the sign gap, bit for bit
 
 
