@@ -134,13 +134,24 @@ def sample(
 
 def _power_sum(v: np.ndarray, q: float) -> float:
     """Sum of |v|^q: the dot product v.v at q = 2, with no temporary array;
-    any other q raises |v| to the q-th power in place, one temporary."""
+    any other q raises |v| to the q-th power in place, one temporary.
+
+    There each |v| below 2^(-1022/q), whose power is subnormal and slow in
+    np.power, is first set to 0.  Those powers sum to less than
+    v.size * 2^-1022, under an ulp of a sum of at least v.size * 2^-969;
+    below that the unflushed sum is taken, so a tiny field keeps its powers.
+    """
     with np.errstate(over="ignore"):
         if q == 2.0:
             flat = v.reshape(-1)
             return float(np.dot(flat, flat))
         a = np.abs(v)
-        return float(np.sum(np.power(a, q, out=a)))
+        a[a < 2.0 ** (-1022.0 / q)] = 0.0
+        total = float(np.sum(np.power(a, q, out=a)))
+        if total < v.size * 2.0**-969:
+            a = np.abs(v)
+            total = float(np.sum(np.power(a, q, out=a)))
+        return total
 
 
 def lq_norm(f: GridField, q) -> float:

@@ -24,8 +24,6 @@ from .problem import (
     KERNEL_AVERAGE_TOL,
     ProfileSpec,
     profile_integral,
-    profile_min_rate,
-    profile_on_axis,
     profile_sign,
 )
 
@@ -49,9 +47,7 @@ CUTOFF_MIN_ORDER = 1.6            # finite-difference order the cutoff check dem
 CERT_T_LIST = (1e2, 1e3, 1e4)     # scales T of the certificate's slope fits
 CERT_TIME_POINTS = 4097           # Simpson nodes of the time cutoff
 CERT_RADIAL_POINTS = 4097         # Simpson nodes of the radial space factor
-CERT_SPACE_POINTS = 65            # trapezoid nodes per axis of the w integral
 CERT_SLOPE_TOL = 0.1              # slack on both of the certificate's slope tests
-BLOCK_BYTES = 128 * 1024          # bytes per float row block of the 2-D cutoff check
 # Draws per block of the Young and contraction sweeps: 80 KB per float
 # array, so a block's temporaries stay in cache (65,536-draw blocks lost
 # most of that).  It is also the contraction study's head, a tenth of its draws.
@@ -225,26 +221,19 @@ def smoothstep_jet(u):
     return s, s1, s2
 
 
-def _cutoff_args(kind: str, s):
-    """The smoothstep arguments of a cutoff at s; each is monotone in s."""
-    if kind == "psi1":
-        return 4.0 * s - 1.0, 16.0 - 20.0 * s
-    if kind == "psi2":
-        return (2.0 - s,)
-    raise ValueError(f"unknown cutoff kind {kind!r}")
-
-
 def cutoff_jet(kind: str, s):
     """(g, g', g'') of a cutoff.
 
     psi1: plateau [1/2, 3/4] inside support [1/4, 4/5], the product of a
     rising and a falling smoothstep; psi2: 1 on [0, 1], 0 past 2.
     """
-    jets = [smoothstep_jet(u) for u in _cutoff_args(kind, np.asarray(s, dtype=float))]
+    s = np.asarray(s, dtype=float)
     if kind == "psi2":
-        g, g1, g2 = jets[0]
+        g, g1, g2 = smoothstep_jet(2.0 - s)
         return g, -g1, g2
-    (a, a1, a2), (b, b1, b2) = jets
+    if kind != "psi1":
+        raise ValueError(f"unknown cutoff kind {kind!r}")
+    (a, a1, a2), (b, b1, b2) = smoothstep_jet(4.0 * s - 1.0), smoothstep_jet(16.0 - 20.0 * s)
     return (
         a * b,
         4.0 * a1 * b - 20.0 * a * b1,
@@ -311,20 +300,16 @@ def cutoff_laplacian_check(
     empirical constant c_emp = sup T |Delta G| / g^(theta-2) is taken from
     the differenced Laplacian over the region g >= 1e-3, where the quotient
     is numerically clean; by design it depends on the cutoff alone, not on
-    T, which the verification suite exercises across decades of T.  The
-    grid (i - (points-1)/2) * h is exactly odd, so the 2-D check evaluates
-    one quadrant of it, whose maxima are the whole grid's.  The
-    2-D grid is taken in row blocks of about BLOCK_BYTES per array, so its
-    memory does not grow with points**2.  In a block, a column is skipped
-    where every smoothstep argument over its stencil box (the block's rows
-    and halo by the column and its neighbours) lies outside (0, 1): the
-    differenced Laplacian, the closed form and the quotient are exact zeros
-    there.  The bounds are exact, as fl(a + b), fl(y/T) and each argument
-    are monotone.  A skipped point where g = 1 needs no quotient: the grid's
-    edge lies past the support, so its row's last point with g = 1 on the
-    way out is evaluated.  T must be positive and finite,
-    points at least 3 and dim 1 or 2, else ValueError, as is a grid with no
-    inner point where g >= 1e-3.
+    T, which the verification suite exercises across decades of T.
+    G is radial, so the Cartesian (2 dim + 1)-point stencil is evaluated on
+    the ray (x_i, 0, ..., 0) alone, x_i the inner points of the exactly odd
+    grid (i - (points-1)/2) * h: it needs G at x_{i+-1}^2 and, for each of
+    its 2(dim-1) neighbours off the ray, at x_i^2 + h^2.  In dim 2 the sum
+    runs as the whole grid's five-point sum, so on an odd grid the ray's
+    values are the grid's axis values bit for bit.  The grid's sup can lie
+    off the axis: psi1's does, about 0.1% higher at 2001 points.  T must be
+    positive and finite, points at least 3 and dim a positive integer, else
+    ValueError, as is a grid with no inner point where g >= 1e-3.
     """
     if kind not in CUTOFF_KINDS:
         raise ValueError(f"unknown cutoff kind {kind!r}")
@@ -332,71 +317,36 @@ def cutoff_laplacian_check(
         raise ValueError(f"T must be positive and finite, got {T}")
     if points < 3:
         raise ValueError(f"points must be >= 3, got {points}")
-    if dim not in (1, 2):
-        raise ValueError("finite-difference check supports dim 1 or 2")
+    if not (dim >= 1 and float(dim).is_integer()):
+        raise ValueError(f"dim must be a positive integer, got {dim}")
     theta = CUTOFF_THETA
     y_max = 0.8 if kind == "psi1" else 2.0
     half = math.sqrt(y_max * T) * 1.05
 
-    def fd_blocks(n):
-        """(lap_fd, jet, y, inner) per evaluated block; lap_fd sits on jet[inner]."""
-        x, h = _odd_grid(half, n)
-        if dim == 1:
-            y = x**2 / T
-            jet = cutoff_jet(kind, y)
-            G = jet[0] ** theta
-            yield (G[2:] - 2.0 * G[1:-1] + G[:-2]) / h**2, jet, y, np.s_[1:-1]
-            return
-        # dim 2: inner rows [i0, i1) plus one halo row on each side, about
-        # BLOCK_BYTES per block array, so no temporary spans the whole grid.
-        # Only the quadrant of rows and columns from n//2 on is evaluated:
-        # x2 is exactly even and the stencil sum commutes under the mirrors
-        # and the transpose, so every other point repeats a quadrant value.
-        x2 = x**2
-        m = n // 2
-        x2c = x2[m - 1:]  # columns from m on, with their left halo
-        stencil = np.stack([x2c[:-2], x2c[1:-1], x2c[2:]])  # inner column k+1 of x2c
-        col_lo, col_hi = stencil.min(axis=0), stencil.max(axis=0)
-        rows = max(1, BLOCK_BYTES // (8 * n))
-        for i0 in range(m, n - 1, rows):
-            i1 = min(i0 + rows, n - 1)
-            x2_rows = x2[i0 - 1:i1 + 1]
-            # the least and greatest y of an inner column's stencil box bound
-            # each argument over the box
-            flat = True
-            for u, v in zip(_cutoff_args(kind, (x2_rows.min() + col_lo) / T),
-                            _cutoff_args(kind, (x2_rows.max() + col_hi) / T)):
-                flat = flat & ((np.maximum(u, v) <= 0.0) | (np.minimum(u, v) >= 1.0))
-            # runs [k0, k1) of inner columns k + 1 whose box is not flat, each
-            # evaluated with one halo column a side
-            edges = np.flatnonzero(np.diff(np.concatenate(([True], flat, [True]))))
-            for k0, k1 in zip(edges[0::2], edges[1::2]):
-                y = (x2_rows[:, None] + x2c[None, k0:k1 + 2]) / T
-                jet = cutoff_jet(kind, y)
-                G = jet[0] ** theta
-                lap_fd = (
-                    (G[2:, 1:-1] + G[:-2, 1:-1]) + (G[1:-1, 2:] + G[1:-1, :-2])
-                    - 4.0 * G[1:-1, 1:-1]
-                ) / h**2
-                yield lap_fd, jet, y, np.s_[1:-1, 1:-1]
-
     def fd_error_and_ratio(n):
-        errs, ratios = [], []
-        for lap_fd, jet, y, inner in fd_blocks(n):
-            jet_in = tuple(part[inner] for part in jet)
-            lap_exact = radial_power_laplacian(jet_in, theta, T, dim, y[inner])
-            errs.append(np.max(np.abs(lap_fd - lap_exact)))
-            g_in = jet_in[0]
-            clean = g_in >= 1e-3
-            if clean.any():
-                quotient = T * np.abs(lap_fd[clean]) / g_in[clean] ** (theta - 2.0)
-                ratios.append(np.max(quotient))
-        if not ratios:
+        x, h = _odd_grid(half, n)
+        x2 = x**2
+        y = x2 / T
+        jet = cutoff_jet(kind, y)
+        G = jet[0] ** theta
+        if dim == 1:
+            lap_fd = (G[2:] - 2.0 * G[1:-1] + G[:-2]) / h**2
+        else:
+            G_off = cutoff_jet(kind, (x2[1:-1] + h * h) / T)[0] ** theta
+            lap_fd = (
+                (G[2:] + G[:-2]) + 2.0 * (dim - 1) * G_off - 2.0 * dim * G[1:-1]
+            ) / h**2
+        jet_in = tuple(part[1:-1] for part in jet)
+        lap_exact = radial_power_laplacian(jet_in, theta, T, dim, y[1:-1])
+        g_in = jet_in[0]
+        clean = g_in >= 1e-3
+        if not clean.any():
             raise ValueError(
                 f"no inner grid point has g >= 1e-3 for kind={kind!r}, T={T}, "
                 f"points={points}"
             )
-        return float(np.max(errs)), float(np.max(ratios))
+        quotient = T * np.abs(lap_fd[clean]) / g_in[clean] ** (theta - 2.0)
+        return float(np.max(np.abs(lap_fd - lap_exact))), float(np.max(quotient))
 
     e_coarse, _ = fd_error_and_ratio(points)
     e_fine, c_emp = fd_error_and_ratio(2 * points - 1)
@@ -478,15 +428,19 @@ def certificate_scaling_check(
     of the two slopes estimates -theta, the certificate exponent, and its
     sign is the decisive part.  F is computed only when w has terms, and
     the report is applicable when every F is positive.
-    In the verify case (N = 3, w = e^{-|x|^2}) F's space factor is the same
-    float at every T of CERT_T_LIST (it first moves at T = 10), so slope_F
-    there measures the time factor only.  ValueError unless p > 1 and N is
-    a positive integer.
+    In the verify case (N = 3, w = e^{-|x|^2}) psi2 is 1 on all of w's
+    reach, |x| <= 10 = sqrt(1e2), at every T of CERT_T_LIST, so F's space
+    factor is the one float pi^(3/2), the integral of w, at each T, and
+    slope_F there measures the time factor only.  ValueError unless p > 1,
+    N is a positive integer, and a w with terms has N <= 3 and centres of
+    N coordinates.
     """
     if not p > 1:
         raise ValueError(f"p must be > 1, got {p}")
     if not (N >= 1 and float(N).is_integer()):
         raise ValueError(f"N must be a positive integer, got {N}")
+    if w.terms and not (N <= 3 and all(len(t.center) == N for t in w.terms)):
+        raise ValueError(f"w needs N <= 3 and centres of N coordinates, got N = {N}")
     d = delta(alpha, q)
     kappa = 2.0 * p / (p - 1.0)
     pw = p / (p - 1.0)
@@ -541,38 +495,66 @@ def certificate_scaling_check(
     )
 
 
-def _space_cutoff_integrals(w: ProfileSpec, N: int, kappa: float) -> list[float]:
-    """Tensor-trapezoid integrals of psi2(|x|^2/T)^kappa * w over w's support,
-    one per T in CERT_T_LIST, in one pass over the slabs of axis 0.
+def _i0e(z: np.ndarray) -> np.ndarray:
+    """e^-z I0(z) for z >= 0: np.i0(z) * e^-z up to z = 700, where I0 nears
+    the top of double range, and above it the first 11 terms of I0's
+    asymptotic series (Abramowitz & Stegun 9.7.1)."""
+    out = np.empty_like(z)
+    low = z <= 700.0
+    out[low] = np.i0(z[low]) * np.exp(-z[low])
+    big = z[~low]
+    term = total = np.ones_like(big)
+    for k in range(1, 11):
+        term = term * ((2 * k - 1) ** 2 / (8.0 * k)) / big
+        total = total + term
+    out[~low] = total / np.sqrt(2.0 * math.pi * big)
+    return out
 
-    A slab's w and |x|^2 are made once and serve every T; the cutoff and the
-    inner trapezoids run per T on the slab, and the outer trapezoid on each
-    T's slab values.  |x|^2 is summed from the axis squares in coordinate
-    order, as np.add.outer builds the whole grid's, and the inner sums run
-    along the same axes in the same order, so each float is the whole grid's
-    and no temporary is larger than a slab.  psi2's argument is monotone in
-    |x|^2, so on a slab where it is >= 1 at the largest |x|^2 the cutoff is
-    exactly 1 and is not evaluated.
+
+def _sphere_mass(N: int, a: float, s: float, r: np.ndarray) -> np.ndarray:
+    """The integral of exp(-a|x - y|^2) over the sphere |x| = r of R^N, N <= 3,
+    for |y| = s.  Each form carries exp(-a(r - s)^2), so none overflows, and
+    the 3-D one, 4 pi r^2 exp(-a(r - s)^2) (1 - e^-x)/x with x = 4ars, takes
+    s = 0 and a subnormal a*s without a division by a*s."""
+    if N == 1:
+        return np.exp(-a * (r - s) ** 2) + np.exp(-a * (r + s) ** 2)
+    if N == 2:
+        return 2.0 * math.pi * r * np.exp(-a * (r - s) ** 2) * _i0e(2.0 * a * r * s)
+    x = 4.0 * a * r * s
+    with np.errstate(invalid="ignore"):  # 0/0 where x = 0, whose factor is 1
+        factor = np.where(x > 0.0, -np.expm1(-x) / x, 1.0)
+    return 4.0 * math.pi * r**2 * np.exp(-a * (r - s) ** 2) * factor
+
+
+def _space_cutoff_integrals(w: ProfileSpec, N: int, kappa: float) -> list[float]:
+    """Integrals of psi2(|x|^2/T)^kappa * w over R^N, N <= 3, one per T in
+    CERT_T_LIST.
+
+    psi2 is radial, so in polar coordinates (Folland, *Real Analysis*, 2nd
+    ed., Thm 2.49) a term c exp(-a|x - y|^2) gives c times the integral over
+    r of psi2(r^2/T)^kappa times the term's ``_sphere_mass`` at r; in 2-D
+    that mass is I0's integral form (Abramowitz & Stegun 9.6.16).  The mass
+    is below e^-100 of its peak outside r in [s - 10/sqrt(a), s + 10/sqrt(a)],
+    s = |y|, so Simpson on CERT_RADIAL_POINTS nodes runs on that interval's
+    part below sqrt(T), where psi2 = 1 and is not evaluated, and on its part
+    in [sqrt(T), sqrt(2T)]; psi2 is 0 beyond.
     """
-    reach = max((abs(c) for t in w.terms for c in t.center), default=0.0)
-    reach += 10.0 / math.sqrt(profile_min_rate(w))
-    ax = np.linspace(-reach, reach, CERT_SPACE_POINTS)
-    h, sq = ax[1] - ax[0], ax**2
-    slab_vals = np.empty((len(CERT_T_LIST), len(ax)))
-    for i in range(len(ax)):
-        w_slab = profile_on_axis(w, N, ax, slice(i, i + 1))[0]
-        r2 = sq[i]
-        for _ in range(w_slab.ndim):
-            r2 = np.add.outer(r2, sq)
-        r2_top = r2.max()
-        for k, T in enumerate(CERT_T_LIST):
-            vals = w_slab
-            if _cutoff_args("psi2", r2_top / T)[0] < 1.0:
-                vals = cutoff_jet("psi2", r2 / T)[0] ** kappa * vals
-            for _ in range(vals.ndim):
-                vals = np.trapezoid(vals, dx=h, axis=-1)
-            slab_vals[k, i] = vals
-    return [float(np.trapezoid(row, dx=h)) for row in slab_vals]
+    values = []
+    for T in CERT_T_LIST:
+        total, root = 0.0, math.sqrt(T)
+        for t in w.terms:
+            a, s = t.rate, math.hypot(*t.center)
+            lo, hi = max(0.0, s - 10.0 / math.sqrt(a)), s + 10.0 / math.sqrt(a)
+            for r0, r1, cut in ((lo, min(hi, root), False),
+                                (max(lo, root), min(hi, math.sqrt(2.0 * T)), True)):
+                if r0 < r1:
+                    r = np.linspace(r0, r1, CERT_RADIAL_POINTS)
+                    vals = _sphere_mass(N, a, s, r)
+                    if cut:
+                        vals = cutoff_jet("psi2", r**2 / T)[0] ** kappa * vals
+                    total += t.coefficient * _simpson(vals, r[1] - r[0])
+        values.append(total)
+    return values
 
 
 # ---------------------------------------------------------------------------

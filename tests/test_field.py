@@ -3,6 +3,7 @@ Gaussians well inside the box converge spectrally, so closed-form norms are
 matched essentially to machine precision."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -90,6 +91,17 @@ def test_lq_norm_of_a_tiny_field_is_not_lost_to_underflow():
     assert box.cell_volume == 0.0
     for q in (2.0, 3.0, 1.5):
         assert lq_norm(box, q) == 512.0 ** (1.0 / q) * box.spacing ** (3.0 / q), q
+
+
+def test_power_sum_flushes_subnormal_powers_without_moving_the_sum():
+    # about half of this field's 262,144 values lie below 1e-103, so their
+    # powers at q = 3, 2.5 and 1.5 are subnormal or 0; setting each |v| below
+    # 2^(-1022/q) to 0 before the power must leave the sum's float alone
+    v = sample(ProfileSpec.gaussian(1.0, 1.0, (0.0,) * 3), 3, 16.0, 64).values
+    for q in (3.0, 2.5, 1.5):
+        powers = np.abs(v) ** q
+        assert np.count_nonzero((powers > 0.0) & (powers < sys.float_info.min)) > 0, q
+        assert field._power_sum(v, q) == float(np.sum(powers)), q
 
 
 def test_lq_norm_rejects_small_q():

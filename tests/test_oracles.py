@@ -14,7 +14,6 @@ import pytest
 from fujitalab import oracles
 from fujitalab.exponents import blowup_criterion
 from fujitalab.oracles import (
-    BLOCK_BYTES,
     CONTRACTION_DRAWS,
     CUTOFF_KINDS,
     CUTOFF_MIN_ORDER,
@@ -35,7 +34,7 @@ from fujitalab.oracles import (
     w_condition_check,
     young_batch,
 )
-from fujitalab.problem import ProfileSpec, profile_min_rate, profile_on_axis
+from fujitalab.problem import ProfileSpec, profile_integral
 
 
 # ------------------------------------------------------------------ young
@@ -346,6 +345,8 @@ def test_cutoff_laplacian_fd_agreement():
     assert chk1.passed and chk1.order >= 1.6
     chk2 = cutoff_laplacian_check("psi2", T=100.0, dim=2, points=401)
     assert chk2.passed and chk2.order >= 1.6
+    chk3 = cutoff_laplacian_check("psi2", T=100.0, dim=3, points=801)
+    assert chk3.passed and chk3.order >= 1.9
 
 
 def test_cutoff_laplacian_check_takes_one_jet_per_grid(monkeypatch):
@@ -366,29 +367,32 @@ def test_cutoff_laplacian_check_takes_one_jet_per_grid(monkeypatch):
 
 
 def _full_grid_cutoff_check(kind, T, points):
-    """The 2-D cutoff check with every temporary on the whole grid at once."""
+    """The 2-D cutoff check's five-point stencil on every point of the grid,
+    64 rows at a time."""
     theta = CUTOFF_THETA
     half = math.sqrt((0.8 if kind == "psi1" else 2.0) * T) * 1.05
 
     def fd_error_and_ratio(n):
         h = 2.0 * half / (n - 1)
-        x = (np.arange(n) - (n - 1) / 2) * h
-        xx, yy = np.meshgrid(x, x, indexing="ij")
-        y = (xx**2 + yy**2) / T
-        jet = cutoff_jet(kind, y)
-        G = jet[0] ** theta
-        lap_fd = (
-            (G[2:, 1:-1] + G[:-2, 1:-1]) + (G[1:-1, 2:] + G[1:-1, :-2])
-            - 4.0 * G[1:-1, 1:-1]
-        ) / h**2
-        inner = np.s_[1:-1, 1:-1]
-        jet_in = tuple(part[inner] for part in jet)
-        lap_exact = radial_power_laplacian(jet_in, theta, T, 2, y[inner])
-        err = float(np.max(np.abs(lap_fd - lap_exact)))
-        g_in = jet_in[0]
-        clean = g_in >= 1e-3
-        c_emp = float(np.max(T * np.abs(lap_fd[clean]) / g_in[clean] ** (theta - 2.0)))
-        return err, c_emp
+        x2 = ((np.arange(n) - (n - 1) / 2) * h) ** 2
+        errs, ratios = [], []
+        for i0 in range(1, n - 1, 64):
+            y = (x2[i0 - 1:min(i0 + 64, n - 1) + 1, None] + x2[None, :]) / T
+            jet = cutoff_jet(kind, y)
+            G = jet[0] ** theta
+            lap_fd = (
+                (G[2:, 1:-1] + G[:-2, 1:-1]) + (G[1:-1, 2:] + G[1:-1, :-2])
+                - 4.0 * G[1:-1, 1:-1]
+            ) / h**2
+            inner = np.s_[1:-1, 1:-1]
+            jet_in = tuple(part[inner] for part in jet)
+            lap_exact = radial_power_laplacian(jet_in, theta, T, 2, y[inner])
+            errs.append(np.max(np.abs(lap_fd - lap_exact)))
+            g_in = jet_in[0]
+            clean = g_in >= 1e-3
+            if clean.any():
+                ratios.append(np.max(T * np.abs(lap_fd[clean]) / g_in[clean] ** (theta - 2.0)))
+        return float(max(errs)), float(max(ratios))  # ValueError with no clean point
 
     e_coarse, _ = fd_error_and_ratio(points)
     e_fine, c_emp = fd_error_and_ratio(2 * points - 1)
@@ -409,44 +413,57 @@ def test_odd_grid_is_exactly_odd():
     assert np.count_nonzero(x2 != x2[::-1]) == 588
 
 
-def test_row_blocked_2d_check_equals_the_full_grid():
-    # the check evaluates rows and columns from n//2 on, block by block,
-    # and folds them into the maxima; the full grid must give the same
-    # numbers bit for bit. The coarse grids have stencils that jump over a
-    # band of the cutoff and must not be skipped (at 3 and 4 points psi2
-    # jumps from g = 1 to g = 0 between neighbours); even n have no middle
-    # row or column. A fine grid of 2p - 1 points has p - 1 inner rows from
-    # its middle on: at 401 points they end on a whole block, at 400 on a
-    # partial one
-    whole = [(p - 1) % (BLOCK_BYTES // (8 * (2 * p - 1))) == 0 for p in (401, 400)]
-    assert whole == [True, False]
-    cases = [("psi2", 100.0, 401), ("psi1", 100.0, 401), ("psi2", 30.0, 151),
-             ("psi2", 1e-3, 401), ("psi2", 100.0, 3), ("psi2", 100.0, 4),
-             ("psi2", 100.0, 801), ("psi1", 30.0, 400), ("psi2", 1e-3, 150)]
-    cases += [(kind, T, points) for kind in CUTOFF_KINDS for T in (1e-300, 1e300)
-              for points in (4, 11, 37)]
-    cases += [(kind, 100.0, points) for kind in CUTOFF_KINDS
-              for points in (5, 6, 7, 9, 11, 37, 38)]
+def test_ray_cutoff_check_equals_the_full_grid_for_psi2():
+    # psi2's sup error lies on the axis once the grid resolves the cutoff,
+    # and on an odd grid the ray's stencil sums are the grid's axis values
+    # bit for bit, so its errors are the whole grid's; the verify case keeps
+    # the errors of the row-blocked 2-D grid that the ray replaced
+    for T, points in ((100.0, 801), (100.0, 401), (10.0, 401), (1e3, 401), (1e-3, 401)):
+        ray = cutoff_laplacian_check("psi2", T, 2, points)
+        grid = _full_grid_cutoff_check("psi2", T, points)
+        assert (ray.error_coarse, ray.error_fine, ray.order) == \
+            (grid.error_coarse, grid.error_fine, grid.order), (T, points)
+        assert ray.c_emp <= grid.c_emp and ray.c_emp == pytest.approx(grid.c_emp, rel=1e-5)
+    verify = cutoff_laplacian_check("psi2", 100.0, 2, 801)
+    assert verify.error_coarse == 0.0026408473830632495
+    assert verify.error_fine == 0.0006609683181539872
 
-    def outcome(check, *args):
-        try:
-            return check(*args)
-        except ValueError:  # no inner point where g >= 1e-3
-            return ValueError
 
-    raised = 0
+def test_ray_errors_never_exceed_the_full_grid():
+    # the ray's points are grid points of an odd grid, so every maximum it
+    # takes is at most the grid's, on coarse grids, tiny and huge T and both
+    # kinds; on coarse grids the grid's sup can lie off the axis
+    cases = [(kind, T, points) for kind in CUTOFF_KINDS for T in (1e-300, 100.0, 1e300)
+             for points in (3, 7, 11, 37, 151)]
+    checked = 0
     for kind, T, points in cases:
-        got = outcome(cutoff_laplacian_check, kind, T, 2, points)
-        assert got == outcome(_full_grid_cutoff_check, kind, T, points), (kind, T, points)
-        raised += got is ValueError
-    assert raised == 2  # psi1 at 4 points: no inner point reaches its support
+        try:
+            ray = cutoff_laplacian_check(kind, T, 2, points)
+        except ValueError:  # no inner point of the ray reaches g >= 1e-3
+            continue
+        grid = _full_grid_cutoff_check(kind, T, points)
+        assert ray.error_coarse <= grid.error_coarse, (kind, T, points)
+        assert ray.error_fine <= grid.error_fine, (kind, T, points)
+        assert ray.c_emp <= grid.c_emp, (kind, T, points)
+        checked += 1
+    assert checked == 27  # psi1 at 3 points: its one inner point is x = 0
 
 
-def test_2d_cutoff_check_evaluates_only_stencils_off_the_flat_pieces(monkeypatch):
-    # the verify case: a column of a row block is evaluated only where its
-    # stencil box reaches a non-flat value of psi2, in the quadrant of rows
-    # and columns from n//2 on (1,412,964 jet elements on the whole grid,
-    # 3,344,098 with no flat column skipped; 354,152 in blocks of 512 KiB)
+def test_ray_psi1_errors_lie_within_half_a_percent_of_the_grid():
+    # psi1's plateau band puts the grid's sup error off the axis, about 0.1%
+    # above the ray's at 2001 points (0.4% on the fine grid); the order the
+    # lemma reads moves in the third digit
+    ray = cutoff_laplacian_check("psi1", 100.0, 2, 2001)
+    grid = _full_grid_cutoff_check("psi1", 100.0, 2001)
+    for got, ref in ((ray.error_coarse, grid.error_coarse), (ray.error_fine, grid.error_fine)):
+        assert got <= ref and got >= 0.995 * ref
+    assert ray.order == pytest.approx(grid.order, abs=0.01)
+
+
+def test_cutoff_check_evaluates_the_cutoff_on_the_ray_only(monkeypatch):
+    # the verify case: the ray's n points and the n - 2 off-ray radii on a
+    # coarse grid of 801 points and a fine one of 1601, O(points) against
+    # the 357,900 jet elements of the row-blocked 2-D grid
     sizes = []
     jet = oracles.cutoff_jet
 
@@ -456,25 +473,10 @@ def test_2d_cutoff_check_evaluates_only_stencils_off_the_flat_pieces(monkeypatch
 
     monkeypatch.setattr(oracles, "cutoff_jet", counted)
     cutoff_laplacian_check("psi2", T=100.0, dim=2, points=801)
-    assert sum(sizes) == 357_900
-
-
-def test_row_blocks_leave_no_remainder_unchecked(monkeypatch):
-    # one row per block is the smallest budget: still every inner row once
-    monkeypatch.setattr(oracles, "BLOCK_BYTES", 8)
-    assert cutoff_laplacian_check("psi1", T=20.0, dim=2, points=37) == \
-        _full_grid_cutoff_check("psi1", 20.0, 37)
-
-
-def test_2d_cutoff_check_memory_is_bounded_by_the_block():
-    tracemalloc.start()
-    try:
-        chk = cutoff_laplacian_check("psi2", T=100.0, dim=2, points=801)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert chk.passed
-    assert peak < 32e6
+    assert sizes == [801, 799, 1601, 1599]
+    sizes.clear()
+    cutoff_laplacian_check("psi2", T=100.0, dim=3, points=801)
+    assert sum(sizes) == 4800  # the same radii serve any dim
 
 
 def test_oracles_refuse_inputs_outside_their_domain():
@@ -483,8 +485,9 @@ def test_oracles_refuse_inputs_outside_their_domain():
             cutoff_laplacian_check("psi2", T=T)
     with pytest.raises(ValueError, match="points must be >= 3"):
         cutoff_laplacian_check("psi2", points=2)
-    with pytest.raises(ValueError, match="dim 1 or 2"):
-        cutoff_laplacian_check("psi2", dim=3)
+    for dim in (0, 1.5):
+        with pytest.raises(ValueError, match="dim must be a positive integer"):
+            cutoff_laplacian_check("psi2", dim=dim)
     with pytest.raises(ValueError, match="unknown cutoff kind 'psi3'"):
         cutoff_laplacian_check("psi3")
     # the one inner point of a 3-point grid is x = 0, where psi1 vanishes
@@ -497,6 +500,11 @@ def test_oracles_refuse_inputs_outside_their_domain():
     for N in (0, -1, 1.5):
         with pytest.raises(ValueError, match="N must be a positive integer"):
             certificate_scaling_check(N, 1.5, 1.25, 1.0, -0.5)
+    for N, center in ((4, (0.0,) * 4), (3, (0.0, 0.0))):
+        with pytest.raises(ValueError, match="w needs N <= 3 and centres of N coordinates"):
+            certificate_scaling_check(N, 1.5, 1.25, 1.0, -0.5,
+                                      w=ProfileSpec.gaussian(1.0, 1.0, center))
+    assert not certificate_scaling_check(4, 1.5, 1.25, 1.0, -0.5).applicable
     for bad in (math.inf, math.nan):
         for args in ((bad, 1.0, 0.5, 1.0), (1.0, bad, 0.5, 1.0), (1.0, 1.0, 0.5, bad)):
             with pytest.raises(ValueError, match="need A, M, t >= 0 and finite"):
@@ -581,125 +589,135 @@ def test_certificate_scaling_positive_theta():
     assert rep.sign_gap <= 0
 
 
-def _whole_grid_r2(sq, dim):
-    r2 = sq
-    for _ in range(dim - 1):
-        r2 = np.add.outer(r2, sq)
-    return r2
+def _cutoff_calls(monkeypatch):
+    """The arguments of every cutoff_jet call made from now on."""
+    calls = []
+    jet = oracles.cutoff_jet
 
+    def counted(kind, s):
+        calls.append((kind, np.asarray(s)))
+        return jet(kind, s)
 
-def _space_integral_with_cutoff(sq, w_vals, h, T, kappa):
-    """One T's value of ``_space_cutoff_integrals`` on the whole grid at once,
-    evaluating the cutoff on every node."""
-    r2 = _whole_grid_r2(sq, w_vals.ndim)
-    vals = cutoff_jet("psi2", r2 / T)[0] ** kappa * w_vals
-    for _ in range(r2.ndim):
-        vals = np.trapezoid(vals, dx=h, axis=-1)
-    return float(vals)
-
-
-def _cert_axis(w):
-    """The certificate's trapezoid axis: w's centres plus 10 / sqrt(least rate)."""
-    reach = max(abs(c) for t in w.terms for c in t.center)
-    reach += 10.0 / math.sqrt(profile_min_rate(w))
-    return np.linspace(-reach, reach, oracles.CERT_SPACE_POINTS)
+    monkeypatch.setattr(oracles, "cutoff_jet", counted)
+    return calls
 
 
 def test_space_integral_skips_the_cutoff_only_where_it_is_one(monkeypatch):
-    # a flat w on a 2-D grid reaching |x|^2 = 200, so every node where psi2 < 1
-    # moves the integral; the largest |x|^2 / T runs across 1, and slabs
-    # of axis 0 nearer the middle drop below it in turn
+    # w = e^{-|x|^2} in 2-D reaches |x| = 10: psi2 is 1 there at T = 200 and
+    # 100, and the cutoff moves on [sqrt(T), 10] at T = 50 and on
+    # [sqrt(T), sqrt(2T)] at T = 10; it is evaluated only where
+    # |x|^2 / T lies in [1, 2], once per T that needs it. Simpson's error
+    # from the r = 0 end, where the 2-D integrand 2 pi r e^{-r^2} has a
+    # third derivative, is 2.4e-12 of the integral
     w = ProfileSpec.gaussian(1.0, 1.0, (0.0, 0.0))
-    x = np.linspace(-10.0, 10.0, 65)
-    assert np.array_equal(_cert_axis(w), x)
-    sq = x**2
-    r2 = _whole_grid_r2(sq, 2)
-    flat = np.ones_like(r2)
-    tops = (3.0, 2.0, 1.5, 1.25, 1.0 + 2**-52, 1.0, 0.5)
-    T_list = tuple(200.0 / top for top in tops)
-    assert [r2.max() / T for T in T_list] == list(tops)
+    monkeypatch.setattr(oracles, "CERT_T_LIST", (200.0, 100.0, 50.0, 10.0))
+    calls = _cutoff_calls(monkeypatch)
+    values = oracles._space_cutoff_integrals(w, 2, 6.0)
+    assert [kind for kind, _ in calls] == ["psi2"] * 2
+    for _, y in calls:
+        assert 1.0 - 1e-15 <= y.min() and y.max() <= 2.0 + 1e-15
+    assert values[0] == values[1] == pytest.approx(math.pi, rel=1e-11)
+    assert values[2] < values[1] and values[3] < values[2]
+
+
+_REFERENCE_W = {
+    1: [(0.7, 1.0, (1.5,)), (0.3, 100.0, (-0.4,)), (-0.2, 4.0, (0.0,))],
+    2: [(0.7, 1.0, (1.5, -0.5)), (0.3, 100.0, (-0.4, 0.3)), (-0.2, 4.0, (0.0, 0.0))],
+    3: [(0.7, 1.0, (1.5, -0.5, 0.5)), (0.3, 100.0, (-0.4, 0.3, 0.0)),
+        (-0.2, 4.0, (0.0, 0.0, 0.0))],
+}
+
+
+def _space_integral_reference(rows, N, T, kappa):
+    """The integral of psi2(|x|^2/T)^kappa * w by adaptive quadrature: along x
+    in 1-D, and in 2-D and 3-D in polar coordinates about each term's centre
+    direction, with the angular integral taken numerically too."""
+    from scipy import integrate
+
+    opts = {"epsabs": 0.0, "epsrel": 1e-13, "limit": 500}
+    R, root = math.sqrt(2.0 * T), math.sqrt(T)
+
+    def cut(r):
+        return float(_cutoff("psi2", r * r / T)) ** kappa
+
+    total = 0.0
+    for c, a, center in rows:
+        s = math.hypot(*center)
+        if N == 1:
+            value = integrate.quad(lambda x: cut(x) * math.exp(-a * (x - center[0]) ** 2),
+                                   -R, R, points=sorted({-root, root, center[0]}), **opts)[0]
+        else:
+            def sphere(r):
+                # exp(-a|x - y|^2) = exp(-a(r - s)^2) exp(-2ars(1 - cos phi))
+                def g(phi):
+                    return math.exp(-2.0 * a * r * s * (1.0 - math.cos(phi))) * (
+                        2.0 * r if N == 2 else 2.0 * math.pi * r * r * math.sin(phi))
+                return integrate.quad(g, 0.0, math.pi, **opts)[0]
+
+            value = integrate.quad(lambda r: cut(r) * math.exp(-a * (r - s) ** 2) * sphere(r),
+                                   0.0, R, points=sorted({root, min(s, R)}), **opts)[0]
+        total += c * value
+    return total
+
+
+@pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+def test_space_integral_matches_a_refined_reference(monkeypatch):
+    # at T = 3 and 10 psi2's band [sqrt(T), sqrt(2T)] runs through every
+    # term of a w with rates 1, 4 and 100, off centre and centred, so the
+    # cutoff, the sphere masses and I0e all enter; the 65-node tensor
+    # trapezoid this replaced was off by up to 7% on such profiles
+    T_list = (3.0, 10.0)
     monkeypatch.setattr(oracles, "CERT_T_LIST", T_list)
-    monkeypatch.setattr(oracles, "profile_on_axis",
-                        lambda prof, dim, ax, rows: np.ones_like(r2[rows]))
-    assert oracles._space_cutoff_integrals(w, 2, 6.0) == \
-        [_space_integral_with_cutoff(sq, flat, x[1] - x[0], T, 6.0) for T in T_list]
+    for N, rows in _REFERENCE_W.items():
+        got = oracles._space_cutoff_integrals(ProfileSpec.gaussian_sum(rows), N, 6.0)
+        for T, value in zip(T_list, got):
+            ref = _space_integral_reference(rows, N, T, 6.0)
+            assert value == pytest.approx(ref, rel=1e-12, abs=0.0), (N, T)
+    # a centre so near 0 that a * |y| is subnormal has the centred value
+    near = ProfileSpec.gaussian(1.0, 1.0, (1e-310, 0.0, 0.0))
+    assert oracles._space_cutoff_integrals(near, 3, 6.0) == \
+        pytest.approx(oracles._space_cutoff_integrals(_W3, 3, 6.0), rel=1e-15)
 
 
-def test_slab_space_integral_equals_the_whole_grid(monkeypatch):
-    # one pass over the slabs serves every T: psi2 < 1 on nodes that carry
-    # weight at T = 3 and 10, so the cutoff moves the value, and nothing is
-    # cut at T = 1e300; one profile is centred, one is off centre
-    kappa = 6.0
-    T_list = (3.0, 10.0, 1e300)
-    n = oracles.CERT_SPACE_POINTS
-    rows = []
+def test_i0e_matches_scipy():
+    from scipy.special import i0e
 
-    def counted(prof, dim, ax, r=slice(None)):
-        rows.append((r.start, r.stop))
-        return profile_on_axis(prof, dim, ax, r)
+    z = np.concatenate([np.linspace(0.0, 1e6, 100_001), np.linspace(690.0, 710.0, 2_001),
+                        np.geomspace(1e-10, 1e6, 10_001)])
+    ref = i0e(z)
+    assert np.max(np.abs(oracles._i0e(z) - ref) / ref) <= 1e-15
 
-    monkeypatch.setattr(oracles, "profile_on_axis", counted)
-    cases = [(w, dim) for w in (ProfileSpec.gaussian(1.0, 1.0, (0.0, 0.0, 0.0)),
-                                ProfileSpec.gaussian_sum([(0.7, 0.5, (1.5, -2.0, 0.5)),
-                                                          (0.3, 2.0, (0.0, 0.0, 0.0))]))
-             for dim in (1, 2, 3)]
-    for w, dim in cases:
-        w_dim = ProfileSpec.gaussian_sum(
-            [(t.coefficient, t.rate, t.center[:dim]) for t in w.terms])
-        ax = _cert_axis(w_dim)
-        w_vals = profile_on_axis(w_dim, dim, ax)
-        whole = [_space_integral_with_cutoff(ax**2, w_vals, ax[1] - ax[0], T, kappa)
-                 for T in T_list]
-        assert whole[0] != whole[2] and whole[1] != whole[2], w_dim
-        rows.clear()
-        with monkeypatch.context() as m:
-            m.setattr(oracles, "CERT_T_LIST", T_list)
-            assert oracles._space_cutoff_integrals(w_dim, dim, kappa) == whole, w_dim
-        assert rows == [(i, i + 1) for i in range(n)], w_dim  # each slab once
-    rows.clear()
-    certificate_scaling_check(3, 1.5, 1.25, 1.0, -0.5, w=_W3)
-    assert len(rows) == n  # one pass for all of CERT_T_LIST
+
+def test_certificate_reads_the_sign_of_the_w_integral():
+    # a narrow term of the other sign: a 65-node tensor grid read each of
+    # these integrals with the wrong sign or size (-1.197, +1.197, +1.271)
+    for rows in ([(1.0, 1.0, (0.0,)), (-9.5, 100.0, (0.0,))],
+                 [(-1.0, 1.0, (0.0,)), (9.5, 100.0, (0.0,))],
+                 [(1.0, 1.0, (0.0,)), (-9.5, 100.0, (0.15,))]):
+        w = ProfileSpec.gaussian_sum(rows)
+        integral = w_condition_check(w, 1).integral
+        assert abs(integral) == pytest.approx(0.0886226925, rel=1e-9)
+        rep = certificate_scaling_check(1, 3.0, 1.25, 1.0, -0.5, w=w)
+        assert rep.applicable == (integral > 0), rows
+        space = oracles._space_cutoff_integrals(w, 1, 3.0)
+        assert space == pytest.approx([integral] * 3, rel=1e-13), rows
 
 
 def test_certificate_space_integral_skips_the_cutoff_where_it_is_one(monkeypatch):
-    # the verify case: w's grid reaches |x|^2 = 300, so psi2(|x|^2/T) is 1 on
-    # every node at T = 1e3 and 1e4 and the cutoff is evaluated at T = 1e2
-    # only, once on each 65 x 65 slab of the grid
+    # the verify case: w = e^{-|x|^2} reaches |x| = 10 = sqrt(1e2), so psi2 is
+    # 1 on all of it at every T, the cutoff is never evaluated and the space
+    # factor is the closed-form integral pi^(3/2) at each T, bit for bit
     args = (3, 1.5, 1.25, 1.0, -0.5)
-    ax = _cert_axis(_W3)
-    h, sq = ax[1] - ax[0], ax**2
-
-    def whole_grid(w, N, kappa):
-        return [_space_integral_with_cutoff(sq, profile_on_axis(_W3, 3, ax), h, T, kappa)
-                for T in oracles.CERT_T_LIST]
-
+    integral = profile_integral(_W3, 3)
     with monkeypatch.context() as m:
-        m.setattr(oracles, "_space_cutoff_integrals", whole_grid)
+        m.setattr(oracles, "_space_cutoff_integrals",
+                  lambda w, N, kappa: [integral] * len(oracles.CERT_T_LIST))
         reference = certificate_scaling_check(*args, w=_W3)
-    in_space = []
-    cutoff_args = []
-    integrals, jet = oracles._space_cutoff_integrals, oracles.cutoff_jet
-
-    def integrals_flagged(w, N, kappa):
-        in_space.append(True)
-        try:
-            return integrals(w, N, kappa)
-        finally:
-            in_space.pop()
-
-    def counted(kind, s):
-        if in_space:
-            cutoff_args.append((kind, s))
-        return jet(kind, s)
-
-    monkeypatch.setattr(oracles, "_space_cutoff_integrals", integrals_flagged)
-    monkeypatch.setattr(oracles, "cutoff_jet", counted)
-    rep = certificate_scaling_check(*args, w=_W3)
-    r2 = _whole_grid_r2(sq, 3)
-    assert [kind for kind, _ in cutoff_args] == ["psi2"] * oracles.CERT_SPACE_POINTS
-    for (_, s), r2_slab in zip(cutoff_args, r2):  # slab i at T = 1e2
-        assert np.array_equal(s, r2_slab / 1e2)
-    assert rep == reference  # the slopes and the sign gap, bit for bit
+    calls = _cutoff_calls(monkeypatch)
+    assert oracles._space_cutoff_integrals(_W3, 3, 6.0) == [integral] * 3
+    assert calls == []
+    # the slopes and the sign gap, bit for bit
+    assert certificate_scaling_check(*args, w=_W3) == reference
 
 
 def test_lemma_memory_is_bounded_by_blocks_and_slabs():
