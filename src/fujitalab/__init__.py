@@ -6,7 +6,8 @@ The package splits into parameter handling (`problem`), exact critical
 exponent arithmetic (`exponents`), periodic grid fields (`field`), the heat
 propagator (`semigroup`), mild-solution time stepping and Picard iteration
 (`solver`), analytic lemma verifiers (`oracles`), and a CLI (`cli`).
-Each submodule's ``__all__`` is exactly what the package exports.
+``EXPORTS`` below is the one list of the public names: each submodule's
+``__all__`` is its entry, and the package exports them all in its order.
 
 ``import fujitalab`` loads no submodule.  Each loads on the first use of
 itself or of one of its names, so the exponent calculus never pays for the
@@ -21,9 +22,8 @@ import importlib
 
 __version__ = "0.1.0"
 
-# Each submodule's names, as in its __all__ (tests/test_package.py checks the
-# package __all__ against the submodules').
-_ON_FIRST_USE = {
+# The one list of public names: each submodule builds its __all__ from its entry.
+EXPORTS = {
     "exponents": (
         "Regime", "BlowupCriterion", "GepExponents", "RWindow", "ExponentReport",
         "delta", "sigma", "fujita_scaling_p", "p_star", "blowup_criterion",
@@ -53,7 +53,7 @@ _ON_FIRST_USE = {
         "picard_solve", "uniqueness_probe",
     ),
 }
-_HOME = {name: sub for sub, names in _ON_FIRST_USE.items() for name in names}
+_HOME = {name: sub for sub, names in EXPORTS.items() for name in names}
 __all__ = list(_HOME)
 
 
@@ -63,7 +63,7 @@ def __getattr__(name):
     Nothing is cached here: each access forwards to the submodule, so a name
     patched there and restored later reads the same through the package.
     """
-    if name in _ON_FIRST_USE:
+    if name in EXPORTS:
         return importlib.import_module(f"{__name__}.{name}")
     if name in _HOME:
         return getattr(importlib.import_module(f"{__name__}.{_HOME[name]}"), name)
@@ -71,4 +71,4 @@ def __getattr__(name):
 
 
 def __dir__():
-    return sorted({*globals(), *_ON_FIRST_USE, *__all__})
+    return sorted({*globals(), *EXPORTS, *__all__})

@@ -60,8 +60,8 @@ def _resolve_out(path_str: str) -> Path:
 
 def _load_spec(path: str) -> ProblemSpec:
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise _UsageError(f"cannot read spec file {path!r}: {exc}") from exc
     try:
         payload = json.loads(text)

@@ -24,27 +24,10 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
+from . import EXPORTS
 from .problem import ProblemSpec, profile_integral
 
-__all__ = [
-    "Regime",
-    "BlowupCriterion",
-    "GepExponents",
-    "RWindow",
-    "ExponentReport",
-    "delta",
-    "sigma",
-    "fujita_scaling_p",
-    "p_star",
-    "blowup_criterion",
-    "gep_exponents",
-    "r_window",
-    "beta",
-    "beta_upper_bound",
-    "certificate_exponent",
-    "classify",
-    "exponent_report",
-]
+__all__ = list(EXPORTS["exponents"])
 
 
 class Regime(str, Enum):

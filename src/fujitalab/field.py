@@ -13,17 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import EXPORTS
 from .problem import ProfileSpec, profile_on_axis
 
-__all__ = [
-    "BlowupSignal",
-    "BoxGeometry",
-    "GridField",
-    "coordinates",
-    "sample",
-    "lq_norm",
-    "nonlinearity",
-]
+__all__ = list(EXPORTS["field"])
 
 MAX_DIM = 3
 DEFAULT_HALF_WIDTH = 16.0
@@ -55,8 +48,8 @@ class BoxGeometry:
 def _check_geometry(dim: int, M: int, half_width: float) -> None:
     if not (1 <= dim <= MAX_DIM):
         raise ValueError(f"dim must be in 1..{MAX_DIM}")
-    if M < 2 or (M & (M - 1)) != 0:
-        raise ValueError("points per axis must be a power of two >= 2")
+    if not isinstance(M, (int, np.integer)) or M < 2 or (M & (M - 1)) != 0:
+        raise ValueError("points per axis must be an integer power of two >= 2")
     if M**dim > CELL_CAP:
         raise ValueError(f"grid of {M}^{dim} cells exceeds cap {CELL_CAP}")
     if not (half_width > 0 and math.isfinite(half_width)):

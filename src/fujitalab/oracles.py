@@ -19,6 +19,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from . import EXPORTS
 from .exponents import blowup_criterion, certificate_exponent, delta
 from .problem import (
     KERNEL_AVERAGE_TOL,
@@ -27,15 +28,7 @@ from .problem import (
     profile_sign,
 )
 
-__all__ = [
-    "MLResult",
-    "SeriesDivergenceError",
-    "mittag_leffler",
-    "gronwall_bound",
-    "cutoff_laplacian_check",
-    "w_condition_check",
-    "certificate_scaling_check",
-]
+__all__ = list(EXPORTS["oracles"])
 
 # Fixed resolutions and tolerances of the checks below.
 YOUNG_DRAWS = 100_000             # random (a, b, p, eps) draws per Young sweep
@@ -537,7 +530,8 @@ def _space_cutoff_integrals(w: ProfileSpec, N: int, kappa: float) -> list[float]
     is below e^-100 of its peak outside r in [s - 10/sqrt(a), s + 10/sqrt(a)],
     s = |y|, so Simpson on CERT_RADIAL_POINTS nodes runs on that interval's
     part below sqrt(T), where psi2 = 1 and is not evaluated, and on its part
-    in [sqrt(T), sqrt(2T)]; psi2 is 0 beyond.
+    in [sqrt(T), sqrt(2T)]; psi2 is 0 beyond.  A term whose whole interval
+    lies below sqrt(T) adds its closed-form mass c (pi/a)^(N/2) instead.
     """
     values = []
     for T in CERT_T_LIST:
@@ -545,6 +539,9 @@ def _space_cutoff_integrals(w: ProfileSpec, N: int, kappa: float) -> list[float]
         for t in w.terms:
             a, s = t.rate, math.hypot(*t.center)
             lo, hi = max(0.0, s - 10.0 / math.sqrt(a)), s + 10.0 / math.sqrt(a)
+            if hi <= root:
+                total += t.coefficient * (math.pi / a) ** (N / 2)
+                continue
             for r0, r1, cut in ((lo, min(hi, root), False),
                                 (max(lo, root), min(hi, math.sqrt(2.0 * T)), True)):
                 if r0 < r1:

@@ -16,17 +16,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = [
-    "GaussianTerm",
-    "ProfileSpec",
-    "ProblemSpec",
-    "ValidationReport",
-    "SpecFieldError",
-    "InadmissibleError",
-    "profile_integral",
-    "gaussian_weighted_integral",
-    "validate",
-]
+from . import EXPORTS
+
+__all__ = list(EXPORTS["problem"])
 
 PROFILE_KINDS = ("gaussian_sum", "zero")
 KERNEL_AVERAGE_TOL = 1e-10  # profile_sign's slack: w >= 0 means w >= -KERNEL_AVERAGE_TOL
@@ -133,22 +125,18 @@ class ProfileSpec:
         return prof
 
 
-def profile_on_axis(prof: ProfileSpec, dim: int, ax: np.ndarray,
-                    rows: slice = slice(None)) -> np.ndarray:
+def profile_on_axis(prof: ProfileSpec, dim: int, ax: np.ndarray) -> np.ndarray:
     """The profile on the tensor grid ax^dim, shape (len(ax),)*dim.
 
     Each term is a product of 1-d exponentials, multiplied out axis by axis.
-    ``rows`` (a slice) keeps only those nodes of axis 0, so a slab of the
-    grid has the whole grid's floats.
     A term centre of another dimension than dim raises ValueError.
     """
     _check_centers(prof, dim)
-    out = np.zeros((len(ax[rows]),) + (len(ax),) * (dim - 1))
+    out = np.zeros((len(ax),) * dim)
     for t in prof.terms:
         term = np.array(t.coefficient)
         for d in range(dim):
-            g = np.exp(-t.rate * (ax - t.center[d]) ** 2)
-            term = np.multiply.outer(term, g if d else g[rows])
+            term = np.multiply.outer(term, np.exp(-t.rate * (ax - t.center[d]) ** 2))
         out += term
     return out
 

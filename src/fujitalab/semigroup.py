@@ -23,17 +23,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import EXPORTS
 from .field import GridField, lq_norm
 from .problem import ProfileSpec, gaussian_weighted_integral, profile_sign
 
-__all__ = [
-    "HeatKernelPlan",
-    "apply",
-    "apply_direct",
-    "smoothing_check",
-    "kernel_weight_constant",
-    "comparison_lower_bound",
-]
+__all__ = list(EXPORTS["semigroup"])
 
 SMOOTHING_TOL = 1e-9  # slack on the smoothing ratio in smoothing_check
 

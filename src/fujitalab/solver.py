@@ -40,23 +40,12 @@ from enum import Enum
 
 import numpy as np
 
+from . import EXPORTS
 from .field import BlowupSignal, BoxGeometry, GridField, lq_norm, nonlinearity, sample
 from .problem import ProblemSpec, SpecFieldError, profile_min_rate, validate
 from .semigroup import HeatKernelPlan
 
-__all__ = [
-    "Verdict",
-    "SolverConfig",
-    "TrajectoryRecord",
-    "PicardResult",
-    "UniquenessReport",
-    "NonContractionError",
-    "IterationLimitError",
-    "run",
-    "run_from_fields",
-    "picard_solve",
-    "uniqueness_probe",
-]
+__all__ = list(EXPORTS["solver"])
 
 GROWTH_HALVE = 0.20   # reject and halve above 20% sup-norm growth per step
 GROWTH_DOUBLE = 0.01  # double (capped at dt0) below 1% growth

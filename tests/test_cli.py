@@ -61,6 +61,12 @@ def test_exit_code_1_on_malformed_input(tmp_path, capsys):
     assert main(["exponents", "--spec", mistyped]) == 1
     assert main(["exponents", "--spec", str(tmp_path / "missing.json")]) == 1
     capsys.readouterr()
+    # bytes that are not UTF-8 make an unreadable file, not a UnicodeDecodeError
+    undecodable = tmp_path / "bytes.json"
+    undecodable.write_bytes(b"\xff\xfe\x00{")
+    assert main(["exponents", "--spec", str(undecodable)]) == 1
+    assert capsys.readouterr().err.startswith(
+        f"error: cannot read spec file {str(undecodable)!r}: 'utf-8' codec can't decode")
     # a non-finite dim is a malformed field, not a traceback from int()
     for dim in (float("nan"), float("inf")):
         spec = _write_spec(tmp_path, dict(GOOD_SPEC, dim=dim), "dim.json")

@@ -186,6 +186,11 @@ def test_geometry_validation():
         sample(ProfileSpec.zero(), 2, 8.0, 0)  # no silent fallback to the default
     with pytest.raises(ValueError):
         sample(ProfileSpec.zero(), 4, 8.0)  # unknown dim, default points
+    # a float count is refused as a count, not a TypeError from M & (M - 1)
+    with pytest.raises(ValueError, match="integer power of two"):
+        BoxGeometry(16.0, 64.0).resolve(2)
+    with pytest.raises(ValueError, match="integer power of two"):
+        sample(ProfileSpec.zero(), 2, 8.0, points_per_axis=64.0)
     assert BoxGeometry(12.0, None).resolve(3) == (12.0, 64)
 
 

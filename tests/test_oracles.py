@@ -604,11 +604,12 @@ def _cutoff_calls(monkeypatch):
 
 def test_space_integral_skips_the_cutoff_only_where_it_is_one(monkeypatch):
     # w = e^{-|x|^2} in 2-D reaches |x| = 10: psi2 is 1 there at T = 200 and
-    # 100, and the cutoff moves on [sqrt(T), 10] at T = 50 and on
-    # [sqrt(T), sqrt(2T)] at T = 10; it is evaluated only where
-    # |x|^2 / T lies in [1, 2], once per T that needs it. Simpson's error
-    # from the r = 0 end, where the 2-D integrand 2 pi r e^{-r^2} has a
-    # third derivative, is 2.4e-12 of the integral
+    # 100, so the term adds its closed-form mass pi, and the cutoff moves on
+    # [sqrt(T), 10] at T = 50 and on [sqrt(T), sqrt(2T)] at T = 10; it is
+    # evaluated only where |x|^2 / T lies in [1, 2], once per T that needs it.
+    # At T = 50 the cutoff takes e^-50 of the mass, below pi's last bit, but
+    # Simpson's error from the r = 0 end, where the 2-D integrand
+    # 2 pi r e^{-r^2} has a third derivative, is 2.4e-12 of the integral
     w = ProfileSpec.gaussian(1.0, 1.0, (0.0, 0.0))
     monkeypatch.setattr(oracles, "CERT_T_LIST", (200.0, 100.0, 50.0, 10.0))
     calls = _cutoff_calls(monkeypatch)
@@ -616,8 +617,12 @@ def test_space_integral_skips_the_cutoff_only_where_it_is_one(monkeypatch):
     assert [kind for kind, _ in calls] == ["psi2"] * 2
     for _, y in calls:
         assert 1.0 - 1e-15 <= y.min() and y.max() <= 2.0 + 1e-15
-    assert values[0] == values[1] == pytest.approx(math.pi, rel=1e-11)
-    assert values[2] < values[1] and values[3] < values[2]
+    assert values[0] == values[1] == math.pi
+    assert values[2] == pytest.approx(math.pi, rel=1e-11) and values[3] < values[2]
+    # a term reaching exactly sqrt(T) = 100 is still wholly where psi2 = 1
+    wide = ProfileSpec.gaussian(1.0, 0.01, (0.0, 0.0))
+    monkeypatch.setattr(oracles, "CERT_T_LIST", (1e4,))
+    assert oracles._space_cutoff_integrals(wide, 2, 6.0) == [math.pi / 0.01]
 
 
 _REFERENCE_W = {

@@ -33,11 +33,17 @@ def test_package_exports_are_unique():
     assert len(fujitalab.__all__) == len(set(fujitalab.__all__))
 
 
-def test_package_exports_are_the_submodule_lists_concatenated():
-    lists = [m.__all__ for m in (fujitalab.exponents, fujitalab.field, fujitalab.oracles,
-                                 fujitalab.problem, fujitalab.semigroup, fujitalab.solver)]
-    names = [name for exported in lists for name in exported]
-    assert len(names) == len(set(names)), "a name is exported by two submodules"
+def test_each_exported_name_is_filed_under_the_module_that_defines_it():
+    # every public name is a class or a function, so its __module__ says
+    # where it is defined; a name filed under another submodule fails here
+    for sub, names in fujitalab.EXPORTS.items():
+        module = importlib.import_module(f"fujitalab.{sub}")
+        assert module.__all__ == list(names)
+        misfiled = [n for n in names if getattr(module, n).__module__ != module.__name__]
+        assert not misfiled, f"{sub} exports names defined elsewhere: {misfiled}"
+    assert list(fujitalab.EXPORTS) == ["exponents", "field", "oracles", "problem",
+                                       "semigroup", "solver"]
+    names = [name for exported in fujitalab.EXPORTS.values() for name in exported]
     assert fujitalab.__all__ == names
     assert len(names) == 57
 

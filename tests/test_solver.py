@@ -514,6 +514,9 @@ def test_uniqueness_probe_refuses_a_finest_grid_past_the_cap_before_any_run(monk
     spec = ProblemSpec(2, 2.0, 2.0, 1.0, -0.5, g, g)
     with pytest.raises(ValueError, match="exceeds cap"):
         uniqueness_probe(spec, T=0.1, geometry=BoxGeometry(16.0, 16), levels=2)
+    # a fractional level count makes a float point count, refused as such
+    with pytest.raises(ValueError, match="integer power of two"):
+        uniqueness_probe(spec, T=0.1, geometry=BoxGeometry(16.0, 16), levels=2.5)
     # q < p: the uniqueness hypotheses fail
     bad = ProblemSpec(1, 3.0, 2.0, 0.0, 0.0, ProfileSpec.gaussian(0.05, 1.0))
     with pytest.raises(ValueError, match="uniqueness hypotheses fail"):
