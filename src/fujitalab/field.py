@@ -46,8 +46,8 @@ class BoxGeometry:
 
 
 def _check_geometry(dim: int, M: int, half_width: float) -> None:
-    if not (1 <= dim <= MAX_DIM):
-        raise ValueError(f"dim must be in 1..{MAX_DIM}")
+    if not isinstance(dim, (int, np.integer)) or not 1 <= dim <= MAX_DIM:
+        raise ValueError(f"dim must be an integer in 1..{MAX_DIM}")
     if not isinstance(M, (int, np.integer)) or M < 2 or (M & (M - 1)) != 0:
         raise ValueError("points per axis must be an integer power of two >= 2")
     if M**dim > CELL_CAP:

@@ -531,7 +531,10 @@ def _space_cutoff_integrals(w: ProfileSpec, N: int, kappa: float) -> list[float]
     s = |y|, so Simpson on CERT_RADIAL_POINTS nodes runs on that interval's
     part below sqrt(T), where psi2 = 1 and is not evaluated, and on its part
     in [sqrt(T), sqrt(2T)]; psi2 is 0 beyond.  A term whose whole interval
-    lies below sqrt(T) adds its closed-form mass c (pi/a)^(N/2) instead.
+    lies below sqrt(T) adds its closed-form mass c (pi/a)^(N/2) instead.  A
+    centred 2-D term's mass 2 pi r e^(-a r^2) is odd in r, so Simpson's end
+    error at r = 0 does not cancel; its part below r1 = min(hi, sqrt(T)) is
+    the closed form -(pi/a) expm1(-a r1^2) instead.
     """
     values = []
     for T in CERT_T_LIST:
@@ -544,7 +547,9 @@ def _space_cutoff_integrals(w: ProfileSpec, N: int, kappa: float) -> list[float]
                 continue
             for r0, r1, cut in ((lo, min(hi, root), False),
                                 (max(lo, root), min(hi, math.sqrt(2.0 * T)), True)):
-                if r0 < r1:
+                if N == 2 and s == 0.0 and not cut:
+                    total -= t.coefficient * (math.pi / a) * math.expm1(-a * r1 * r1)
+                elif r0 < r1:
                     r = np.linspace(r0, r1, CERT_RADIAL_POINTS)
                     vals = _sphere_mass(N, a, s, r)
                     if cut:

@@ -78,6 +78,16 @@ def test_delta_sigma_values():
         delta(1.0, 0.5)
     with pytest.raises(ValueError):
         sigma(2, 1.0, 2.0)
+    # NaN fails every domain check rather than slipping through as nan
+    with pytest.raises(ValueError, match="q must be >= 1"):
+        delta(1.0, math.nan)
+    for p, q in ((math.nan, 2.0), (2.0, math.nan)):
+        with pytest.raises(ValueError):
+            sigma(3, p, q)
+    with pytest.raises(ValueError, match="p must be > 1"):
+        certificate_exponent(3, math.nan, 2.0, 1.0, -0.5)
+    with pytest.raises(ValueError, match="q must be >= 1"):
+        certificate_exponent(3, 2.0, math.nan, 1.0, -0.5)
 
 
 def test_fujita_scaling_reduces_to_classical():
@@ -96,6 +106,8 @@ def test_p_star_branches():
         p_star(3, -1.0)
     with pytest.raises(ValueError):
         p_star(1, Fr(-1, 4))  # denominator N - 2rho - 2 <= 0
+    with pytest.raises(ValueError, match="rho must be > -1"):
+        p_star(3, math.nan)
 
 
 def test_alpha_zero_reduction_thousand_points():
@@ -159,6 +171,34 @@ def test_threshold_separates_criterion():
                 continue
             crit = blowup_criterion(N, p, q, alpha, rho)
             assert crit.holds == (p < thr)
+
+
+def test_undivided_criterion_decides_the_divided_inequality():
+    # holds is decided as (p - 1) D + N delta < 2 with D = N - 2 - 2 rho; the
+    # shadow divides by D, p + N delta/D < (N - 2 rho)/D, and is False when
+    # D <= 0.  Every third draw with D > 0 puts p exactly at the threshold,
+    # where both sides are equal and the strict inequality fails
+    rng = random.Random(29)
+    ties = nonpositive = 0
+    for i in range(3000):
+        N = rng.randint(1, 8)
+        q = _draw(rng, 1.05, 8)
+        alpha = _draw(rng, 0, 3)
+        rho = _draw(rng, -0.9, 2)
+        D = N - 2 * rho - 2
+        if D > 0 and i % 3 == 0:
+            p = _sh_threshold(N, q, alpha, rho)
+            ties += 1
+        else:
+            p = _draw(rng, 1.05, 6)
+        if D > 0:
+            d = _sh_delta(alpha, q)
+            expected = p + N * d / D < (N - 2 * rho) / D
+        else:
+            expected = False
+            nonpositive += 1
+        assert blowup_criterion(N, p, q, alpha, rho).holds == expected
+    assert ties > 500 and nonpositive > 500
 
 
 def test_beta_bound_identity():

@@ -191,6 +191,11 @@ def test_geometry_validation():
         BoxGeometry(16.0, 64.0).resolve(2)
     with pytest.raises(ValueError, match="integer power of two"):
         sample(ProfileSpec.zero(), 2, 8.0, points_per_axis=64.0)
+    # a float dim is refused as a dim, not a TypeError from the grid's shape
+    with pytest.raises(ValueError, match="dim must be an integer"):
+        BoxGeometry(16.0, 64).resolve(2.0)
+    with pytest.raises(ValueError, match="dim must be an integer"):
+        sample(ProfileSpec.gaussian(1.0, 1.0, (0.0, 0.0)), 2.0, 16.0, 64)
     assert BoxGeometry(12.0, None).resolve(3) == (12.0, 64)
 
 

@@ -607,9 +607,9 @@ def test_space_integral_skips_the_cutoff_only_where_it_is_one(monkeypatch):
     # 100, so the term adds its closed-form mass pi, and the cutoff moves on
     # [sqrt(T), 10] at T = 50 and on [sqrt(T), sqrt(2T)] at T = 10; it is
     # evaluated only where |x|^2 / T lies in [1, 2], once per T that needs it.
-    # At T = 50 the cutoff takes e^-50 of the mass, below pi's last bit, but
-    # Simpson's error from the r = 0 end, where the 2-D integrand
-    # 2 pi r e^{-r^2} has a third derivative, is 2.4e-12 of the integral
+    # At T = 50 the cutoff takes e^-50 of the mass, below pi's last bit, and
+    # the part below sqrt(T) is in closed form, so the value is pi to 1 ulp;
+    # Simpson from r = 0 on the odd 2-D integrand 2 pi r e^{-r^2} is 5.9e-13 off
     w = ProfileSpec.gaussian(1.0, 1.0, (0.0, 0.0))
     monkeypatch.setattr(oracles, "CERT_T_LIST", (200.0, 100.0, 50.0, 10.0))
     calls = _cutoff_calls(monkeypatch)
@@ -618,7 +618,7 @@ def test_space_integral_skips_the_cutoff_only_where_it_is_one(monkeypatch):
     for _, y in calls:
         assert 1.0 - 1e-15 <= y.min() and y.max() <= 2.0 + 1e-15
     assert values[0] == values[1] == math.pi
-    assert values[2] == pytest.approx(math.pi, rel=1e-11) and values[3] < values[2]
+    assert abs(values[2] - math.pi) <= math.ulp(math.pi) and values[3] < values[2]
     # a term reaching exactly sqrt(T) = 100 is still wholly where psi2 = 1
     wide = ProfileSpec.gaussian(1.0, 0.01, (0.0, 0.0))
     monkeypatch.setattr(oracles, "CERT_T_LIST", (1e4,))
@@ -788,6 +788,36 @@ def test_integer_prefilter_is_blowup_admissibility():
 def test_exponent_sign_lemma_count_is_pinned():
     assert oracles.LEMMAS["exponent_sign"]() == (
         True, "2269 admissible draws agree exactly")
+
+
+def test_exponent_sign_lemma_runs_the_library_with_fewest_operations(monkeypatch):
+    # The lemma must call both library functions on every kept draw with
+    # exact p, q, alpha and rho; each call's Fraction arithmetic is counted
+    # through wrapped dunders, which pins the exact work without timing it:
+    # 8 and 10 operations (13 and 13 for the divided forms)
+    ops = [0]
+    for name in ("__add__", "__radd__", "__sub__", "__rsub__",
+                 "__mul__", "__rmul__", "__truediv__", "__rtruediv__"):
+        def counted(a, b, _op=getattr(Fraction, name)):
+            ops[0] += 1
+            return _op(a, b)
+        monkeypatch.setattr(Fraction, name, counted)
+    calls = {"blowup_criterion": [], "certificate_exponent": []}
+    for name, seen in calls.items():
+        def wrapped(*args, _f=getattr(oracles, name), _seen=seen):
+            before = ops[0]
+            out = _f(*args)
+            _seen.append((args, ops[0] - before))
+            return out
+        monkeypatch.setattr(oracles, name, wrapped)
+    assert oracles.LEMMAS["exponent_sign"]() == (
+        True, "2269 admissible draws agree exactly")
+    for name, per_call in (("blowup_criterion", 8), ("certificate_exponent", 10)):
+        seen = calls[name]
+        assert len(seen) == 2269, name
+        for (N, *exact), count in seen:
+            assert type(N) is int and all(type(v) is Fraction for v in exact)
+            assert count == per_call, (name, count)
 
 
 def test_exponent_sign_lemma_fails_a_filter_that_keeps_too_much(monkeypatch):
