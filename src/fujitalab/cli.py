@@ -257,7 +257,10 @@ def _parse_axis(text: str):
         count = int(count)
         if count < 1:
             raise ValueError("axis count must be >= 1")
-        values = np.linspace(float(start), float(stop), count)
+        start, stop = float(start), float(stop)
+        if not (math.isfinite(start) and math.isfinite(stop)):
+            raise ValueError("axis START and STOP must be finite")
+        values = np.linspace(start, stop, count)
         return name, [float(v) for v in values]
     except ValueError as exc:
         raise _UsageError(f"bad --axis {text!r}: {exc}") from exc

@@ -99,24 +99,28 @@ def _contraction_sides(a, b, xnorm, ynorm, diffnorm, p, alpha):
     return lhs, scalar_part + norm_part
 
 
-def contraction_constant_study(p: float, alpha: float, seed: int = 0):
-    """Empirical sup of the contraction ratio over scalar realizations.
+def contraction_constant_study(pairs, seed: int = 0):
+    """Empirical sup of the contraction ratio over scalar realizations, one
+    (head, full) per (p, alpha) in the sequence pairs.
 
     Draws CONTRACTION_DRAWS (a, b, x, y) uniform in [0, 2] with
-    diffnorm = |x - y| and returns (max over the first tenth of the draws,
-    max over all of them).  A well-behaved bound has the two within a few
-    percent of each other: the sup saturates early.  lhs = 0 is ratio 0;
-    rhs = 0 < lhs, or an overflowing ratio, makes the sup +inf.  The draws
-    are streamed and the ratio is evaluated DRAW_BLOCK draws at a time, so
-    the first tenth is the first block; each ratio is elementwise and max is
-    exact, so the blocks change no result.
+    diffnorm = |x - y| and returns, per pair, (max over the first tenth of
+    the draws, max over all of them).  A well-behaved bound has the two
+    within a few percent of each other: the sup saturates early.  lhs = 0
+    is ratio 0; rhs = 0 < lhs, or an overflowing ratio, makes the sup +inf.
+    The draws are streamed once for all pairs: each DRAW_BLOCK block, and
+    its |x - y|, serves every pair before the next is drawn, so the first
+    tenth is the first block; each ratio is elementwise and max is exact,
+    so the blocks change no result.
     """
-    maxima = []
+    maxima = [[] for _ in pairs]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for a, b, x, y in _draw_blocks(seed, CONTRACTION_DRAWS, *[(0.0, 2.0)] * 4):
-            lhs, rhs = _contraction_sides(a, b, x, y, np.abs(x - y), p, alpha)
-            maxima.append(np.max(np.where(lhs == 0, 0.0, lhs / rhs)))
-    return float(maxima[0]), float(np.max(maxima))
+            diffnorm = np.abs(x - y)
+            for found, (p, alpha) in zip(maxima, pairs):
+                lhs, rhs = _contraction_sides(a, b, x, y, diffnorm, p, alpha)
+                found.append(np.max(np.where(lhs == 0, 0.0, lhs / rhs)))
+    return [(float(found[0]), float(np.max(found))) for found in maxima]
 
 
 # ---------------------------------------------------------------------------
@@ -425,13 +429,17 @@ def certificate_scaling_check(
     reach, |x| <= 10 = sqrt(1e2), at every T of CERT_T_LIST, so F's space
     factor is the one float pi^(3/2), the integral of w, at each T, and
     slope_F there measures the time factor only.  ValueError unless p > 1,
-    N is a positive integer, and a w with terms has N <= 3 and centres of
-    N coordinates.
+    N is a positive integer, alpha >= 0, rho > -1 (NaN fails both), and a
+    w with terms has N <= 3 and centres of N coordinates.
     """
     if not p > 1:
         raise ValueError(f"p must be > 1, got {p}")
     if not (N >= 1 and float(N).is_integer()):
         raise ValueError(f"N must be a positive integer, got {N}")
+    if not alpha >= 0:
+        raise ValueError(f"alpha must be >= 0, got {alpha}")
+    if not rho > -1:
+        raise ValueError(f"rho must be > -1, got {rho}")
     if w.terms and not (N <= 3 and all(len(t.center) == N for t in w.terms)):
         raise ValueError(f"w needs N <= 3 and centres of N coordinates, got N = {N}")
     d = delta(alpha, q)
@@ -568,10 +576,10 @@ def _lemma_young():
 
 
 def _lemma_contraction():
+    pairs = ((2.0, 1.0), (3.0, 1.5), (1.5, 0.5), (2.0, 0.0))
     details = []
     ok = True
-    for p, alpha in ((2.0, 1.0), (3.0, 1.5), (1.5, 0.5), (2.0, 0.0)):
-        head, full = contraction_constant_study(p, alpha, seed=3)
+    for (p, alpha), (head, full) in zip(pairs, contraction_constant_study(pairs, seed=3)):
         stable = full <= head * 1.10 and math.isfinite(full)
         ok = ok and stable
         details.append(f"(p={p},a={alpha}) sup {full:.4f}")
@@ -636,22 +644,24 @@ def _exponent_sign_draws():
     The stream of random.Random(11) read as randint(3, 8), randint(11, 60),
     randint(11, 80), randint(0, 30) and -randint(0, 9), draw by draw.
     random's randint(lo, hi) is lo + r for the first r = getrandbits(k)
-    below n = hi - lo + 1, k = n.bit_length(); the local randint replays
-    that without the library's argument handling, which took most of the
-    draws' time.
+    below n = hi - lo + 1, k = n.bit_length(); the five loops below are
+    that rejection for (n, k) = (6, 3), (50, 6), (70, 7), (31, 5) and
+    (10, 4), written out because a Python call per value, the library's or
+    a local one's, took half the draws' time.
     """
     bits = random.Random(11).getrandbits
-
-    def randint(lo, hi):
-        n = hi - lo + 1
-        k = n.bit_length()
-        r = bits(k)
-        while r >= n:
-            r = bits(k)
-        return lo + r
-
     for _ in range(10_000):
-        yield randint(3, 8), randint(11, 60), randint(11, 80), randint(0, 30), -randint(0, 9)
+        while (N := bits(3)) >= 6:
+            pass
+        while (p10 := bits(6)) >= 50:
+            pass
+        while (q10 := bits(7)) >= 70:
+            pass
+        while (a10 := bits(5)) >= 31:
+            pass
+        while (rho10 := bits(4)) >= 10:
+            pass
+        yield 3 + N, 11 + p10, 11 + q10, a10, -rho10
 
 
 def _lemma_exponent_sign():

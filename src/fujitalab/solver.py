@@ -441,13 +441,13 @@ def picard_solve(
     Stops when sweeps differ by less than PICARD_TOL in sup-over-grid q-norm.
     Raises NonContractionError once the difference has not fallen for three
     sweeps running, and IterationLimitError after PICARD_MAX_SWEEPS sweeps.
-    w=None means no forcing; T not positive and finite, nodes < 2 or a plan
-    for another grid than u0's (or w's) raises ValueError.
+    w=None means no forcing; T not positive and finite, nodes not an integer
+    >= 2 or a plan for another grid than u0's (or w's) raises ValueError.
     """
     if not 0 < T < math.inf:
         raise ValueError("T must be positive and finite")
-    if nodes < 2:
-        raise ValueError("nodes must be >= 2")
+    if not isinstance(nodes, (int, np.integer)) or nodes < 2:
+        raise ValueError("nodes must be an integer >= 2")
     rep = validate(spec)
     if not rep.lwp_ok:
         raise ValueError(f"fixed-point hypotheses fail: {rep.failed()}")

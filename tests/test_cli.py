@@ -331,6 +331,10 @@ def test_sweep_axis_validation(tmp_path, capsys):
     capsys.readouterr()
     assert main(["sweep", "--spec", spec, "--axis", "p=1:2:0"]) == 1
     assert capsys.readouterr().err == "error: bad --axis 'p=1:2:0': axis count must be >= 1\n"
+    for axis in ("q=nan:2:2", "q=1:inf:2", "q=-inf:2:2"):
+        assert main(["sweep", "--spec", spec, "--axis", axis]) == 1
+        assert capsys.readouterr().err == (
+            f"error: bad --axis {axis!r}: axis START and STOP must be finite\n")
     assert main(["sweep", "--spec", spec, "--axis", "p=1:2:2",
                  "--axis", "q=1:2:2", "--axis", "rho=-0.5:0:2"]) == 1
     capsys.readouterr()

@@ -79,11 +79,13 @@ def test_draw_blocks_join_up_to_the_whole_arrays():
 
 # ------------------------------------------------------------ contraction
 
+# the contraction lemma's (p, alpha)
+CONTRACTION_PAIRS = ((2.0, 1.0), (3.0, 1.5), (1.5, 0.5), (2.0, 0.0))
+
 def test_contraction_constant_saturates_early():
     # the splitting bound holds up to a p-dependent constant (about 1.5 for
     # p = 3); the property that matters is that the empirical sup saturates
-    for p, alpha in ((2.0, 1.0), (3.0, 1.5), (1.5, 0.5), (2.0, 0.0)):
-        head, full = contraction_constant_study(p, alpha, seed=1)
+    for head, full in contraction_constant_study(CONTRACTION_PAIRS, seed=1):
         assert 0 < full < 2
         assert full <= head * 1.10  # stable within 10% of the early estimate
 
@@ -100,10 +102,35 @@ def _contraction_whole(p, alpha, seed):
 
 
 def test_blocked_contraction_study_equals_the_whole_arrays():
-    for p, alpha in ((2.0, 1.0), (3.0, 1.5), (1.5, 0.5), (2.0, 0.0)):
-        for seed in (1, 3):
-            got = contraction_constant_study(p, alpha, seed)
-            assert got == _contraction_whole(p, alpha, seed), (p, alpha, seed)
+    # one call serves all four pairs, each equal to its own whole-array study
+    for seed in (1, 3):
+        got = contraction_constant_study(CONTRACTION_PAIRS, seed)
+        want = [_contraction_whole(p, alpha, seed) for p, alpha in CONTRACTION_PAIRS]
+        assert got == want, seed
+
+
+def test_contraction_lemma_draws_its_stream_once(monkeypatch):
+    # the four (p, alpha) share one pass: 4 PCG64 streams and 4 x 100,000
+    # uniforms per lemma run, not one pass per pair
+    passes, streams, uniforms = [], [], []
+    draw_blocks, pcg64 = oracles._draw_blocks, np.random.PCG64
+
+    def counted_blocks(*args):
+        passes.append(args)
+        for block in draw_blocks(*args):
+            uniforms.extend(len(draws) for draws in block)
+            yield block
+
+    def counted_pcg64(*args):
+        streams.append(args)
+        return pcg64(*args)
+
+    monkeypatch.setattr(oracles, "_draw_blocks", counted_blocks)
+    monkeypatch.setattr(np.random, "PCG64", counted_pcg64)
+    ok, _ = oracles.LEMMAS["contraction"]()
+    assert ok
+    assert len(passes) == 1 and len(streams) == 4
+    assert sum(uniforms) == 4 * CONTRACTION_DRAWS == 400_000
 
 
 def test_contraction_study_reads_an_infinite_ratio_as_inf(monkeypatch):
@@ -120,7 +147,7 @@ def test_contraction_study_reads_an_infinite_ratio_as_inf(monkeypatch):
 
     for lhs0, rhs0 in ((1.0, 0.0), (1e300, 1e-300)):
         monkeypatch.setattr(oracles, "_contraction_sides", patched(lhs0, rhs0))
-        assert contraction_constant_study(2.0, 1.0, seed=3) == (math.inf, math.inf)
+        assert contraction_constant_study([(2.0, 1.0)], seed=3) == [(math.inf, math.inf)]
         ok, detail = oracles.LEMMAS["contraction"]()
         assert not ok and detail.count("sup inf") == 4, detail
 
@@ -129,7 +156,7 @@ def test_contraction_study_reads_an_infinite_ratio_as_inf(monkeypatch):
         return np.zeros_like(lhs), np.zeros_like(rhs)
 
     monkeypatch.setattr(oracles, "_contraction_sides", all_zero)
-    assert contraction_constant_study(2.0, 1.0, seed=3) == (0.0, 0.0)
+    assert contraction_constant_study([(2.0, 1.0)], seed=3) == [(0.0, 0.0)]
 
 
 # ---------------------------------------------------------- mittag-leffler
@@ -500,6 +527,15 @@ def test_oracles_refuse_inputs_outside_their_domain():
     for N in (0, -1, 1.5):
         with pytest.raises(ValueError, match="N must be a positive integer"):
             certificate_scaling_check(N, 1.5, 1.25, 1.0, -0.5)
+    # the paper's alpha >= 0 and rho > -1; outside them the slope tests
+    # would still read a verdict (rho = nan, rho = -1.5 and alpha = -1 pass)
+    w = ProfileSpec.gaussian(1.0, 1.0, (0.0, 0.0, 0.0))
+    for alpha in (-1.0, math.nan):
+        with pytest.raises(ValueError, match="alpha must be >= 0"):
+            certificate_scaling_check(3, 1.5, 1.25, alpha, -0.5, w=w)
+    for rho in (-1.0, -1.5, math.nan):
+        with pytest.raises(ValueError, match="rho must be > -1"):
+            certificate_scaling_check(3, 1.5, 1.25, 1.0, rho, w=w)
     for N, center in ((4, (0.0,) * 4), (3, (0.0, 0.0))):
         with pytest.raises(ValueError, match="w needs N <= 3 and centres of N coordinates"):
             certificate_scaling_check(N, 1.5, 1.25, 1.0, -0.5,

@@ -374,6 +374,27 @@ def test_picard_rejects_large_data():
     assert str(exc.value) == "differences grew 3 sweeps running (last 1.732e+18)"
 
 
+def test_picard_stops_only_below_tol_and_raises_on_equal_differences(monkeypatch):
+    # Every sweep difference reads exactly PICARD_TOL.  "less than PICARD_TOL"
+    # never holds, and equal differences have "not fallen", so the fourth
+    # sweep raises NonContractionError.  A <= in the tolerance test returns
+    # after one sweep; a < anywhere in the chain runs to the sweep cap.
+    spec = ProblemSpec(1, 2.0, 2.0, 1.0, 0.0,
+                       ProfileSpec.gaussian(0.05, 1.0, (0.0,)), ZERO)
+    u0 = sample(spec.u0, 1, 16.0, 64)
+    calls = []
+
+    def tol_norm(f, q):
+        calls.append(q)
+        return solver.PICARD_TOL
+
+    monkeypatch.setattr(solver, "lq_norm", tol_norm)
+    with pytest.raises(NonContractionError) as exc:
+        picard_solve(spec, u0, None, 0.1, nodes=8)
+    assert str(exc.value) == "differences grew 3 sweeps running (last 1.000e-10)"
+    assert len(calls) == 4 * 8  # one norm per node and sweep: 4 sweeps
+
+
 def _direct_picard(spec, u0, w, T, n, sweeps, plan):
     """Picard with the history integrals summed over every earlier subinterval."""
     dt = T / n
@@ -588,13 +609,24 @@ def test_solver_config_rejects_out_of_range_settings():
         TrajectoryRecord([0.0, 0.0], [1.0] * 2, [1.0] * 2, [0.0, 1.0], Verdict.COMPLETED)
 
 
-def test_picard_needs_two_nodes():
+def test_picard_needs_two_nodes(monkeypatch):
     spec = ProblemSpec(1, 2.0, 2.0, 1.0, 0.0,
                        ProfileSpec.gaussian(0.05, 1.0, (0.0,)), ZERO)
     u0 = sample(spec.u0, 1, 16.0, 64)
     with pytest.raises(ValueError, match="nodes"):
         picard_solve(spec, u0, None, 0.1, nodes=1)
     assert picard_solve(spec, u0, None, 0.1, nodes=2).iterations == 3
+    assert picard_solve(spec, u0, None, 0.1, nodes=np.int64(2)).iterations == 3
+    # a float count is refused before any work, not by range() after it
+
+    def no_work(spec):
+        raise AssertionError("validate ran")
+
+    with monkeypatch.context() as m:
+        m.setattr(solver, "validate", no_work)
+        for nodes in (4.0, 2.5, np.float64(8)):
+            with pytest.raises(ValueError, match="nodes must be an integer >= 2"):
+                picard_solve(spec, u0, None, 0.1, nodes=nodes)
     # nan and inf would march into BlowupSignal, which reads as blow-up
     for T in (0.0, -0.1, math.nan, math.inf):
         with pytest.raises(ValueError, match="T must be positive and finite"):
