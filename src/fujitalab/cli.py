@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import itertools
 import json
 import math
@@ -359,7 +360,9 @@ def cmd_verify(args) -> int:
 
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The one parser of the process: parse_args leaves it unchanged."""
     parser = _Parser(prog="fujita-lab",
                      description="semilinear heat blow-up laboratory")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -21,8 +21,8 @@ Notation used across the package:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from . import EXPORTS
 from .problem import ProblemSpec, profile_integral
@@ -79,8 +79,7 @@ def p_star(N, rho):
     return (N - 2 * rho) / den
 
 
-@dataclass(frozen=True)
-class BlowupCriterion:
+class BlowupCriterion(NamedTuple):
     """Outcome of the blow-up inequality plus its admissibility flags."""
 
     holds: bool
@@ -114,8 +113,7 @@ def blowup_criterion(N, p, q, alpha, rho) -> BlowupCriterion:
     return BlowupCriterion(holds, admissible, conditions)
 
 
-@dataclass(frozen=True)
-class GepExponents:
+class GepExponents(NamedTuple):
     """Global-existence exponent pack: entry threshold for p, p_c and ell."""
 
     threshold: object
@@ -161,8 +159,7 @@ def gep_exponents(N, p, q, alpha, rho) -> GepExponents:
     return GepExponents(threshold, p_c, ell, conditions)
 
 
-@dataclass(frozen=True)
-class RWindow:
+class RWindow(NamedTuple):
     """Open admissibility window lo < 1/r < hi; each end is the tighter of
     two candidate bounds."""
 
@@ -251,8 +248,7 @@ def _or_none(f, *args):
         return None
 
 
-@dataclass(frozen=True)
-class ExponentReport:
+class ExponentReport(NamedTuple):
     """Flat, fixed-order summary of every derived exponent for one problem.
 
     Fields that are undefined for the given parameters (e.g. p_star at

@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -29,8 +30,7 @@ class BlowupSignal(ArithmeticError):
     """Raised when a field operation overflows; the driver reads it as blow-up."""
 
 
-@dataclass(frozen=True)
-class BoxGeometry:
+class BoxGeometry(NamedTuple):
     """Requested discretization; points_per_axis=None means the dim default."""
 
     half_width: float = DEFAULT_HALF_WIDTH
@@ -46,6 +46,8 @@ class BoxGeometry:
 
 
 def _check_geometry(dim: int, M: int, half_width: float) -> None:
+    if any(isinstance(x, bool) for x in (dim, M, half_width)):
+        raise ValueError("dim, points per axis and half_width must not be bools")
     if not isinstance(dim, (int, np.integer)) or not 1 <= dim <= MAX_DIM:
         raise ValueError(f"dim must be an integer in 1..{MAX_DIM}")
     if not isinstance(M, (int, np.integer)) or M < 2 or (M & (M - 1)) != 0:

@@ -14,8 +14,8 @@ from __future__ import annotations
 import math
 import random
 from collections.abc import Callable
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -130,8 +130,7 @@ class SeriesDivergenceError(ArithmeticError):
     """Series terms or partial sums escaped double range before convergence."""
 
 
-@dataclass(frozen=True)
-class MLResult:
+class MLResult(NamedTuple):
     value: float
     remainder_bound: float
     terms_used: int
@@ -274,8 +273,7 @@ def _odd_grid(half: float, n: int):
     return (np.arange(n) - (n - 1) / 2) * h, h
 
 
-@dataclass(frozen=True)
-class CutoffCheck:
+class CutoffCheck(NamedTuple):
     error_coarse: float
     error_fine: float
     order: float
@@ -354,8 +352,7 @@ def cutoff_laplacian_check(
 # ---------------------------------------------------------------------------
 # forcing-profile certificate
 
-@dataclass(frozen=True)
-class WConditionReport:
+class WConditionReport(NamedTuple):
     """``holds_kernel_nonneg`` is True when ``profile_sign`` says yes;
     ``witness`` is its point where w < -KERNEL_AVERAGE_TOL when it says no,
     so False with no witness means undecided."""
@@ -385,8 +382,7 @@ def w_condition_check(w: ProfileSpec, dim: int) -> WConditionReport:
 # ---------------------------------------------------------------------------
 # space-time scaling certificate
 
-@dataclass(frozen=True)
-class CertificateReport:
+class CertificateReport(NamedTuple):
     slope_I1: float
     slope_bound_I1: float
     slope_F: float | None

@@ -13,6 +13,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -332,8 +333,7 @@ def _number(v) -> float:
     return float(v)
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     """Named admissibility conditions, independently queryable."""
 
     lwp_ok: bool

@@ -19,7 +19,7 @@ forced run is checked on the closed-form data profile.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -133,8 +133,7 @@ def apply_direct(f: GridField, t: float) -> GridField:
     return f.with_values(out)
 
 
-@dataclass(frozen=True)
-class SmoothingRow:
+class SmoothingRow(NamedTuple):
     t: float
     lhs: float
     rhs: float
@@ -176,8 +175,7 @@ def kernel_weight_constant(u0: ProfileSpec, dim: int) -> float:
     return (4.0 * math.pi) ** (-dim / 2.0) * gaussian_weighted_integral(u0, dim, rate=0.5)
 
 
-@dataclass(frozen=True)
-class LowerBoundRow:
+class LowerBoundRow(NamedTuple):
     t: float
     recorded: float
     bound: float
@@ -185,8 +183,7 @@ class LowerBoundRow:
     passed: bool
 
 
-@dataclass(frozen=True)
-class LowerBoundReport:
+class LowerBoundReport(NamedTuple):
     rows: tuple
     passed: bool
     skipped: str | None = None

@@ -37,6 +37,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -98,6 +99,10 @@ class SolverConfig:
     adapt: bool = True
 
     def __post_init__(self):
+        steps = (self.dt0, self.t_end, self.blowup_threshold, self.min_dt)
+        if any(isinstance(v, bool) for v in steps) or not isinstance(self.adapt, bool):
+            raise ValueError("dt0, t_end, blowup_threshold and min_dt must be numbers "
+                             "and adapt a bool")
         if not (0 < self.dt0 < math.inf and 0 < self.t_end < math.inf):
             raise ValueError("dt0 and t_end must be positive and finite")
         if not (0 < self.min_dt <= self.dt0):
@@ -398,8 +403,7 @@ def _run_metadata(spec, config, u0) -> dict:
     }
 
 
-@dataclass(frozen=True)
-class PicardResult:
+class PicardResult(NamedTuple):
     """Terminal node value, sweeps taken, every sweep's difference, and the
     work the solve did on its plan (``HeatKernelPlan.counts``, less what it
     held on entry)."""
@@ -502,8 +506,7 @@ def picard_solve(
     return PicardResult(states[-1], len(diffs), tuple(diffs), heat.counts())
 
 
-@dataclass(frozen=True)
-class UniquenessReport:
+class UniquenessReport(NamedTuple):
     discrepancies: tuple
     ratios: tuple
     passed: bool
@@ -525,16 +528,16 @@ def uniqueness_probe(
     dt = T / PROBE_NODES / 2**lvl on the same PROBE_NODES * 2**lvl Picard
     nodes, with the points per axis doubled each level.  Each level samples
     the problem record's own profiles on its grid; T not positive and
-    finite, levels < 1, or a finest grid past CELL_CAP raises ValueError
-    before any run.  details["levels"] holds one entry per level, with
-    Picard's sweeps and work counts (``PicardResult.counts``) as
+    finite, levels below 1 or a bool, or a finest grid past CELL_CAP raises
+    ValueError before any run.  details["levels"] holds one entry per level,
+    with Picard's sweeps and work counts (``PicardResult.counts``) as
     "picard_counts" and the stepper run's metadata "counts" and
     "rejections" as "stepper_counts" and "stepper_rejections".
     """
     if not 0 < T < math.inf:
         raise ValueError("T must be positive and finite")
-    if levels < 1:
-        raise ValueError("levels must be >= 1")
+    if isinstance(levels, bool) or levels < 1:
+        raise ValueError("levels must be >= 1 and not a bool")
     rep = validate(spec)
     if not rep.uniq_ok:
         raise ValueError(f"uniqueness hypotheses fail: {rep.failed()}")

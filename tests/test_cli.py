@@ -2,7 +2,6 @@
 2 inadmissible), output files, the FUJITA_LAB_OUT redirection, and the
 determinism contract for sweep CSVs."""
 
-import dataclasses
 import json
 import os
 import subprocess
@@ -381,7 +380,7 @@ def test_verify_fault_injection(capsys, tmp_path, monkeypatch):
 
     def skewed(order, z):
         res = exact(order, z)
-        return dataclasses.replace(res, value=res.value * (1 + 1e-9))
+        return res._replace(value=res.value * (1 + 1e-9))
 
     monkeypatch.setattr(oracles, "mittag_leffler", skewed)
     out_file = tmp_path / "verdicts.json"
@@ -439,8 +438,24 @@ def test_sweep_determinism_across_jobs(tmp_path):
     assert b"seconds" not in outputs["1"]
 
 
+def test_main_builds_one_parser_that_a_parse_leaves_unchanged(tmp_path, capsys):
+    spec = _write_spec(tmp_path, SWEEP_SPEC)
+    run = ["sweep", "--spec", spec, "--t-end", "0.1", "--dt0", "0.05", "--points", "16"]
+    _build_parser.cache_clear()
+    assert main(run + ["--axis", "p=2:2:1"]) == 0
+    # the axis of the first sweep is not carried into the second
+    assert main(run) == 1
+    assert "need at least one --axis" in capsys.readouterr().err
+    info = _build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    parser = _build_parser()
+    first = parser.parse_args(["sweep", "--spec", spec, "--axis", "q=2:3:2"])
+    assert first.axis == ["q=2:3:2"] and parser.parse_args(["sweep", "--spec", spec]).axis == []
+
+
 def test_run_options_default_to_the_library():
-    # an option left out is not passed on, so the dataclasses' defaults hold
+    # an option left out is not passed on, so SolverConfig's and BoxGeometry's
+    # own defaults hold
     parser = _build_parser()
     for command in ("simulate", "sweep"):
         args = parser.parse_args([command, "--spec", "problem.json"])

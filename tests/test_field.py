@@ -196,6 +196,12 @@ def test_geometry_validation():
         BoxGeometry(16.0, 64).resolve(2.0)
     with pytest.raises(ValueError, match="dim must be an integer"):
         sample(ProfileSpec.gaussian(1.0, 1.0, (0.0, 0.0)), 2.0, 16.0, 64)
+    # a bool is refused, not read as 1
+    for dim, L, M in ((1, True, 64), (1, 16.0, True), (True, 16.0, 64)):
+        with pytest.raises(ValueError, match="must not be bools"):
+            BoxGeometry(L, M).resolve(dim)
+    with pytest.raises(ValueError, match="must not be bools"):
+        GridField(True, 8.0, np.zeros(16))
     assert BoxGeometry(12.0, None).resolve(3) == (12.0, 64)
 
 

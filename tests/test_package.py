@@ -7,6 +7,7 @@ Tools that walk ``__all__`` (the span tracer of the benchmark does) call
 ``getattr`` on each name, so a stale entry breaks them at import time."""
 
 import ast
+import dataclasses
 import importlib
 import pkgutil
 import re
@@ -114,3 +115,63 @@ def test_every_constant_the_readme_names_exists():
 def test_the_readme_constant_check_sees_a_stale_name():
     assert _readme_constants_missing("`CELL_CAP`, `FUJITA_LAB_OUT`, `T`, `KERNEL_WIDTHS`") == [
         "KERNEL_WIDTHS"]
+
+
+# Records that only carry results, with their fields in order; the six
+# record types that check their fields when built stay dataclasses.
+RESULT_RECORDS = {
+    "exponents.BlowupCriterion": "holds admissible conditions",
+    "exponents.GepExponents": "threshold p_c ell conditions",
+    "exponents.RWindow": "lo hi",
+    "exponents.ExponentReport": "values",
+    "oracles.MLResult": "value remainder_bound terms_used",
+    "oracles.CutoffCheck": "error_coarse error_fine order c_emp passed",
+    "oracles.WConditionReport": "holds_kernel_nonneg witness integral integral_positive",
+    "oracles.CertificateReport": ("slope_I1 slope_bound_I1 slope_F slope_expected_F "
+                                  "sign_gap theta applicable passed"),
+    "problem.ValidationReport": "lwp_ok uniq_ok conditions",
+    "field.BoxGeometry": "half_width points_per_axis",
+    "semigroup.SmoothingRow": "t lhs rhs ratio passed",
+    "semigroup.LowerBoundRow": "t recorded bound margin passed",
+    "semigroup.LowerBoundReport": "rows passed skipped",
+    "solver.PicardResult": "terminal iterations differences counts",
+    "solver.UniquenessReport": "discrepancies ratios passed details",
+}
+VALIDATING_RECORDS = {"GaussianTerm", "ProfileSpec", "ProblemSpec", "GridField",
+                      "SolverConfig", "TrajectoryRecord"}
+
+
+@pytest.mark.parametrize("path", sorted(RESULT_RECORDS))
+def test_a_result_record_is_an_immutable_named_tuple(path):
+    module, name = path.split(".")
+    cls = getattr(importlib.import_module(f"fujitalab.{module}"), name)
+    fields = RESULT_RECORDS[path].split()
+    values = [f"v{i}" for i in range(len(fields))]
+    rec = cls(*values)
+    with pytest.raises(AttributeError):
+        setattr(rec, fields[0], "changed")
+    new = rec._replace(**{fields[-1]: "changed"})
+    assert type(new) is cls and list(new) == values[:-1] + ["changed"]
+    assert list(rec) == values
+    twin = cls(**dict(zip(fields, values)))
+    assert twin == rec and twin is not rec and hash(twin) == hash(rec)
+    assert repr(rec) == f"{name}(" + ", ".join(f"{f}={v!r}" for f, v in zip(fields, values)) + ")"
+
+
+def test_only_the_records_that_validate_are_dataclasses():
+    found = set()
+    for name in MODULES:
+        module = importlib.import_module(name)
+        found |= {attr for attr, obj in vars(module).items()
+                  if dataclasses.is_dataclass(obj) and obj.__module__ == name}
+    assert found == VALIDATING_RECORDS
+    # the defaults of the two records that have any
+    assert fujitalab.BoxGeometry() == (16.0, None)
+    assert fujitalab.semigroup.LowerBoundReport((), True).skipped is None
+    # modules that define none of the six do not import dataclasses
+    for sub in ("exponents", "oracles", "semigroup"):
+        tree = ast.parse(Path(importlib.import_module(f"fujitalab.{sub}").__file__).read_text())
+        imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                    for alias in node.names}
+        imported |= {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+        assert "dataclasses" not in imported, sub

@@ -600,6 +600,11 @@ def test_solver_config_rejects_out_of_range_settings():
                 {"dt0": math.inf}, {"t_end": math.inf}):
         with pytest.raises(ValueError):
             SolverConfig(**bad)
+    # a bool is neither a step setting nor a stand-in for the adapt flag
+    for bad in ({"dt0": True}, {"t_end": True}, {"blowup_threshold": True},
+                {"min_dt": True}, {"adapt": "no"}, {"adapt": 1}):
+        with pytest.raises(ValueError, match="must be numbers and adapt a bool"):
+            SolverConfig(**bad)
     with pytest.raises(ValueError, match="need 0 < min_dt <= dt0"):
         SolverConfig(dt0=0.1, min_dt=1.0)
     # a record refuses columns that do not line up the same way
@@ -653,7 +658,7 @@ def test_uniqueness_probe_refinement_ratio():
     d = [lvl["discrepancy"] for lvl in rep.details["levels"]]
     assert d[0] > d[1] > d[2]
     # no refinement level, no ratio to judge: refused before any run
-    for levels in (0, -1):
+    for levels in (0, -1, True, False):
         with pytest.raises(ValueError, match="levels"):
             uniqueness_probe(spec, T=0.1, levels=levels)
     for T in (0.0, -0.1, math.nan, math.inf):
