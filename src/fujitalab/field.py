@@ -15,7 +15,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import EXPORTS
-from .problem import ProfileSpec, profile_on_axis
+from .problem import ProfileSpec, check_int, check_real, profile_on_axis
 
 __all__ = list(EXPORTS["field"])
 
@@ -41,21 +41,18 @@ class BoxGeometry(NamedTuple):
         M = self.points_per_axis
         if M is None:
             M = DEFAULT_POINTS.get(dim)  # an unknown dim fails the check first
-        _check_geometry(dim, M, self.half_width)
+        check_geometry(dim, M, self.half_width)
         return float(self.half_width), int(M)
 
 
-def _check_geometry(dim: int, M: int, half_width: float) -> None:
-    if any(isinstance(x, bool) for x in (dim, M, half_width)):
-        raise ValueError("dim, points per axis and half_width must not be bools")
-    if not isinstance(dim, (int, np.integer)) or not 1 <= dim <= MAX_DIM:
-        raise ValueError(f"dim must be an integer in 1..{MAX_DIM}")
-    if not isinstance(M, (int, np.integer)) or M < 2 or (M & (M - 1)) != 0:
-        raise ValueError("points per axis must be an integer power of two >= 2")
+def check_geometry(dim: int, M: int, half_width: float) -> None:
+    if check_int("dim", dim, ge=1) > MAX_DIM:
+        raise ValueError(f"dim must be <= {MAX_DIM}, got {dim!r}")
+    if check_int("points_per_axis", M, ge=2) & (M - 1):
+        raise ValueError(f"points_per_axis must be a power of two, got {M!r}")
     if M**dim > CELL_CAP:
         raise ValueError(f"grid of {M}^{dim} cells exceeds cap {CELL_CAP}")
-    if not (half_width > 0 and math.isfinite(half_width)):
-        raise ValueError("half_width must be positive and finite")
+    check_real("half_width", half_width, gt=0)
 
 
 @dataclass(frozen=True)
@@ -69,12 +66,11 @@ class GridField:
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=float)
         object.__setattr__(self, "values", vals)
-        if vals.ndim != self.dim:
-            raise ValueError(f"values must be {self.dim}-dimensional")
-        M = vals.shape[0]
-        if any(s != M for s in vals.shape):
-            raise ValueError("grid must have the same point count on every axis")
-        _check_geometry(self.dim, M, self.half_width)
+        M = vals.shape[0] if vals.ndim else 0
+        check_geometry(self.dim, M, self.half_width)
+        if vals.shape != (M,) * self.dim:
+            raise ValueError(f"values must be {self.dim}-dimensional with {M} points "
+                             f"on every axis, got shape {vals.shape}")
         if not np.all(np.isfinite(vals)):
             raise BlowupSignal("field contains non-finite values")
 
@@ -111,7 +107,7 @@ class GridField:
 
 def coordinates(half_width: float, M: int) -> np.ndarray:
     """Axis nodes -L + k*h, k = 0..M-1 (periodic, right endpoint omitted)."""
-    h = 2.0 * half_width / M
+    h = 2.0 * check_real("half_width", half_width, gt=0) / check_int("M", M, ge=1)
     return -half_width + h * np.arange(M)
 
 
@@ -149,21 +145,19 @@ def _power_sum(v: np.ndarray, q: float) -> float:
         return total
 
 
-def lq_norm(f: GridField, q) -> float:
+def lq_norm(f: GridField, q: float) -> float:
     """L^q norm by cell sum; q = inf gives the sup norm.
 
     The sup norm is max(max v, -min v) and takes no temporary array.  A cell
     sum that overflows, alone or times the cell volume, raises BlowupSignal;
-    q < 1 or nan raises ValueError.  A nonzero field whose scaled cell sum
-    is below the smallest normal double has lost its powers or cell volume
-    to underflow: its norm is max|v| h^(dim/q) (sum |v / max|v||^q)^(1/q).
+    q < 1, nan or a bool raises ValueError.  A nonzero field whose scaled
+    cell sum is below the smallest normal double has lost its powers or cell
+    volume to underflow: its norm is max|v| h^(dim/q) (sum |v / max|v||^q)^(1/q).
     """
     v = f.values
-    q = float(q)
+    q = float(check_real("q", q, ge=1, finite=False))
     if q == math.inf:
         return float(max(v.max(), -v.min()))
-    if not q >= 1:
-        raise ValueError("q must be >= 1 or inf")
     total = _power_sum(v, q) * f.cell_volume
     if not math.isfinite(total):
         raise BlowupSignal("norm overflow")
@@ -172,16 +166,19 @@ def lq_norm(f: GridField, q) -> float:
     return total ** (1.0 / q)
 
 
-def nonlinearity(f: GridField, p: float, q, alpha: float,
+def nonlinearity(f: GridField, p: float, q: float, alpha: float,
                  out: np.ndarray | None = None) -> GridField:
     """Pointwise load ||f||_q^alpha * |f|^p; overflow surfaces as BlowupSignal.
 
-    At alpha = 0 the norm is not evaluated (the 0^0 = 1 convention).
-    The load is computed in place in ``out`` (None allocates, as in numpy;
-    out must not be f's own values) and the returned field is backed by it.
+    p < 1, q < 1 or alpha < 0 is a ValueError.  At alpha = 0 the norm is not
+    evaluated (0^0 = 1).  The load is made in ``out`` (None allocates, as in
+    numpy; out must not be f's own values), which backs the returned field.
     An integral p is raised by square-and-multiply, which for p = 2 is the
     one product |f| |f|; any other p goes through pow.
     """
+    check_real("p", p, ge=1)
+    check_real("q", q, ge=1, finite=False)
+    check_real("alpha", alpha, ge=0)
     factor = 1.0
     if alpha != 0:
         try:
@@ -190,7 +187,7 @@ def nonlinearity(f: GridField, p: float, q, alpha: float,
             raise BlowupSignal("nonlocal factor overflow") from exc
     v = np.abs(f.values, out=out)
     with np.errstate(over="ignore", invalid="ignore"):
-        if float(p).is_integer() and p >= 1:
+        if float(p).is_integer():
             # |f|^n by the bits of n after the leading one; multiplying by
             # the signed f instead of |f| rounds the same, and a final abs
             # clears the sign an odd n leaves

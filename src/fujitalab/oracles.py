@@ -24,6 +24,8 @@ from .exponents import blowup_criterion, certificate_exponent, delta
 from .problem import (
     KERNEL_AVERAGE_TOL,
     ProfileSpec,
+    check_int,
+    check_real,
     profile_integral,
     profile_sign,
 )
@@ -145,11 +147,8 @@ def mittag_leffler(order: float, z: float) -> MLResult:
     term is below 1e-16 of the partial sum; the geometric tail then bounds
     the remainder by twice the next term, within ML_MAX_TERMS terms.
     """
-    if not (0 < order <= 1):
-        raise ValueError("order must be in (0, 1]")
-    if z < 0 or not math.isfinite(z):
-        raise ValueError("argument must be finite and >= 0")
-    if z == 0.0:
+    check_real("order", order, gt=0, le=1)
+    if check_real("z", z, ge=0) == 0.0:
         return MLResult(1.0, 0.0, 1)
     log_z = math.log(z)
     total = 0.0
@@ -175,10 +174,9 @@ def gronwall_bound(A: float, M: float, sigma: float, t: float) -> float:
     This is the exact solution of psi = A + M * int (t-s)^(-sigma) psi ds, so
     any psi satisfying the inequality sits below it.  A = 0 collapses to 0.
     """
-    if not all(0 <= v < math.inf for v in (A, M, t)):
-        raise ValueError("need A, M, t >= 0 and finite")
-    if not (0 <= sigma < 1):
-        raise ValueError("sigma must be in [0, 1)")
+    for name, v in (("A", A), ("M", M), ("t", t)):
+        check_real(name, v, ge=0)
+    check_real("sigma", sigma, ge=0, lt=1)
     if A == 0.0 or t == 0.0:
         return float(A)
     z = M * math.gamma(1.0 - sigma) * t ** (1.0 - sigma)
@@ -303,17 +301,14 @@ def cutoff_laplacian_check(
     runs as the whole grid's five-point sum, so on an odd grid the ray's
     values are the grid's axis values bit for bit.  The grid's sup can lie
     off the axis: psi1's does, about 0.1% higher at 2001 points.  T must be
-    positive and finite, points at least 3 and dim a positive integer, else
-    ValueError, as is a grid with no inner point where g >= 1e-3.
+    positive and finite, dim an integer >= 1 and points an integer >= 3,
+    else ValueError, as is a grid with no inner point where g >= 1e-3.
     """
     if kind not in CUTOFF_KINDS:
         raise ValueError(f"unknown cutoff kind {kind!r}")
-    if not 0 < T < math.inf:
-        raise ValueError(f"T must be positive and finite, got {T}")
-    if points < 3:
-        raise ValueError(f"points must be >= 3, got {points}")
-    if not (dim >= 1 and float(dim).is_integer()):
-        raise ValueError(f"dim must be a positive integer, got {dim}")
+    check_real("T", T, gt=0)
+    check_int("dim", dim, ge=1)
+    check_int("points", points, ge=3)
     theta = CUTOFF_THETA
     y_max = 0.8 if kind == "psi1" else 2.0
     half = math.sqrt(y_max * T) * 1.05
@@ -424,18 +419,15 @@ def certificate_scaling_check(
     In the verify case (N = 3, w = e^{-|x|^2}) psi2 is 1 on all of w's
     reach, |x| <= 10 = sqrt(1e2), at every T of CERT_T_LIST, so F's space
     factor is the one float pi^(3/2), the integral of w, at each T, and
-    slope_F there measures the time factor only.  ValueError unless p > 1,
-    N is a positive integer, alpha >= 0, rho > -1 (NaN fails both), and a
-    w with terms has N <= 3 and centres of N coordinates.
+    slope_F there measures the time factor only.  ValueError unless N is
+    an integer >= 1, p > 1, q >= 1, alpha >= 0 and rho > -1 are finite
+    numbers, and a w with terms has N <= 3 and centres of N coordinates.
     """
-    if not p > 1:
-        raise ValueError(f"p must be > 1, got {p}")
-    if not (N >= 1 and float(N).is_integer()):
-        raise ValueError(f"N must be a positive integer, got {N}")
-    if not alpha >= 0:
-        raise ValueError(f"alpha must be >= 0, got {alpha}")
-    if not rho > -1:
-        raise ValueError(f"rho must be > -1, got {rho}")
+    check_int("N", N, ge=1)
+    check_real("p", p, gt=1)
+    check_real("q", q, ge=1)
+    check_real("alpha", alpha, ge=0)
+    check_real("rho", rho, gt=-1)
     if w.terms and not (N <= 3 and all(len(t.center) == N for t in w.terms)):
         raise ValueError(f"w needs N <= 3 and centres of N coordinates, got N = {N}")
     d = delta(alpha, q)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -24,6 +25,8 @@ __all__ = list(EXPORTS["problem"])
 PROFILE_KINDS = ("gaussian_sum", "zero")
 KERNEL_AVERAGE_TOL = 1e-10  # profile_sign's slack: w >= 0 means w >= -KERNEL_AVERAGE_TOL
 SIGN_BOXES = 1 << 14        # boxes after which profile_sign's branch and bound stops
+# the kinds of number, builtins first: they skip the slower ABC instance check
+_REAL, _INTEGRAL = (float, int, numbers.Real), (int, numbers.Integral)
 
 
 class SpecFieldError(ValueError):
@@ -46,24 +49,55 @@ class InadmissibleError(ValueError):
             "inadmissible base parameters: " + ", ".join(self.failed_conditions))
 
 
+def _is_number(v, kind=_REAL) -> bool:
+    """The one definition of a number: a kind (real by default), but not a bool."""
+    return isinstance(v, kind) and not isinstance(v, bool)
+
+
+def _in_domain(v, kind=_REAL, gt=None, ge=None, le=None, lt=None, finite=True):
+    """The one domain rule: a number of kind, not NaN, within the bounds given and
+    finite unless finite=False (OverflowError for an int past float range)."""
+    return (_is_number(v, kind) and v == v and (not finite or math.isfinite(v))
+            and (gt is None or v > gt) and (ge is None or v >= ge)
+            and (le is None or v <= le) and (lt is None or v < lt))
+
+
+def check_real(name: str, v, *, gt=None, ge=None, le=None, lt=None, finite=True):
+    """v if ``_in_domain``, else ValueError "{name} must be {rule}, got {v!r}": the
+    rule is "a real number" for a bool or a non-number, else (NaN included) the bounds,
+    gt=0 read "positive", then "finite" without an upper bound, "or inf" if not finite."""
+    if _in_domain(v, _REAL, gt, ge, le, lt, finite):
+        return v
+    if not _is_number(v):
+        raise ValueError(f"{name} must be a real number, got {v!r}")
+    bounds = ((">", gt), (">=", ge), ("<=", le), ("<", lt))
+    rule = " and ".join(["positive" if (op, b) == (">", 0) else f"{op} {b}"
+                         for op, b in bounds if b is not None]
+                        + ["finite"] * (finite and le is None and lt is None))
+    raise ValueError(f"{name} must be {rule}{'' if finite else ' or inf'}, got {v!r}")
+
+
+def check_int(name: str, v, *, ge: int):
+    """v if it is an integer (numbers.Integral, not a bool) >= ge, else ValueError."""
+    if _in_domain(v, _INTEGRAL, ge=ge, finite=False):
+        return v
+    raise ValueError(f"{name} must be an integer >= {ge}, got {v!r}")
+
+
 @dataclass(frozen=True)
 class GaussianTerm:
-    """One term c * exp(-rate * |x - center|^2)."""
+    """One term c * exp(-rate * |x - center|^2): finite numbers, rate > 0."""
 
     coefficient: float
     rate: float
     center: tuple[float, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "coefficient", _number(self.coefficient))
-        object.__setattr__(self, "rate", _number(self.rate))
-        object.__setattr__(self, "center", tuple(_number(c) for c in self.center))
-        if not math.isfinite(self.coefficient):
-            raise ValueError("gaussian coefficient must be finite")
-        if not (self.rate > 0 and math.isfinite(self.rate)):
-            raise ValueError("gaussian rate must be positive and finite")
-        if not all(math.isfinite(c) for c in self.center):
-            raise ValueError("gaussian center must be finite")
+        coefficient = float(check_real("coefficient", self.coefficient))
+        object.__setattr__(self, "coefficient", coefficient)
+        object.__setattr__(self, "rate", float(check_real("rate", self.rate, gt=0)))
+        center = tuple(float(check_real("center", c)) for c in self.center)
+        object.__setattr__(self, "center", center)
 
 
 @dataclass(frozen=True)
@@ -147,20 +181,19 @@ def profile_integral(prof: ProfileSpec, dim: int) -> float:
 
     A term whose centre does not have ``dim`` coordinates raises ValueError.
     """
-    if dim < 1:
-        raise ValueError("dim must be >= 1")
     _check_centers(prof, dim)
     return sum(t.coefficient * (math.pi / t.rate) ** (dim / 2) for t in prof.terms)
 
 
 def _check_centers(prof: ProfileSpec, dim: int, name: str = "profile") -> None:
+    check_int("dim", dim, ge=1)
     for t in prof.terms:
         if len(t.center) != dim:
             raise ValueError(f"{name} term center must have dim {dim}")
 
 
 def gaussian_weighted_integral(
-    prof: ProfileSpec, dim: int, rate: float, center=None
+    prof: ProfileSpec, dim: int, rate: float, center: tuple[float, ...] | None = None
 ) -> float:
     """Closed form of ``integral exp(-rate*|x-center|^2) * prof(x) dx``.
 
@@ -168,8 +201,7 @@ def gaussian_weighted_integral(
     (pi/(rate+r))^(dim/2) * exp(-(rate*r/(rate+r)) * |center - c|^2) per term.
     A term centre or ``center`` without ``dim`` coordinates raises ValueError.
     """
-    if rate <= 0:
-        raise ValueError("weight rate must be positive")
+    check_real("rate", rate, gt=0)
     _check_centers(prof, dim)
     center = np.zeros(dim) if center is None else np.asarray(center, dtype=float)
     if center.shape != (dim,):
@@ -264,20 +296,17 @@ class ProblemSpec:
     w: ProfileSpec = field(default_factory=ProfileSpec.zero)
 
     def __post_init__(self):
-        dim, p, q, alpha, rho = self.dim, self.p, self.q, self.alpha, self.rho
         base = {
-            "dim_positive_integer": isinstance(dim, (int, np.integer))
-            and not isinstance(dim, bool) and dim >= 1,
-            "p_gt_1": _num(p) and p > 1,
-            "q_ge_1": _num(q) and q >= 1,
-            "alpha_nonneg": _num(alpha) and alpha >= 0,
-            "rho_gt_minus_1": _num(rho) and rho > -1,
+            "dim_positive_integer": _in_domain(self.dim, _INTEGRAL, ge=1, finite=False),
+            "p_gt_1": _in_domain(self.p, gt=1),
+            "q_ge_1": _in_domain(self.q, ge=1),
+            "alpha_nonneg": _in_domain(self.alpha, ge=0),
+            "rho_gt_minus_1": _in_domain(self.rho, gt=-1),
         }
-        bad = [k for k, ok in base.items() if not ok]
-        if bad:
+        if bad := [k for k, ok in base.items() if not ok]:
             raise InadmissibleError(bad)
-        _check_centers(self.u0, dim, "u0")
-        _check_centers(self.w, dim, "w")
+        _check_centers(self.u0, self.dim, "u0")
+        _check_centers(self.w, self.dim, "w")
 
     def to_json_dict(self) -> dict:
         return {
@@ -310,27 +339,22 @@ class ProblemSpec:
 
 
 def _extract_parameters(d: dict) -> dict:
-    """Pull and type-check the five scalar fields; no domain checks here."""
+    """Pull and type-check the five scalar fields; their domain is the record's."""
     out = {}
     for name in ("dim", "p", "q", "alpha", "rho"):
         if name not in d:
             raise SpecFieldError(name, "missing")
+        v = d[name]
+        if not _is_number(v):
+            raise SpecFieldError(name, f"must be a number, got {type(v).__name__}")
         try:
-            x = _number(d[name])
-        except (TypeError, OverflowError) as exc:
+            x = float(v)
+        except OverflowError as exc:
             raise SpecFieldError(name, str(exc)) from exc
         if name == "dim" and not x.is_integer():
             raise SpecFieldError(name, "must be an integer")
-        out[name] = int(d[name]) if name == "dim" else x
+        out[name] = int(v) if name == "dim" else x
     return out
-
-
-def _number(v) -> float:
-    """v as a float when it is a number, not a bool, within float range:
-    TypeError otherwise, or OverflowError for an integer beyond that range."""
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise TypeError(f"must be a number, got {type(v).__name__}")
-    return float(v)
 
 
 class ValidationReport(NamedTuple):
@@ -342,12 +366,6 @@ class ValidationReport(NamedTuple):
 
     def failed(self) -> list[str]:
         return [k for k, v in self.conditions.items() if not v]
-
-
-def _num(x) -> bool:
-    return isinstance(x, (int, float, np.floating, np.integer)) and not isinstance(
-        x, bool
-    ) and math.isfinite(float(x))
 
 
 def validate(spec: ProblemSpec) -> ValidationReport:

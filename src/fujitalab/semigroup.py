@@ -24,8 +24,9 @@ from typing import NamedTuple
 import numpy as np
 
 from . import EXPORTS
-from .field import GridField, lq_norm
-from .problem import ProfileSpec, gaussian_weighted_integral, profile_sign
+from .field import GridField, check_geometry, lq_norm
+from .problem import (ProfileSpec, check_int, check_real, gaussian_weighted_integral,
+                      profile_sign)
 
 __all__ = list(EXPORTS["semigroup"])
 
@@ -44,6 +45,7 @@ class HeatKernelPlan:
     """
 
     def __init__(self, dim: int, points_per_axis: int, half_width: float):
+        check_geometry(dim, points_per_axis, half_width)
         self.grid = (dim, points_per_axis, half_width)
         h = 2.0 * half_width / points_per_axis
         k_full = 2.0 * math.pi * np.fft.fftfreq(points_per_axis, d=h)
@@ -92,10 +94,8 @@ class HeatKernelPlan:
 
 def apply(plan: HeatKernelPlan, f: GridField, t: float) -> GridField:
     """Spectral heat step: exact identity at t = 0; ValueError for t < 0,
-    a non-finite t or another grid."""
-    if not 0 <= t < math.inf:
-        raise ValueError("t must be >= 0 and finite")
-    if t == 0 and f.grid == plan.grid:
+    a non-finite t, a bool or another grid."""
+    if check_real("t", t, ge=0) == 0 and f.grid == plan.grid:
         return f
     return plan.field(plan.spectrum(f) * plan.multiplier(t))
 
@@ -108,12 +108,10 @@ def apply_direct(f: GridField, t: float) -> GridField:
     is evaluated as one dense 1-d kernel matrix per axis: the same operator
     as the spectral route computed by a different algorithm.  Box images are
     summed until the next shell's weight drops below exp(-45), so the two
-    routes differ only by floating-point roundoff.  ValueError for t < 0 or
-    a non-finite t.
+    routes differ only by floating-point roundoff.  ValueError for t < 0,
+    a non-finite t or a bool.
     """
-    if not 0 <= t < math.inf:
-        raise ValueError("t must be >= 0 and finite")
-    if t == 0:
+    if check_real("t", t, ge=0) == 0:
         return f
     if f.dim == 3 and f.points_per_axis > 32:
         raise ValueError("direct kernel in dim 3 is capped at 32 points per axis")
@@ -141,24 +139,24 @@ class SmoothingRow(NamedTuple):
     passed: bool
 
 
-def smoothing_check(f: GridField, a, b, t_list) -> list[SmoothingRow]:
+def smoothing_check(f: GridField, a: float, b: float, t_list) -> list[SmoothingRow]:
     """Check ||S(t) f||_b <= t^(-(dim/2)(1/a - 1/b)) ||f||_a for each t,
     to a relative slack of SMOOTHING_TOL.
 
-    Requires 1 <= a <= b (inf allowed); anything else, nan included, is a
-    ValueError.  The constant-one bound is the free-space one; on the box it
+    Requires 1 <= a <= b (inf allowed) and each t in t_list finite and > 0,
+    else ValueError before any transform.  The constant-one bound is the
+    free-space one; on the box it
     holds comfortably for t small against the box diffusion time, which is
     the regime the tests probe.
     """
-    if not 1 <= float(a) <= float(b):
-        raise ValueError("need 1 <= a <= b")
+    check_real("a", a, ge=1, finite=False)
+    check_real("b", b, ge=a, finite=False)
+    t_list = [check_real(f"t_list[{i}]", t, gt=0) for i, t in enumerate(t_list)]
     inv_a, inv_b = 1.0 / float(a), 1.0 / float(b)  # 0.0 at inf
     plan = HeatKernelPlan.for_field(f)
     norm_a = lq_norm(f, a)
     rows = []
     for t in t_list:
-        if t <= 0:
-            raise ValueError("t must be positive")
         lhs = lq_norm(apply(plan, f, t), b)
         rhs = t ** (-(f.dim / 2.0) * (inv_a - inv_b)) * norm_a
         ratio = lhs / rhs if rhs > 0 else math.inf
@@ -172,7 +170,7 @@ def kernel_weight_constant(u0: ProfileSpec, dim: int) -> float:
     This is the constant in the pointwise lower bound u(x,t) >= C0 t^(-dim/2)
     exp(-|x|^2/t) for t >= 1 under nonnegative data.
     """
-    return (4.0 * math.pi) ** (-dim / 2.0) * gaussian_weighted_integral(u0, dim, rate=0.5)
+    return gaussian_weighted_integral(u0, dim, rate=0.5) * (4.0 * math.pi) ** (-dim / 2.0)
 
 
 class LowerBoundRow(NamedTuple):
@@ -191,7 +189,7 @@ class LowerBoundReport(NamedTuple):
 
 def comparison_lower_bound(
     u0: ProfileSpec,
-    traj,
+    traj: object,
     q: float,
     *,
     dim: int,
@@ -206,11 +204,12 @@ def comparison_lower_bound(
     kernel averages the caller certified nonnegative, and data u0 that
     ``problem.profile_sign`` proves nonnegative (a refuted sign and an
     undecided one are skipped with different reasons).  ``traj`` is
-    anything carrying ``times`` and ``q_norms`` sequences.  q < 1 or nan
-    raises ValueError, as in ``lq_norm``.
+    anything carrying ``times`` and ``q_norms`` sequences.  ValueError
+    unless q >= 1 (as in ``lq_norm``), dim >= 1 an integer and 0 <= tol < 1.
     """
-    if not q >= 1:
-        raise ValueError("q must be >= 1 or inf")
+    check_real("q", q, ge=1, finite=False)
+    check_int("dim", dim, ge=1)
+    check_real("tol", tol, ge=0, lt=1)
     if not forcing_certified:
         return LowerBoundReport((), True, skipped="forcing condition not certified")
     nonneg, _ = profile_sign(u0, dim)

@@ -43,7 +43,8 @@ import numpy as np
 
 from . import EXPORTS
 from .field import BlowupSignal, BoxGeometry, GridField, lq_norm, nonlinearity, sample
-from .problem import ProblemSpec, SpecFieldError, profile_min_rate, validate
+from .problem import (ProblemSpec, SpecFieldError, check_int, check_real, profile_min_rate,
+                      validate)
 from .semigroup import HeatKernelPlan
 
 __all__ = list(EXPORTS["solver"])
@@ -89,7 +90,8 @@ class SolverConfig:
 
     dt0 is both the initial and the ceiling step (doubling never exceeds it).
     min_dt is the step floor: a rejected attempt whose half step would fall
-    below it ends the run as blow-up (see ``run_from_fields``).
+    below it ends the run as blow-up (see ``run_from_fields``).  Each number
+    is finite and > 0, min_dt <= dt0 and adapt a bool, else ValueError.
     """
 
     dt0: float = 1e-2
@@ -99,16 +101,11 @@ class SolverConfig:
     adapt: bool = True
 
     def __post_init__(self):
-        steps = (self.dt0, self.t_end, self.blowup_threshold, self.min_dt)
-        if any(isinstance(v, bool) for v in steps) or not isinstance(self.adapt, bool):
-            raise ValueError("dt0, t_end, blowup_threshold and min_dt must be numbers "
-                             "and adapt a bool")
-        if not (0 < self.dt0 < math.inf and 0 < self.t_end < math.inf):
-            raise ValueError("dt0 and t_end must be positive and finite")
-        if not (0 < self.min_dt <= self.dt0):
-            raise ValueError("need 0 < min_dt <= dt0")
-        if not (0 < self.blowup_threshold < math.inf):
-            raise ValueError("blowup_threshold must be positive and finite")
+        for name in ("dt0", "t_end", "blowup_threshold"):
+            check_real(name, getattr(self, name), gt=0)
+        check_real("min_dt", self.min_dt, gt=0, le=self.dt0)
+        if not isinstance(self.adapt, bool):
+            raise ValueError(f"adapt must be a bool, got {self.adapt!r}")
 
     def to_json_dict(self) -> dict:
         return {name: getattr(self, name) for name in self.__dataclass_fields__}
@@ -448,10 +445,8 @@ def picard_solve(
     w=None means no forcing; T not positive and finite, nodes not an integer
     >= 2 or a plan for another grid than u0's (or w's) raises ValueError.
     """
-    if not 0 < T < math.inf:
-        raise ValueError("T must be positive and finite")
-    if not isinstance(nodes, (int, np.integer)) or nodes < 2:
-        raise ValueError("nodes must be an integer >= 2")
+    check_real("T", T, gt=0)
+    check_int("nodes", nodes, ge=2)
     rep = validate(spec)
     if not rep.lwp_ok:
         raise ValueError(f"fixed-point hypotheses fail: {rep.failed()}")
@@ -528,16 +523,14 @@ def uniqueness_probe(
     dt = T / PROBE_NODES / 2**lvl on the same PROBE_NODES * 2**lvl Picard
     nodes, with the points per axis doubled each level.  Each level samples
     the problem record's own profiles on its grid; T not positive and
-    finite, levels below 1 or a bool, or a finest grid past CELL_CAP raises
-    ValueError before any run.  details["levels"] holds one entry per level,
+    finite, levels not an integer >= 1, or a finest grid past CELL_CAP
+    raises ValueError before any run.  details["levels"] holds one entry per level,
     with Picard's sweeps and work counts (``PicardResult.counts``) as
     "picard_counts" and the stepper run's metadata "counts" and
     "rejections" as "stepper_counts" and "stepper_rejections".
     """
-    if not 0 < T < math.inf:
-        raise ValueError("T must be positive and finite")
-    if isinstance(levels, bool) or levels < 1:
-        raise ValueError("levels must be >= 1 and not a bool")
+    check_real("T", T, gt=0)
+    check_int("levels", levels, ge=1)
     rep = validate(spec)
     if not rep.uniq_ok:
         raise ValueError(f"uniqueness hypotheses fail: {rep.failed()}")

@@ -57,7 +57,7 @@ def test_lq_norm_gaussian_closed_form():
         for q in (1.0, 2.0, 3.5):
             exact = 0.7 * (math.pi / q) ** (dim / (2 * q))
             assert lq_norm(f, q) == pytest.approx(exact, rel=1e-12)
-        for q in (math.inf, "inf"):
+        for q in (math.inf, np.float64(math.inf)):
             assert lq_norm(f, q) == pytest.approx(0.7, rel=1e-12)
         # the q = 2 dot product sums in another order than the plain sum
         plain = math.sqrt(np.sum(np.abs(f.values) ** 2.0) * f.cell_volume)
@@ -187,20 +187,24 @@ def test_geometry_validation():
     with pytest.raises(ValueError):
         sample(ProfileSpec.zero(), 4, 8.0)  # unknown dim, default points
     # a float count is refused as a count, not a TypeError from M & (M - 1)
-    with pytest.raises(ValueError, match="integer power of two"):
+    with pytest.raises(ValueError, match="points_per_axis must be an integer >= 2, got 64.0"):
         BoxGeometry(16.0, 64.0).resolve(2)
-    with pytest.raises(ValueError, match="integer power of two"):
+    with pytest.raises(ValueError, match="points_per_axis must be an integer >= 2"):
         sample(ProfileSpec.zero(), 2, 8.0, points_per_axis=64.0)
+    with pytest.raises(ValueError, match="points_per_axis must be a power of two, got 12"):
+        BoxGeometry(16.0, 12).resolve(1)
     # a float dim is refused as a dim, not a TypeError from the grid's shape
     with pytest.raises(ValueError, match="dim must be an integer"):
         BoxGeometry(16.0, 64).resolve(2.0)
     with pytest.raises(ValueError, match="dim must be an integer"):
         sample(ProfileSpec.gaussian(1.0, 1.0, (0.0, 0.0)), 2.0, 16.0, 64)
     # a bool is refused, not read as 1
-    for dim, L, M in ((1, True, 64), (1, 16.0, True), (True, 16.0, 64)):
-        with pytest.raises(ValueError, match="must not be bools"):
+    for dim, L, M, name in ((1, True, 64, "half_width must be a real number"),
+                            (1, 16.0, True, "points_per_axis must be an integer"),
+                            (True, 16.0, 64, "dim must be an integer")):
+        with pytest.raises(ValueError, match=f"{name}.*, got True"):
             BoxGeometry(L, M).resolve(dim)
-    with pytest.raises(ValueError, match="must not be bools"):
+    with pytest.raises(ValueError, match="dim must be an integer >= 1, got True"):
         GridField(True, 8.0, np.zeros(16))
     assert BoxGeometry(12.0, None).resolve(3) == (12.0, 64)
 

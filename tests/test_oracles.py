@@ -510,10 +510,10 @@ def test_oracles_refuse_inputs_outside_their_domain():
     for T in (-1.0, 0.0, math.inf, math.nan):
         with pytest.raises(ValueError, match="T must be positive and finite"):
             cutoff_laplacian_check("psi2", T=T)
-    with pytest.raises(ValueError, match="points must be >= 3"):
+    with pytest.raises(ValueError, match="points must be an integer >= 3"):
         cutoff_laplacian_check("psi2", points=2)
     for dim in (0, 1.5):
-        with pytest.raises(ValueError, match="dim must be a positive integer"):
+        with pytest.raises(ValueError, match="dim must be an integer >= 1"):
             cutoff_laplacian_check("psi2", dim=dim)
     with pytest.raises(ValueError, match="unknown cutoff kind 'psi3'"):
         cutoff_laplacian_check("psi3")
@@ -525,7 +525,7 @@ def test_oracles_refuse_inputs_outside_their_domain():
         with pytest.raises(ValueError, match="p must be > 1"):
             certificate_scaling_check(3, p, 1.25, 1.0, -0.5)
     for N in (0, -1, 1.5):
-        with pytest.raises(ValueError, match="N must be a positive integer"):
+        with pytest.raises(ValueError, match="N must be an integer >= 1"):
             certificate_scaling_check(N, 1.5, 1.25, 1.0, -0.5)
     # the paper's alpha >= 0 and rho > -1; outside them the slope tests
     # would still read a verdict (rho = nan, rho = -1.5 and alpha = -1 pass)
@@ -542,10 +542,11 @@ def test_oracles_refuse_inputs_outside_their_domain():
                                       w=ProfileSpec.gaussian(1.0, 1.0, center))
     assert not certificate_scaling_check(4, 1.5, 1.25, 1.0, -0.5).applicable
     for bad in (math.inf, math.nan):
-        for args in ((bad, 1.0, 0.5, 1.0), (1.0, bad, 0.5, 1.0), (1.0, 1.0, 0.5, bad)):
-            with pytest.raises(ValueError, match="need A, M, t >= 0 and finite"):
+        for name, args in (("A", (bad, 1.0, 0.5, 1.0)), ("M", (1.0, bad, 0.5, 1.0)),
+                           ("t", (1.0, 1.0, 0.5, bad))):
+            with pytest.raises(ValueError, match=f"{name} must be >= 0 and finite"):
                 gronwall_bound(*args)
-    with pytest.raises(ValueError, match=r"sigma must be in \[0, 1\)"):
+    with pytest.raises(ValueError, match="sigma must be >= 0 and < 1"):
         gronwall_bound(1, 1, 1.0, 1)
     with pytest.raises(ValueError, match="simpson needs an odd number of nodes"):
         oracles._simpson(np.ones(4), 1.0)

@@ -162,13 +162,15 @@ def test_malformed_fields_raise_spec_field_error():
         ({"w": gsum()}, ("w", "gaussian_sum needs at least one term")),
         ({"u0": gsum([1.0, 1.0, [0.0, 0.0]])}, ("spec", "u0 term center must have dim 1")),
         ({"u0": gsum([0.5, 1.0, [0.0]], ["x", 1.0, [0.0]])},
-         ("u0.terms[1]", "must be a number, got str")),
-        ({"u0": gsum(["0.5", "1", "12"])}, ("u0.terms[0]", "must be a number, got str")),
-        ({"u0": gsum([0.5, 1.0, [True]])}, ("u0.terms[0]", "must be a number, got bool")),
+         ("u0.terms[1]", "coefficient must be a real number, got 'x'")),
+        ({"u0": gsum(["0.5", "1", "12"])},
+         ("u0.terms[0]", "coefficient must be a real number, got '0.5'")),
+        ({"u0": gsum([0.5, 1.0, [True]])},
+         ("u0.terms[0]", "center must be a real number, got True")),
         ({"u0": gsum([10**400, 1.0, [0.0]])},
          ("u0.terms[0]", "int too large to convert to float")),
         ({"u0": gsum([1.0, -1.0, [0.0]])},
-         ("u0.terms[0]", "gaussian rate must be positive and finite")),
+         ("u0.terms[0]", "rate must be positive and finite, got -1.0")),
         ({"u0": gsum([1.0, 1.0, 0.0])}, ("u0.terms[0]", "'float' object is not iterable")),
     ):
         with pytest.raises(SpecFieldError) as exc:
@@ -254,6 +256,14 @@ def test_a_far_field_past_float_range_is_undecided_and_not_certified():
     assert not rep.holds_kernel_nonneg and rep.witness is None
     traj = SimpleNamespace(times=[1.0], q_norms=[1.0])
     assert comparison_lower_bound(w, traj, 2.0, dim=1).skipped == "data sign undecided"
+
+
+def test_a_far_field_radius_past_float_range_is_undecided(monkeypatch):
+    # the centres lie 2e308 apart, so the far-field radius overflows to inf
+    # and the sign is left open before the box search, which needs numpy
+    w = ProfileSpec((GaussianTerm(1, 1, (-1e308,)), GaussianTerm(-1, 2, (1e308,))))
+    monkeypatch.setattr("fujitalab.problem.np", None)
+    assert profile_sign(w, 1) == (None, None)
 
 
 def test_center_dimension_must_match():

@@ -173,8 +173,11 @@ def test_smoothing_bound():
     with pytest.raises(ValueError):
         smoothing_check(f, 1, 2, (0.0,))
     # b < a, a < 1 (1/a and 1/b are never formed) and nan are refused
-    for a, b in ((2, 1), (0, 2), (1, 0), (0.5, 2), (math.nan, 2), (1, math.nan)):
-        with pytest.raises(ValueError, match="need 1 <= a <= b"):
+    for a, b, rule in ((2, 1, "b must be >= 2 or inf"), (0, 2, "a must be >= 1 or inf"),
+                       (1, 0, "b must be >= 1 or inf"), (0.5, 2, "a must be >= 1 or inf"),
+                       (math.nan, 2, "a must be >= 1 or inf"),
+                       (1, math.nan, "b must be >= 1 or inf")):
+        with pytest.raises(ValueError, match=rule):
             smoothing_check(f, a, b, (0.1,))
 
 

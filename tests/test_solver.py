@@ -535,8 +535,8 @@ def test_uniqueness_probe_refuses_a_finest_grid_past_the_cap_before_any_run(monk
     spec = ProblemSpec(2, 2.0, 2.0, 1.0, -0.5, g, g)
     with pytest.raises(ValueError, match="exceeds cap"):
         uniqueness_probe(spec, T=0.1, geometry=BoxGeometry(16.0, 16), levels=2)
-    # a fractional level count makes a float point count, refused as such
-    with pytest.raises(ValueError, match="integer power of two"):
+    # a fractional level count is refused as a level count
+    with pytest.raises(ValueError, match="levels must be an integer >= 1, got 2.5"):
         uniqueness_probe(spec, T=0.1, geometry=BoxGeometry(16.0, 16), levels=2.5)
     # q < p: the uniqueness hypotheses fail
     bad = ProblemSpec(1, 3.0, 2.0, 0.0, 0.0, ProfileSpec.gaussian(0.05, 1.0))
@@ -601,11 +601,13 @@ def test_solver_config_rejects_out_of_range_settings():
         with pytest.raises(ValueError):
             SolverConfig(**bad)
     # a bool is neither a step setting nor a stand-in for the adapt flag
-    for bad in ({"dt0": True}, {"t_end": True}, {"blowup_threshold": True},
-                {"min_dt": True}, {"adapt": "no"}, {"adapt": 1}):
-        with pytest.raises(ValueError, match="must be numbers and adapt a bool"):
-            SolverConfig(**bad)
-    with pytest.raises(ValueError, match="need 0 < min_dt <= dt0"):
+    for name in ("dt0", "t_end", "blowup_threshold", "min_dt"):
+        with pytest.raises(ValueError, match=f"{name} must be a real number, got True"):
+            SolverConfig(**{name: True})
+    for bad in ("no", 1):
+        with pytest.raises(ValueError, match="adapt must be a bool"):
+            SolverConfig(adapt=bad)
+    with pytest.raises(ValueError, match="min_dt must be positive and <= 0.1, got 1.0"):
         SolverConfig(dt0=0.1, min_dt=1.0)
     # a record refuses columns that do not line up the same way
     with pytest.raises(ValueError, match="trajectory columns must have equal length"):
