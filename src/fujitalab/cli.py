@@ -33,6 +33,8 @@ from .problem import (
     InadmissibleError,
     ProblemSpec,
     SpecFieldError,
+    check_int,
+    check_real,
     scale_profile,
     validate,
 )
@@ -184,15 +186,14 @@ def _sweep_point(payload) -> tuple:
     the other points of the sweep still run.
     """
     start = time.perf_counter()
-    idx, base_json, assignment, amplitude, epsilon, config, geometry = payload
-    doc = dict(base_json)
-    doc.update(assignment)
+    idx, base, assignment, amplitude, epsilon, config, geometry = payload
     from .exponents import Regime, classify
 
-    row = {"index": idx, **{k: doc[k] for k in ("p", "q", "alpha", "rho")}}
+    row = {"index": idx, **{k: getattr(base, k) for k in ("p", "q", "alpha", "rho")},
+           **assignment}
     try:
-        spec = ProblemSpec.from_json_dict(doc)
-    except (SpecFieldError, InadmissibleError):
+        spec = dataclasses.replace(base, **assignment)
+    except InadmissibleError:
         row.update(predicted="inadmissible", verdict="skipped", agreement="not_applicable")
         return row, time.perf_counter() - start
     regime = classify(spec)
@@ -255,13 +256,9 @@ def _parse_axis(text: str):
         name = name.strip()
         if name not in ("p", "q", "alpha", "rho"):
             raise ValueError(f"axis must be one of p,q,alpha,rho, got {name!r}")
-        count = int(count)
-        if count < 1:
-            raise ValueError("axis count must be >= 1")
-        start, stop = float(start), float(stop)
-        if not (math.isfinite(start) and math.isfinite(stop)):
-            raise ValueError("axis START and STOP must be finite")
-        values = np.linspace(start, stop, count)
+        values = np.linspace(check_real("START", float(start)),
+                             check_real("STOP", float(stop)),
+                             check_int("COUNT", int(count), ge=1))
         return name, [float(v) for v in values]
     except ValueError as exc:
         raise _UsageError(f"bad --axis {text!r}: {exc}") from exc
@@ -283,12 +280,11 @@ def cmd_sweep(args) -> int:
     if not 0 < args.epsilon < math.inf:
         raise _UsageError("--epsilon must be positive and finite")
     config, geometry = _run_setup(args, spec.dim)
-    base_json = spec.to_json_dict()
 
     names = [name for name, _ in axes]
     grid = itertools.product(*(values for _, values in axes))
     payloads = [
-        (idx, base_json, dict(zip(names, point)), args.amplitude, args.epsilon,
+        (idx, spec, dict(zip(names, point)), args.amplitude, args.epsilon,
          config, geometry)
         for idx, point in enumerate(grid)
     ]

@@ -129,8 +129,7 @@ def _power_sum(v: np.ndarray, q: float) -> float:
 
     There each |v| below 2^(-1022/q), whose power is subnormal and slow in
     np.power, is first set to 0.  Those powers sum to less than
-    v.size * 2^-1022, under an ulp of a sum of at least v.size * 2^-969;
-    below that the unflushed sum is taken, so a tiny field keeps its powers.
+    v.size * 2^-1022, under an ulp of any sum that lq_norm keeps unscaled.
     """
     with np.errstate(over="ignore"):
         if q == 2.0:
@@ -138,11 +137,7 @@ def _power_sum(v: np.ndarray, q: float) -> float:
             return float(np.dot(flat, flat))
         a = np.abs(v)
         a[a < 2.0 ** (-1022.0 / q)] = 0.0
-        total = float(np.sum(np.power(a, q, out=a)))
-        if total < v.size * 2.0**-969:
-            a = np.abs(v)
-            total = float(np.sum(np.power(a, q, out=a)))
-        return total
+        return float(np.sum(np.power(a, q, out=a)))
 
 
 def lq_norm(f: GridField, q: float) -> float:
@@ -150,18 +145,21 @@ def lq_norm(f: GridField, q: float) -> float:
 
     The sup norm is max(max v, -min v) and takes no temporary array.  A cell
     sum that overflows, alone or times the cell volume, raises BlowupSignal;
-    q < 1, nan or a bool raises ValueError.  A nonzero field whose scaled
-    cell sum is below the smallest normal double has lost its powers or cell
-    volume to underflow: its norm is max|v| h^(dim/q) (sum |v / max|v||^q)^(1/q).
+    q < 1, nan or a bool raises ValueError.  A nonzero field whose power sum
+    is below v.size * 2^-969, or whose scaled sum is below the smallest
+    normal double, may have lost powers or its cell volume to underflow: its
+    norm is max|v| h^(dim/q) (sum |v / max|v||^q)^(1/q), a sum of at least 1.
     """
     v = f.values
     q = float(check_real("q", q, ge=1, finite=False))
     if q == math.inf:
         return float(max(v.max(), -v.min()))
-    total = _power_sum(v, q) * f.cell_volume
+    s = _power_sum(v, q)
+    total = s * f.cell_volume
     if not math.isfinite(total):
         raise BlowupSignal("norm overflow")
-    if total < sys.float_info.min and (top := lq_norm(f, math.inf)) > 0:
+    if ((s < v.size * 2.0**-969 or total < sys.float_info.min)
+            and (top := lq_norm(f, math.inf)) > 0):
         return top * f.spacing ** (f.dim / q) * _power_sum(v / top, q) ** (1.0 / q)
     return total ** (1.0 / q)
 

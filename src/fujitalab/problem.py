@@ -126,11 +126,12 @@ class ProfileSpec:
         return cls()
 
     @classmethod
-    def gaussian(cls, coefficient: float, rate: float, center=(0.0,)) -> "ProfileSpec":
+    def gaussian(cls, coefficient: float, rate: float,
+                 center: tuple[float, ...] = (0.0,)) -> "ProfileSpec":
         return cls(((coefficient, rate, center),))
 
     @classmethod
-    def gaussian_sum(cls, terms) -> "ProfileSpec":
+    def gaussian_sum(cls, terms: list | tuple) -> "ProfileSpec":
         return cls(terms)
 
     def to_json_dict(self) -> dict:
@@ -192,27 +193,20 @@ def _check_centers(prof: ProfileSpec, dim: int, name: str = "profile") -> None:
             raise ValueError(f"{name} term center must have dim {dim}")
 
 
-def gaussian_weighted_integral(
-    prof: ProfileSpec, dim: int, rate: float, center: tuple[float, ...] | None = None
-) -> float:
-    """Closed form of ``integral exp(-rate*|x-center|^2) * prof(x) dx``.
+def gaussian_weighted_integral(prof: ProfileSpec, dim: int, rate: float) -> float:
+    """Closed form of ``integral exp(-rate*|x|^2) * prof(x) dx``.
 
     Gaussian-times-Gaussian integrates to
-    (pi/(rate+r))^(dim/2) * exp(-(rate*r/(rate+r)) * |center - c|^2) per term.
-    A term centre or ``center`` without ``dim`` coordinates raises ValueError.
+    (pi/(rate+r))^(dim/2) * exp(-(rate*r/(rate+r)) * |c|^2) per term.
+    A term centre without ``dim`` coordinates raises ValueError.
     """
     check_real("rate", rate, gt=0)
     _check_centers(prof, dim)
-    center = np.zeros(dim) if center is None else np.asarray(center, dtype=float)
-    if center.shape != (dim,):
-        raise ValueError(f"weight center must have dim {dim}")
     total = 0.0
     for t in prof.terms:
         s = rate + t.rate
-        d2 = np.sum((center - np.asarray(t.center)) ** 2)
         total += t.coefficient * (math.pi / s) ** (dim / 2) * np.exp(
-            -(rate * t.rate / s) * d2
-        )
+            -(rate * t.rate / s) * np.sum(np.asarray(t.center) ** 2))
     return float(total)
 
 

@@ -60,7 +60,9 @@ class HeatKernelPlan:
         return cls(*f.grid)
 
     def multiplier(self, t: float, out: np.ndarray | None = None) -> np.ndarray:
-        """exp(-t |k|^2), computed per call; k = 0 maps to 1, so means are kept."""
+        """exp(-t |k|^2), computed per call; k = 0 maps to 1, so means are kept.
+        ValueError for t < 0, a non-finite t or a bool, before the count."""
+        check_real("t", t, ge=0)
         self.counts["multipliers"] += 1
         out = np.multiply(self.ksq, -t, out=out)
         return np.exp(out, out=out)

@@ -372,11 +372,8 @@ def run_from_fields(
         if sup_new >= config.blowup_threshold:
             verdict, blowup_by = Verdict.BLOWUP_DETECTED, "threshold"
             break
-        if config.adapt:
-            if growth < GROWTH_DOUBLE:
-                dt = min(dt_step * 2.0, config.dt0)
-            else:
-                dt = dt_step
+        if config.adapt and growth < GROWTH_DOUBLE:
+            dt = min(dt * 2.0, config.dt0)
     metadata = _run_metadata(spec, config, u0)
     if blowup_by is not None:
         metadata["blowup_by"] = blowup_by

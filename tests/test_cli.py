@@ -329,11 +329,13 @@ def test_sweep_axis_validation(tmp_path, capsys):
     assert main(["sweep", "--spec", spec]) == 1  # no axis
     capsys.readouterr()
     assert main(["sweep", "--spec", spec, "--axis", "p=1:2:0"]) == 1
-    assert capsys.readouterr().err == "error: bad --axis 'p=1:2:0': axis count must be >= 1\n"
-    for axis in ("q=nan:2:2", "q=1:inf:2", "q=-inf:2:2"):
+    assert capsys.readouterr().err == (
+        "error: bad --axis 'p=1:2:0': COUNT must be an integer >= 1, got 0\n")
+    for axis, bad in (("q=nan:2:2", "START must be finite, got nan"),
+                      ("q=1:inf:2", "STOP must be finite, got inf"),
+                      ("q=-inf:2:2", "START must be finite, got -inf")):
         assert main(["sweep", "--spec", spec, "--axis", axis]) == 1
-        assert capsys.readouterr().err == (
-            f"error: bad --axis {axis!r}: axis START and STOP must be finite\n")
+        assert capsys.readouterr().err == f"error: bad --axis {axis!r}: {bad}\n"
     assert main(["sweep", "--spec", spec, "--axis", "p=1:2:2",
                  "--axis", "q=1:2:2", "--axis", "rho=-0.5:0:2"]) == 1
     capsys.readouterr()

@@ -1,13 +1,15 @@
 """One domain rule for every public numeric argument.
 
-Each exported callable refuses True, nan, inf, -inf and the values just
-outside its domain, for each numeric parameter, with a ValueError that names
-the parameter, before any transform.  The table is checked against
-``fujitalab.EXPORTS``: an exported numeric parameter it does not list fails.
+Each exported callable, and each public method of an exported class, refuses
+True, nan, inf, -inf and the values just outside its domain, for each numeric
+parameter, with a ValueError that names the parameter, before any transform.
+The table is checked against ``fujitalab.EXPORTS``: an exported numeric
+parameter it does not list fails.
 """
 
 from __future__ import annotations
 
+import functools
 import inspect
 import math
 import re
@@ -35,13 +37,14 @@ def row(call, *edges, inf_ok=False):
     return call, edges, inf_ok
 
 
-# (exported name, parameter) -> row; the integer rows refuse the float form
-# of a valid count, and GaussianTerm.center and smoothing_check's t_list
-# are fed one coordinate or time in a sequence.
+# (exported name or "Class.method", parameter) -> row; the integer rows
+# refuse the float form of a valid count, and GaussianTerm.center and
+# smoothing_check's t_list are fed one coordinate or time in a sequence.
 TABLE = {
     ("BoxGeometry", "half_width"): row(lambda v: fl.BoxGeometry(v, 64).resolve(1), 0.0),
     ("BoxGeometry", "points_per_axis"):
         row(lambda v: fl.BoxGeometry(16.0, v).resolve(1), 1, 12, 64.0),
+    ("BoxGeometry.resolve", "dim"): row(lambda v: fl.BoxGeometry(16.0, 64).resolve(v), 0, 1.0, 4),
     ("GridField", "dim"): row(lambda v: fl.GridField(v, 16.0, np.zeros(64)), 0, 1.0, 4),
     ("GridField", "half_width"): row(lambda v: fl.GridField(1, v, np.zeros(64)), 0.0),
     ("coordinates", "half_width"): row(lambda v: fl.coordinates(v, 64), 0.0),
@@ -82,6 +85,8 @@ TABLE = {
     ("GaussianTerm", "coefficient"): row(lambda v: fl.GaussianTerm(v, 1.0, (0.0,)), "1"),
     ("GaussianTerm", "rate"): row(lambda v: fl.GaussianTerm(1.0, v, (0.0,)), 0.0),
     ("GaussianTerm", "center"): row(lambda v: fl.GaussianTerm(1.0, 1.0, (v,)), "0"),
+    ("ProfileSpec.gaussian", "coefficient"): row(lambda v: fl.ProfileSpec.gaussian(v, 1.0), "1"),
+    ("ProfileSpec.gaussian", "rate"): row(lambda v: fl.ProfileSpec.gaussian(1.0, v), 0.0),
     ("ProblemSpec", "dim"): row(lambda v: fl.ProblemSpec(v, 2.0, 2.0, 0.0, 0.0), 0, 1.0),
     ("ProblemSpec", "p"): row(lambda v: fl.ProblemSpec(1, v, 2.0, 0.0, 0.0), 1.0),
     ("ProblemSpec", "q"): row(lambda v: fl.ProblemSpec(1, 2.0, v, 0.0, 0.0), BELOW_ONE),
@@ -96,6 +101,7 @@ TABLE = {
     ("HeatKernelPlan", "points_per_axis"):
         row(lambda v: fl.HeatKernelPlan(1, v, 16.0), 1, 64.0),
     ("HeatKernelPlan", "half_width"): row(lambda v: fl.HeatKernelPlan(1, 64, v), 0.0),
+    ("HeatKernelPlan.multiplier", "t"): row(lambda v: PLAN.multiplier(v), BELOW_ZERO),
     ("apply", "t"): row(lambda v: fl.apply(PLAN, F, v), BELOW_ZERO),
     ("apply_direct", "t"): row(lambda v: fl.apply_direct(F, v), BELOW_ZERO),
     ("smoothing_check", "a"):
@@ -142,12 +148,19 @@ def _annotation(param):
     return a.__forward_arg__ if isinstance(a, typing.ForwardRef) else a
 
 
+def _target(name: str):
+    """The exported callable, or the "Class.method" of an exported class."""
+    return functools.reduce(getattr, name.split("."), fl)
+
+
 def _numeric_parameters() -> set:
-    """(name, parameter) for every exported callable's numeric parameter:
-    one annotated float or int (or either or None), or one not annotated.
+    """(name, parameter) for every numeric parameter of an exported callable
+    or of a public method of an exported class, named "Class.method": one
+    annotated float or int (or either or None), or one not annotated.
 
     Exceptions and enums take no number, and a named tuple that an exported
-    function returns is a result record, built from checked values.
+    function returns is a result record, built from checked values; so are
+    its methods.  An instance method's first parameter is the instance.
     """
     exported = {name: getattr(fl, name) for name in fl.__all__}
     returned = {inspect.signature(obj).return_annotation for obj in exported.values()
@@ -157,9 +170,15 @@ def _numeric_parameters() -> set:
         if isinstance(obj, type) and (issubclass(obj, (BaseException, Enum))
                                       or (hasattr(obj, "_fields") and name in returned)):
             continue
-        for param in inspect.signature(obj).parameters.values():
-            if param.annotation is param.empty or _annotation(param) in NUMERIC:
-                found.add((name, param.name))
+        params = {name: list(inspect.signature(obj).parameters.values())}
+        for attr, member in vars(obj).items() if isinstance(obj, type) else ():
+            if not attr.startswith("_") and inspect.isroutine(getattr(obj, attr)):
+                method = list(inspect.signature(getattr(obj, attr)).parameters.values())
+                params[f"{name}.{attr}"] = method[inspect.isfunction(member):]
+        for key, method in params.items():
+            for param in method:
+                if param.annotation is param.empty or _annotation(param) in NUMERIC:
+                    found.add((key, param.name))
     return found
 
 
@@ -170,7 +189,7 @@ def test_the_table_lists_every_numeric_parameter_of_an_exported_callable():
     # each row names a parameter of an exported callable, and each exemption
     # an exported callable that has numeric parameters
     for name, param in TABLE:
-        assert param in inspect.signature(getattr(fl, name)).parameters, (name, param)
+        assert param in inspect.signature(_target(name)).parameters, (name, param)
     assert set(EXEMPT) == {name for name, _ in found} - {name for name, _ in TABLE}
     assert set(EXEMPT) <= set(fl.EXPORTS["exponents"])
 
@@ -183,6 +202,11 @@ def test_the_guard_sees_an_unlisted_numeric_parameter(monkeypatch):
     monkeypatch.setattr(fl, "__all__", [*fl.__all__, "shifted"])
     monkeypatch.setitem(fl._HOME, "shifted", "semigroup")
     assert {("shifted", "t"), ("shifted", "by")} <= _numeric_parameters() - set(TABLE)
+    # and one that a public method of an exported class takes
+    monkeypatch.setattr(fl.HeatKernelPlan, "shifted", shifted, raising=False)
+    assert {("HeatKernelPlan.shifted", "t"), ("HeatKernelPlan.shifted", "by")} <= \
+        _numeric_parameters() - set(TABLE)
+    assert ("HeatKernelPlan.shifted", "f") not in _numeric_parameters()
 
 
 @pytest.mark.parametrize("key", sorted(TABLE), ids=".".join)
