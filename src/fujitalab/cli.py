@@ -19,7 +19,6 @@ import dataclasses
 import functools
 import itertools
 import json
-import math
 import os
 import sys
 import time
@@ -187,7 +186,7 @@ def _sweep_point(payload) -> tuple:
     """
     start = time.perf_counter()
     idx, base, assignment, amplitude, epsilon, config, geometry = payload
-    from .exponents import Regime, classify
+    from .exponents import Regime, exponent_report
 
     row = {"index": idx, **{k: getattr(base, k) for k in ("p", "q", "alpha", "rho")},
            **assignment}
@@ -196,10 +195,11 @@ def _sweep_point(payload) -> tuple:
     except InadmissibleError:
         row.update(predicted="inadmissible", verdict="skipped", agreement="not_applicable")
         return row, time.perf_counter() - start
-    regime = classify(spec)
+    report = exponent_report(spec).values
+    regime = report["regime"]
     row["predicted"] = regime.value
     try:
-        record = _simulate_point(spec, regime, amplitude, epsilon, config, geometry)
+        record = _simulate_point(spec, report, amplitude, epsilon, config, geometry)
     except Exception as exc:
         print(f"sweep point {idx} failed:", file=sys.stderr)
         traceback.print_exc(file=sys.stderr)
@@ -227,21 +227,20 @@ def _sweep_point(payload) -> tuple:
     return row, time.perf_counter() - start
 
 
-def _simulate_point(spec, regime, amplitude, epsilon, config, geometry):
+def _simulate_point(spec, report, amplitude, epsilon, config, geometry):
     """The sweep's run of one admissible point, small data rescaled to epsilon."""
-    from .exponents import Regime, gep_exponents
+    from .exponents import Regime
     from .field import lq_norm, sample
     from .solver import run
 
     u0 = scale_profile(spec.u0, amplitude)
     w = spec.w
-    if regime is Regime.GLOBAL_SMALL_DATA:
+    if report["regime"] is Regime.GLOBAL_SMALL_DATA:
         # rescale data and forcing so the norms the small-data theory sees
         # sit at epsilon; the grid plays the role of the function space here
-        gep = gep_exponents(spec.dim, spec.p, spec.q, spec.alpha, spec.rho)
         L, M = geometry.resolve(spec.dim)
         f = sample(u0, spec.dim, L, M)
-        biggest = max(lq_norm(f, gep.p_c), lq_norm(f, gep.ell))
+        biggest = max(lq_norm(f, report["p_c"]), lq_norm(f, report["ell"]))
         if biggest > 0:
             s = epsilon / biggest
             u0 = scale_profile(u0, s)
@@ -273,12 +272,12 @@ def cmd_sweep(args) -> int:
         raise _UsageError("at most two --axis arguments")
     if len(axes) == 2 and axes[0][0] == axes[1][0]:
         raise _UsageError(f"--axis {axes[0][0]} given twice")
-    if args.jobs < 1:
-        raise _UsageError("--jobs must be >= 1")
-    if not math.isfinite(args.amplitude):
-        raise _UsageError("--amplitude must be finite")
-    if not 0 < args.epsilon < math.inf:
-        raise _UsageError("--epsilon must be positive and finite")
+    try:
+        check_int("--jobs", args.jobs, ge=1)
+        check_real("--amplitude", args.amplitude)
+        check_real("--epsilon", args.epsilon, gt=0)
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from exc
     config, geometry = _run_setup(args, spec.dim)
 
     names = [name for name, _ in axes]

@@ -231,13 +231,7 @@ def classify(spec: ProblemSpec) -> Regime:
 
     ProblemSpec refuses base parameter violations, so every record classifies.
     """
-    params = (spec.dim, spec.p, spec.q, spec.alpha, spec.rho)
-    bc = blowup_criterion(*params)
-    if bc.admissible and bc.holds and profile_integral(spec.w, spec.dim) > 0:
-        return Regime.BLOWUP
-    gep = _or_none(gep_exponents, *params)
-    win = gep and gep.admissible and _or_none(r_window, *params)
-    return Regime.GLOBAL_SMALL_DATA if win and win.nonempty else Regime.GAP
+    return exponent_report(spec).values["regime"]
 
 
 def _or_none(f, *args):
@@ -290,9 +284,13 @@ def exponent_report(spec: ProblemSpec) -> ExponentReport:
     bc = blowup_criterion(N, p, q, a, rho)
     gep = _or_none(gep_exponents, N, p, q, a, rho)
     win = gep and _or_none(r_window, N, p, q, a, rho)
+    w_integral = profile_integral(spec.w, N)
     beta_mid = None
     if win and win.nonempty:
         beta_mid = _or_none(beta, N, gep.p_c, 1 / ((win.lo + win.hi) / 2))
+    regime = (Regime.BLOWUP if bc.admissible and bc.holds and w_integral > 0
+              else Regime.GLOBAL_SMALL_DATA if gep and gep.admissible and win and win.nonempty
+              else Regime.GAP)
     return ExponentReport({
         "dim": N,
         "p": p,
@@ -315,6 +313,6 @@ def exponent_report(spec: ProblemSpec) -> ExponentReport:
         "beta_mid": beta_mid,
         "beta_upper_bound": _or_none(beta_upper_bound, p, q, a),
         "certificate_exponent": certificate_exponent(N, p, q, a, rho),
-        "w_integral": profile_integral(spec.w, N),
-        "regime": classify(spec),
+        "w_integral": w_integral,
+        "regime": regime,
     })

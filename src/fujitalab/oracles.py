@@ -186,9 +186,6 @@ def gronwall_bound(A: float, M: float, sigma: float, t: float) -> float:
 # ---------------------------------------------------------------------------
 # smooth cutoffs and their radial power Laplacian
 
-CUTOFF_KINDS = ("psi1", "psi2")
-
-
 def smoothstep_jet(u):
     """C-infinity step S with S' and S'': S = 0 for u <= 0, 1 for u >= 1.
 
@@ -304,8 +301,6 @@ def cutoff_laplacian_check(
     positive and finite, dim an integer >= 1 and points an integer >= 3,
     else ValueError, as is a grid with no inner point where g >= 1e-3.
     """
-    if kind not in CUTOFF_KINDS:
-        raise ValueError(f"unknown cutoff kind {kind!r}")
     check_real("T", T, gt=0)
     check_int("dim", dim, ge=1)
     check_int("points", points, ge=3)
@@ -720,12 +715,12 @@ def _lemma_w_condition():
 def _lemma_certificate_scaling():
     w = ProfileSpec.gaussian(1.0, 1.0, (0.0, 0.0, 0.0))
     rep = certificate_scaling_check(3, 1.5, 1.25, 1.0, -0.5, w=w)
-    sign_ok = rep.applicable and rep.sign_gap is not None and (
-        (rep.sign_gap > 0) == (rep.theta < 0))
-    ok = rep.passed and sign_ok
+    ok = rep.passed and rep.applicable and (rep.sign_gap > 0) == (rep.theta < 0)
+    slope_F, gap = [f"{v:.3f}" if rep.applicable else "none"
+                    for v in (rep.slope_F, rep.sign_gap)]
     return ok, (f"slope_I1 {rep.slope_I1:.3f} (bound {rep.slope_bound_I1:.3f}), "
-                f"slope_F {rep.slope_F:.3f} (expected {rep.slope_expected_F:.3f}), "
-                f"gap {rep.sign_gap:.3f} vs -theta {-rep.theta:.3f}")
+                f"slope_F {slope_F} (expected {rep.slope_expected_F:.3f}), "
+                f"gap {gap} vs -theta {-rep.theta:.3f}")
 
 
 LEMMAS: dict[str, Callable[[], tuple[bool, str]]] = {

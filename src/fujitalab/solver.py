@@ -313,7 +313,7 @@ def run_from_fields(
     u_hat, load_hat = plan.spectrum(u0), None  # a load is kept through retries
     out, load_buf, work = (np.empty_like(u_hat) for _ in range(3))
     load_field, spare = np.empty(u0.values.shape), np.empty(u0.values.shape)
-    dt = min(config.dt0, config.t_end)
+    dt = config.dt0
     atol = 0.0
     if w is not None:
         first_weight, _ = _forcing_weight(0.0, config.dt0, spec.rho)

@@ -129,16 +129,26 @@ def test_usage_errors_exit_1(tmp_path, capsys):
                  sim + ["--half-width", "-1"], sim + ["--threshold", "0"],
                  sim + ["--threshold", "nan"], sim + ["--dt0", "inf"],
                  sim + ["--t-end", "inf"], swp + ["--points", "3"],
-                 swp + ["--jobs", "0"], swp + ["--amplitude", "nan"],
-                 swp + ["--amplitude", "inf"], swp + ["--epsilon", "nan"],
-                 swp + ["--epsilon", "inf"], swp + ["--epsilon", "0"],
-                 swp + ["--epsilon", "-0.01"],
                  ["verify", "--tolerance-scale", "1"]):
         assert main(argv) == 1, argv
         captured = capsys.readouterr()
         assert captured.err.startswith("error: "), argv
         assert "verdict" not in captured.out and "points:" not in captured.out
         assert "PASS" not in captured.out and "FAIL" not in captured.out
+    # the sweep's own options pass the package's one domain rule, which
+    # names the option in its message
+    for option, value, message in (
+            ("--jobs", "0", "--jobs must be an integer >= 1, got 0"),
+            ("--amplitude", "nan", "--amplitude must be finite, got nan"),
+            ("--amplitude", "inf", "--amplitude must be finite, got inf"),
+            ("--epsilon", "nan", "--epsilon must be positive and finite, got nan"),
+            ("--epsilon", "inf", "--epsilon must be positive and finite, got inf"),
+            ("--epsilon", "0", "--epsilon must be positive and finite, got 0.0"),
+            ("--epsilon", "-0.01", "--epsilon must be positive and finite, got -0.01")):
+        assert main(swp + [option, value]) == 1, option
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
+        assert captured.out == ""
 
 
 def test_simulate_writes_artifacts(tmp_path, capsys, monkeypatch):
@@ -392,6 +402,17 @@ def test_verify_fault_injection(capsys, tmp_path, monkeypatch):
     assert out.startswith("FAIL mittag_leffler:")
     payload = json.loads(out_file.read_text())
     assert payload["all_passed"] is False
+
+
+def test_verify_certificate_lemma_fails_cleanly_when_not_applicable(capsys, monkeypatch):
+    # negative space integrals leave no slope of F to format: the lemma must
+    # still print its FAIL line, not raise on the missing values
+    monkeypatch.setattr(oracles, "_space_cutoff_integrals",
+                        lambda w, N, kappa: [-1.0] * len(oracles.CERT_T_LIST))
+    assert main(["verify", "--lemma", "certificate_scaling"]) == 1
+    out = capsys.readouterr().out
+    assert out.startswith("FAIL certificate_scaling: slope_I1 ")
+    assert "slope_F none (expected 0.500), gap none vs -theta " in out
 
 
 def test_verify_stdout_is_the_golden_text(capsys):

@@ -6,11 +6,13 @@ everything rational end to end."""
 import json
 import math
 import random
+from collections import Counter
 from fractions import Fraction as Fr
 from pathlib import Path
 
 import pytest
 
+from fujitalab import exponents
 from fujitalab.exponents import (
     Regime,
     beta,
@@ -239,20 +241,45 @@ def _spec(N, p, q, alpha, rho, w_coeff=0.0):
     return ProblemSpec(N, p, q, alpha, rho, u0, w)
 
 
-def test_classify_regimes():
+_REGIME_CASES = (
     # threshold at (N=3, alpha=0, rho=-1/2) is 2, so p=1.5 is in the blow-up range
-    assert classify(_spec(3, 1.5, 2.0, 0.0, -0.5, w_coeff=1.0)) is Regime.BLOWUP
+    (_spec(3, 1.5, 2.0, 0.0, -0.5, w_coeff=1.0), Regime.BLOWUP),
     # same point without forcing mass cannot be certified as blow-up
-    assert classify(_spec(3, 1.5, 2.0, 0.0, -0.5)) is Regime.GAP
+    (_spec(3, 1.5, 2.0, 0.0, -0.5), Regime.GAP),
     # criterion 1's point, where ell is exactly 1
-    assert classify(_spec(2, 3.0, 3.0, 0.0, -0.5)) is Regime.GLOBAL_SMALL_DATA
-    assert classify(_spec(3, 3.5, 2.0, 0.0, -0.25, w_coeff=1.0)) is Regime.GAP
+    (_spec(2, 3.0, 3.0, 0.0, -0.5), Regime.GLOBAL_SMALL_DATA),
+    (_spec(3, 3.5, 2.0, 0.0, -0.25, w_coeff=1.0), Regime.GAP),
     # a nonempty window, but ell = 0.9019 < 1: the data cannot be measured in
     # L^ell, so the small-data theorem does not speak
+    (_spec(2, 2.2875, 1.875, 0.5, -0.70625, w_coeff=0.5), Regime.GAP),
+)
+
+
+def test_classify_regimes():
+    for spec, regime in _REGIME_CASES:
+        assert classify(spec) is regime
+        assert exponent_report(spec).values["regime"] is regime
     gep = gep_exponents(2, 2.2875, 1.875, 0.5, -0.70625)
     assert gep.ell < 1 and not gep.conditions["lebesgue_exponents"]
     assert r_window(2, 2.2875, 1.875, 0.5, -0.70625).nonempty
-    assert classify(_spec(2, 2.2875, 1.875, 0.5, -0.70625, w_coeff=0.5)) is Regime.GAP
+
+
+def test_a_report_evaluates_the_calculus_once(monkeypatch):
+    # the report decides the regime from the values it holds, and classify
+    # reads the report: one criterion, one window and one exponent pack
+    # (the window takes the second pack) per report, whatever the regime
+    calls = Counter()
+    for name in ("blowup_criterion", "gep_exponents", "r_window"):
+        def counted(*args, _f=getattr(exponents, name), _name=name):
+            calls[_name] += 1
+            return _f(*args)
+        monkeypatch.setattr(exponents, name, counted)
+    for spec, regime in _REGIME_CASES:
+        for evaluate in (exponent_report, classify):
+            calls.clear()
+            evaluate(spec)
+            assert calls == {"blowup_criterion": 1, "gep_exponents": 2, "r_window": 1}, (
+                evaluate.__name__, regime)
 
 
 def test_exponent_report_table_and_json():

@@ -15,7 +15,6 @@ from fujitalab import oracles
 from fujitalab.exponents import blowup_criterion
 from fujitalab.oracles import (
     CONTRACTION_DRAWS,
-    CUTOFF_KINDS,
     CUTOFF_MIN_ORDER,
     CUTOFF_THETA,
     DRAW_BLOCK,
@@ -324,7 +323,6 @@ def test_smoothstep_derivatives_match_fd():
 
 
 def test_cutoff_shapes():
-    assert CUTOFF_KINDS == ("psi1", "psi2")
     # psi1: plateau on [1/2, 3/4], support inside [1/4, 4/5]
     for s in (0.5, 0.6, 0.75):
         assert _cutoff("psi1", s) == 1.0
@@ -460,7 +458,7 @@ def test_ray_errors_never_exceed_the_full_grid():
     # the ray's points are grid points of an odd grid, so every maximum it
     # takes is at most the grid's, on coarse grids, tiny and huge T and both
     # kinds; on coarse grids the grid's sup can lie off the axis
-    cases = [(kind, T, points) for kind in CUTOFF_KINDS for T in (1e-300, 100.0, 1e300)
+    cases = [(kind, T, points) for kind in ("psi1", "psi2") for T in (1e-300, 100.0, 1e300)
              for points in (3, 7, 11, 37, 151)]
     checked = 0
     for kind, T, points in cases:

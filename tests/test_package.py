@@ -1,7 +1,7 @@
 """The package's public surface: every exported name resolves, none twice,
-no module imports a name it never uses, none reaches for a sibling
-module's private (underscore) name, and every constant the README names
-exists.
+no module imports a name it never uses or defines a private function or
+class it never reads, none reaches for a sibling module's private
+(underscore) name, and every constant the README names exists.
 
 Tools that walk ``__all__`` (the span tracer of the benchmark does) call
 ``getattr`` on each name, so a stale entry breaks them at import time."""
@@ -77,6 +77,36 @@ def test_no_module_imports_a_name_it_never_uses(path):
 def test_the_unused_import_check_sees_an_unused_name():
     assert _unused_imports("import os\nfrom a import b, c as d\nd()\n") == [
         "os (line 1)", "b (line 2)"]
+
+
+def _unread_private_definitions(source: str) -> list[str]:
+    """Module-level private functions and classes (a leading underscore, not a
+    dunder) that no other top-level statement of the module reads."""
+    tree = ast.parse(source)
+    found = []
+    for node in tree.body:
+        if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                and node.name.startswith("_")
+                and not (node.name.startswith("__") and node.name.endswith("__"))
+                and not any(isinstance(n, ast.Name) and n.id == node.name
+                            for top in tree.body if top is not node for n in ast.walk(top))):
+            found.append(f"{node.name} (line {node.lineno})")
+    return found
+
+
+@pytest.mark.parametrize("path", sorted(Path(fujitalab.__file__).parent.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_no_module_defines_a_private_name_it_never_reads(path):
+    assert _unread_private_definitions(path.read_text()) == []
+
+
+def test_the_private_definition_check_sees_an_unread_name():
+    source = ("def _a():\n    return _a()\n"
+              "def _b():\n    pass\n"
+              "class _C:\n    pass\n"
+              "def __getattr__(name):\n    pass\n"
+              "def public():\n    return _b\n")
+    assert _unread_private_definitions(source) == ["_a (line 1)", "_C (line 5)"]
 
 
 def _private_sibling_imports(source: str) -> list[str]:
